@@ -12,7 +12,7 @@ from .batch import (SingularSystemError, SkillModel, SkillStepModel, StepData,
                     learn_batch, learn_batch_weighted, load_model, save_model)
 from .demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, estimate_states,
                     fit_cubic_spline, ingest, load_raw_demo, save_raw_demo)
-from .environment import (Box, Environment, SignedDistanceField, Sphere, WeightParams,
+from .environment import (Box, Environment, SdfGridError, SignedDistanceField, Sphere, WeightParams,
                           build_sdf, hinge_cost, importance_weight, load_environment,
                           signed_distance, weight_trajectory)
 from .incremental import (IncrementalLearner, MNIWState, assimilate_demo, extract_map,

@@ -16,7 +16,7 @@ import numpy as np
 from . import demos as dm
 from .batch import (SingularSystemError, learn_batch_weighted, load_model, save_model)
 from .config import ConfigError, PipelineConfig, load_config
-from .environment import (NO_OBSTACLE_DISTANCE, build_sdf, load_environment,
+from .environment import (NO_OBSTACLE_DISTANCE, SdfGridError, build_sdf, load_environment,
                           scene_bounds, weight_trajectory)
 from .incremental import (assimilate_demo, extract_map, init_prior, load_checkpoint,
                           save_checkpoint)
@@ -199,7 +199,9 @@ def cmd_rollout(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior):
+def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, env) -> list:
+    """Configured anchors, then one obstacle factor over every node when the
+    reproduction scene has obstacles."""
     rc = cfg.reproduction
     d = prior.dim
     factors = []
@@ -209,23 +211,23 @@ def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior):
             raise ConfigError(f"anchor state must have dimension {d}")
         factors.append(StateAnchor(index=int(spec["index"]), target=target,
                                    sigma=np.asarray(float(spec.get("sigma", rc.start_sigma)))))
-    sdf = None
-    if rc.environment is not None:
-        env = load_environment(rc.environment)
-        if env.obstacles:
-            lo, hi = scene_bounds(env, rc.sdf_margin)
-            # make sure the prior's reachable area is inside the grid
-            pos = prior.means[:, :env.dimension]
-            spread = 3.0 * np.sqrt(np.clip(np.stack(
-                [np.diag(c)[:env.dimension] for c in prior.covs]), 0, None)).max()
-            lo = np.minimum(lo, pos.min(axis=0) - rc.sdf_margin - spread)
-            hi = np.maximum(hi, pos.max(axis=0) + rc.sdf_margin + spread)
+    if env is not None and env.obstacles:
+        lo, hi = scene_bounds(env, rc.sdf_margin)
+        # make sure the prior's reachable area is inside the grid
+        pos = prior.means[:, :env.dimension]
+        spread = 3.0 * np.sqrt(np.clip(np.stack(
+            [np.diag(c)[:env.dimension] for c in prior.covs]), 0, None)).max()
+        lo = np.minimum(lo, pos.min(axis=0) - rc.sdf_margin - spread)
+        hi = np.maximum(hi, pos.max(axis=0) + rc.sdf_margin + spread)
+        try:
             sdf = build_sdf(env, lo, hi, rc.sdf_resolution)
-            for i in range(prior.n_steps + 1):
-                factors.append(ObstacleFactor(index=i, sdf=sdf,
-                                              eps_repro=rc.eps_repro,
-                                              sigma_repro=rc.sigma_repro))
-    return factors, sdf
+        except SdfGridError as exc:
+            raise SdfGridError(f"{exc}: raise reproduction.sdf_resolution (the grid spans "
+                               f"the scene and the prior's 3-sigma position spread "
+                               f"{spread:.4g} m)") from exc
+        factors.append(ObstacleFactor(indices=range(prior.n_steps + 1), sdf=sdf,
+                                      eps_repro=rc.eps_repro, sigma_repro=rc.sigma_repro))
+    return factors
 
 
 def cmd_reproduce(cfg: PipelineConfig, args) -> int:
@@ -241,7 +243,7 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
                             rel_tol=rc.rel_tol, lm_damping_init=rc.lm_damping_init,
                             tol_clear=rc.tol_clear)
     env = load_environment(rc.environment) if rc.environment else None
-    base_factors, _ = _reproduction_factors(cfg, prior)
+    base_factors = _reproduction_factors(cfg, prior, env)
     all_converged = True
     for si, start in enumerate(starts):
         factors = list(base_factors)
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         return _COMMANDS[args.command](cfg, args)
-    except (SingularSystemError, SingularNormalEquationsError,
+    except (SingularSystemError, SingularNormalEquationsError, SdfGridError,
             np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -7,12 +7,41 @@ obstacle.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # Signed distance reported when a scene has no obstacles (>= 1e6 by contract).
 NO_OBSTACLE_DISTANCE = 1.0e9
+
+# Largest SDF grid build_sdf will allocate (16 MB of float64 values).
+MAX_SDF_CELLS = 2_000_000
+
+
+class SdfGridError(ValueError):
+    """A query outside a SignedDistanceField's grid, or a grid too large to
+    build. `row` is the first offending row of a batched query."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of d (n, dim). The stacked vector-vector
+    matmul takes the same dot product np.linalg.norm takes on one vector, so
+    each value is bit-identical to a per-row norm; norm(axis=-1) and einsum
+    differ from it by 1 ulp on some rows."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def _point_rows(p, dim: int) -> tuple[np.ndarray, bool]:
+    """Points as rows (n, dim), and whether a single point (dim,) was given."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1:] != (dim,) or p.ndim > 2:
+        raise ValueError(f"query point has dimension {p.shape}, scene is {dim}-D")
+    return p.reshape(-1, dim), p.ndim == 1
 
 
 @dataclass(frozen=True)
@@ -29,8 +58,11 @@ class Sphere:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def signed_distance(self, p: np.ndarray) -> float:
-        return float(np.linalg.norm(p - self.center) - self.radius)
+    def signed_distance(self, points) -> float | np.ndarray:
+        """Signed distance of one point (dim,) or of point rows (n, dim)."""
+        rows, single = _point_rows(points, self.dim)
+        d = _norms(rows - self.center) - self.radius
+        return float(d[0]) if single else d
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.radius, self.center + self.radius
@@ -53,14 +85,15 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def signed_distance(self, p: np.ndarray) -> float:
-        # exact closed form: positive outside, negative inside
+    def signed_distance(self, points) -> float | np.ndarray:
+        """Signed distance of one point (dim,) or of point rows (n, dim): the
+        exact closed form, positive outside, negative inside."""
+        rows, single = _point_rows(points, self.dim)
         center = (self.lo + self.hi) / 2.0
         half = (self.hi - self.lo) / 2.0
-        q = np.abs(p - center) - half
-        outside = np.linalg.norm(np.maximum(q, 0.0))
-        inside = min(float(np.max(q)), 0.0)
-        return float(outside + inside)
+        q = np.abs(rows - center) - half
+        d = _norms(np.maximum(q, 0.0)) + np.minimum(q.max(axis=1), 0.0)
+        return float(d[0]) if single else d
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo.copy(), self.hi.copy()
@@ -80,19 +113,19 @@ class Environment:
             if obs.dim != self.dimension:
                 raise ValueError(f"obstacle dimension {obs.dim} != environment dimension {self.dimension}")
 
-    def signed_distance(self, p: np.ndarray) -> float:
-        return signed_distance(self, p)
 
-
-def signed_distance(env: Environment, p: np.ndarray) -> float:
-    """Exact signed distance from point p to the nearest obstacle surface
-    (negative inside). Obstacle-free scenes return a large sentinel."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (env.dimension,):
-        raise ValueError(f"query point has dimension {p.shape}, environment is {env.dimension}-D")
+def signed_distance(env: Environment, points):
+    """Exact signed distance from each point to the nearest obstacle surface
+    (negative inside): a float for one point (dim,), an array for rows
+    (n, dim). Obstacle-free scenes return a large sentinel."""
+    rows, single = _point_rows(points, env.dimension)
     if not env.obstacles:
-        return NO_OBSTACLE_DISTANCE
-    return min(obs.signed_distance(p) for obs in env.obstacles)
+        out = np.full(rows.shape[0], NO_OBSTACLE_DISTANCE)
+    else:
+        out = env.obstacles[0].signed_distance(rows)
+        for obs in env.obstacles[1:]:
+            np.minimum(out, obs.signed_distance(rows), out=out)
+    return float(out[0]) if single else out
 
 
 class SignedDistanceField:
@@ -117,53 +150,70 @@ class SignedDistanceField:
         self._corners = np.stack(np.meshgrid(*([np.array([0, 1])] * self.dim), indexing="ij"),
                                  axis=-1).reshape(-1, self.dim)
 
-    def _locate(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim,):
-            raise ValueError(f"query point has dimension {p.shape}, field is {self.dim}-D")
+    def _locate(self, p) -> tuple[bool, np.ndarray, np.ndarray]:
+        """Whether p is a single point, and the cell index and in-cell
+        fraction of each point row."""
+        rows, single = _point_rows(p, self.dim)
         eps = 1e-9 * self.resolution
-        if np.any(p < self.origin - eps) or np.any(p > self.upper + eps):
-            raise ValueError(f"query {p.tolist()} outside SDF bounds "
-                             f"[{self.origin.tolist()}, {self.upper.tolist()}]")
-        rel = (p - self.origin) / self.resolution
+        outside = np.any((rows < self.origin - eps) | (rows > self.upper + eps), axis=1)
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise SdfGridError(f"query {rows[row].tolist()} outside SDF bounds "
+                               f"[{self.origin.tolist()}, {self.upper.tolist()}]", row=row)
+        rel = (rows - self.origin) / self.resolution
         cell = np.clip(np.floor(rel).astype(int), 0, np.array(self.values.shape) - 2)
         frac = np.clip(rel - cell, 0.0, 1.0)
-        return cell, frac
+        return single, cell, frac
 
-    def query(self, p: np.ndarray) -> float:
-        cell, frac = self._locate(p)
-        value = 0.0
+    def _interpolate(self, p, gradient: bool):
+        """Multilinear value (or its gradient) at one point (dim,) or at point
+        rows (n, dim). Corners are visited in a fixed order and each corner's
+        weight is a left-to-right product, so a batched query is bit-identical
+        to querying its rows one at a time."""
+        single, cell, frac = self._locate(p)
+        out = np.zeros(frac.shape if gradient else frac.shape[0])
         for corner in self._corners:
-            weight = np.prod(np.where(corner == 1, frac, 1.0 - frac))
-            value += weight * self.values[tuple(cell + corner)]
-        return float(value)
-
-    def gradient(self, p: np.ndarray) -> np.ndarray:
-        cell, frac = self._locate(p)
-        grad = np.zeros(self.dim)
-        for corner in self._corners:
-            v = self.values[tuple(cell + corner)]
+            v = self.values[tuple((cell + corner).T)]
             w = np.where(corner == 1, frac, 1.0 - frac)
-            sign = np.where(corner == 1, 1.0, -1.0)
-            for k in range(self.dim):
-                others = np.prod(np.delete(w, k))
-                grad[k] += v * sign[k] * others
-        return grad / self.resolution
+            if gradient:
+                sign = np.where(corner == 1, 1.0, -1.0)
+                for k in range(self.dim):
+                    out[:, k] += v * sign[k] * np.prod(np.delete(w, k, axis=1), axis=1)
+            else:
+                out += np.prod(w, axis=1) * v
+        if gradient:
+            out /= self.resolution
+            return out[0] if single else out
+        return float(out[0]) if single else out
+
+    def query(self, p) -> float | np.ndarray:
+        """Interpolated distance: a float for one point (dim,), an array (n,)
+        for point rows (n, dim). Raises SdfGridError off the grid."""
+        return self._interpolate(p, gradient=False)
+
+    def gradient(self, p) -> np.ndarray:
+        """Gradient of `query`: (dim,) for one point, (n, dim) for rows."""
+        return self._interpolate(p, gradient=True)
 
 
 def build_sdf(env: Environment, lo, hi, resolution: float) -> SignedDistanceField:
-    """Sample `signed_distance` on a uniform grid covering [lo, hi]."""
+    """Sample `signed_distance` on a uniform grid covering [lo, hi], in one
+    batched call. Grids over MAX_SDF_CELLS are refused (SdfGridError) before
+    anything is allocated."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if not resolution > 0:
         raise ValueError("resolution must be positive")
     if lo.shape != (env.dimension,) or hi.shape != (env.dimension,) or np.any(lo >= hi):
         raise ValueError("degenerate bounds: need lo < hi matching the environment dimension")
-    shape = tuple(int(np.ceil((hi[k] - lo[k]) / resolution)) + 1 for k in range(env.dimension))
+    counts = (np.ceil((hi - lo) / resolution) + 1).tolist()
+    if math.prod(counts) > MAX_SDF_CELLS:
+        raise SdfGridError(f"SDF grid {'x'.join(f'{c:.6g}' for c in counts)} at resolution "
+                           f"{resolution} exceeds {MAX_SDF_CELLS} cells")
+    shape = tuple(int(c) for c in counts)
     axes = [lo[k] + resolution * np.arange(shape[k]) for k in range(env.dimension)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    values = np.array([signed_distance(env, p) for p in points]).reshape(shape)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, env.dimension)
+    values = signed_distance(env, points).reshape(shape)
     return SignedDistanceField(origin=lo, resolution=resolution, values=values)
 
 
@@ -181,39 +231,37 @@ class WeightParams:
             raise ValueError("sigma_obs must be positive")
 
 
-def hinge_cost(d: float, params: WeightParams) -> float:
-    """-d + epsilon inside the influence zone (d <= epsilon), 0 outside."""
-    return max(params.epsilon - d, 0.0)
+def hinge_cost(d, params: WeightParams):
+    """-d + epsilon inside the influence zone (d <= epsilon), 0 outside;
+    elementwise on an array of distances."""
+    return np.maximum(params.epsilon - d, 0.0)
 
 
-def _distance_at(source, p: np.ndarray) -> float:
+def _state_weights(states: np.ndarray, source, params: WeightParams) -> np.ndarray:
+    """Importance weights of state rows (n, D), D = dim or 2 dim, with one
+    batched distance query on the position components."""
     if isinstance(source, SignedDistanceField):
-        return source.query(p)
-    return signed_distance(source, p)
+        dim, distance = source.dim, source.query
+    else:
+        dim, distance = source.dimension, lambda pos: signed_distance(source, pos)
+    if states.ndim != 2 or states.shape[1] not in (dim, 2 * dim):
+        raise ValueError(f"state of length {states.shape[1:]} incompatible with {dim}-D scene")
+    c = hinge_cost(distance(states[:, :dim]), params)
+    return np.exp(-c * c / (2.0 * params.sigma_obs ** 2))
 
 
 def importance_weight(x: np.ndarray, source, params: WeightParams) -> float:
     """exp(-c(x)^2 / (2 sigma_obs^2)) in (0, 1], with the distance taken on
     the position components of the state only."""
-    x = np.asarray(x, dtype=float)
-    dim = source.dim if isinstance(source, SignedDistanceField) else source.dimension
-    if x.shape == (dim,):
-        pos = x
-    elif x.shape == (2 * dim,):
-        pos = x[:dim]
-    else:
-        raise ValueError(f"state of length {x.shape} incompatible with {dim}-D scene")
-    c = hinge_cost(_distance_at(source, pos), params)
-    return float(np.exp(-c * c / (2.0 * params.sigma_obs ** 2)))
+    return float(_state_weights(np.asarray(x, dtype=float)[None, :], source, params)[0])
 
 
 def weight_trajectory(traj, source, params: WeightParams) -> np.ndarray:
     """Per-node importance weights w(x_i), length N+1. `source` may be an
     Environment, a SignedDistanceField, or None (all weights 1)."""
-    n_nodes = traj.states.shape[0]
     if source is None:
-        return np.ones(n_nodes)
-    return np.array([importance_weight(traj.states[i], source, params) for i in range(n_nodes)])
+        return np.ones(traj.states.shape[0])
+    return _state_weights(traj.states, source, params)
 
 
 def load_environment(path: str) -> Environment:

@@ -1,11 +1,11 @@
 """MAP trajectory reproduction: condition the learned prior on scene factors.
 
 The posterior combines the trajectory prior with event factors: state
-anchors (new start/goal/via constraints) and per-node obstacle factors built
-on a signed distance field. The negative log posterior is minimized with
-Levenberg-Marquardt; because every factor touches a single node, the damped
-Gauss-Newton systems keep the prior's block-tridiagonal sparsity and are
-solved by block Cholesky.
+anchors (new start/goal/via constraints) and an obstacle factor over a set
+of nodes, evaluated with one batched query of a signed distance field. The
+negative log posterior is minimized with Levenberg-Marquardt; because every
+factor term touches a single node, the damped Gauss-Newton systems keep the
+prior's block-tridiagonal sparsity and are solved by block Cholesky.
 """
 
 import io
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import StateTrajectory
-from .environment import NO_OBSTACLE_DISTANCE, SignedDistanceField
+from .environment import NO_OBSTACLE_DISTANCE, SdfGridError, SignedDistanceField
 from .linalg import BlockTridiagCholesky, block_tridiag_matvec
 from .prior import GaussianTrajectoryPrior
 
@@ -50,15 +50,20 @@ class StateAnchor:
 
 @dataclass(frozen=True)
 class ObstacleFactor:
-    """Hinge collision factor at node `index`: active within `eps_repro` of
-    an obstacle surface, scaled by `sigma_repro`."""
+    """Hinge collision factor on each node in `indices` (distinct node
+    indices): active within `eps_repro` of an obstacle surface, scaled by
+    `sigma_repro`. All its nodes are evaluated with one batched SDF query."""
 
-    index: int
+    indices: np.ndarray
     sdf: SignedDistanceField
     eps_repro: float = 0.1
     sigma_repro: float = 0.05
 
     def __post_init__(self):
+        indices = np.array(self.indices, dtype=int).reshape(-1)
+        if np.unique(indices).size != indices.size:
+            raise ValueError("obstacle factor node indices must be distinct")
+        object.__setattr__(self, "indices", indices)
         if self.eps_repro < 0:
             raise ValueError("eps_repro must be >= 0")
         if not self.sigma_repro > 0:
@@ -84,8 +89,9 @@ class ReproductionProblem:
     def __post_init__(self):
         n = self.prior.n_steps
         for f in self.factors:
-            if not 0 <= f.index <= n:
-                raise ValueError(f"factor index {f.index} outside 0..{n}")
+            for index in np.atleast_1d(f.indices if isinstance(f, ObstacleFactor) else f.index):
+                if not 0 <= index <= n:
+                    raise ValueError(f"factor index {index} outside 0..{n}")
 
 
 @dataclass
@@ -100,38 +106,54 @@ class Solution:
     objective_history: list = field(default_factory=list)
 
 
+def _clearances(sdf: SignedDistanceField, nodes: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Field distance of the position of each listed node (one batched
+    query); a node off the grid raises SdfGridError naming it."""
+    try:
+        return sdf.query(states[nodes, : sdf.dim])
+    except SdfGridError as exc:
+        raise SdfGridError(f"node {int(nodes[exc.row])} left the SDF grid: {exc}",
+                           row=exc.row) from exc
+
+
+def _obstacle_terms(sdf: SignedDistanceField, eps_repro: float, nodes: np.ndarray,
+                    states: np.ndarray, jacobian: bool):
+    """Hinge costs (n,) of the listed nodes and, if asked, their Jacobians
+    (n, D): -grad d on the position components while inside the band
+    (d <= eps_repro), zero outside and on all velocity components."""
+    d = _clearances(sdf, nodes, states)
+    cost = np.maximum(eps_repro - d, 0.0)
+    if not jacobian:
+        return cost, None
+    jac = np.zeros((nodes.size, states.shape[1]))
+    jac[:, : sdf.dim] = np.where((d > eps_repro)[:, None], 0.0,
+                                 -sdf.gradient(states[nodes, : sdf.dim]))
+    return cost, jac
+
+
 def obstacle_cost(state: np.ndarray, sdf: SignedDistanceField,
                   eps_repro: float) -> tuple[float, np.ndarray]:
-    """Hinge collision cost of one state and its gradient.
-
-    The cost is hinge(d(p), eps_repro) on the position components p; the
-    gradient is -grad d(p) from the interpolated field while inside the
-    band, zero outside and on all velocity components.
-    """
-    state = np.asarray(state, dtype=float)
-    pos = state[: sdf.dim]
-    d = sdf.query(pos)
-    grad = np.zeros(state.shape[0])
-    if d > eps_repro:
-        return 0.0, grad
-    grad[: sdf.dim] = -sdf.gradient(pos)
-    return eps_repro - d, grad
+    """Hinge collision cost hinge(d(p), eps_repro) of one state, on its
+    position components p, and its gradient."""
+    cost, jac = _obstacle_terms(sdf, eps_repro, np.zeros(1, dtype=int),
+                                np.asarray(state, dtype=float)[None, :], jacobian=True)
+    return float(cost[0]), jac[0]
 
 
 def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> float:
     """0.5 * prior Mahalanobis term plus 0.5 * every factor's weighted
-    squared residual."""
+    squared residual, added factor by factor and node by node."""
     x = np.asarray(x, dtype=float).reshape(-1)
     total = 0.5 * problem.prior.quad_form(x)
-    d = problem.prior.dim
+    states = x.reshape(-1, problem.prior.dim)
     for f in problem.factors:
-        node = x[f.index * d:(f.index + 1) * d]
         if isinstance(f, StateAnchor):
-            r = node - f.target
+            r = states[f.index] - f.target
             total += 0.5 * float(r @ np.linalg.solve(f.sigma, r))
         else:
-            c, _ = obstacle_cost(node, f.sdf, f.eps_repro)
-            total += 0.5 * c * c / f.sigma_repro ** 2
+            c, _ = _obstacle_terms(f.sdf, f.eps_repro, f.indices, states, jacobian=False)
+            for term in (0.5 * c * c / f.sigma_repro ** 2).tolist():
+                total += term
     return float(total)
 
 
@@ -139,27 +161,26 @@ def _gradient_and_gn_blocks(x: np.ndarray, problem: ReproductionProblem):
     """Gradient of the objective and the Gauss-Newton Hessian blocks.
 
     The prior contributes its precision; each factor adds J^T S^{-1} J to its
-    node's diagonal block and J^T S^{-1} r to the gradient, so the system
+    nodes' diagonal blocks and J^T S^{-1} r to the gradient, so the system
     stays block tridiagonal.
     """
     prior = problem.prior
     d = prior.dim
-    r = x - prior.stacked_mean
-    grad = block_tridiag_matvec(prior.prec_diag, prior.prec_off, r)
+    states = x.reshape(-1, d)
+    grad = block_tridiag_matvec(prior.prec_diag, prior.prec_off, x - prior.stacked_mean)
+    grad = grad.reshape(-1, d)
     h_diag = prior.prec_diag.copy()
     for f in problem.factors:
-        sl = slice(f.index * d, (f.index + 1) * d)
-        node = x[sl]
         if isinstance(f, StateAnchor):
             info = np.linalg.inv(f.sigma)
-            grad[sl] += info @ (node - f.target)
+            grad[f.index] += info @ (states[f.index] - f.target)
             h_diag[f.index] += info
         else:
-            c, jac = obstacle_cost(node, f.sdf, f.eps_repro)
+            c, jac = _obstacle_terms(f.sdf, f.eps_repro, f.indices, states, jacobian=True)
             inv_s2 = 1.0 / f.sigma_repro ** 2
-            grad[sl] += inv_s2 * c * jac
-            h_diag[f.index] += inv_s2 * np.outer(jac, jac)
-    return grad, h_diag
+            grad[f.indices] += (inv_s2 * c)[:, None] * jac
+            h_diag[f.indices] += inv_s2 * (jac[:, :, None] * jac[:, None, :])
+    return grad.reshape(-1), h_diag
 
 
 def _solution(problem, x, objective, iterations, converged, history) -> Solution:
@@ -170,9 +191,9 @@ def _solution(problem, x, objective, iterations, converged, history) -> Solution
     feasible = True
     for f in problem.factors:
         if isinstance(f, ObstacleFactor):
-            dist = f.sdf.query(states[f.index][: f.sdf.dim])
-            min_clear = min(min_clear, dist)
-            if dist < f.eps_repro - problem.options.tol_clear:
+            dist = _clearances(f.sdf, f.indices, states)
+            min_clear = min(min_clear, float(dist.min()))
+            if np.any(dist < f.eps_repro - problem.options.tol_clear):
                 feasible = False
     return Solution(trajectory=StateTrajectory(dt=prior.dt, states=states),
                     objective=objective, iterations=iterations,
@@ -252,5 +273,7 @@ def solution_summary(solution: Solution) -> dict:
         "iterations": solution.iterations,
         "converged": solution.converged,
         "feasible": solution.feasible,
-        "min_clearance": solution.min_clearance,
+        # null when nothing was checked for clearance (no obstacles)
+        "min_clearance": (None if solution.min_clearance >= NO_OBSTACLE_DISTANCE
+                          else solution.min_clearance),
     }

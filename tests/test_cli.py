@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -270,8 +271,63 @@ class TestReproduce:
         clearances = [sdf.query(p) for p in sol[:, 1:3]]
         assert min(clearances) >= 0.1 - 0.01 - 0.02  # sdf resolution slack
 
+    def test_obstacle_free_min_clearance_is_null(self, scene_dir, tmp_path):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        assert cli_main(["--config", str(root / "config.json"), "--out", out,
+                         "reproduce", "--model", os.path.join(out, "model.json")]) == 0
+        with open(os.path.join(out, "solution_000.json")) as fh:
+            summary = json.load(fh)
+        assert summary["min_clearance"] is None
+        assert summary["feasible"] is True
+
+
+def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, overrides=None):
+    """Learn, then reproduce past one displaced disc with the given
+    reproduction (and top-level config) settings; returns the exit code."""
+    overrides = overrides or {}
+    root, _ = scene_dir
+    out = str(tmp_path / "out")
+    assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+    write_json(str(tmp_path / "env_displaced.json"),
+               {"dimension": 2,
+                "obstacles": [{"type": "sphere", "center": [1.7, 0.5], "radius": 0.2}]})
+    cfg = json.load(open(root / "config.json"))
+    cfg["demos"] = [str(root / d) for d in cfg["demos"]]
+    cfg["environment"] = str(root / cfg["environment"])
+    cfg["reproduction"]["environment"] = str(tmp_path / "env_displaced.json")
+    cfg["reproduction"]["starts"] = [[0.0, 0.5, 3.0, 1.0]]
+    cfg.update(overrides)
+    cfg["reproduction"].update(reproduction)
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json(cfg_path, cfg)
+    return cli_main(["--config", cfg_path, "--out", out, "reproduce",
+                     "--model", os.path.join(out, "model.json")])
+
 
 class TestExitCodes:
+    def test_off_grid_iterate_is_numerical_failure(self, scene_dir, tmp_path, capsys):
+        # a loose initial state lets a tight start anchor far outside the
+        # small grid pull the path off it
+        code = _reproduce_in_displaced_scene(
+            scene_dir, tmp_path,
+            {"sdf_margin": 0.05, "starts": [[40.0, 40.0, 3.0, 1.0]]},
+            {"init_state": {"mean": [0.0, 0.5, 3.0, 1.0], "cov": np.eye(4).tolist()}})
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: node " in err
+        assert "left the SDF grid" in err and "outside SDF bounds" in err
+
+    def test_oversized_sdf_grid_is_numerical_failure(self, scene_dir, tmp_path, capsys):
+        # a 5 mm grid over the scene and the prior's reach (about 10 x 9 m)
+        # is about 2085 x 1741 cells, over the cap
+        code = _reproduce_in_displaced_scene(scene_dir, tmp_path, {"sdf_resolution": 0.005})
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"numerical failure: SDF grid \d{4}x\d{4} at resolution 0.005 exceeds", err)
+        assert "reproduction.sdf_resolution" in err and "3-sigma position spread 3.3" in err
+
     def test_missing_config(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "nope.json"), "learn"]) == 2
 

@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwskill.demos import StateTrajectory
-from iwskill.environment import (Box, Environment, Sphere, WeightParams, build_sdf,
-                                 environment_from_dict, environment_to_dict,
-                                 hinge_cost, importance_weight, signed_distance,
-                                 weight_trajectory)
+from iwskill.environment import (MAX_SDF_CELLS, Box, Environment, SdfGridError, Sphere,
+                                 WeightParams, build_sdf, environment_from_dict,
+                                 environment_to_dict, hinge_cost, importance_weight,
+                                 signed_distance, weight_trajectory)
 
 
 def surface_sample_distance(env, p, n=20000):
@@ -137,6 +139,110 @@ class TestSdf:
             checked += 1
 
 
+def per_point_distance(env, p):
+    """Oracle: the closed-form distance of one point, one obstacle at a time,
+    with a per-point np.linalg.norm."""
+    best = None
+    for obs in env.obstacles:
+        if isinstance(obs, Sphere):
+            d = float(np.linalg.norm(p - obs.center) - obs.radius)
+        else:
+            q = np.abs(p - (obs.lo + obs.hi) / 2.0) - (obs.hi - obs.lo) / 2.0
+            d = float(np.linalg.norm(np.maximum(q, 0.0)) + min(float(np.max(q)), 0.0))
+        best = d if best is None else min(best, d)
+    return best
+
+
+def corner_loop_query(sdf, p):
+    """Oracle: multilinear interpolation of one point, corner by corner."""
+    rel = (p - sdf.origin) / sdf.resolution
+    cell = np.clip(np.floor(rel).astype(int), 0, np.array(sdf.values.shape) - 2)
+    frac = np.clip(rel - cell, 0.0, 1.0)
+    value = 0.0
+    for corner in sdf._corners:
+        weight = np.prod(np.where(corner == 1, frac, 1.0 - frac))
+        value += weight * sdf.values[tuple(cell + corner)]
+    return float(value)
+
+
+def corner_loop_gradient(sdf, p):
+    """Oracle: gradient of the one-point interpolant, corner by corner."""
+    rel = (p - sdf.origin) / sdf.resolution
+    cell = np.clip(np.floor(rel).astype(int), 0, np.array(sdf.values.shape) - 2)
+    frac = np.clip(rel - cell, 0.0, 1.0)
+    grad = np.zeros(sdf.dim)
+    for corner in sdf._corners:
+        v = sdf.values[tuple(cell + corner)]
+        w = np.where(corner == 1, frac, 1.0 - frac)
+        sign = np.where(corner == 1, 1.0, -1.0)
+        for k in range(sdf.dim):
+            grad[k] += v * sign[k] * np.prod(np.delete(w, k))
+    return grad / sdf.resolution
+
+
+@st.composite
+def scenes(draw):
+    """1-4 random spheres and boxes in 2-D or 3-D inside [-1, 1]^dim."""
+    dim = draw(st.sampled_from([2, 3]))
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    size = st.floats(0.05, 0.8, allow_nan=False)
+    obstacles = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = np.array([draw(coord) for _ in range(dim)])
+        if draw(st.booleans()):
+            obstacles.append(Sphere(center=lo, radius=draw(size)))
+        else:
+            obstacles.append(Box(lo=lo, hi=lo + np.array([draw(size) for _ in range(dim)])))
+    return Environment(dimension=dim, obstacles=obstacles)
+
+
+class TestBatchedField:
+    @settings(max_examples=30, deadline=None)
+    @given(env=scenes(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_values_are_exact_distances(self, env, seed):
+        res = 0.1 if env.dimension == 2 else 0.2
+        sdf = build_sdf(env, -1.2 * np.ones(env.dimension), 2.0 * np.ones(env.dimension), res)
+        axes = [sdf.origin[k] + res * np.arange(n) for k, n in enumerate(sdf.values.shape)]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, env.dimension)
+        expected = np.array([per_point_distance(env, p) for p in nodes])
+        np.testing.assert_array_equal(sdf.values.reshape(-1), expected)
+        np.testing.assert_array_equal([signed_distance(env, p) for p in nodes], expected)
+        # batched weights equal one-state weights
+        params = WeightParams(epsilon=0.3, sigma_obs=0.1)
+        states = np.random.default_rng(seed).uniform(-1.2, 2.0, (20, 2 * env.dimension))
+        w = weight_trajectory(StateTrajectory(dt=0.1, states=states), env, params)
+        np.testing.assert_array_equal(w, [importance_weight(x, env, params) for x in states])
+
+    @settings(max_examples=30, deadline=None)
+    @given(env=scenes(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_query_and_gradient_match_corner_loop(self, env, seed):
+        res = 0.1 if env.dimension == 2 else 0.2
+        sdf = build_sdf(env, -1.2 * np.ones(env.dimension), 2.0 * np.ones(env.dimension), res)
+        pts = np.random.default_rng(seed).uniform(sdf.origin, sdf.upper, (40, env.dimension))
+        pts[0] = sdf.upper  # the far grid corner is inside
+        values, grads = sdf.query(pts), sdf.gradient(pts)
+        assert values.shape == (40,) and grads.shape == (40, env.dimension)
+        for p, v, g in zip(pts, values, grads):
+            assert v == corner_loop_query(sdf, p) == sdf.query(p)
+            np.testing.assert_array_equal(g, corner_loop_gradient(sdf, p))
+            np.testing.assert_array_equal(g, sdf.gradient(p))
+
+    def test_off_grid_row_is_named(self, two_obstacle_env):
+        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.5)
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 3.5], [9.0, 9.0]])
+        with pytest.raises(SdfGridError, match=r"query \[0.0, 3.5\] outside SDF bounds") as info:
+            sdf.gradient(pts)
+        assert info.value.row == 2
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("resolution, shape", [(0.01, "2001x2001"), (1e-300, "2e+301x2e+301")])
+    def test_oversized_grid_refused(self, two_obstacle_env, resolution, shape):
+        # [-10, 10]^2 at 0.01 m is twice the cap
+        assert 2001 ** 2 > MAX_SDF_CELLS
+        with pytest.raises(SdfGridError, match=rf"grid {re.escape(shape)} .* exceeds {MAX_SDF_CELLS} cells"):
+            build_sdf(two_obstacle_env, [-10.0, -10.0], [10.0, 10.0], resolution=resolution)
+
+
 class TestThreeD:
     @pytest.fixture
     def env3(self):
@@ -254,7 +360,7 @@ class TestWeights:
         np.testing.assert_allclose(w, direct)
         assert w.min() < 1.0
         # monotone in the nodewise distance
-        d = np.array([env.signed_distance(s[:2]) for s in states])
+        d = signed_distance(env, states[:, :2])
         order = np.argsort(d)
         assert np.all(np.diff(w[order]) >= -1e-15)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iwskill.batch import SkillModel, SkillStepModel
-from iwskill.environment import Environment, Sphere, build_sdf
+from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf
 from iwskill.prior import GaussianState, build_joint_prior
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                                   Solution, StateAnchor, negative_log_posterior,
@@ -126,8 +126,8 @@ class TestNegativeLogPosterior:
         colliding = build_joint_prior(model, GaussianState(
             mean=np.array([0.5, 0.25, 0.0, 0.0]), cov=0.01 * np.eye(4)))
         for prior, should_increase in ((clear, False), (colliding, True)):
-            factors = [ObstacleFactor(index=i, sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
-                       for i in range(3)]
+            factors = [ObstacleFactor(indices=range(3), sdf=disc_sdf, eps_repro=0.1,
+                                      sigma_repro=0.05)]
             with_obs = negative_log_posterior(prior.stacked_mean,
                                               ReproductionProblem(prior=prior, factors=factors))
             without = negative_log_posterior(prior.stacked_mean,
@@ -136,6 +136,55 @@ class TestNegativeLogPosterior:
                 assert with_obs > without
             else:
                 assert with_obs == pytest.approx(without, abs=1e-12)
+
+
+class TestObstacleFactorBatch:
+    @pytest.fixture
+    def prior(self):
+        rng = np.random.default_rng(12)
+        return build_joint_prior(random_model(rng, dim=4, n_steps=8, contraction=0.7),
+                                 GaussianState(mean=np.array([0.3, 0.0, 0.1, 0.0]),
+                                               cov=0.05 * np.eye(4)))
+
+    def test_one_factor_equals_per_node_obstacle_costs(self, prior, disc_sdf):
+        rng = np.random.default_rng(13)
+        factor = ObstacleFactor(indices=range(9), sdf=disc_sdf, eps_repro=0.15, sigma_repro=0.05)
+        problem = ReproductionProblem(prior=prior, factors=[factor])
+        for _ in range(5):
+            x = np.column_stack([rng.uniform(0.2, 0.8, 9), rng.uniform(-0.3, 0.3, 9),
+                                 rng.normal(size=(9, 2))]).reshape(-1)
+            expected = 0.5 * prior.quad_form(x)
+            active = 0
+            for i in range(9):
+                c, _ = obstacle_cost(x[4 * i:4 * i + 4], disc_sdf, 0.15)
+                expected += 0.5 * c * c / 0.05 ** 2
+                active += c > 0
+            assert active > 0
+            assert negative_log_posterior(x, problem) == expected
+
+    def test_subset_of_nodes(self, prior, disc_sdf):
+        x = np.tile([0.5, 0.1, 0.0, 0.0], 9)  # every node is inside the disc's band
+        base = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[]))
+        c, _ = obstacle_cost(x[:4], disc_sdf, 0.1)
+        for nodes in ([4], [0, 8], range(9)):
+            factor = ObstacleFactor(indices=nodes, sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
+            got = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[factor]))
+            assert got == pytest.approx(base + len(factor.indices) * 0.5 * c * c / 0.05 ** 2,
+                                        rel=1e-12)
+
+    def test_off_grid_node_is_named(self, prior, disc_sdf):
+        factor = ObstacleFactor(indices=range(9), sdf=disc_sdf)
+        x = np.tile([0.5, 0.6, 0.0, 0.0], 9)
+        x[4 * 6] = 7.0
+        with pytest.raises(SdfGridError, match=r"node 6 left the SDF grid: query \[7.0, 0.6\]"):
+            negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[factor]))
+
+    def test_index_validation(self, prior, disc_sdf):
+        with pytest.raises(ValueError, match="distinct"):
+            ObstacleFactor(indices=[1, 2, 1], sdf=disc_sdf)
+        with pytest.raises(ValueError, match="factor index 9 outside"):
+            ReproductionProblem(prior=prior,
+                                factors=[ObstacleFactor(indices=range(10), sdf=disc_sdf)])
 
 
 class TestOptimizeMap:
@@ -207,8 +256,8 @@ class TestOptimizeMap:
         prior = build_joint_prior(random_model(rng, dim=4, n_steps=6, contraction=0.7),
                                   GaussianState(mean=np.array([0.2, 0.0, 0.1, 0.0]),
                                                 cov=0.05 * np.eye(4)))
-        factors = [ObstacleFactor(index=i, sdf=disc_sdf, eps_repro=0.12, sigma_repro=0.05)
-                   for i in range(7)]
+        factors = [ObstacleFactor(indices=range(7), sdf=disc_sdf, eps_repro=0.12,
+                                  sigma_repro=0.05)]
         factors.append(StateAnchor(index=0, target=np.array([0.1, -0.3, 0.0, 0.0]),
                                    sigma=np.asarray(1e-3)))
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
@@ -244,7 +293,7 @@ class TestOptimizeMap:
             mean=np.array([0.5, 0.0, 0.0, 0.0]), cov=1e-6 * np.eye(4)))
         factors = [StateAnchor(index=i, target=np.array([0.5, 0.0, 0.0, 0.0]),
                                sigma=np.asarray(1e-6)) for i in range(3)]
-        factors.append(ObstacleFactor(index=1, sdf=disc_sdf, eps_repro=0.1, sigma_repro=1.0))
+        factors.append(ObstacleFactor(indices=[1], sdf=disc_sdf, eps_repro=0.1, sigma_repro=1.0))
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
         assert not sol.feasible
         assert sol.min_clearance < 0.0
@@ -254,8 +303,8 @@ class TestOptimizeMap:
         prior = build_joint_prior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
                                   GaussianState(mean=np.array([1.5, 0.7, 0.0, 0.0]),
                                                 cov=0.01 * np.eye(4)))
-        factors = [ObstacleFactor(index=i, sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
-                   for i in range(5)]
+        factors = [ObstacleFactor(indices=range(5), sdf=disc_sdf, eps_repro=0.1,
+                                  sigma_repro=0.05)]
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
         assert sol.feasible
         assert sol.min_clearance >= 0.1 - 0.01
@@ -274,3 +323,5 @@ def test_solution_exports():
     summary = solution_summary(sol)
     assert summary == {"objective": 1.25, "iterations": 3, "converged": True,
                        "feasible": True, "min_clearance": 0.42}
+    sol.min_clearance = 1e9  # no obstacle factor: nothing was checked
+    assert solution_summary(sol)["min_clearance"] is None
