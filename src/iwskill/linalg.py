@@ -3,56 +3,60 @@
 A symmetric block-tridiagonal matrix over n blocks of size d is stored as
     diag: (n, d, d)   diagonal blocks
     off:  (n-1, d, d) sub-diagonal blocks, off[i] = block (i+1, i)
-The upper triangle is implied by symmetry. All routines are dense per block
-but never materialize the full matrix, so solves cost O(n d^3).
+The upper triangle is implied by symmetry. As a banded matrix its lower
+bandwidth is 2d - 1, so LAPACK's banded Cholesky factors and solves it in
+O(n d^3) without materializing the full matrix.
 """
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_solve_banded, cholesky_banded
+
+
+@lru_cache(maxsize=16)
+def _band_index(n: int, d: int) -> tuple:
+    """(rows, cols, band_rows, band_cols) placing diag[:, rows, cols], the
+    diagonal blocks' lower triangles, in the (2d, n*d) lower band that holds
+    A[i, j] at band[i - j, j]; then the same four for off[:, rows, cols].
+    Shared by every caller with this (n, d), so read-only."""
+    r, c = np.tril_indices(d)
+    ro, co = np.indices((d, d)).reshape(2, -1)
+    starts = np.arange(n)[:, None] * d
+    index = (r, c, r - c, starts + c, ro, co, d + ro - co, starts[:-1] + co)
+    for a in index:
+        a.flags.writeable = False
+    return index
 
 
 class BlockTridiagCholesky:
-    """Lower block-bidiagonal Cholesky factor L with A = L L^T.
+    """Banded lower Cholesky factor L with A = L L^T.
 
-    Raises np.linalg.LinAlgError if a pivot block is not positive definite.
+    Raises np.linalg.LinAlgError, naming the failure, if A is not positive
+    definite or holds a NaN or an infinity.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray | None):
         n, d, _ = diag.shape
-        self.n = n
-        self.d = d
-        self.L_diag = np.empty_like(diag)
-        self.L_off = np.empty((n - 1, d, d)) if n > 1 else np.empty((0, d, d))
+        r, c, band_r, band_c, ro, co, off_r, off_c = _band_index(n, d)
+        band = np.zeros((2 * d, n * d), order="F")
+        band[band_r, band_c] = diag[:, r, c]
+        if n > 1:
+            band[off_r, off_c] = off[:, ro, co]
+        what = f"block-tridiagonal matrix ({n} blocks of size {d})"
+        if not np.isfinite(band).all():
+            raise np.linalg.LinAlgError(f"{what} has a NaN or infinite entry")
         try:
-            self.L_diag[0] = cholesky(diag[0], lower=True)
-        except Exception as exc:
-            raise np.linalg.LinAlgError(f"block 0 not positive definite: {exc}") from exc
-        for i in range(1, n):
-            # L_off[i-1] = off[i-1] @ inv(L_diag[i-1])^T
-            tmp = solve_triangular(self.L_diag[i - 1], off[i - 1].T, lower=True)
-            self.L_off[i - 1] = tmp.T
-            schur = diag[i] - self.L_off[i - 1] @ self.L_off[i - 1].T
-            try:
-                self.L_diag[i] = cholesky(schur, lower=True)
-            except Exception as exc:
-                raise np.linalg.LinAlgError(f"block {i} not positive definite: {exc}") from exc
+            self.band = cholesky_banded(band, overwrite_ab=True, lower=True,
+                                        check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"{what} not positive definite: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for b of shape (n*d,) or (n*d, m)."""
-        squeeze = b.ndim == 1
-        y = b.reshape(self.n, self.d, -1).astype(float, copy=True)
-        # forward: L y = b
-        y[0] = solve_triangular(self.L_diag[0], y[0], lower=True)
-        for i in range(1, self.n):
-            y[i] -= self.L_off[i - 1] @ y[i - 1]
-            y[i] = solve_triangular(self.L_diag[i], y[i], lower=True)
-        # backward: L^T x = y
-        y[-1] = solve_triangular(self.L_diag[-1], y[-1], lower=True, trans="T")
-        for i in range(self.n - 2, -1, -1):
-            y[i] -= self.L_off[i].T @ y[i + 1]
-            y[i] = solve_triangular(self.L_diag[i], y[i], lower=True, trans="T")
-        out = y.reshape(self.n * self.d, -1)
-        return out[:, 0] if squeeze else out
+        if not np.isfinite(b).all():
+            raise np.linalg.LinAlgError("right-hand side has a NaN or infinite entry")
+        return cho_solve_banded((self.band, True), b, check_finite=False)
 
 
 def block_tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -76,11 +80,6 @@ def block_tridiag_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         A[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = off[i]
         A[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = off[i].T
     return A
-
-
-def quadratic_form(diag: np.ndarray, off: np.ndarray, r: np.ndarray) -> float:
-    """r^T A r for stacked r, without forming A."""
-    return float(r @ block_tridiag_matvec(diag, off, r))
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:

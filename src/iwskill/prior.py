@@ -13,8 +13,7 @@ import numpy as np
 
 from .batch import SkillModel
 from .demos import DemoSet, StateTrajectory
-from .linalg import (BlockTridiagCholesky, block_tridiag_dense, block_tridiag_matvec,
-                     psd_sqrt)
+from .linalg import block_tridiag_dense, block_tridiag_matvec, psd_sqrt
 
 _JITTER = 1e-10
 
@@ -44,17 +43,30 @@ def initial_state_distribution(demos: DemoSet) -> GaussianState:
     return GaussianState(mean=mean, cov=cov)
 
 
-def rollout_moments(model: SkillModel, init: GaussianState) -> list:
-    """Propagate mean and covariance through every interval:
-    mu' = Phi mu + u, P' = Phi P Phi^T + Q."""
+def _moment_arrays(model: SkillModel, init: GaussianState) -> tuple:
+    """Marginal means (N+1, D) and covariances (N+1, D, D) of every node:
+    mu' = Phi mu + u, P' = Phi P Phi^T + Q, propagated interval by interval.
+    Raises FloatingPointError naming the first node whose moments overflow."""
     if init.mean.shape[0] != model.dim:
         raise ValueError(f"initial state dimension {init.mean.shape[0]} != model dim {model.dim}")
-    out = [GaussianState(mean=init.mean.copy(), cov=init.cov.copy())]
-    for step in model.steps:
-        mu = step.predict(out[-1].mean)
-        cov = step.transition @ out[-1].cov @ step.transition.T + step.Q
-        out.append(GaussianState(mean=mu, cov=(cov + cov.T) / 2.0))
-    return out
+    means = np.empty((model.n_steps + 1, model.dim))
+    covs = np.empty((model.n_steps + 1, model.dim, model.dim))
+    means[0], covs[0] = init.mean, init.cov
+    for i, step in enumerate(model.steps):
+        means[i + 1] = step.predict(means[i])
+        cov = step.transition @ covs[i] @ step.transition.T + step.Q
+        covs[i + 1] = (cov + cov.T) / 2.0
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    if not finite.all():
+        raise FloatingPointError(f"prior moments overflow at node {np.argmin(finite)} of "
+                                 f"{model.n_steps}: the learned dynamics diverge")
+    return means, covs
+
+
+def rollout_moments(model: SkillModel, init: GaussianState) -> list:
+    """The marginal Gaussian of every node, from the start state onward."""
+    means, covs = _moment_arrays(model, init)
+    return [GaussianState(mean=m, cov=c) for m, c in zip(means, covs)]
 
 
 class GaussianTrajectoryPrior:
@@ -70,9 +82,7 @@ class GaussianTrajectoryPrior:
         self.init = init
         self.dt = model.dt
         self.dim = model.dim
-        marginals = rollout_moments(model, init)
-        self.means = np.stack([g.mean for g in marginals])
-        self.covs = np.stack([g.cov for g in marginals])
+        self.means, self.covs = _moment_arrays(model, init)
         self._assemble_precision()
 
     @property
@@ -84,30 +94,18 @@ class GaussianTrajectoryPrior:
         return self.means.reshape(-1)
 
     def _assemble_precision(self) -> None:
-        d = self.dim
-        n = self.n_steps
-        eye = np.eye(d)
-        q_inv = []
-        for step in self.model.steps:
-            q_inv.append(np.linalg.inv(step.Q + _JITTER * eye))
-        p0_inv = np.linalg.inv(self.init.cov + _JITTER * eye)
-
-        diag = np.zeros((n + 1, d, d))
-        off = np.zeros((n, d, d))
-        diag[0] = p0_inv
-        for i, step in enumerate(self.model.steps):
-            phi = step.transition
-            diag[i] += phi.T @ q_inv[i] @ phi
-            diag[i + 1] += q_inv[i]
-            off[i] = -q_inv[i] @ phi
+        """Information form of the Markov chain: interval i adds
+        Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1) and
+        -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0."""
+        eye = np.eye(self.dim)
+        phi = np.stack([step.transition for step in self.model.steps])
+        q_inv = np.linalg.inv(np.stack([step.Q for step in self.model.steps]) + _JITTER * eye)
+        diag = np.zeros((self.n_steps + 1, self.dim, self.dim))
+        diag[0] = np.linalg.inv(self.init.cov + _JITTER * eye)
+        diag[:-1] += phi.transpose(0, 2, 1) @ q_inv @ phi
+        diag[1:] += q_inv
         self.prec_diag = diag
-        self.prec_off = off
-        self._chol = None
-
-    def precision_cholesky(self) -> BlockTridiagCholesky:
-        if self._chol is None:
-            self._chol = BlockTridiagCholesky(self.prec_diag, self.prec_off)
-        return self._chol
+        self.prec_off = -q_inv @ phi
 
     def quad_form(self, x: np.ndarray) -> float:
         """(x - mu)^T K^{-1} (x - mu) through the sparse precision."""

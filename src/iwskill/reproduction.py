@@ -5,7 +5,7 @@ anchors (new start/goal/via constraints) and an obstacle factor over a set
 of nodes, evaluated with one batched query of a signed distance field. The
 negative log posterior is minimized with Levenberg-Marquardt; because every
 factor term touches a single node, the damped Gauss-Newton systems keep the
-prior's block-tridiagonal sparsity and are solved by block Cholesky.
+prior's block-tridiagonal sparsity and are solved by LAPACK banded Cholesky.
 """
 
 import io
@@ -204,11 +204,13 @@ def _solution(problem, x, objective, iterations, converged, history) -> Solution
 def optimize_map(problem: ReproductionProblem) -> Solution:
     """Levenberg-Marquardt from the prior mean.
 
-    Damped Gauss-Newton steps are solved through the block-tridiagonal
-    Cholesky; damping shrinks by 10x on accepted steps and grows by 10x on
-    rejections. Convergence: gradient norm below abs_tol, or an accepted
-    step whose relative objective decrease falls below rel_tol. Hitting
-    max_iters returns the best iterate with converged=False.
+    Damped Gauss-Newton steps are solved through the banded Cholesky of the
+    block-tridiagonal system. Damping shrinks by 10x on accepted steps and
+    grows by 10x on rejections and on a system that is not positive definite
+    or not finite (LinAlgError); growing it past lm_damping_max raises
+    SingularNormalEquationsError. Convergence: gradient norm below abs_tol,
+    or an accepted step whose relative objective decrease falls below
+    rel_tol. Hitting max_iters returns the best iterate with converged=False.
     """
     opts = problem.options
     x = problem.prior.stacked_mean.copy()
@@ -230,11 +232,12 @@ def optimize_map(problem: ReproductionProblem) -> Solution:
                 chol = BlockTridiagCholesky(damped, problem.prior.prec_off)
                 step = chol.solve(-grad)
                 break
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as exc:
                 damping *= 10.0
                 if damping > opts.lm_damping_max:
                     raise SingularNormalEquationsError(
-                        f"normal equations not positive definite at damping {damping:.1e}")
+                        f"normal equations not factorizable at damping {damping:.1e}: "
+                        f"{exc}") from exc
         x_new = x + step
         obj_new = negative_log_posterior(x_new, problem)
         iterations += 1

@@ -328,6 +328,31 @@ class TestExitCodes:
         assert re.search(r"numerical failure: SDF grid \d{4}x\d{4} at resolution 0.005 exceeds", err)
         assert "reproduction.sdf_resolution" in err and "3-sigma position spread 3.3" in err
 
+    def test_unfactorizable_normal_equations_are_numerical_failure(self, scene_dir, tmp_path,
+                                                                   capsys):
+        # the anchor's information 1/start_sigma^2 = 1e320 overflows to inf
+        code = _reproduce_in_displaced_scene(scene_dir, tmp_path, {"start_sigma": 1e-160})
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: normal equations not factorizable at damping" in err
+        assert "NaN or infinite" in err
+
+    def test_diverging_prior_is_numerical_failure(self, scene_dir, tmp_path, capsys):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        model_path = os.path.join(out, "model.json")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        model = json.load(open(model_path))
+        model["steps"][10]["Phi_tilde"] = (1e200 * np.asarray(model["steps"][10]["Phi_tilde"])
+                                           ).tolist()
+        write_json(model_path, model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["--config", str(root / "config.json"), "--out", out,
+                             "rollout", "--model", model_path])
+        assert code == 3
+        assert "numerical failure: prior moments overflow at node 11 of 30" in (
+            capsys.readouterr().err)
+
     def test_missing_config(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "nope.json"), "learn"]) == 2
 

@@ -20,6 +20,27 @@ def random_model(rng, dim=2, n_steps=5, noise=0.05, contraction=0.9):
     return SkillModel(steps=steps, dt=0.1, dim=dim)
 
 
+def reference_moments_and_precision(model, init, jitter=1e-10):
+    """Per-interval loops over the model's steps: rollout moments and the
+    information-form precision blocks, one interval at a time."""
+    means, covs = [init.mean], [init.cov]
+    for step in model.steps:
+        means.append(step.predict(means[-1]))
+        cov = step.transition @ covs[-1] @ step.transition.T + step.Q
+        covs.append((cov + cov.T) / 2.0)
+    d, n = model.dim, model.n_steps
+    eye = np.eye(d)
+    diag = np.zeros((n + 1, d, d))
+    off = np.zeros((n, d, d))
+    diag[0] = np.linalg.inv(init.cov + jitter * eye)
+    for i, step in enumerate(model.steps):
+        q_inv = np.linalg.inv(step.Q + jitter * eye)
+        diag[i] += step.transition.T @ q_inv @ step.transition
+        diag[i + 1] += q_inv
+        off[i] = -q_inv @ step.transition
+    return np.stack(means), np.stack(covs), diag, off
+
+
 def random_init(rng, dim=2):
     a = rng.normal(scale=0.2, size=(dim, dim))
     return GaussianState(mean=rng.normal(size=dim), cov=a @ a.T + 0.01 * np.eye(dim))
@@ -166,6 +187,30 @@ class TestJointPrior:
         noisier = rollout_moments(SkillModel(steps=noisier_steps, dt=model.dt), init)
         for g_lo, g_hi in zip(base, noisier):
             assert np.all(np.diag(g_hi.cov) >= np.diag(g_lo.cov) - 1e-12)
+
+    @pytest.mark.parametrize("dim,n_steps", [(1, 1), (2, 5), (4, 60), (6, 200)])
+    def test_arrays_equal_per_interval_loops(self, dim, n_steps):
+        rng = np.random.default_rng(dim * 1000 + n_steps)
+        model = random_model(rng, dim=dim, n_steps=n_steps)
+        init = random_init(rng, dim=dim)
+        prior = build_joint_prior(model, init)
+        means, covs, diag, off = reference_moments_and_precision(model, init)
+        np.testing.assert_array_equal(prior.means, means)
+        np.testing.assert_array_equal(prior.covs, covs)
+        np.testing.assert_array_equal(prior.prec_diag, diag)
+        np.testing.assert_array_equal(prior.prec_off, off)
+        for g, m, c in zip(rollout_moments(model, init), means, covs):
+            np.testing.assert_array_equal(g.mean, m)
+            np.testing.assert_array_equal(g.cov, c)
+
+    def test_overflowing_dynamics_raise(self):
+        rng = np.random.default_rng(15)
+        model = random_model(rng, dim=2, n_steps=6)
+        steps = list(model.steps)
+        steps[3] = SkillStepModel(Phi_tilde=1e200 * steps[3].Phi_tilde, Q=steps[3].Q)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="overflow at node 4 of 6"):
+            build_joint_prior(SkillModel(steps=steps, dt=model.dt), random_init(rng, dim=2))
 
     def test_dense_covariance_guard(self):
         rng = np.random.default_rng(9)

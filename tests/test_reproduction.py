@@ -5,9 +5,9 @@ from iwskill.batch import SkillModel, SkillStepModel
 from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf
 from iwskill.prior import GaussianState, build_joint_prior
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
-                                  Solution, StateAnchor, negative_log_posterior,
-                                  obstacle_cost, optimize_map, solution_csv,
-                                  solution_summary)
+                                  SingularNormalEquationsError, Solution, StateAnchor,
+                                  negative_log_posterior, obstacle_cost, optimize_map,
+                                  solution_csv, solution_summary)
 
 from test_prior import random_init, random_model
 
@@ -274,6 +274,25 @@ class TestOptimizeMap:
         sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors, options=opts))
         assert not sol.converged
         assert sol.iterations == 1
+
+    def test_indefinite_beyond_max_damping_raises(self):
+        rng = np.random.default_rng(11)
+        prior = build_joint_prior(random_model(rng, dim=2, n_steps=5), random_init(rng, 2))
+        prior.prec_diag[2] -= 1e14 * np.eye(2)  # no damping up to 1e12 makes this PD
+        anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=np.asarray(0.1))
+        with pytest.raises(SingularNormalEquationsError,
+                           match="at damping 1.0e\\+13: .*not positive definite"):
+            optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
+
+    def test_overflowing_anchor_information_raises(self):
+        # sigma^2 = 1e-320 is a positive subnormal, so the anchor is valid,
+        # but its information 1e320 overflows the normal equations
+        rng = np.random.default_rng(12)
+        prior = build_joint_prior(random_model(rng, dim=2, n_steps=5), random_init(rng, 2))
+        anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=np.asarray(1e-160))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularNormalEquationsError, match="NaN or infinite"):
+            optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
 
     def test_factor_index_validation(self):
         rng = np.random.default_rng(10)
