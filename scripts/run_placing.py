@@ -56,6 +56,8 @@ def main() -> int:
     for label, weighted in (("weighted", True), ("unweighted", False)):
         out_dir = os.path.join(args.out, label)
         checkpoint = os.path.join(out_dir, "checkpoint.json")
+        if os.path.exists(checkpoint):  # a rerun starts fresh, not from the last run's learner
+            os.remove(checkpoint)
         for k, demo_path in enumerate(demo_files):
             env = ("env_cluttered.json" if k < n_influenced else "env_clean.json")
             cmd = ["--config", cfg_path, "--out", out_dir, "assimilate",

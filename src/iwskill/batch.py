@@ -12,7 +12,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .demos import DemoSet
-from .environment import WeightParams, weight_trajectory
 from .utils import read_json, write_json
 
 
@@ -193,14 +192,6 @@ def learn_batch_weighted(demos: DemoSet, weights: list, lam: float | None = None
         except SingularSystemError as exc:
             raise SingularSystemError(f"interval {i}: {exc}") from exc
     return SkillModel(steps=steps, dt=demos.dt, dim=demos.dim)
-
-
-def learn_batch(demos: DemoSet, env, params: WeightParams, lam: float | None = None,
-                q_min: float = 1e-6) -> SkillModel:
-    """Weight every demonstration against the scene, then fit all intervals.
-    Pass env=None to learn unweighted."""
-    weights = [weight_trajectory(traj, env, params) for traj in demos.demos]
-    return learn_batch_weighted(demos, weights, lam, q_min=q_min)
 
 
 def model_to_dict(model: SkillModel) -> dict:

@@ -7,7 +7,6 @@ with 0 on success, 2 on configuration errors, 3 on numerical failures, and
 """
 
 import argparse
-import io
 import os
 import sys
 
@@ -18,15 +17,15 @@ from .batch import (SingularSystemError, learn_batch_weighted, load_model, save_
 from .config import ConfigError, PipelineConfig, load_config
 from .environment import (NO_OBSTACLE_DISTANCE, SdfGridError, build_sdf, load_environment,
                           scene_bounds, weight_trajectory)
-from .incremental import (assimilate_demo, extract_map, init_prior, load_checkpoint,
+from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
-from .prior import (GaussianState, GaussianTrajectoryPrior, build_joint_prior,
-                    initial_state_distribution, prior_band_csv, sample_trajectories)
+from .prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
+                    prior_band_csv, sample_trajectories)
 from .reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                            SingularNormalEquationsError, StateAnchor, optimize_map,
                            solution_csv, solution_summary)
 from .svg import SvgScene
-from .utils import atomic_write_text, write_json
+from .utils import atomic_write_text, csv_text, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,58 +33,63 @@ EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
 
 
+def _read_demo(path: str) -> dm.RawDemo:
+    try:
+        return dm.load_raw_demo(path)
+    except (ValueError, KeyError, OSError) as exc:
+        raise ConfigError(f"failed to read demo {path}: {exc}") from exc
+
+
 def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
     if not cfg.demos:
         raise ConfigError("no demo files configured")
-    try:
-        raw = [dm.load_raw_demo(p) for p in cfg.demos]
-    except (ValueError, KeyError, OSError) as exc:
-        raise ConfigError(f"failed to read demos: {exc}") from exc
+    raw = [_read_demo(p) for p in cfg.demos]
     if cfg.align == "dtw":
         raw = dm.dtw_align(raw, cfg.dtw_reference)
     return dm.DemoSet(demos=[dm.estimate_states(d, cfg.grid_n) for d in raw])
 
 
-def _demo_weights(cfg: PipelineConfig, demo_set: dm.DemoSet, no_weighting: bool):
-    if no_weighting or cfg.environment is None:
-        return [np.ones(cfg.grid_n + 1) for _ in range(demo_set.k)]
-    env = load_environment(cfg.environment)
-    return [weight_trajectory(t, env, cfg.weights) for t in demo_set.demos]
+def _demo_weights(cfg: PipelineConfig, trajs: list, env_path: str | None,
+                  no_weighting: bool) -> list:
+    """Per-node weights of each trajectory against the scene at `env_path`;
+    all ones with `--no-weighting` or without a scene."""
+    env = None if no_weighting or env_path is None else load_environment(env_path)
+    return [weight_trajectory(t, env, cfg.weights) for t in trajs]
 
 
-def _weights_csv(weights) -> str:
-    out = io.StringIO()
-    out.write("demo,node,weight\n")
-    for k, w in enumerate(weights):
-        for i, v in enumerate(w):
-            out.write(f"{k},{i},{repr(float(v))}\n")
-    return out.getvalue()
-
-
-def _report_weights(weights) -> None:
+def _write_weights(cfg: PipelineConfig, weights: list) -> None:
+    """`weights.csv` in the output directory, and each demo's minimum and
+    mean weight on stdout."""
+    atomic_write_text(os.path.join(cfg.out_dir, "weights.csv"), csv_text(
+        ["demo", "node", "weight"], np.concatenate(weights)[:, None],
+        [f"{k},{i}" for k, w in enumerate(weights) for i in range(len(w))]))
     for k, w in enumerate(weights):
         print(f"demo {k}: min weight {w.min():.6f}, mean weight {w.mean():.6f}")
 
 
-def _initial_state(cfg: PipelineConfig, model_dim: int,
-                   demo_set: dm.DemoSet | None) -> GaussianState:
+def _load_prior(cfg: PipelineConfig, model_path: str) -> GaussianTrajectoryPrior:
+    """The model's trajectory prior, started from `init_state` or else from
+    the configured demos' start states."""
+    model = load_model(model_path)
+    demo_set = _load_demo_set(cfg) if cfg.demos else None
     if cfg.init_state is not None:
         mean = np.asarray(cfg.init_state["mean"], dtype=float)
         cov = np.asarray(cfg.init_state["cov"], dtype=float)
-        if mean.shape != (model_dim,) or cov.shape != (model_dim, model_dim):
+        if mean.shape != (model.dim,) or cov.shape != (model.dim, model.dim):
             raise ConfigError("init_state dimensions do not match the model")
-        return GaussianState(mean=mean, cov=cov)
-    if demo_set is None:
+        init = GaussianState(mean=mean, cov=cov)
+    elif demo_set is None:
         raise ConfigError("need either init_state or demo files to build the prior")
-    return initial_state_distribution(demo_set)
+    else:
+        init = initial_state_distribution(demo_set)
+    return GaussianTrajectoryPrior(model, init)
 
 
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
     demo_set = _load_demo_set(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for k, traj in enumerate(demo_set.demos):
         write_json(os.path.join(cfg.out_dir, f"trajectory_{k:03d}.json"),
-                   dm.trajectory_to_dict(traj))
+                   {"dt": traj.dt, "states": traj.states.tolist()})
     write_json(os.path.join(cfg.out_dir, "ingest_summary.json"),
                {"demos": demo_set.k, "n_steps": demo_set.n_steps,
                 "dim": demo_set.dim, "dt": demo_set.dt})
@@ -96,32 +100,24 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 def cmd_weights(cfg: PipelineConfig, args) -> int:
     demo_set = _load_demo_set(cfg)
-    weights = _demo_weights(cfg, demo_set, args.no_weighting)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(cfg.out_dir, "weights.csv"), _weights_csv(weights))
-    _report_weights(weights)
+    weights = _demo_weights(cfg, demo_set.demos, cfg.environment, args.no_weighting)
+    _write_weights(cfg, weights)
     return EXIT_OK
 
 
 def cmd_learn(cfg: PipelineConfig, args) -> int:
     demo_set = _load_demo_set(cfg)
-    weights = _demo_weights(cfg, demo_set, args.no_weighting)
+    weights = _demo_weights(cfg, demo_set.demos, cfg.environment, args.no_weighting)
     model = learn_batch_weighted(demo_set, weights, cfg.ridge_lambda)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     save_model(os.path.join(cfg.out_dir, "model.json"), model)
-    atomic_write_text(os.path.join(cfg.out_dir, "weights.csv"), _weights_csv(weights))
-    _report_weights(weights)
+    _write_weights(cfg, weights)
     print(f"learned {model.n_steps}-step model (D={model.dim}) -> "
           f"{os.path.join(cfg.out_dir, 'model.json')}")
     return EXIT_OK
 
 
 def cmd_assimilate(cfg: PipelineConfig, args) -> int:
-    try:
-        raw = dm.load_raw_demo(args.demo)
-    except (ValueError, KeyError, OSError) as exc:
-        raise ConfigError(f"failed to read demo {args.demo}: {exc}") from exc
-    traj = dm.estimate_states(raw, cfg.grid_n)
+    traj = dm.estimate_states(_read_demo(args.demo), cfg.grid_n)
 
     if os.path.exists(args.checkpoint):
         try:
@@ -133,68 +129,54 @@ def cmd_assimilate(cfg: PipelineConfig, args) -> int:
                 f"checkpoint grid ({learner.n_steps}, {learner.dim}) does not match "
                 f"demo grid ({traj.n_steps}, {traj.dim})")
     else:
-        learner = init_prior(traj.n_steps, traj.dim, cfg.alpha, cfg.beta, dt=traj.dt)
+        learner = IncrementalLearner(traj.n_steps, traj.dim, cfg.alpha, cfg.beta, dt=traj.dt)
 
     env_path = args.env if args.env is not None else cfg.environment
-    if args.no_weighting or env_path is None:
-        weights = np.ones(traj.n_steps + 1)
-    else:
-        weights = weight_trajectory(traj, load_environment(env_path), cfg.weights)
+    [weights] = _demo_weights(cfg, [traj], env_path, args.no_weighting)
     assimilate_demo(learner, traj, weights)
 
     save_checkpoint(args.checkpoint, learner)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     save_model(os.path.join(cfg.out_dir, "model.json"), extract_map(learner))
     print(f"assimilated demo {args.demo} (weights min {weights.min():.6f}); "
           f"{learner.demos_seen} demos seen")
     return EXIT_OK
 
 
-def _rollout_svg(prior: GaussianTrajectoryPrior, env, samples) -> str:
-    """Prior mean with a one-sigma band, optional samples, and the scene.
-    States are projected onto their first two dimensions (time vs value for
-    scalar states)."""
+def _plane(prior: GaussianTrajectoryPrior, states: np.ndarray) -> np.ndarray:
+    """Drawing coordinates of (N+1, D) states: their first two dimensions,
+    or time vs value for scalar states."""
+    if prior.dim >= 2:
+        return states[:, :2]
+    return np.column_stack([prior.times, states[:, 0]])
+
+
+def _band_scene(prior: GaussianTrajectoryPrior, env) -> SvgScene:
+    """The scene's obstacles and the prior mean's one-sigma band."""
     scene = SvgScene()
     if env is not None:
         scene.environment(env)
-    stds = np.sqrt(np.clip(np.stack([np.diag(c) for c in prior.covs]), 0, None))
-    if prior.dim >= 2:
-        means = prior.means[:, :2]
-        half = np.linalg.norm(stds[:, :2], axis=1)
-        sample_paths = [traj.states[:, :2] for traj in samples]
-    else:
-        t = prior.dt * np.arange(prior.n_steps + 1)
-        means = np.column_stack([t, prior.means[:, 0]])
-        half = stds[:, 0]
-        sample_paths = [np.column_stack([t, traj.states[:, 0]]) for traj in samples]
-    scene.band(means, half)
-    for path in sample_paths:
-        scene.polyline(path, color="#9467bd", width=1.0, opacity=0.5)
-    scene.polyline(means, color="#1f77b4", width=2.5)
-    return scene.render()
+    half = np.linalg.norm(prior.stds[:, :2], axis=1) if prior.dim >= 2 else prior.stds[:, 0]
+    scene.band(_plane(prior, prior.means), half)
+    return scene
 
 
 def cmd_rollout(cfg: PipelineConfig, args) -> int:
-    model = load_model(args.model)
-    demo_set = _load_demo_set(cfg) if cfg.demos else None
-    init = _initial_state(cfg, model.dim, demo_set)
-    prior = build_joint_prior(model, init)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    prior = _load_prior(cfg, args.model)
     atomic_write_text(os.path.join(cfg.out_dir, "prior.csv"), prior_band_csv(prior))
     samples = []
     if cfg.rollout_samples > 0:
         samples = sample_trajectories(prior, cfg.rollout_samples, seed=cfg.seed)
-        out = io.StringIO()
-        out.write("sample,t," + ",".join(f"x_{j + 1}" for j in range(model.dim)) + "\n")
-        for si, traj in enumerate(samples):
-            for i in range(traj.n_steps + 1):
-                row = [str(si), repr(float(i * traj.dt))]
-                row += [repr(float(v)) for v in traj.states[i]]
-                out.write(",".join(row) + "\n")
-        atomic_write_text(os.path.join(cfg.out_dir, "samples.csv"), out.getvalue())
+        header = ["sample", "t"] + [f"x_{j + 1}" for j in range(prior.dim)]
+        table = np.concatenate([np.column_stack([traj.times, traj.states]) for traj in samples])
+        labels = [str(si) for si, traj in enumerate(samples) for _ in range(traj.n_steps + 1)]
+        atomic_write_text(os.path.join(cfg.out_dir, "samples.csv"),
+                          csv_text(header, table, labels))
     env = load_environment(cfg.environment) if cfg.environment else None
-    atomic_write_text(os.path.join(cfg.out_dir, "rollout.svg"),
-                      _rollout_svg(prior, env, samples))
+    scene = _band_scene(prior, env)
+    for traj in samples:
+        scene.polyline(_plane(prior, traj.states), color="#9467bd", width=1.0, opacity=0.5)
+    scene.polyline(_plane(prior, prior.means), color="#1f77b4", width=2.5)
+    atomic_write_text(os.path.join(cfg.out_dir, "rollout.svg"), scene.render())
     print(f"rolled out prior over {prior.n_steps} steps -> {cfg.out_dir}")
     return EXIT_OK
 
@@ -215,8 +197,7 @@ def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, e
         lo, hi = scene_bounds(env, rc.sdf_margin)
         # make sure the prior's reachable area is inside the grid
         pos = prior.means[:, :env.dimension]
-        spread = 3.0 * np.sqrt(np.clip(np.stack(
-            [np.diag(c)[:env.dimension] for c in prior.covs]), 0, None)).max()
+        spread = 3.0 * prior.stds[:, :env.dimension].max()
         lo = np.minimum(lo, pos.min(axis=0) - rc.sdf_margin - spread)
         hi = np.maximum(hi, pos.max(axis=0) + rc.sdf_margin + spread)
         try:
@@ -231,13 +212,9 @@ def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, e
 
 
 def cmd_reproduce(cfg: PipelineConfig, args) -> int:
-    model = load_model(args.model)
-    demo_set = _load_demo_set(cfg) if cfg.demos else None
-    init = _initial_state(cfg, model.dim, demo_set)
-    prior = build_joint_prior(model, init)
+    prior = _load_prior(cfg, args.model)
     rc = cfg.reproduction
     starts = rc.starts if rc.starts else [None]
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     opts = OptimizerOptions(max_iters=rc.max_iters, abs_tol=rc.abs_tol,
                             rel_tol=rc.rel_tol, lm_damping_init=rc.lm_damping_init,
@@ -249,8 +226,8 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
         factors = list(base_factors)
         if start is not None:
             target = np.asarray(start, dtype=float)
-            if target.shape != (model.dim,):
-                raise ConfigError(f"start state must have dimension {model.dim}")
+            if target.shape != (prior.dim,):
+                raise ConfigError(f"start state must have dimension {prior.dim}")
             factors.append(StateAnchor(index=0, target=target,
                                        sigma=np.asarray(rc.start_sigma)))
         solution = optimize_map(ReproductionProblem(prior=prior, factors=factors,
@@ -259,13 +236,9 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
         stem = os.path.join(cfg.out_dir, f"solution_{si:03d}")
         atomic_write_text(stem + ".csv", solution_csv(solution))
         write_json(stem + ".json", solution_summary(solution))
-        scene = SvgScene()
-        if env is not None:
-            scene.environment(env)
-        stds = np.sqrt(np.clip(np.stack([np.diag(c) for c in prior.covs]), 0, None))
-        scene.band(prior.means[:, :2], np.linalg.norm(stds[:, :2], axis=1))
-        scene.polyline(prior.means[:, :2], color="#1f77b4", width=1.5, dashed=True)
-        scene.polyline(solution.trajectory.states[:, :2], color="#2ca02c", width=2.5)
+        scene = _band_scene(prior, env)
+        scene.polyline(_plane(prior, prior.means), color="#1f77b4", width=1.5, dashed=True)
+        scene.polyline(_plane(prior, solution.trajectory.states), color="#2ca02c", width=2.5)
         atomic_write_text(stem + ".svg", scene.render())
         clear = solution.min_clearance
         clear_txt = "n/a" if clear >= NO_OBSTACLE_DISTANCE else f"{clear:.4f}"

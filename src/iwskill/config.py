@@ -6,7 +6,7 @@ config plus its data directory is relocatable.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .environment import WeightParams
 
@@ -62,12 +62,16 @@ class PipelineConfig:
                 raise ConfigError(f"environment file not found: {path}")
 
 
-_TOP_KEYS = {"demos", "environment", "grid_n", "align", "dtw_reference", "weights",
-             "ridge_lambda", "alpha", "beta", "seed", "out_dir", "rollout_samples",
-             "init_state", "reproduction"}
-_REPRO_KEYS = {"environment", "starts", "start_sigma", "anchors", "eps_repro",
-               "sigma_repro", "sdf_resolution", "sdf_margin", "max_iters", "abs_tol",
-               "rel_tol", "lm_damping_init", "tol_clear"}
+_TOP_KEYS = {f.name for f in fields(PipelineConfig)}
+_REPRO_KEYS = {f.name for f in fields(ReproductionConfig)}
+
+
+def _coerce_scalars(target, raw: dict) -> None:
+    """Set every int or float field of `target` that `raw` names, converted
+    by the type of the field's default."""
+    for f in fields(target):
+        if f.name in raw and type(f.default) in (int, float):
+            setattr(target, f.name, type(f.default)(raw[f.name]))
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -90,7 +94,7 @@ def load_config(path: str) -> PipelineConfig:
     cfg = PipelineConfig()
     cfg.demos = [resolve(p) for p in raw.get("demos", [])]
     cfg.environment = resolve(raw.get("environment"))
-    cfg.grid_n = int(raw.get("grid_n", cfg.grid_n))
+    _coerce_scalars(cfg, raw)
     cfg.align = raw.get("align", cfg.align)
     cfg.dtw_reference = raw.get("dtw_reference")
     if "weights" in raw:
@@ -101,31 +105,17 @@ def load_config(path: str) -> PipelineConfig:
             raise ConfigError(f"{path}: bad weights block ({exc})") from exc
     if raw.get("ridge_lambda") is not None:
         cfg.ridge_lambda = float(raw["ridge_lambda"])
-    cfg.alpha = float(raw.get("alpha", cfg.alpha))
-    cfg.beta = float(raw.get("beta", cfg.beta))
-    cfg.seed = int(raw.get("seed", cfg.seed))
     cfg.out_dir = resolve(raw.get("out_dir", cfg.out_dir))
-    cfg.rollout_samples = int(raw.get("rollout_samples", 0))
     cfg.init_state = raw.get("init_state")
 
     repro_raw = raw.get("reproduction", {})
     unknown = set(repro_raw) - _REPRO_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown reproduction keys {sorted(unknown)}")
-    rc = ReproductionConfig()
-    rc.environment = resolve(repro_raw.get("environment"))
-    rc.starts = repro_raw.get("starts", [])
-    rc.start_sigma = float(repro_raw.get("start_sigma", rc.start_sigma))
-    rc.anchors = repro_raw.get("anchors", [])
-    rc.eps_repro = float(repro_raw.get("eps_repro", rc.eps_repro))
-    rc.sigma_repro = float(repro_raw.get("sigma_repro", rc.sigma_repro))
-    rc.sdf_resolution = float(repro_raw.get("sdf_resolution", rc.sdf_resolution))
-    rc.sdf_margin = float(repro_raw.get("sdf_margin", rc.sdf_margin))
-    rc.max_iters = int(repro_raw.get("max_iters", rc.max_iters))
-    rc.abs_tol = float(repro_raw.get("abs_tol", rc.abs_tol))
-    rc.rel_tol = float(repro_raw.get("rel_tol", rc.rel_tol))
-    rc.lm_damping_init = float(repro_raw.get("lm_damping_init", rc.lm_damping_init))
-    rc.tol_clear = float(repro_raw.get("tol_clear", rc.tol_clear))
+    rc = ReproductionConfig(environment=resolve(repro_raw.get("environment")),
+                            starts=repro_raw.get("starts", []),
+                            anchors=repro_raw.get("anchors", []))
+    _coerce_scalars(rc, repro_raw)
     cfg.reproduction = rc
 
     cfg.validate()

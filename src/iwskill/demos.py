@@ -8,11 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .utils import write_json
+
 
 @dataclass(frozen=True)
 class RawDemo:
     """A recorded demonstration: strictly increasing timestamps (s) and
-    P-dimensional positions (m). Needs >= 4 samples for cubic splines."""
+    P-dimensional positions (m), P >= 1. Needs >= 4 samples for cubic splines."""
 
     timestamps: np.ndarray
     positions: np.ndarray
@@ -20,8 +22,8 @@ class RawDemo:
     def __post_init__(self):
         t = np.asarray(self.timestamps, dtype=float)
         p = np.asarray(self.positions, dtype=float)
-        if p.ndim != 2:
-            raise ValueError("positions must be a (samples, P) array")
+        if p.ndim != 2 or p.shape[1] < 1:
+            raise ValueError("positions must be a (samples, P) array with P >= 1")
         if t.ndim != 1 or t.shape[0] != p.shape[0]:
             raise ValueError("timestamps and positions must have matching sample counts")
         if t.shape[0] < 4:
@@ -212,13 +214,6 @@ def dtw_align(demos: list, reference_index: int | None = None) -> list:
     return aligned
 
 
-def ingest(demos: list, n_steps: int, reference_index: int | None = None) -> DemoSet:
-    """Full preprocessing: DTW-align raw demos, then estimate states on a
-    shared uniform grid (velocities taken on the warped time axis)."""
-    warped = dtw_align(demos, reference_index)
-    return DemoSet(demos=[estimate_states(d, n_steps) for d in warped])
-
-
 def load_raw_demo(path: str) -> RawDemo:
     """Read a raw demo from JSON ({"timestamps": [...], "positions": [[...]]})
     or CSV (column 0 = time, columns 1..P = position; header row optional)."""
@@ -240,15 +235,6 @@ def load_raw_demo(path: str) -> RawDemo:
 
 
 def save_raw_demo(path: str, demo: RawDemo) -> None:
-    from .utils import write_json
-
     write_json(path, {"timestamps": demo.timestamps.tolist(),
                       "positions": demo.positions.tolist()})
 
-
-def trajectory_to_dict(traj: StateTrajectory) -> dict:
-    return {"dt": traj.dt, "states": traj.states.tolist()}
-
-
-def trajectory_from_dict(data: dict) -> StateTrajectory:
-    return StateTrajectory(dt=float(data["dt"]), states=np.asarray(data["states"], dtype=float))

@@ -51,7 +51,9 @@ class MNIWState:
 
 
 class IncrementalLearner:
-    """Per-interval MNIW beliefs plus the shared grid metadata."""
+    """Per-interval MNIW beliefs plus the shared grid metadata. A fresh
+    learner holds a zero-mean ridge-style map prior (R = I/alpha) and an
+    uninformative noise prior (V = I/beta, nu = 1/beta)."""
 
     def __init__(self, n_steps: int, dim: int, alpha: float, beta: float,
                  dt: float | None = None):
@@ -72,13 +74,6 @@ class IncrementalLearner:
                       nu=1.0 / beta)
             for _ in range(n_steps)
         ]
-
-
-def init_prior(n_steps: int, dim: int, alpha: float = 1e10, beta: float = 1e10,
-               dt: float | None = None) -> IncrementalLearner:
-    """Fresh learner: zero-mean ridge-style map prior (R = I/alpha) and an
-    uninformative noise prior (V = I/beta, nu = 1/beta)."""
-    return IncrementalLearner(n_steps, dim, alpha, beta, dt)
 
 
 def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,

@@ -6,7 +6,6 @@ stacked trajectory is kept in information form, whose precision is exactly
 block tridiagonal thanks to the Markov structure.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,7 @@ import numpy as np
 from .batch import SkillModel
 from .demos import DemoSet, StateTrajectory
 from .linalg import block_tridiag_dense, block_tridiag_matvec, psd_sqrt
+from .utils import csv_text
 
 _JITTER = 1e-10
 
@@ -72,9 +72,10 @@ def rollout_moments(model: SkillModel, init: GaussianState) -> list:
 class GaussianTrajectoryPrior:
     """Joint Gaussian over the stacked trajectory.
 
-    Stores marginal moments plus the block-tridiagonal precision (diagonal
-    blocks `prec_diag`, sub-diagonal blocks `prec_off`); the dense joint
-    covariance is only materialized on request for small problems.
+    Stores marginal moments, their per-component standard deviations `stds`
+    (N+1, D), and the block-tridiagonal precision (diagonal blocks
+    `prec_diag`, sub-diagonal blocks `prec_off`); the dense joint covariance
+    is only materialized on request for small problems.
     """
 
     def __init__(self, model: SkillModel, init: GaussianState):
@@ -83,11 +84,16 @@ class GaussianTrajectoryPrior:
         self.dt = model.dt
         self.dim = model.dim
         self.means, self.covs = _moment_arrays(model, init)
+        self.stds = np.sqrt(np.clip(np.diagonal(self.covs, axis1=1, axis2=2), 0.0, None))
         self._assemble_precision()
 
     @property
     def n_steps(self) -> int:
         return self.model.n_steps
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.n_steps + 1)
 
     @property
     def stacked_mean(self) -> np.ndarray:
@@ -130,10 +136,6 @@ class GaussianTrajectoryPrior:
         return np.block(blocks)
 
 
-def build_joint_prior(model: SkillModel, init: GaussianState) -> GaussianTrajectoryPrior:
-    return GaussianTrajectoryPrior(model, init)
-
-
 def sample_trajectories(prior: GaussianTrajectoryPrior, n: int, seed: int) -> list:
     """Draw n trajectories by forward-simulating the stochastic dynamics.
     Deterministic for a fixed seed."""
@@ -155,12 +157,5 @@ def sample_trajectories(prior: GaussianTrajectoryPrior, n: int, seed: int) -> li
 def prior_band_csv(prior: GaussianTrajectoryPrior) -> str:
     """CSV rows `t, mean_1..mean_D, std_1..std_D` for mean +/- one-sigma plots."""
     d = prior.dim
-    out = io.StringIO()
     header = ["t"] + [f"mean_{j + 1}" for j in range(d)] + [f"std_{j + 1}" for j in range(d)]
-    out.write(",".join(header) + "\n")
-    for i in range(prior.n_steps + 1):
-        std = np.sqrt(np.clip(np.diag(prior.covs[i]), 0.0, None))
-        row = [repr(float(i * prior.dt))] + [repr(float(v)) for v in prior.means[i]] \
-            + [repr(float(v)) for v in std]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    return csv_text(header, np.column_stack([prior.times, prior.means, prior.stds]))

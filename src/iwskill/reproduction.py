@@ -8,7 +8,6 @@ factor term touches a single node, the damped Gauss-Newton systems keep the
 prior's block-tridiagonal sparsity and are solved by LAPACK banded Cholesky.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ from .demos import StateTrajectory
 from .environment import NO_OBSTACLE_DISTANCE, SdfGridError, SignedDistanceField
 from .linalg import BlockTridiagCholesky, block_tridiag_matvec
 from .prior import GaussianTrajectoryPrior
+from .utils import csv_text
 
 
 class SingularNormalEquationsError(RuntimeError):
@@ -262,12 +262,8 @@ def optimize_map(problem: ReproductionProblem) -> Solution:
 def solution_csv(solution: Solution) -> str:
     """CSV rows `t, x_1..x_D` of the reproduced trajectory."""
     traj = solution.trajectory
-    out = io.StringIO()
-    out.write(",".join(["t"] + [f"x_{j + 1}" for j in range(traj.dim)]) + "\n")
-    for i in range(traj.n_steps + 1):
-        row = [repr(float(i * traj.dt))] + [repr(float(v)) for v in traj.states[i]]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    return csv_text(["t"] + [f"x_{j + 1}" for j in range(traj.dim)],
+                    np.column_stack([traj.times, traj.states]))
 
 
 def solution_summary(solution: Solution) -> dict:

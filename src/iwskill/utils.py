@@ -1,8 +1,11 @@
-"""Small shared helpers: atomic file writes and deterministic JSON dumps."""
+"""Small shared helpers: atomic file writes, deterministic JSON dumps and
+CSV tables."""
 
 import json
 import os
 import tempfile
+
+import numpy as np
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -21,15 +24,21 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def dump_json(obj) -> str:
-    """Deterministic JSON text: fixed indentation, insertion order preserved."""
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, dump_json(obj))
+    """Deterministic JSON: fixed indentation, insertion order preserved."""
+    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def read_json(path: str):
     with open(path) as fh:
         return json.load(fh)
+
+
+def csv_text(header: list, values, labels: list | None = None) -> str:
+    """CSV text: the header line, then one line per row of the (rows, cols)
+    float table `values`, each written as repr(float), which round-trips.
+    `labels`, one string per row, are written before the row's values."""
+    lines = [",".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist()]
+    if labels is not None:
+        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
+    return "".join([",".join(header) + "\n"] + [line + "\n" for line in lines])

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from iwskill.batch import (StepData, batch_estimate_step, effective_sample_size,
-                           learn_batch)
+                           learn_batch_weighted)
 from iwskill.cli import main as cli_main
 from iwskill.demos import DemoSet, estimate_states, save_raw_demo
 from iwskill.environment import (Environment, Sphere, WeightParams, build_sdf,
-                                 environment_to_dict, hinge_cost, importance_weight)
-from iwskill.incremental import assimilate_demo, extract_map, init_prior
-from iwskill.prior import (GaussianState, build_joint_prior, initial_state_distribution,
+                                 environment_to_dict, hinge_cost, importance_weight,
+                                 weight_trajectory)
+from iwskill.incremental import IncrementalLearner, assimilate_demo, extract_map
+from iwskill.prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
                            rollout_moments, sample_trajectories)
 from iwskill.reproduction import (ReproductionProblem, StateAnchor, obstacle_cost,
                                   optimize_map)
@@ -88,7 +89,7 @@ def test_acceptance_2_batch_incremental_equivalence():
 
         from iwskill.demos import StateTrajectory
         trajs = [StateTrajectory(dt=0.1, states=s) for s in demos]
-        learner = init_prior(n_steps, dim, alpha, beta, dt=0.1)
+        learner = IncrementalLearner(n_steps, dim, alpha, beta, dt=0.1)
         for traj, w in zip(trajs, weights):
             assimilate_demo(learner, traj, w)
         model = extract_map(learner)
@@ -108,7 +109,7 @@ def test_acceptance_2_batch_incremental_equivalence():
             assert s.nu == 1.0 / beta + k  # exact
 
         perm = list(rng.permutation(k))
-        learner_p = init_prior(n_steps, dim, alpha, beta, dt=0.1)
+        learner_p = IncrementalLearner(n_steps, dim, alpha, beta, dt=0.1)
         for p in perm:
             assimilate_demo(learner_p, trajs[p], weights[p])
         for sa, sb in zip(learner.steps, learner_p.steps):
@@ -183,7 +184,7 @@ def test_acceptance_5_prior_correctness():
         model = _random_model(rng, dim, n_steps)
         a = rng.normal(scale=0.2, size=(dim, dim))
         init = GaussianState(mean=rng.normal(size=dim), cov=a @ a.T + 0.01 * np.eye(dim))
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
 
         inv = np.linalg.inv(prior.dense_covariance())
         scale = np.max(np.abs(inv))
@@ -219,7 +220,7 @@ def test_acceptance_6_map_inference_oracle():
         model = _random_model(rng, dim, n_steps)
         a = rng.normal(scale=0.2, size=(dim, dim))
         init = GaussianState(mean=rng.normal(size=dim), cov=a @ a.T + 0.01 * np.eye(dim))
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
         anchors = [StateAnchor(index=0, target=rng.normal(size=dim), sigma=np.asarray(0.1)),
                    StateAnchor(index=n_steps, target=rng.normal(size=dim),
                                sigma=np.asarray(0.05))]
@@ -268,11 +269,13 @@ def test_acceptance_7_reaching_analogue():
     started = time.monotonic()
     scene = make_reaching_scene()
     demo_set = DemoSet(demos=[estimate_states(d, 60) for d in scene.raw_demos])
-    weighted = learn_batch(demo_set, scene.env, scene.weight_params)
-    unweighted = learn_batch(demo_set, None, scene.weight_params)
+    weighted = learn_batch_weighted(demo_set, [weight_trajectory(t, scene.env, scene.weight_params)
+                                               for t in demo_set.demos])
+    unweighted = learn_batch_weighted(demo_set, [weight_trajectory(t, None, scene.weight_params)
+                                                 for t in demo_set.demos])
     init = initial_state_distribution(demo_set)
-    prior_w = build_joint_prior(weighted, init)
-    prior_u = build_joint_prior(unweighted, init)
+    prior_w = GaussianTrajectoryPrior(weighted, init)
+    prior_u = GaussianTrajectoryPrior(unweighted, init)
 
     start = init.mean[:2]
     dev_w = max_deviation_from_segment(prior_w.means[:, :2], start, scene.goal)
@@ -302,8 +305,7 @@ def test_acceptance_8_placing_analogue():
     all_demos = DemoSet(demos=influenced + clean)
 
     def run(use_weights: bool):
-        from iwskill.environment import weight_trajectory
-        learner = init_prior(n_steps, 4, alpha=1e10, beta=1e10, dt=influenced[0].dt)
+        learner = IncrementalLearner(n_steps, 4, alpha=1e10, beta=1e10, dt=influenced[0].dt)
         for traj in influenced:
             w = (weight_trajectory(traj, scene.cluttered_env, scene.weight_params)
                  if use_weights else np.ones(n_steps + 1))
@@ -314,7 +316,7 @@ def test_acceptance_8_placing_analogue():
             assimilate_demo(learner, traj, w)
         assert learner.demos_seen == 6
         assert learner.steps[0].nu == pytest.approx(1e-10 + 6)
-        return build_joint_prior(extract_map(learner), initial_state_distribution(all_demos))
+        return GaussianTrajectoryPrior(extract_map(learner), initial_state_distribution(all_demos))
 
     prior_w = run(True)
     prior_u = run(False)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from iwskill.batch import (DegenerateWeightsWarning, SingularSystemError, SkillModel,
                            SkillStepModel, StepData, assemble_step_data,
-                           batch_estimate_step, learn_batch, learn_batch_weighted,
+                           batch_estimate_step, learn_batch_weighted,
                            model_from_dict, model_to_dict)
 from iwskill.demos import DemoSet, StateTrajectory
-from iwskill.environment import Environment, WeightParams
+from iwskill.environment import Environment, WeightParams, weight_trajectory
 
 
 def ridge_oracle(inputs, targets, weights, lam):
@@ -206,7 +206,7 @@ class TestAssembleAndLearn:
         base = rng.normal(size=(8, 4))
         ds = demo_set_from_states([base.copy() for _ in range(4)])
         env = Environment(dimension=2, obstacles=[])
-        model = learn_batch(ds, env, WeightParams())
+        model = learn_batch_weighted(ds, [weight_trajectory(t, env, WeightParams()) for t in ds.demos])
         state = base[0].copy()
         for i, step in enumerate(model.steps):
             state = step.predict(state)

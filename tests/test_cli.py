@@ -205,6 +205,25 @@ class TestRollout:
         assert os.path.exists(os.path.join(out, "rollout.svg"))
 
 
+class TestScalarModel:
+    """A model with one-dimensional states is drawn as time vs value."""
+
+    def test_rollout_and_reproduce_write_svg(self, tmp_path):
+        steps = [{"Phi_tilde": [[0.1, 0.9]], "Q": [[0.01]]} for _ in range(5)]
+        write_json(str(tmp_path / "model.json"), {"dt": 0.1, "D": 1, "steps": steps})
+        write_json(str(tmp_path / "cfg.json"), {
+            "out_dir": "out", "rollout_samples": 2,
+            "init_state": {"mean": [0.0], "cov": [[0.01]]},
+            "reproduction": {"starts": [[0.5]]}})
+        base = ["--config", str(tmp_path / "cfg.json")]
+        model = ["--model", str(tmp_path / "model.json")]
+        assert cli_main(base + ["rollout"] + model) == 0
+        assert cli_main(base + ["reproduce"] + model) == 0
+        for name in ("rollout.svg", "solution_000.svg"):
+            with open(tmp_path / "out" / name) as fh:
+                assert fh.read().startswith("<svg")
+
+
 class TestReproduce:
     def test_mean_start_returns_prior_mean(self, scene_dir, tmp_path):
         root, _ = scene_dir
@@ -229,9 +248,9 @@ class TestReproduce:
             if os.path.exists(os.path.join(out, "prior.csv")) else None
         # anchor target equals the prior mean start, so the optimum is the mean
         from iwskill.batch import load_model as lm
-        from iwskill.prior import build_joint_prior
+        from iwskill.prior import GaussianTrajectoryPrior
         model = lm(os.path.join(out, "model.json"))
-        means = build_joint_prior(model, init).means
+        means = GaussianTrajectoryPrior(model, init).means
         np.testing.assert_allclose(sol[:, 1:], means, atol=1e-6)
 
     def test_two_starts_two_solutions(self, scene_dir, tmp_path):
@@ -368,6 +387,15 @@ class TestExitCodes:
         write_json(cfg_path, cfg)
         assert cli_main(["--config", cfg_path, "--out", out, "rollout",
                          "--model", os.path.join(out, "model.json")]) == 2
+
+    def test_demo_without_position_column(self, tmp_path, capsys):
+        (tmp_path / "demo.csv").write_text(
+            "t\n" + "".join(f"{t}\n" for t in np.linspace(0.0, 1.0, 8)))
+        write_json(str(tmp_path / "cfg.json"), {"demos": ["demo.csv"], "align": "none"})
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
+                         str(tmp_path / "out"), "learn"]) == 2
+        assert "failed to read demo" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "model.json")
 
     def test_unknown_config_key(self, tmp_path):
         write_json(str(tmp_path / "bad.json"), {"grid": 10})

@@ -1,0 +1,35 @@
+import pytest
+
+from iwskill.config import ConfigError, load_config
+from iwskill.utils import write_json
+
+TOP_KEYS = {"demos", "environment", "grid_n", "align", "dtw_reference", "weights",
+            "ridge_lambda", "alpha", "beta", "seed", "out_dir", "rollout_samples",
+            "init_state", "reproduction"}
+REPRO_KEYS = {"environment", "starts", "start_sigma", "anchors", "eps_repro",
+              "sigma_repro", "sdf_resolution", "sdf_margin", "max_iters", "abs_tol",
+              "rel_tol", "lm_damping_init", "tol_clear"}
+
+
+def test_accepted_keys_are_exactly_the_documented_ones(tmp_path):
+    from iwskill.config import _REPRO_KEYS, _TOP_KEYS
+    assert _TOP_KEYS == TOP_KEYS and _REPRO_KEYS == REPRO_KEYS
+    path = str(tmp_path / "cfg.json")
+    write_json(path, {"reproduction": {"max_iter": 5}})
+    with pytest.raises(ConfigError, match=r"unknown reproduction keys \['max_iter'\]"):
+        load_config(path)
+
+
+def test_scalars_take_the_type_of_their_default(tmp_path):
+    path = str(tmp_path / "cfg.json")
+    write_json(path, {"grid_n": 12.0, "alpha": 3, "seed": "4", "rollout_samples": 2.0,
+                      "reproduction": {"start_sigma": 1, "max_iters": 7.0, "tol_clear": "0.5",
+                                       "starts": [[0.0, 1.0]]}})
+    cfg = load_config(path)
+    assert (cfg.grid_n, cfg.alpha, cfg.seed, cfg.rollout_samples) == (12, 3.0, 4, 2)
+    assert type(cfg.grid_n) is int and type(cfg.alpha) is float
+    rc = cfg.reproduction
+    assert (rc.start_sigma, rc.max_iters, rc.tol_clear) == (1.0, 7, 0.5)
+    assert type(rc.start_sigma) is float and type(rc.max_iters) is int
+    assert rc.starts == [[0.0, 1.0]] and rc.anchors == [] and rc.environment is None
+    assert (rc.eps_repro, rc.abs_tol) == (0.1, 1e-8)  # untouched defaults

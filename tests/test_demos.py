@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwskill.demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, dtw_path,
-                           estimate_states, fit_cubic_spline, ingest)
+                           estimate_states, fit_cubic_spline)
 
 
 def line_demo(slope=2.0, intercept=0.0, t=None):
@@ -196,6 +196,15 @@ class TestRawDemoFiles:
         np.testing.assert_allclose(demo.timestamps, t)
         np.testing.assert_allclose(demo.positions[:, 1], -0.2 * np.arange(5))
 
+    def test_demo_without_position_column_rejected(self, tmp_path):
+        from iwskill.demos import load_raw_demo
+        with pytest.raises(ValueError, match="P >= 1"):
+            RawDemo(timestamps=np.linspace(0.0, 1.0, 5), positions=np.zeros((5, 0)))
+        path = tmp_path / "demo.csv"
+        path.write_text("t\n" + "".join(f"{t}\n" for t in np.linspace(0.0, 1.0, 5)))
+        with pytest.raises(ValueError, match="P >= 1"):
+            load_raw_demo(str(path))
+
 
 class TestDemoSet:
     def test_grid_mismatch_rejected(self):
@@ -210,7 +219,7 @@ class TestDemoSet:
         for k in range(3):
             t = np.linspace(0.0, 1.0 + 0.2 * k, 8 + k)
             demos.append(RawDemo(timestamps=t, positions=rng.normal(size=(8 + k, 2))))
-        ds = ingest(demos, n_steps=15)
+        ds = DemoSet(demos=[estimate_states(d, 15) for d in dtw_align(demos)])
         assert ds.k == 3 and ds.n_steps == 15 and ds.dim == 4
 
     def test_state_trajectory_invariants(self):

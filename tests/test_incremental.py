@@ -3,7 +3,7 @@ import pytest
 
 from iwskill.batch import batch_estimate_step, StepData
 from iwskill.demos import StateTrajectory
-from iwskill.incremental import (MNIWState, assimilate_demo, extract_map, init_prior,
+from iwskill.incremental import (IncrementalLearner, MNIWState, assimilate_demo, extract_map,
                                  load_checkpoint, save_checkpoint)
 
 
@@ -22,7 +22,7 @@ def assimilate_all(learner, demos, weights):
 
 class TestInit:
     def test_reference_hyperparameters(self):
-        learner = init_prior(2, 4, alpha=1e10, beta=1e10)
+        learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10)
         for step in learner.steps:
             np.testing.assert_allclose(step.R, 1e-10 * np.eye(5))
             np.testing.assert_allclose(step.V, 1e-10 * np.eye(4))
@@ -30,7 +30,7 @@ class TestInit:
             np.testing.assert_array_equal(step.M, 0.0)
 
     def test_map_before_any_demo(self):
-        learner = init_prior(2, 4, alpha=1e10, beta=1e10)
+        learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10)
         with pytest.warns(UserWarning, match="before any demonstration"):
             model = extract_map(learner)
         for step in model.steps:
@@ -39,9 +39,9 @@ class TestInit:
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError):
-            init_prior(2, 4, alpha=0.0, beta=1e10)
+            IncrementalLearner(2, 4, alpha=0.0, beta=1e10)
         with pytest.raises(ValueError):
-            init_prior(2, 4, alpha=1e10, beta=-1.0)
+            IncrementalLearner(2, 4, alpha=1e10, beta=-1.0)
 
 
 class TestUpdateLaws:
@@ -65,7 +65,7 @@ class TestUpdateLaws:
         # stays at machine precision, far below the 1e-12 budget
         rng = np.random.default_rng(0)
         demos, weights = random_demos(rng, k=1)
-        learner = init_prior(3, 4, alpha=1.0, beta=1.0)
+        learner = IncrementalLearner(3, 4, alpha=1.0, beta=1.0)
         assimilate_demo(learner, demos[0], np.ones(4))
         before = [(s.M.copy(), s.R.copy(), s.V.copy(), s.nu) for s in learner.steps]
         ghost = StateTrajectory(dt=0.1, states=rng.normal(size=(4, 4)))
@@ -80,7 +80,7 @@ class TestUpdateLaws:
         rng = np.random.default_rng(1)
         demos, _ = random_demos(rng, k=1)
         w = np.full(4, 0.6)
-        learner = init_prior(3, 4, alpha=1e6, beta=1e6)
+        learner = IncrementalLearner(3, 4, alpha=1e6, beta=1e6)
         assimilate_demo(learner, demos[0], w)
         assimilate_demo(learner, demos[0], w)
         for i, s in enumerate(learner.steps):
@@ -90,7 +90,7 @@ class TestUpdateLaws:
             assert s.nu == pytest.approx(1e-6 + 2.0)
 
     def test_grid_mismatch_and_bad_weights(self):
-        learner = init_prior(3, 4, alpha=1e4, beta=1e4)
+        learner = IncrementalLearner(3, 4, alpha=1e4, beta=1e4)
         wrong = StateTrajectory(dt=0.1, states=np.zeros((3, 4)))
         with pytest.raises(ValueError, match="grid"):
             assimilate_demo(learner, wrong, np.ones(3))
@@ -108,7 +108,7 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(3)
         demos, weights = random_demos(rng, k=12, n_steps=4, dim=4)
         alpha = 1e10
-        learner = assimilate_all(init_prior(4, 4, alpha=alpha, beta=1e10), demos, weights)
+        learner = assimilate_all(IncrementalLearner(4, 4, alpha=alpha, beta=1e10), demos, weights)
         model = extract_map(learner)
         for i in range(4):
             inputs = np.vstack([np.ones((1, 12)),
@@ -124,7 +124,7 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(4)
         demos, weights = random_demos(rng, k=8, n_steps=3, dim=4)
         alpha = 1e6
-        learner = assimilate_all(init_prior(3, 4, alpha=alpha, beta=1e6), demos, weights)
+        learner = assimilate_all(IncrementalLearner(3, 4, alpha=alpha, beta=1e6), demos, weights)
         for i, s in enumerate(learner.steps):
             inputs = np.vstack([np.ones((1, 8)),
                                 np.stack([d.states[i] for d in demos], axis=1)])
@@ -135,9 +135,9 @@ class TestBatchEquivalence:
     def test_m_and_r_permutation_invariant(self):
         rng = np.random.default_rng(5)
         demos, weights = random_demos(rng, k=7)
-        a = assimilate_all(init_prior(3, 4, 1e10, 1e10), demos, weights)
+        a = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10), demos, weights)
         perm = [4, 2, 6, 0, 5, 1, 3]
-        b = assimilate_all(init_prior(3, 4, 1e10, 1e10),
+        b = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10),
                            [demos[p] for p in perm], [weights[p] for p in perm])
         for sa, sb in zip(a.steps, b.steps):
             assert np.max(np.abs(sa.R - sb.R)) / np.max(np.abs(sa.R)) <= 1e-8
@@ -147,14 +147,14 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(6)
         demos, weights = random_demos(rng, k=9)
         beta = 1e10
-        learner = assimilate_all(init_prior(3, 4, 1e10, beta), demos, weights)
+        learner = assimilate_all(IncrementalLearner(3, 4, 1e10, beta), demos, weights)
         for s in learner.steps:
             assert s.nu == 1.0 / beta + 9
 
     def test_spd_after_every_update(self):
         rng = np.random.default_rng(7)
         demos, weights = random_demos(rng, k=6)
-        learner = init_prior(3, 4, 1e10, 1e10)
+        learner = IncrementalLearner(3, 4, 1e10, 1e10)
         for demo, w in zip(demos, weights):
             assimilate_demo(learner, demo, w)
             for s in learner.steps:
@@ -170,7 +170,7 @@ class TestBatchEquivalence:
         demos = [StateTrajectory(dt=0.1, states=rng.normal(size=(n_steps + 1, dim)))
                  for _ in range(k)]
         weights = [np.ones(n_steps + 1)] * k
-        learner = assimilate_all(init_prior(n_steps, dim, 1e10, 1e10), demos, weights)
+        learner = assimilate_all(IncrementalLearner(n_steps, dim, 1e10, 1e10), demos, weights)
         model = extract_map(learner)
         for i in range(n_steps):
             inputs = np.vstack([np.ones((1, k)),
@@ -186,7 +186,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         demos, weights = random_demos(rng, k=3)
-        learner = assimilate_all(init_prior(3, 4, 1e10, 1e10, dt=0.1), demos, weights)
+        learner = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10, dt=0.1), demos, weights)
         path = str(tmp_path / "ck.json")
         save_checkpoint(path, learner)
         again = load_checkpoint(path)

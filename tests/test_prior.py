@@ -3,7 +3,7 @@ import pytest
 
 from iwskill.batch import SkillModel, SkillStepModel
 from iwskill.demos import DemoSet, StateTrajectory
-from iwskill.prior import (GaussianState, build_joint_prior, initial_state_distribution,
+from iwskill.prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
                            prior_band_csv, rollout_moments, sample_trajectories)
 
 
@@ -125,7 +125,7 @@ class TestJointPrior:
         rng = np.random.default_rng(3)
         model = random_model(rng, dim=2, n_steps=1)
         init = random_init(rng, dim=2)
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
         phi = model.steps[0].transition
         p0 = init.cov
         expected = np.block([[p0, p0 @ phi.T],
@@ -136,7 +136,7 @@ class TestJointPrior:
         rng = np.random.default_rng(4)
         model = random_model(rng, dim=3, n_steps=6)
         init = random_init(rng, dim=3)
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
         marginals = rollout_moments(model, init)
         dense = prior.dense_covariance()
         for i, g in enumerate(marginals):
@@ -148,7 +148,7 @@ class TestJointPrior:
         rng = np.random.default_rng(5)
         model = random_model(rng, dim=2, n_steps=5)
         init = random_init(rng, dim=2)
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
         inv = np.linalg.inv(prior.dense_covariance())
         scale = np.max(np.abs(inv))
         d = 2
@@ -162,7 +162,7 @@ class TestJointPrior:
         rng = np.random.default_rng(6)
         model = random_model(rng, dim=2, n_steps=4)
         init = random_init(rng, dim=2)
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
         product = prior.dense_precision() @ prior.dense_covariance()
         np.testing.assert_allclose(product, np.eye(10), atol=1e-6)
 
@@ -170,7 +170,7 @@ class TestJointPrior:
         rng = np.random.default_rng(7)
         model = random_model(rng, dim=2, n_steps=4)
         init = random_init(rng, dim=2)
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
         lam = prior.dense_precision()
         for _ in range(5):
             x = rng.normal(size=10)
@@ -193,7 +193,7 @@ class TestJointPrior:
         rng = np.random.default_rng(dim * 1000 + n_steps)
         model = random_model(rng, dim=dim, n_steps=n_steps)
         init = random_init(rng, dim=dim)
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
         means, covs, diag, off = reference_moments_and_precision(model, init)
         np.testing.assert_array_equal(prior.means, means)
         np.testing.assert_array_equal(prior.covs, covs)
@@ -210,12 +210,12 @@ class TestJointPrior:
         steps[3] = SkillStepModel(Phi_tilde=1e200 * steps[3].Phi_tilde, Q=steps[3].Q)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="overflow at node 4 of 6"):
-            build_joint_prior(SkillModel(steps=steps, dt=model.dt), random_init(rng, dim=2))
+            GaussianTrajectoryPrior(SkillModel(steps=steps, dt=model.dt), random_init(rng, dim=2))
 
     def test_dense_covariance_guard(self):
         rng = np.random.default_rng(9)
         model = random_model(rng, dim=2, n_steps=60)
-        prior = build_joint_prior(model, random_init(rng, dim=2))
+        prior = GaussianTrajectoryPrior(model, random_init(rng, dim=2))
         with pytest.raises(ValueError, match="debug"):
             prior.dense_covariance()
 
@@ -230,14 +230,14 @@ class TestSampling:
                                         Q=np.zeros((2, 2))))
         model = SkillModel(steps=steps, dt=0.1)
         init = GaussianState(mean=np.array([0.3, -0.1]), cov=np.zeros((2, 2)))
-        prior = build_joint_prior(model, init)
+        prior = GaussianTrajectoryPrior(model, init)
         for traj in sample_trajectories(prior, 5, seed=0):
             np.testing.assert_allclose(traj.states, prior.means, atol=1e-12)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, dim=2, n_steps=4)
-        prior = build_joint_prior(model, random_init(rng, dim=2))
+        prior = GaussianTrajectoryPrior(model, random_init(rng, dim=2))
         a = sample_trajectories(prior, 3, seed=42)
         b = sample_trajectories(prior, 3, seed=42)
         for ta, tb in zip(a, b):
@@ -246,7 +246,7 @@ class TestSampling:
     def test_sample_covariance_matches_marginals(self):
         rng = np.random.default_rng(12)
         model = random_model(rng, dim=2, n_steps=3)
-        prior = build_joint_prior(model, random_init(rng, dim=2))
+        prior = GaussianTrajectoryPrior(model, random_init(rng, dim=2))
         n = 50_000
         samples = sample_trajectories(prior, n, seed=7)
         stacked = np.stack([t.states for t in samples])
@@ -258,7 +258,7 @@ class TestSampling:
 
     def test_bad_count(self):
         rng = np.random.default_rng(13)
-        prior = build_joint_prior(random_model(rng), random_init(rng))
+        prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
         with pytest.raises(ValueError):
             sample_trajectories(prior, 0, seed=0)
 
@@ -266,7 +266,7 @@ class TestSampling:
 def test_band_csv_shape():
     rng = np.random.default_rng(14)
     model = random_model(rng, dim=2, n_steps=3)
-    prior = build_joint_prior(model, random_init(rng, dim=2))
+    prior = GaussianTrajectoryPrior(model, random_init(rng, dim=2))
     lines = prior_band_csv(prior).strip().split("\n")
     assert lines[0] == "t,mean_1,mean_2,std_1,std_2"
     assert len(lines) == 5

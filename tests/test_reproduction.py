@@ -3,7 +3,7 @@ import pytest
 
 from iwskill.batch import SkillModel, SkillStepModel
 from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf
-from iwskill.prior import GaussianState, build_joint_prior
+from iwskill.prior import GaussianState, GaussianTrajectoryPrior
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                                   SingularNormalEquationsError, Solution, StateAnchor,
                                   negative_log_posterior, obstacle_cost, optimize_map,
@@ -90,20 +90,20 @@ class TestObstacleCost:
 class TestNegativeLogPosterior:
     def test_prior_mean_no_factors(self):
         rng = np.random.default_rng(1)
-        prior = build_joint_prior(random_model(rng), random_init(rng))
+        prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
         problem = ReproductionProblem(prior=prior, factors=[])
         assert negative_log_posterior(prior.stacked_mean, problem) == pytest.approx(0.0, abs=1e-12)
 
     def test_anchor_at_its_own_mean(self):
         rng = np.random.default_rng(2)
-        prior = build_joint_prior(random_model(rng), random_init(rng))
+        prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
         anchor = StateAnchor(index=2, target=prior.means[2].copy(), sigma=np.asarray(0.1))
         problem = ReproductionProblem(prior=prior, factors=[anchor])
         assert negative_log_posterior(prior.stacked_mean, problem) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_evaluation(self):
         rng = np.random.default_rng(3)
-        prior = build_joint_prior(random_model(rng, n_steps=4), random_init(rng))
+        prior = GaussianTrajectoryPrior(random_model(rng, n_steps=4), random_init(rng))
         anchors = [StateAnchor(index=0, target=rng.normal(size=2), sigma=np.asarray(0.3)),
                    StateAnchor(index=4, target=rng.normal(size=2), sigma=np.asarray(0.05))]
         problem = ReproductionProblem(prior=prior, factors=anchors)
@@ -121,9 +121,9 @@ class TestNegativeLogPosterior:
         step = SkillStepModel(Phi_tilde=np.hstack([np.zeros((4, 1)), np.eye(4)]),
                               Q=0.01 * np.eye(4))
         model = SkillModel(steps=[step] * 2, dt=0.1)
-        clear = build_joint_prior(model, GaussianState(
+        clear = GaussianTrajectoryPrior(model, GaussianState(
             mean=np.array([1.5, 0.8, 0.0, 0.0]), cov=0.01 * np.eye(4)))
-        colliding = build_joint_prior(model, GaussianState(
+        colliding = GaussianTrajectoryPrior(model, GaussianState(
             mean=np.array([0.5, 0.25, 0.0, 0.0]), cov=0.01 * np.eye(4)))
         for prior, should_increase in ((clear, False), (colliding, True)):
             factors = [ObstacleFactor(indices=range(3), sdf=disc_sdf, eps_repro=0.1,
@@ -142,7 +142,7 @@ class TestObstacleFactorBatch:
     @pytest.fixture
     def prior(self):
         rng = np.random.default_rng(12)
-        return build_joint_prior(random_model(rng, dim=4, n_steps=8, contraction=0.7),
+        return GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=8, contraction=0.7),
                                  GaussianState(mean=np.array([0.3, 0.0, 0.1, 0.0]),
                                                cov=0.05 * np.eye(4)))
 
@@ -190,7 +190,7 @@ class TestObstacleFactorBatch:
 class TestOptimizeMap:
     def test_no_factors_returns_mean_immediately(self):
         rng = np.random.default_rng(4)
-        prior = build_joint_prior(random_model(rng), random_init(rng))
+        prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
         sol = optimize_map(ReproductionProblem(prior=prior, factors=[]))
         assert sol.converged and sol.iterations <= 1
         np.testing.assert_allclose(sol.trajectory.states.reshape(-1), prior.stacked_mean,
@@ -200,7 +200,7 @@ class TestOptimizeMap:
         rng = np.random.default_rng(5)
         for trial in range(5):
             n = int(rng.integers(3, 10))
-            prior = build_joint_prior(random_model(rng, dim=2, n_steps=n),
+            prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=n),
                                       random_init(rng, dim=2))
             anchors = [StateAnchor(index=0, target=rng.normal(size=2), sigma=np.asarray(0.1)),
                        StateAnchor(index=n, target=rng.normal(size=2), sigma=np.asarray(0.2))]
@@ -211,7 +211,7 @@ class TestOptimizeMap:
 
     def test_tight_start_anchor_matches_gaussian_conditioning(self):
         rng = np.random.default_rng(6)
-        prior = build_joint_prior(random_model(rng, dim=2, n_steps=8),
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=8),
                                   random_init(rng, dim=2))
         new_start = prior.means[0] + np.array([0.3, -0.2])
         anchor = StateAnchor(index=0, target=new_start, sigma=np.asarray(1e-7))
@@ -226,7 +226,7 @@ class TestOptimizeMap:
         p0 = 0.2
         step = SkillStepModel(Phi_tilde=np.array([[u, phi]]), Q=np.array([[q]]))
         model = SkillModel(steps=[step], dt=1.0)
-        prior = build_joint_prior(model, GaussianState(mean=np.array([0.5]),
+        prior = GaussianTrajectoryPrior(model, GaussianState(mean=np.array([0.5]),
                                                        cov=np.array([[p0]])))
         t0, t1, s0, s1 = -0.2, 1.4, 0.3, 0.15
         anchors = [StateAnchor(index=0, target=np.array([t0]), sigma=np.asarray(s0)),
@@ -243,7 +243,7 @@ class TestOptimizeMap:
     @pytest.mark.parametrize("sigma", [1e-2, 1e-4, 1e-6])
     def test_anchor_converges_to_target_as_sigma_shrinks(self, sigma):
         rng = np.random.default_rng(7)
-        prior = build_joint_prior(random_model(rng, dim=2, n_steps=5),
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=5),
                                   random_init(rng, dim=2))
         target = prior.means[3] + np.array([0.5, 0.4])
         anchor = StateAnchor(index=3, target=target, sigma=np.asarray(sigma))
@@ -253,7 +253,7 @@ class TestOptimizeMap:
 
     def test_objective_history_nonincreasing(self, disc_sdf):
         rng = np.random.default_rng(8)
-        prior = build_joint_prior(random_model(rng, dim=4, n_steps=6, contraction=0.7),
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=6, contraction=0.7),
                                   GaussianState(mean=np.array([0.2, 0.0, 0.1, 0.0]),
                                                 cov=0.05 * np.eye(4)))
         factors = [ObstacleFactor(indices=range(7), sdf=disc_sdf, eps_repro=0.12,
@@ -266,7 +266,7 @@ class TestOptimizeMap:
 
     def test_max_iterations_returns_best_iterate(self):
         rng = np.random.default_rng(9)
-        prior = build_joint_prior(random_model(rng, dim=2, n_steps=5),
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=5),
                                   random_init(rng, dim=2))
         anchors = [StateAnchor(index=5, target=rng.normal(size=2) + 5.0,
                                sigma=np.asarray(1e-6))]
@@ -277,7 +277,7 @@ class TestOptimizeMap:
 
     def test_indefinite_beyond_max_damping_raises(self):
         rng = np.random.default_rng(11)
-        prior = build_joint_prior(random_model(rng, dim=2, n_steps=5), random_init(rng, 2))
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=5), random_init(rng, 2))
         prior.prec_diag[2] -= 1e14 * np.eye(2)  # no damping up to 1e12 makes this PD
         anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=np.asarray(0.1))
         with pytest.raises(SingularNormalEquationsError,
@@ -288,7 +288,7 @@ class TestOptimizeMap:
         # sigma^2 = 1e-320 is a positive subnormal, so the anchor is valid,
         # but its information 1e320 overflows the normal equations
         rng = np.random.default_rng(12)
-        prior = build_joint_prior(random_model(rng, dim=2, n_steps=5), random_init(rng, 2))
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=5), random_init(rng, 2))
         anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=np.asarray(1e-160))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(SingularNormalEquationsError, match="NaN or infinite"):
@@ -296,7 +296,7 @@ class TestOptimizeMap:
 
     def test_factor_index_validation(self):
         rng = np.random.default_rng(10)
-        prior = build_joint_prior(random_model(rng, dim=2, n_steps=3), random_init(rng, 2))
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=3), random_init(rng, 2))
         with pytest.raises(ValueError, match="outside"):
             ReproductionProblem(prior=prior,
                                 factors=[StateAnchor(index=7, target=np.zeros(2),
@@ -308,7 +308,7 @@ class TestOptimizeMap:
         step = SkillStepModel(Phi_tilde=np.hstack([np.zeros((4, 1)), np.eye(4)]),
                               Q=0.001 * np.eye(4))
         model = SkillModel(steps=[step] * 2, dt=0.1)
-        prior = build_joint_prior(model, GaussianState(
+        prior = GaussianTrajectoryPrior(model, GaussianState(
             mean=np.array([0.5, 0.0, 0.0, 0.0]), cov=1e-6 * np.eye(4)))
         factors = [StateAnchor(index=i, target=np.array([0.5, 0.0, 0.0, 0.0]),
                                sigma=np.asarray(1e-6)) for i in range(3)]
@@ -319,7 +319,7 @@ class TestOptimizeMap:
 
     def test_clear_solution_feasible(self, disc_sdf):
         rng = np.random.default_rng(11)
-        prior = build_joint_prior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
                                   GaussianState(mean=np.array([1.5, 0.7, 0.0, 0.0]),
                                                 cov=0.01 * np.eye(4)))
         factors = [ObstacleFactor(indices=range(5), sdf=disc_sdf, eps_repro=0.1,
