@@ -7,18 +7,17 @@ prior with a block-tridiagonal precision; reproduction conditions that prior
 on start/goal anchors and obstacle factors by MAP inference.
 """
 
-from .batch import (SingularSystemError, SkillModel, SkillStepModel, StepData,
-                    assemble_step_data, batch_estimate_step, effective_sample_size,
+from .batch import (SingularSystemError, SkillModel, effective_sample_size, fit_intervals,
                     learn_batch_weighted, load_model, save_model)
 from .demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, estimate_states,
                     fit_cubic_spline, load_raw_demo, save_raw_demo)
 from .environment import (Box, Environment, SdfGridError, SignedDistanceField, Sphere, WeightParams,
                           build_sdf, hinge_cost, importance_weight, load_environment,
                           signed_distance, weight_trajectory)
-from .incremental import (IncrementalLearner, MNIWState, assimilate_demo, extract_map,
-                          load_checkpoint, save_checkpoint)
+from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
+                          save_checkpoint)
 from .prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
-                    rollout_moments, sample_trajectories)
+                    sample_trajectories)
 from .reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                            SingularNormalEquationsError, Solution, StateAnchor,
                            negative_log_posterior, obstacle_cost, optimize_map)

@@ -2,17 +2,21 @@
 
 For every interval i the model x_{i+1} = Phi x_i + u + w, w ~ N(0, Q) is
 fit across demonstrations by importance-weighted ridge regression on the
-augmented inputs [1; x_i], giving one (Phi_tilde, Q) pair per interval.
+augmented inputs [1; x_i], giving one (Phi_tilde, Q) pair per interval. The
+N pairs are kept as two stacked arrays and fit in one pass.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .demos import DemoSet
-from .utils import read_json, write_json
+from .utils import read_json, stack_field, write_json
+
+# Q of an interval whose effective sample size is degenerate.
+Q_MIN = 1e-6
 
 
 class SingularSystemError(RuntimeError):
@@ -24,188 +28,157 @@ class DegenerateWeightsWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class StepData:
-    """One interval's regression problem: augmented inputs (D+1, K), targets
-    (D, K), and the diagonal of the importance weight matrix (K,)."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        x, y, w = (np.asarray(a, dtype=float) for a in (self.inputs, self.targets, self.weights))
-        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-            raise ValueError("inputs and targets must share the demonstration count K")
-        if x.shape[0] != y.shape[0] + 1:
-            raise ValueError("inputs must be targets augmented by a leading 1-row")
-        if w.shape != (x.shape[1],) or np.any(w <= 0):
-            raise ValueError("need one strictly positive weight per demonstration")
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "targets", y)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def k(self) -> int:
-        return self.inputs.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.targets.shape[0]
-
-
-@dataclass(frozen=True)
-class SkillStepModel:
-    """One interval of the learned dynamics: Phi_tilde = [u | Phi] and the
-    process noise covariance Q (symmetric PSD)."""
+class SkillModel:
+    """N intervals of learned dynamics on a shared grid of step dt:
+    Phi_tilde (N, D, D+1), each [u | Phi], and the symmetric process noise
+    covariances Q (N, D, D)."""
 
     Phi_tilde: np.ndarray
     Q: np.ndarray
+    dt: float
 
     def __post_init__(self):
-        phi = np.asarray(self.Phi_tilde, dtype=float)
-        q = np.asarray(self.Q, dtype=float)
-        d = phi.shape[0]
-        if phi.shape != (d, d + 1):
-            raise ValueError("Phi_tilde must be D x (D+1)")
-        if q.shape != (d, d) or not np.allclose(q, q.T, atol=1e-9):
-            raise ValueError("Q must be D x D symmetric")
+        phi = np.ascontiguousarray(self.Phi_tilde, dtype=float)
+        q = np.ascontiguousarray(self.Q, dtype=float)
+        n, d = phi.shape[:2] if phi.ndim == 3 else (0, 0)
+        if n == 0 or phi.shape != (n, d, d + 1) or q.shape != (n, d, d):
+            raise ValueError(f"need Phi_tilde (N, D, D+1) and Q (N, D, D) with N >= 1, "
+                             f"got {phi.shape} and {q.shape}")
+        if not np.allclose(q, q.transpose(0, 2, 1), atol=1e-9):
+            raise ValueError("Q must be symmetric")
         object.__setattr__(self, "Phi_tilde", phi)
         object.__setattr__(self, "Q", q)
 
     @property
+    def n_steps(self) -> int:
+        return self.Phi_tilde.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.Phi_tilde.shape[1]
+
+    @property
     def bias(self) -> np.ndarray:
-        return self.Phi_tilde[:, 0]
+        return self.Phi_tilde[:, :, 0]
 
     @property
     def transition(self) -> np.ndarray:
-        return self.Phi_tilde[:, 1:]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.Phi_tilde @ np.concatenate([[1.0], x])
+        return self.Phi_tilde[:, :, 1:]
 
 
-@dataclass(frozen=True)
-class SkillModel:
-    """N per-interval step models on a shared grid."""
-
-    steps: list
-    dt: float
-    dim: int = field(default=0)
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("a SkillModel needs at least one step")
-        d = self.steps[0].Phi_tilde.shape[0]
-        for i, step in enumerate(self.steps):
-            if step.Phi_tilde.shape[0] != d:
-                raise ValueError(f"step {i} dimension mismatch")
-        if self.dim == 0:
-            object.__setattr__(self, "dim", d)
-        elif self.dim != d:
-            raise ValueError("declared dim disagrees with step matrices")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
+def solve_intervals(a: np.ndarray, b: np.ndarray, what: str,
+                    rank_tol: float = 0.0) -> np.ndarray:
+    """x[i] with x[i] a[i] = b[i] for SPD a (N, n, n) and b (N, m, n), by one
+    Cholesky factor per interval. Raises SingularSystemError naming the
+    interval and `what` when a[i] is not positive definite, or when its
+    smallest Cholesky pivot is at most rank_tol times its largest."""
+    x = np.empty(b.shape)
+    for i in range(a.shape[0]):
+        try:
+            factor = cho_factor(a[i])
+            pivots = np.diag(factor[0])
+            if pivots.min() <= rank_tol * pivots.max():
+                raise np.linalg.LinAlgError("rank-deficient pivot")
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"interval {i}: {what}") from exc
+        x[i] = cho_solve(factor, b[i].T).T
+    return x
 
 
-def assemble_step_data(demos: DemoSet, weights: list, i: int) -> StepData:
-    """Collect interval i across demos: column k is demo k's transition,
-    weighted by its input-node weight w(x_i^k)."""
-    if not 0 <= i < demos.n_steps:
-        raise ValueError(f"step index {i} out of range for N={demos.n_steps}")
-    x_in = np.stack([traj.states[i] for traj in demos.demos], axis=1)
-    x_out = np.stack([traj.states[i + 1] for traj in demos.demos], axis=1)
-    ones = np.ones((1, demos.k))
-    w = np.array([weights[k][i] for k in range(demos.k)], dtype=float)
-    return StepData(inputs=np.vstack([ones, x_in]), targets=x_out, weights=w)
-
-
-def default_ridge(data: StepData) -> float:
-    """Scale-aware near-zero ridge: 1e-10 * tr(X W X^T) / (D+1)."""
-    gram_trace = float(np.sum(data.weights * np.sum(data.inputs ** 2, axis=0)))
-    return 1e-10 * gram_trace / data.inputs.shape[0]
-
-
-def effective_sample_size(weights: np.ndarray) -> float:
-    """Normalizer z = (tr(W)^2 - tr(W^T W)) / tr(W) for the noise estimate.
+def effective_sample_size(weights: np.ndarray) -> np.ndarray:
+    """Normalizer z = (tr(W)^2 - tr(W^T W)) / tr(W) for the noise estimate,
+    over the last axis of `weights`.
 
     Equals K - 1 for K unit weights and collapses to 0 when one weight
     dominates or only a single demonstration is present.
     """
     w = np.asarray(weights, dtype=float)
-    s1 = float(np.sum(w))
-    s2 = float(np.sum(w * w))
+    s1 = np.sum(w, axis=-1)
+    s2 = np.sum(w * w, axis=-1)
     return (s1 * s1 - s2) / s1
 
 
-def batch_estimate_step(data: StepData, lam: float | None = None,
-                        q_min: float = 1e-6) -> SkillStepModel:
-    """Weighted ridge regression for one interval.
+def fit_intervals(inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                  lam: float | None = None) -> tuple:
+    """Weighted ridge regression of every interval: (Phi_tilde, Q) stacks
+    from inputs (N, D+1, K) augmented by a leading 1-row, targets (N, D, K)
+    and strictly positive weights (N, K).
 
-    Phi_tilde minimizes the weighted squared prediction error plus
-    lam * ||Phi_tilde||_F^2 (the penalty covers the bias column too). The
-    noise covariance is the weighted residual outer product normalized by
-    z = (tr(W)^2 - tr(W^T W)) / tr(W); when z is not meaningfully positive
-    (a single demo, or one dominant weight) Q falls back to q_min * I and a
-    DegenerateWeightsWarning is issued.
+    Phi_tilde[i] minimizes interval i's weighted squared prediction error
+    plus lam * ||Phi_tilde[i]||_F^2 (the penalty covers the bias column too);
+    lam=None is the scale-aware near-zero ridge 1e-10 * tr(X W X^T) / (D+1)
+    of each interval. The noise covariance is the weighted residual outer
+    product normalized by z = (tr(W)^2 - tr(W^T W)) / tr(W); where z is not
+    meaningfully positive (a single demo, or one dominant weight) Q falls
+    back to Q_MIN * I and a DegenerateWeightsWarning is issued.
     """
+    x, y, w = (np.ascontiguousarray(a, dtype=float) for a in (inputs, targets, weights))
+    n, d, k = y.shape if y.ndim == 3 else (0, 0, 0)
+    if y.ndim != 3 or x.shape != (n, d + 1, k) or w.shape != (n, k) or np.any(w <= 0):
+        raise ValueError(f"need inputs (N, D+1, K), targets (N, D, K) and strictly positive "
+                         f"weights (N, K); got {x.shape}, {y.shape} and {w.shape}")
     if lam is None:
-        lam = default_ridge(data)
-    if lam < 0:
+        ridge = 1e-10 * np.sum(w * np.sum(x ** 2, axis=1), axis=1) / (d + 1)
+    elif lam < 0:
         raise ValueError("ridge coefficient must be >= 0")
-    x, y, w = data.inputs, data.targets, data.weights
-    gram = (x * w) @ x.T + lam * np.eye(x.shape[0])
-    cross = (y * w) @ x.T
-    try:
-        factor = cho_factor(gram)
-        pivots = np.diag(factor[0])
-        if lam == 0 and pivots.min() <= 1e-13 * pivots.max():
-            raise np.linalg.LinAlgError("rank-deficient pivot")
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"normal equations singular (lam={lam}); K={data.k} demonstrations "
-            f"cannot determine a {data.dim}x{data.dim + 1} map") from exc
-    phi = cho_solve(factor, cross.T).T
+    else:
+        ridge = np.full(n, float(lam))
+    xt = x.transpose(0, 2, 1)
+    gram = (x * w[:, None, :]) @ xt + ridge[:, None, None] * np.eye(d + 1)
+    cross = (y * w[:, None, :]) @ xt
+    phi = solve_intervals(gram, cross,
+                          f"normal equations singular (lam={lam}); K={k} demonstrations "
+                          f"cannot determine a {d}x{d + 1} map",
+                          rank_tol=1e-13 if lam == 0 else 0.0)
 
     residuals = y - phi @ x
     z = effective_sample_size(w)
-    if z <= 1e-12:
+    degenerate = z <= 1e-12
+    q = (residuals * w[:, None, :]) @ residuals.transpose(0, 2, 1) \
+        / np.where(degenerate, 1.0, z)[:, None, None]
+    q = (q + q.transpose(0, 2, 1)) / 2.0
+    if degenerate.any():
+        first = int(np.argmax(degenerate))
         warnings.warn(
-            f"effective sample size degenerate (z={z:.3e}); flooring Q at {q_min}*I",
+            f"effective sample size degenerate at {degenerate.sum()} of {n} intervals "
+            f"(first: interval {first}, z={z[first]:.3e}); flooring Q at {Q_MIN}*I",
             DegenerateWeightsWarning, stacklevel=2)
-        q = q_min * np.eye(data.dim)
-    else:
-        q = (residuals * w) @ residuals.T / z
-        q = (q + q.T) / 2.0
-    return SkillStepModel(Phi_tilde=phi, Q=q)
+        q[degenerate] = Q_MIN * np.eye(d)
+    return phi, q
 
 
-def learn_batch_weighted(demos: DemoSet, weights: list, lam: float | None = None,
-                         q_min: float = 1e-6) -> SkillModel:
-    """Per-interval batch estimation given precomputed per-demo node weights."""
-    steps = []
-    for i in range(demos.n_steps):
-        data = assemble_step_data(demos, weights, i)
-        try:
-            steps.append(batch_estimate_step(data, lam, q_min=q_min))
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"interval {i}: {exc}") from exc
-    return SkillModel(steps=steps, dt=demos.dt, dim=demos.dim)
+def learn_batch_weighted(demos: DemoSet, weights: list, lam: float | None = None) -> SkillModel:
+    """Batch estimation given per-demo node weights, one (N+1,) array per
+    demo; interval i weighs each demo's transition by its input-node
+    weight w(x_i)."""
+    states = np.stack([traj.states for traj in demos.demos])  # (K, N+1, D)
+    node_weights = np.asarray(weights, dtype=float)
+    if node_weights.shape != states.shape[:2]:
+        raise ValueError(f"need one weight per node of each demo, {states.shape[:2]}; "
+                         f"got {node_weights.shape}")
+    inputs = np.ones((demos.n_steps, demos.dim + 1, demos.k))
+    inputs[:, 1:] = states[:, :-1].transpose(1, 2, 0)
+    phi, q = fit_intervals(inputs, states[:, 1:].transpose(1, 2, 0),
+                           node_weights[:, :-1].T, lam)
+    return SkillModel(Phi_tilde=phi, Q=q, dt=demos.dt)
 
 
 def model_to_dict(model: SkillModel) -> dict:
     return {
         "dt": model.dt,
         "D": model.dim,
-        "steps": [{"Phi_tilde": s.Phi_tilde.tolist(), "Q": s.Q.tolist()} for s in model.steps],
+        "steps": [{"Phi_tilde": p, "Q": q}
+                  for p, q in zip(model.Phi_tilde.tolist(), model.Q.tolist())],
     }
 
 
 def model_from_dict(data: dict) -> SkillModel:
-    steps = [SkillStepModel(Phi_tilde=np.asarray(s["Phi_tilde"], dtype=float),
-                            Q=np.asarray(s["Q"], dtype=float)) for s in data["steps"]]
-    return SkillModel(steps=steps, dt=float(data["dt"]), dim=int(data["D"]))
+    """The model of a `model_to_dict` dict; raises ValueError naming the first
+    step whose matrices do not match the header's dimension D."""
+    d = int(data["D"])
+    steps = data["steps"]
+    return SkillModel(Phi_tilde=stack_field(steps, "Phi_tilde", (d, d + 1)),
+                      Q=stack_field(steps, "Q", (d, d)), dt=float(data["dt"]))
 
 
 def save_model(path: str, model: SkillModel) -> None:

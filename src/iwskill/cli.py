@@ -70,7 +70,10 @@ def _write_weights(cfg: PipelineConfig, weights: list) -> None:
 def _load_prior(cfg: PipelineConfig, model_path: str) -> GaussianTrajectoryPrior:
     """The model's trajectory prior, started from `init_state` or else from
     the configured demos' start states."""
-    model = load_model(model_path)
+    try:
+        model = load_model(model_path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"corrupt model {model_path}: {exc}") from exc
     demo_set = _load_demo_set(cfg) if cfg.demos else None
     if cfg.init_state is not None:
         mean = np.asarray(cfg.init_state["mean"], dtype=float)

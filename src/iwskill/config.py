@@ -66,12 +66,28 @@ _TOP_KEYS = {f.name for f in fields(PipelineConfig)}
 _REPRO_KEYS = {f.name for f in fields(ReproductionConfig)}
 
 
-def _coerce_scalars(target, raw: dict) -> None:
+def _scalar(raw: dict, key: str, kind: type, where: str):
+    """raw[key] as a `kind` (int or float), or a ConfigError naming the key."""
+    try:
+        return kind(raw[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}{key} must be {'an int' if kind is int else 'a number'}, "
+                          f"got {raw[key]!r}") from None
+
+
+def _coerce_scalars(target, raw: dict, where: str) -> None:
     """Set every int or float field of `target` that `raw` names, converted
     by the type of the field's default."""
     for f in fields(target):
         if f.name in raw and type(f.default) in (int, float):
-            setattr(target, f.name, type(f.default)(raw[f.name]))
+            setattr(target, f.name, _scalar(raw, f.name, type(f.default), where))
+
+
+def _typed(value, kind: type, key: str, what: str):
+    """`value` itself, or a ConfigError naming `key` if it is not a `kind`."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -83,39 +99,53 @@ def load_config(path: str) -> PipelineConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
+    where = f"{path}: "
+    _typed(raw, dict, f"{where}the config", "an object")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
-        return None if p is None else os.path.normpath(os.path.join(base, p))
+    def resolve(p, key, optional=False):
+        if p is None and optional:
+            return None
+        return os.path.normpath(os.path.join(base, _typed(p, str, where + key, "a path")))
 
     cfg = PipelineConfig()
-    cfg.demos = [resolve(p) for p in raw.get("demos", [])]
-    cfg.environment = resolve(raw.get("environment"))
-    _coerce_scalars(cfg, raw)
+    cfg.demos = [resolve(p, "demos")
+                 for p in _typed(raw.get("demos", []), list, where + "demos", "a list of paths")]
+    cfg.environment = resolve(raw.get("environment"), "environment", optional=True)
+    _coerce_scalars(cfg, raw, where)
     cfg.align = raw.get("align", cfg.align)
-    cfg.dtw_reference = raw.get("dtw_reference")
+    if raw.get("dtw_reference") is not None:
+        cfg.dtw_reference = _scalar(raw, "dtw_reference", int, where)
     if "weights" in raw:
+        block = _typed(raw["weights"], dict, where + "weights", "an object")
         try:
-            cfg.weights = WeightParams(epsilon=float(raw["weights"]["epsilon"]),
-                                       sigma_obs=float(raw["weights"]["sigma_obs"]))
+            cfg.weights = WeightParams(epsilon=_scalar(block, "epsilon", float, where + "weights."),
+                                       sigma_obs=_scalar(block, "sigma_obs", float,
+                                                         where + "weights."))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: bad weights block ({exc})") from exc
     if raw.get("ridge_lambda") is not None:
-        cfg.ridge_lambda = float(raw["ridge_lambda"])
-    cfg.out_dir = resolve(raw.get("out_dir", cfg.out_dir))
-    cfg.init_state = raw.get("init_state")
+        cfg.ridge_lambda = _scalar(raw, "ridge_lambda", float, where)
+    cfg.out_dir = resolve(raw.get("out_dir", cfg.out_dir), "out_dir")
+    if raw.get("init_state") is not None:
+        cfg.init_state = _typed(raw["init_state"], dict, where + "init_state", "an object")
 
-    repro_raw = raw.get("reproduction", {})
+    repro_raw = _typed(raw.get("reproduction", {}), dict, where + "reproduction", "an object")
     unknown = set(repro_raw) - _REPRO_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown reproduction keys {sorted(unknown)}")
-    rc = ReproductionConfig(environment=resolve(repro_raw.get("environment")),
-                            starts=repro_raw.get("starts", []),
-                            anchors=repro_raw.get("anchors", []))
-    _coerce_scalars(rc, repro_raw)
+    repro = where + "reproduction."
+    rc = ReproductionConfig(
+        environment=resolve(repro_raw.get("environment"), "reproduction.environment",
+                            optional=True),
+        starts=_typed(repro_raw.get("starts", []), list, repro + "starts", "a list of states"),
+        anchors=[_typed(a, dict, repro + "anchors", "a list of objects")
+                 for a in _typed(repro_raw.get("anchors", []), list, repro + "anchors",
+                                 "a list of objects")])
+    _coerce_scalars(rc, repro_raw, repro)
     cfg.reproduction = rc
 
     cfg.validate()

@@ -2,56 +2,24 @@
 
 Each interval carries a matrix-normal / inverse-Wishart belief over
 (Phi_tilde, Q): mean M with column statistics R, and inverse-Wishart scale V
-with nu degrees of freedom. Assimilating a demonstration applies weighted
-conjugate updates; the MAP dynamics are read off the posterior mode at any
-point, without keeping past demonstrations around.
+with nu degrees of freedom. The learner keeps them as stacks over the N
+intervals. Assimilating a demonstration applies weighted conjugate updates
+to every interval at once; the MAP dynamics are read off the posterior mode
+at any point, without keeping past demonstrations around.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .batch import SkillModel, SkillStepModel
+from .batch import SkillModel, solve_intervals
 from .demos import StateTrajectory
-from .utils import read_json, write_json
-
-
-@dataclass
-class MNIWState:
-    """Sufficient statistics for one interval's dynamics belief."""
-
-    M: np.ndarray   # D x (D+1) mean map
-    R: np.ndarray   # (D+1) x (D+1) SPD column statistics
-    V: np.ndarray   # D x D SPD inverse-Wishart scale
-    nu: float       # degrees of freedom
-
-    def update(self, w: float, x_in: np.ndarray, x_out: np.ndarray) -> None:
-        """One weighted conjugate update for the transition x_in -> x_out.
-
-        In order: R gains the weighted input outer product; M blends the new
-        weighted cross term with the previous evidence through a solve
-        against the new R (kept as a Cholesky solve, never an inverse, since
-        early R are nearly singular by construction); V absorbs the weighted
-        residual around the new M plus a drift term for the mean change.
-        """
-        x_tilde = np.concatenate([[1.0], x_in])
-        r_prev = self.R
-        m_prev = self.M
-        r_new = r_prev + w * np.outer(x_tilde, x_tilde)
-        factor = cho_factor(r_new)
-        m_new = cho_solve(factor, (w * np.outer(x_out, x_tilde) + m_prev @ r_prev).T).T
-        resid = x_out - m_new @ x_tilde
-        drift = m_new - m_prev
-        self.V = self.V + w * np.outer(resid, resid) + drift @ r_prev @ drift.T
-        self.R = r_new
-        self.M = m_new
-        self.nu = self.nu + 1.0
+from .utils import read_json, stack_field, write_json
 
 
 class IncrementalLearner:
-    """Per-interval MNIW beliefs plus the shared grid metadata. A fresh
+    """MNIW statistics stacked over the N intervals, M (N, D, D+1),
+    R (N, D+1, D+1), V (N, D, D) and nu (N,), plus the grid metadata. A fresh
     learner holds a zero-mean ridge-style map prior (R = I/alpha) and an
     uninformative noise prior (V = I/beta, nu = 1/beta)."""
 
@@ -67,19 +35,24 @@ class IncrementalLearner:
         self.beta = float(beta)
         self.dt = dt
         self.demos_seen = 0
-        self.steps = [
-            MNIWState(M=np.zeros((dim, dim + 1)),
-                      R=np.eye(dim + 1) / alpha,
-                      V=np.eye(dim) / beta,
-                      nu=1.0 / beta)
-            for _ in range(n_steps)
-        ]
+        self.M = np.zeros((n_steps, dim, dim + 1))
+        self.R = np.tile(np.eye(dim + 1) / alpha, (n_steps, 1, 1))
+        self.V = np.tile(np.eye(dim) / beta, (n_steps, 1, 1))
+        self.nu = np.full(n_steps, 1.0 / beta)
 
 
 def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
                     weights: np.ndarray) -> IncrementalLearner:
-    """Fold one demonstration into the belief, interval by interval, using
-    the input-node weight w(x_i). Mutates and returns the learner."""
+    """Fold one demonstration into every interval's belief; interval i sees
+    the transition x_i -> x_{i+1} with the input-node weight w(x_i). Mutates
+    and returns the learner.
+
+    Per interval, in order: R gains the weighted input outer product; M
+    blends the new weighted cross term with the previous evidence through a
+    solve against the new R (a Cholesky solve, never an inverse, since early
+    R are nearly singular by construction); V absorbs the weighted residual
+    around the new M plus a drift term for the mean change; nu gains one.
+    """
     if demo.n_steps != learner.n_steps or demo.dim != learner.dim:
         raise ValueError(f"demo grid ({demo.n_steps}, {demo.dim}) does not match "
                          f"learner grid ({learner.n_steps}, {learner.dim})")
@@ -92,8 +65,21 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
         raise ValueError("need one weight per trajectory node")
     if np.any(weights <= 0):
         raise ValueError("weights must be strictly positive")
-    for i, step in enumerate(learner.steps):
-        step.update(weights[i], demo.states[i], demo.states[i + 1])
+    w = weights[:-1, None, None]
+    x_tilde = np.ones((learner.n_steps, learner.dim + 1))
+    x_tilde[:, 1:] = demo.states[:-1]
+    x_out = demo.states[1:]
+    r_prev, m_prev = learner.R, learner.M
+    r_new = r_prev + w * (x_tilde[:, :, None] * x_tilde[:, None, :])
+    cross = w * (x_out[:, :, None] * x_tilde[:, None, :]) + m_prev @ r_prev
+    m_new = solve_intervals(r_new, cross, "MNIW column statistics R not positive definite")
+    resid = x_out - (m_new @ x_tilde[:, :, None])[:, :, 0]
+    drift = m_new - m_prev
+    learner.V = (learner.V + w * (resid[:, :, None] * resid[:, None, :])
+                 + drift @ r_prev @ drift.transpose(0, 2, 1))
+    learner.R = r_new
+    learner.M = m_new
+    learner.nu = learner.nu + 1.0
     learner.demos_seen += 1
     return learner
 
@@ -103,12 +89,9 @@ def extract_map(learner: IncrementalLearner) -> SkillModel:
     if learner.demos_seen == 0:
         warnings.warn("extracting MAP dynamics before any demonstration; "
                       "Q is at its prior scale", UserWarning, stacklevel=2)
-    d = learner.dim
-    steps = []
-    for state in learner.steps:
-        q = state.V / (state.nu + d + 1)
-        steps.append(SkillStepModel(Phi_tilde=state.M.copy(), Q=(q + q.T) / 2.0))
-    return SkillModel(steps=steps, dt=learner.dt if learner.dt is not None else 1.0, dim=d)
+    q = learner.V / (learner.nu + learner.dim + 1)[:, None, None]
+    return SkillModel(Phi_tilde=learner.M.copy(), Q=(q + q.transpose(0, 2, 1)) / 2.0,
+                      dt=learner.dt if learner.dt is not None else 1.0)
 
 
 def save_checkpoint(path: str, learner: IncrementalLearner) -> None:
@@ -119,24 +102,24 @@ def save_checkpoint(path: str, learner: IncrementalLearner) -> None:
         "dt": learner.dt,
         "n_steps": learner.n_steps,
         "dim": learner.dim,
-        "steps": [{"M": s.M.tolist(), "R": s.R.tolist(), "V": s.V.tolist(), "nu": s.nu}
-                  for s in learner.steps],
+        "steps": [{"M": m, "R": r, "V": v, "nu": nu} for m, r, v, nu in zip(
+            learner.M.tolist(), learner.R.tolist(), learner.V.tolist(), learner.nu.tolist())],
     })
 
 
 def load_checkpoint(path: str) -> IncrementalLearner:
+    """The learner saved at `path`; a ValueError if its steps do not fit its header."""
     data = read_json(path)
     learner = IncrementalLearner(int(data["n_steps"]), int(data["dim"]),
                                  float(data["alpha"]), float(data["beta"]),
                                  dt=None if data["dt"] is None else float(data["dt"]))
     learner.demos_seen = int(data["demos_seen"])
-    if len(data["steps"]) != learner.n_steps:
+    steps = data["steps"]
+    if len(steps) != learner.n_steps:
         raise ValueError("checkpoint step count disagrees with its grid")
-    learner.steps = [
-        MNIWState(M=np.asarray(s["M"], dtype=float),
-                  R=np.asarray(s["R"], dtype=float),
-                  V=np.asarray(s["V"], dtype=float),
-                  nu=float(s["nu"]))
-        for s in data["steps"]
-    ]
+    d = learner.dim
+    learner.M = stack_field(steps, "M", (d, d + 1))
+    learner.R = stack_field(steps, "R", (d + 1, d + 1))
+    learner.V = stack_field(steps, "V", (d, d))
+    learner.nu = stack_field(steps, "nu", ())
     return learner

@@ -83,8 +83,9 @@ def block_tridiag_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix, tolerant of zero or slightly
-    negative eigenvalues from roundoff (clipped at zero)."""
-    w, v = np.linalg.eigh((mat + mat.T) / 2.0)
+    """Symmetric square root of a PSD matrix, or of each matrix of a stack
+    (..., d, d), tolerant of zero or slightly negative eigenvalues from
+    roundoff (clipped at zero)."""
+    w, v = np.linalg.eigh((mat + np.swapaxes(mat, -1, -2)) / 2.0)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)

@@ -52,21 +52,16 @@ def _moment_arrays(model: SkillModel, init: GaussianState) -> tuple:
     means = np.empty((model.n_steps + 1, model.dim))
     covs = np.empty((model.n_steps + 1, model.dim, model.dim))
     means[0], covs[0] = init.mean, init.cov
-    for i, step in enumerate(model.steps):
-        means[i + 1] = step.predict(means[i])
-        cov = step.transition @ covs[i] @ step.transition.T + step.Q
+    phi_tilde, phi, q = model.Phi_tilde, model.transition, model.Q
+    for i in range(model.n_steps):
+        means[i + 1] = phi_tilde[i] @ np.concatenate(([1.0], means[i]))
+        cov = phi[i] @ covs[i] @ phi[i].T + q[i]
         covs[i + 1] = (cov + cov.T) / 2.0
     finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     if not finite.all():
         raise FloatingPointError(f"prior moments overflow at node {np.argmin(finite)} of "
                                  f"{model.n_steps}: the learned dynamics diverge")
     return means, covs
-
-
-def rollout_moments(model: SkillModel, init: GaussianState) -> list:
-    """The marginal Gaussian of every node, from the start state onward."""
-    means, covs = _moment_arrays(model, init)
-    return [GaussianState(mean=m, cov=c) for m, c in zip(means, covs)]
 
 
 class GaussianTrajectoryPrior:
@@ -83,13 +78,10 @@ class GaussianTrajectoryPrior:
         self.init = init
         self.dt = model.dt
         self.dim = model.dim
+        self.n_steps = model.n_steps
         self.means, self.covs = _moment_arrays(model, init)
         self.stds = np.sqrt(np.clip(np.diagonal(self.covs, axis1=1, axis2=2), 0.0, None))
         self._assemble_precision()
-
-    @property
-    def n_steps(self) -> int:
-        return self.model.n_steps
 
     @property
     def times(self) -> np.ndarray:
@@ -104,8 +96,8 @@ class GaussianTrajectoryPrior:
         Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1) and
         -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0."""
         eye = np.eye(self.dim)
-        phi = np.stack([step.transition for step in self.model.steps])
-        q_inv = np.linalg.inv(np.stack([step.Q for step in self.model.steps]) + _JITTER * eye)
+        phi = np.ascontiguousarray(self.model.transition)
+        q_inv = np.linalg.inv(self.model.Q + _JITTER * eye)
         diag = np.zeros((self.n_steps + 1, self.dim, self.dim))
         diag[0] = np.linalg.inv(self.init.cov + _JITTER * eye)
         diag[:-1] += phi.transpose(0, 2, 1) @ q_inv @ phi
@@ -126,12 +118,12 @@ class GaussianTrajectoryPrior:
         recursion. Debug path, refused for large N."""
         if self.n_steps > 50:
             raise ValueError("dense covariance is a debug path, limited to N <= 50")
-        n, d = self.n_steps, self.dim
+        n = self.n_steps
         blocks = [[None] * (n + 1) for _ in range(n + 1)]
         for j in range(n + 1):
             blocks[j][j] = self.covs[j]
             for i in range(j + 1, n + 1):
-                blocks[i][j] = self.model.steps[i - 1].transition @ blocks[i - 1][j]
+                blocks[i][j] = self.model.transition[i - 1] @ blocks[i - 1][j]
                 blocks[j][i] = blocks[i][j].T
         return np.block(blocks)
 
@@ -146,9 +138,11 @@ def sample_trajectories(prior: GaussianTrajectoryPrior, n: int, seed: int) -> li
     sqrt0 = psd_sqrt(prior.init.cov)
     state = prior.init.mean + rng.standard_normal((n, d)) @ sqrt0.T
     nodes = [state]
-    for step in prior.model.steps:
-        noise = rng.standard_normal((n, d)) @ psd_sqrt(step.Q).T
-        state = state @ step.transition.T + step.bias + noise
+    model = prior.model
+    sqrt_q = psd_sqrt(model.Q)
+    for i in range(model.n_steps):
+        noise = rng.standard_normal((n, d)) @ sqrt_q[i].T
+        state = state @ model.transition[i].T + model.bias[i] + noise
         nodes.append(state)
     stacked = np.stack(nodes, axis=1)  # (n, N+1, D)
     return [StateTrajectory(dt=prior.dt, states=stacked[s]) for s in range(n)]

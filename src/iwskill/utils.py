@@ -42,3 +42,18 @@ def csv_text(header: list, values, labels: list | None = None) -> str:
     if labels is not None:
         lines = [f"{label},{line}" for label, line in zip(labels, lines)]
     return "".join([",".join(header) + "\n"] + [line + "\n" for line in lines])
+
+
+def stack_field(rows: list, key: str, shape: tuple) -> np.ndarray:
+    """`row[key]` of every row (dicts read from JSON) as one C-contiguous
+    float array of shape (len(rows), *shape). A ValueError names the first
+    row whose entry is not a number array of that shape."""
+    try:
+        out = np.array([row[key] for row in rows], dtype=float)
+        if out.shape == (len(rows),) + shape:
+            return out
+    except ValueError:
+        pass
+    bad = next((f"step {i}" for i, row in enumerate(rows)
+                if np.shape(np.array(row[key], dtype=object)) != shape), "steps")
+    raise ValueError(f"{bad}: {key} must be a number array of shape {shape}")

@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from iwskill.batch import (StepData, batch_estimate_step, effective_sample_size,
-                           learn_batch_weighted)
+from iwskill.batch import SkillModel, effective_sample_size, learn_batch_weighted
 from iwskill.cli import main as cli_main
 from iwskill.demos import DemoSet, estimate_states, save_raw_demo
 from iwskill.environment import (Environment, Sphere, WeightParams, build_sdf,
@@ -20,12 +19,15 @@ from iwskill.environment import (Environment, Sphere, WeightParams, build_sdf,
                                  weight_trajectory)
 from iwskill.incremental import IncrementalLearner, assimilate_demo, extract_map
 from iwskill.prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
-                           rollout_moments, sample_trajectories)
+                           sample_trajectories)
 from iwskill.reproduction import (ReproductionProblem, StateAnchor, obstacle_cost,
                                   optimize_map)
 from iwskill.synthetic import (make_placing_scene, make_reaching_scene,
                                max_deviation_from_segment, path_length)
 from iwskill.utils import write_json
+from test_batch import Interval, fit_one
+from test_incremental import beliefs
+from test_prior import node_marginals
 
 
 def _report(number: int, title: str, started: float, budget: float) -> None:
@@ -56,8 +58,8 @@ def test_acceptance_1_weighted_regression_oracle():
         targets = rng.normal(size=(dim, k))
         weights = rng.uniform(1e-3, 1.0, size=k)
         lam = float(10.0 ** rng.uniform(-6, -2))
-        data = StepData(inputs=inputs, targets=targets, weights=weights)
-        step = batch_estimate_step(data, lam=lam)
+        data = Interval(inputs=inputs, targets=targets, weights=weights)
+        step = fit_one(data, lam=lam)
         expected = ridge_oracle(inputs, targets, weights, lam)
         rel = np.linalg.norm(step.Phi_tilde - expected) / max(np.linalg.norm(expected), 1e-12)
         assert rel <= 1e-8
@@ -99,20 +101,20 @@ def test_acceptance_2_batch_incremental_equivalence():
                                 np.stack([s[i] for s in demos], axis=1)])
             targets = np.stack([s[i + 1] for s in demos], axis=1)
             w = np.array([weights[j][i] for j in range(k)])
-            batch = batch_estimate_step(StepData(inputs=inputs, targets=targets, weights=w),
-                                        lam=1.0 / alpha)
-            rel = np.max(np.abs(model.steps[i].Phi_tilde - batch.Phi_tilde)) \
+            batch = fit_one(Interval(inputs=inputs, targets=targets, weights=w),
+                            lam=1.0 / alpha)
+            rel = np.max(np.abs(model.Phi_tilde[i] - batch.Phi_tilde)) \
                 / np.max(np.abs(batch.Phi_tilde))
             assert rel <= 1e-8
 
-        for s in learner.steps:
+        for s in beliefs(learner):
             assert s.nu == 1.0 / beta + k  # exact
 
         perm = list(rng.permutation(k))
         learner_p = IncrementalLearner(n_steps, dim, alpha, beta, dt=0.1)
         for p in perm:
             assimilate_demo(learner_p, trajs[p], weights[p])
-        for sa, sb in zip(learner.steps, learner_p.steps):
+        for sa, sb in zip(beliefs(learner), beliefs(learner_p)):
             assert np.max(np.abs(sa.R - sb.R)) / np.max(np.abs(sa.R)) <= 1e-8
             assert np.max(np.abs(sa.M - sb.M)) / np.max(np.abs(sa.M)) <= 1e-8
     _report(2, "incremental MAP equals batch ridge at lambda=1/alpha; nu exact; "
@@ -130,8 +132,8 @@ def test_acceptance_3_z_normalizer():
         dim = 3
         inputs = np.vstack([np.ones((1, k)), rng.normal(size=(dim, k))])
         targets = rng.normal(size=(dim, k))
-        data = StepData(inputs=inputs, targets=targets, weights=np.ones(k))
-        step = batch_estimate_step(data, lam=0.0)
+        data = Interval(inputs=inputs, targets=targets, weights=np.ones(k))
+        step = fit_one(data, lam=0.0)
         phi = ridge_oracle(inputs, targets, np.ones(k), 0.0)
         resid = targets - phi @ inputs
         expected_q = resid @ resid.T / (k - 1)
@@ -164,16 +166,15 @@ def test_acceptance_4_weight_function():
 
 
 def _random_model(rng, dim, n_steps):
-    from iwskill.batch import SkillModel, SkillStepModel
-    steps = []
+    phis, qs = [], []
     for _ in range(n_steps):
         phi = rng.normal(size=(dim, dim))
         phi *= 0.9 / max(np.abs(np.linalg.eigvals(phi)))
         u = rng.normal(scale=0.3, size=dim)
         a = rng.normal(scale=0.1, size=(dim, dim))
-        steps.append(SkillStepModel(Phi_tilde=np.hstack([u[:, None], phi]),
-                                    Q=a @ a.T + 2e-3 * np.eye(dim)))
-    return SkillModel(steps=steps, dt=0.1, dim=dim)
+        phis.append(np.hstack([u[:, None], phi]))
+        qs.append(a @ a.T + 2e-3 * np.eye(dim))
+    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.1)
 
 
 def test_acceptance_5_prior_correctness():
@@ -197,7 +198,7 @@ def test_acceptance_5_prior_correctness():
         n = 100_000
         samples = sample_trajectories(prior, n, seed=1005)
         stacked = np.stack([t.states for t in samples])
-        marginals = rollout_moments(model, init)
+        marginals = node_marginals(model, init)
         for i, g in enumerate(marginals):
             emp_mean = stacked[:, i, :].mean(axis=0)
             se_mean = np.sqrt(np.diag(g.cov) / n) + 1e-12
@@ -315,7 +316,7 @@ def test_acceptance_8_placing_analogue():
                  if use_weights else np.ones(n_steps + 1))
             assimilate_demo(learner, traj, w)
         assert learner.demos_seen == 6
-        assert learner.steps[0].nu == pytest.approx(1e-10 + 6)
+        assert learner.nu[0] == pytest.approx(1e-10 + 6)
         return GaussianTrajectoryPrior(extract_map(learner), initial_state_distribution(all_demos))
 
     prior_w = run(True)

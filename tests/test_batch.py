@@ -1,14 +1,44 @@
+import warnings
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+import iwskill.batch
 from iwskill.batch import (DegenerateWeightsWarning, SingularSystemError, SkillModel,
-                           SkillStepModel, StepData, assemble_step_data,
-                           batch_estimate_step, learn_batch_weighted,
-                           model_from_dict, model_to_dict)
+                           fit_intervals, learn_batch_weighted, model_from_dict,
+                           model_to_dict)
 from iwskill.demos import DemoSet, StateTrajectory
 from iwskill.environment import Environment, WeightParams, weight_trajectory
+
+# One interval's regression problem: augmented inputs (D+1, K), targets
+# (D, K) and the diagonal of the importance weight matrix (K,).
+Interval = namedtuple("Interval", "inputs targets weights")
+FitStep = namedtuple("FitStep", "Phi_tilde Q")
+
+
+def fit_one(data, lam=None):
+    """One interval fit as an N=1 stack."""
+    phi, q = fit_intervals(data.inputs[None], data.targets[None], data.weights[None], lam)
+    return FitStep(Phi_tilde=phi[0], Q=q[0])
+
+
+def stacked_interval(ds, weights, i, monkeypatch):
+    """Interval i of the stacks that learn_batch_weighted hands to
+    fit_intervals."""
+    seen = []
+
+    def capture(inputs, targets, w, lam=None):
+        seen.append(Interval(inputs, targets, w))
+        n, d, _ = targets.shape
+        return np.zeros((n, d, d + 1)), np.zeros((n, d, d))
+
+    monkeypatch.setattr(iwskill.batch, "fit_intervals", capture)
+    learn_batch_weighted(ds, weights)
+    return Interval(*(a[i] for a in seen[0]))
 
 
 def ridge_oracle(inputs, targets, weights, lam):
@@ -34,7 +64,12 @@ def random_step(rng, dim=3, k=8, weight_lo=0.1):
     inputs = np.vstack([np.ones((1, k)), rng.normal(size=(dim, k))])
     targets = rng.normal(size=(dim, k))
     weights = rng.uniform(weight_lo, 1.0, size=k)
-    return StepData(inputs=inputs, targets=targets, weights=weights)
+    return Interval(inputs=inputs, targets=targets, weights=weights)
+
+
+def intervals(model):
+    """(Phi_tilde, Q) of every interval of a SkillModel."""
+    return [FitStep(p, q) for p, q in zip(model.Phi_tilde, model.Q)]
 
 
 def demo_set_from_states(states_per_demo, dt=0.1):
@@ -45,8 +80,8 @@ class TestBatchEstimateStep:
     def test_unit_weights_z_is_k_minus_one(self):
         rng = np.random.default_rng(0)
         data = random_step(rng, dim=2, k=3, weight_lo=1.0)
-        data = StepData(inputs=data.inputs, targets=data.targets, weights=np.ones(3))
-        step = batch_estimate_step(data, lam=0.0)
+        data = Interval(inputs=data.inputs, targets=data.targets, weights=np.ones(3))
+        step = fit_one(data, lam=0.0)
         # z = (3^2 - 3)/3 = 2; verify through Q against the explicit residuals
         resid = data.targets - step.Phi_tilde @ data.inputs
         np.testing.assert_allclose(step.Q, resid @ resid.T / 2.0, atol=1e-12)
@@ -56,8 +91,8 @@ class TestBatchEstimateStep:
         # bias row anyway; an exact map (u, phi) = (0, 2) exists
         inputs = np.array([[1.0, 1.0], [1.0, 2.0]])
         targets = np.array([[2.0, 4.0]])
-        data = StepData(inputs=inputs, targets=targets, weights=np.ones(2))
-        step = batch_estimate_step(data, lam=0.0)
+        data = Interval(inputs=inputs, targets=targets, weights=np.ones(2))
+        step = fit_one(data, lam=0.0)
         np.testing.assert_allclose(step.Phi_tilde @ inputs, targets, atol=1e-10)
         np.testing.assert_allclose(step.Q, 0.0, atol=1e-12)
 
@@ -66,7 +101,7 @@ class TestBatchEstimateStep:
         for _ in range(25):
             data = random_step(rng, dim=int(rng.integers(1, 5)), k=int(rng.integers(6, 15)))
             lam = float(rng.uniform(1e-6, 1e-2))
-            step = batch_estimate_step(data, lam=lam)
+            step = fit_one(data, lam=lam)
             expected = ridge_oracle(data.inputs, data.targets, data.weights, lam)
             np.testing.assert_allclose(step.Phi_tilde, expected, rtol=1e-8, atol=1e-10)
 
@@ -74,7 +109,7 @@ class TestBatchEstimateStep:
         rng = np.random.default_rng(2)
         data = random_step(rng, dim=3, k=10)
         lam = 1e-3
-        step = batch_estimate_step(data, lam=lam)
+        step = fit_one(data, lam=lam)
         base = loss(step.Phi_tilde, data.inputs, data.targets, data.weights, lam)
         for _ in range(100):
             delta = rng.normal(scale=1e-3, size=step.Phi_tilde.shape)
@@ -90,39 +125,39 @@ class TestBatchEstimateStep:
         inputs = np.vstack([np.ones((1, k)), rng.normal(size=(dim, k))])
         targets = rng.normal(size=(dim, k))
         weights = np.array([1.0, 1e-18])
-        data = StepData(inputs=inputs, targets=targets, weights=weights)
+        data = Interval(inputs=inputs, targets=targets, weights=weights)
         with pytest.warns(DegenerateWeightsWarning):
-            step = batch_estimate_step(data, lam=1e-10, q_min=1e-6)
+            step = fit_one(data, lam=1e-10)
         np.testing.assert_allclose(step.Q, 1e-6 * np.eye(dim))
         # the map matches the single-demo fit
-        solo = StepData(inputs=inputs[:, :1], targets=targets[:, :1], weights=np.ones(1))
+        solo = Interval(inputs=inputs[:, :1], targets=targets[:, :1], weights=np.ones(1))
         with pytest.warns(DegenerateWeightsWarning):
-            solo_step = batch_estimate_step(solo, lam=1e-10)
+            solo_step = fit_one(solo, lam=1e-10)
         np.testing.assert_allclose(step.Phi_tilde, solo_step.Phi_tilde, atol=1e-6)
 
     def test_single_demo_z_degenerate(self):
-        data = StepData(inputs=np.array([[1.0], [0.5]]), targets=np.array([[2.0]]),
+        data = Interval(inputs=np.array([[1.0], [0.5]]), targets=np.array([[2.0]]),
                         weights=np.ones(1))
         with pytest.warns(DegenerateWeightsWarning):
-            step = batch_estimate_step(data, lam=1e-8)
+            step = fit_one(data, lam=1e-8)
         np.testing.assert_allclose(step.Q, 1e-6 * np.eye(1))
 
     def test_singular_system_without_ridge(self):
         # K < D+1 cannot determine the map at lam = 0
-        data = StepData(inputs=np.array([[1.0, 1.0], [0.5, 0.5], [0.2, 0.2]]),
+        data = Interval(inputs=np.array([[1.0, 1.0], [0.5, 0.5], [0.2, 0.2]]),
                         targets=np.zeros((2, 2)), weights=np.ones(2))
         with pytest.raises(SingularSystemError):
-            batch_estimate_step(data, lam=0.0)
+            fit_one(data, lam=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.1, 50.0))
     def test_weight_scaling_invariance_at_zero_ridge(self, scale):
         rng = np.random.default_rng(9)
         data = random_step(rng, dim=2, k=8)
-        scaled = StepData(inputs=data.inputs, targets=data.targets,
+        scaled = Interval(inputs=data.inputs, targets=data.targets,
                           weights=data.weights * scale)
-        a = batch_estimate_step(data, lam=0.0)
-        b = batch_estimate_step(scaled, lam=0.0)
+        a = fit_one(data, lam=0.0)
+        b = fit_one(scaled, lam=0.0)
         np.testing.assert_allclose(a.Phi_tilde, b.Phi_tilde, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(a.Q, b.Q, rtol=1e-8, atol=1e-12)
 
@@ -130,42 +165,43 @@ class TestBatchEstimateStep:
         rng = np.random.default_rng(4)
         for _ in range(20):
             data = random_step(rng, dim=4, k=12)
-            step = batch_estimate_step(data, lam=1e-8)
+            step = fit_one(data, lam=1e-8)
             np.testing.assert_allclose(step.Q, step.Q.T, atol=1e-12)
             assert np.linalg.eigvalsh(step.Q).min() >= -1e-10
 
 
 class TestAssembleAndLearn:
-    def test_single_demo_augmentation(self):
+    def test_single_demo_augmentation(self, monkeypatch):
         rng = np.random.default_rng(5)
         states = rng.normal(size=(4, 2))
         ds = demo_set_from_states([states])
-        data = assemble_step_data(ds, [np.ones(4)], 1)
+        data = stacked_interval(ds, [np.ones(4)], 1, monkeypatch)
         assert data.inputs.shape == (3, 1)
         assert data.inputs[0, 0] == 1.0
         np.testing.assert_array_equal(data.inputs[1:, 0], states[1])
         np.testing.assert_array_equal(data.targets[:, 0], states[2])
 
-    def test_all_unit_weights(self):
+    def test_all_unit_weights(self, monkeypatch):
         rng = np.random.default_rng(6)
         ds = demo_set_from_states([rng.normal(size=(4, 2)) for _ in range(3)])
-        data = assemble_step_data(ds, [np.ones(4)] * 3, 0)
+        data = stacked_interval(ds, [np.ones(4)] * 3, 0, monkeypatch)
         np.testing.assert_array_equal(data.weights, 1.0)
 
     def test_index_out_of_range(self):
+        # node weights that stop short of the last interval's input node
         rng = np.random.default_rng(7)
         ds = demo_set_from_states([rng.normal(size=(4, 2))])
-        with pytest.raises(ValueError, match="out of range"):
-            assemble_step_data(ds, [np.ones(4)], 3)
+        with pytest.raises(ValueError, match="one weight per node"):
+            learn_batch_weighted(ds, [np.ones(3)])
 
-    def test_transition_uses_input_node_weight(self):
+    def test_transition_uses_input_node_weight(self, monkeypatch):
         rng = np.random.default_rng(15)
         ds = demo_set_from_states([rng.normal(size=(4, 2)) for _ in range(3)])
         # node weights differ wildly along each demo; interval i must pick w[i]
         weights = [np.array([0.9, 0.2, 0.7, 0.1]),
                    np.array([0.3, 0.8, 0.4, 0.6]),
                    np.array([0.5, 0.1, 0.9, 0.2])]
-        data = assemble_step_data(ds, weights, 1)
+        data = stacked_interval(ds, weights, 1, monkeypatch)
         np.testing.assert_array_equal(data.weights, [0.2, 0.8, 0.1])
 
     def test_demo_order_invariance(self):
@@ -177,7 +213,7 @@ class TestAssembleAndLearn:
         perm = [3, 0, 5, 1, 4, 2]
         ds2 = demo_set_from_states([states[p] for p in perm])
         model2 = learn_batch_weighted(ds2, [weights[p] for p in perm], lam=1e-6)
-        for a, b in zip(model.steps, model2.steps):
+        for a, b in zip(intervals(model), intervals(model2)):
             np.testing.assert_allclose(a.Phi_tilde, b.Phi_tilde, rtol=1e-9)
             np.testing.assert_allclose(a.Q, b.Q, rtol=1e-9, atol=1e-15)
 
@@ -187,7 +223,7 @@ class TestAssembleAndLearn:
         weights = [rng.uniform(0.2, 1.0, size=5) for _ in range(4)]
         model = learn_batch_weighted(demo_set_from_states(states), weights, lam=0.0)
         model2 = learn_batch_weighted(demo_set_from_states(states * 2), weights * 2, lam=0.0)
-        for a, b in zip(model.steps, model2.steps):
+        for a, b in zip(intervals(model), intervals(model2)):
             np.testing.assert_allclose(a.Phi_tilde, b.Phi_tilde, rtol=1e-8, atol=1e-10)
 
     def test_uniform_weights_equal_ols(self):
@@ -195,7 +231,7 @@ class TestAssembleAndLearn:
         states = [rng.normal(size=(6, 2)) for _ in range(9)]
         ds = demo_set_from_states(states)
         model = learn_batch_weighted(ds, [np.ones(6)] * 9, lam=0.0)
-        for i, step in enumerate(model.steps):
+        for i, step in enumerate(intervals(model)):
             x = np.vstack([np.ones((1, 9)), np.stack([s[i] for s in states], axis=1)])
             y = np.stack([s[i + 1] for s in states], axis=1)
             ols = np.linalg.lstsq(x.T, y.T, rcond=None)[0].T
@@ -208,8 +244,8 @@ class TestAssembleAndLearn:
         env = Environment(dimension=2, obstacles=[])
         model = learn_batch_weighted(ds, [weight_trajectory(t, env, WeightParams()) for t in ds.demos])
         state = base[0].copy()
-        for i, step in enumerate(model.steps):
-            state = step.predict(state)
+        for i, step in enumerate(intervals(model)):
+            state = step.Phi_tilde @ np.concatenate([[1.0], state])
             np.testing.assert_allclose(state, base[i + 1], atol=1e-8)
 
     def test_step_error_carries_index(self):
@@ -222,13 +258,118 @@ class TestAssembleAndLearn:
 
 def test_model_round_trip():
     rng = np.random.default_rng(14)
-    steps = []
+    phis, qs = [], []
     for _ in range(3):
         q = rng.normal(size=(2, 2))
-        steps.append(SkillStepModel(Phi_tilde=rng.normal(size=(2, 3)), Q=q @ q.T))
-    model = SkillModel(steps=steps, dt=0.25)
+        phis.append(rng.normal(size=(2, 3)))
+        qs.append(q @ q.T)
+    model = SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.25)
     again = model_from_dict(model_to_dict(model))
     assert again.dt == model.dt and again.dim == 2
-    for a, b in zip(model.steps, again.steps):
+    for a, b in zip(intervals(model), intervals(again)):
         np.testing.assert_array_equal(a.Phi_tilde, b.Phi_tilde)
         np.testing.assert_array_equal(a.Q, b.Q)
+
+
+def reference_fit(inputs, targets, weights, lam):
+    """Per-interval reference loop: each interval's weighted ridge map and
+    noise covariance by the formulas of the former single-interval
+    estimator, with its default ridge and its 1e-6 * I floor. Returns the
+    stacks and the degenerate intervals, or raises SingularSystemError
+    naming the first singular interval."""
+    phis, qs, degenerate = [], [], []
+    for i in range(inputs.shape[0]):
+        x, y, w = inputs[i], targets[i], weights[i]
+        if lam is None:
+            gram_trace = float(np.sum(w * np.sum(x ** 2, axis=0)))
+            lam_i = 1e-10 * gram_trace / x.shape[0]
+        else:
+            lam_i = lam
+        gram = (x * w) @ x.T + lam_i * np.eye(x.shape[0])
+        cross = (y * w) @ x.T
+        try:
+            factor = cho_factor(gram)
+            pivots = np.diag(factor[0])
+            if lam_i == 0 and pivots.min() <= 1e-13 * pivots.max():
+                raise np.linalg.LinAlgError("rank-deficient pivot")
+        except np.linalg.LinAlgError:
+            raise SingularSystemError(f"interval {i}:") from None
+        phi = cho_solve(factor, cross.T).T
+        residuals = y - phi @ x
+        s1 = float(np.sum(w))
+        s2 = float(np.sum(w * w))
+        z = (s1 * s1 - s2) / s1
+        degenerate.append(z <= 1e-12)
+        if degenerate[-1]:
+            q = 1e-6 * np.eye(y.shape[0])
+        else:
+            q = (residuals * w) @ residuals.T / z
+            q = (q + q.T) / 2.0
+        phis.append(phi)
+        qs.append(q)
+    return np.stack(phis), np.stack(qs), degenerate
+
+
+class TestStackedFitEqualsPerIntervalLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), d=st.integers(1, 4), k=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1),
+           lam=st.one_of(st.none(), st.just(0.0), st.floats(1e-9, 10.0)),
+           degenerate_frac=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_bit_identical(self, n, d, k, seed, lam, degenerate_frac):
+        rng = np.random.default_rng(seed)
+        inputs = np.concatenate([np.ones((n, 1, k)), rng.normal(size=(n, d, k))], axis=1)
+        targets = rng.normal(size=(n, d, k))
+        weights = rng.uniform(0.05, 1.0, size=(n, k))
+        # one dominant weight: z = 2 (K-1) 1e-18 / (1 + ...) is below 1e-12
+        dominated = rng.uniform(size=n) < degenerate_frac
+        weights[dominated] = 1e-18
+        weights[dominated, 0] = 1.0
+        try:
+            expected = reference_fit(inputs, targets, weights, lam)
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError, match=str(exc)):
+                fit_intervals(inputs, targets, weights, lam)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            phi, q = fit_intervals(inputs, targets, weights, lam)
+        np.testing.assert_array_equal(phi, expected[0])
+        np.testing.assert_array_equal(q, expected[1])
+        warned = any(issubclass(w.category, DegenerateWeightsWarning) for w in caught)
+        assert warned == any(expected[2])
+        assert phi.flags.c_contiguous and q.flags.c_contiguous
+
+    def test_degenerate_intervals_are_floored_and_named(self):
+        rng = np.random.default_rng(16)
+        inputs = np.concatenate([np.ones((3, 1, 4)), rng.normal(size=(3, 2, 4))], axis=1)
+        weights = rng.uniform(0.2, 1.0, size=(3, 4))
+        weights[1] = [1.0, 1e-18, 1e-18, 1e-18]
+        with pytest.warns(DegenerateWeightsWarning, match="1 of 3 intervals .first: interval 1"):
+            _, q = fit_intervals(inputs, rng.normal(size=(3, 2, 4)), weights, 1e-8)
+        np.testing.assert_array_equal(q[1], 1e-6 * np.eye(2))
+        assert np.all(np.diagonal(q[[0, 2]], axis1=1, axis2=2) != 1e-6)
+
+    def test_learn_matches_fit_of_stacked_demos(self):
+        rng = np.random.default_rng(17)
+        states = [rng.normal(size=(6, 3)) for _ in range(5)]
+        weights = [rng.uniform(0.1, 1.0, size=6) for _ in range(5)]
+        model = learn_batch_weighted(demo_set_from_states(states), weights)
+        inputs = np.stack([np.vstack([np.ones((1, 5)), np.stack([s[i] for s in states], axis=1)])
+                           for i in range(5)])
+        targets = np.stack([np.stack([s[i + 1] for s in states], axis=1) for i in range(5)])
+        w = np.array([[weights[j][i] for j in range(5)] for i in range(5)])
+        phi, q, _ = reference_fit(inputs, targets, w, None)
+        np.testing.assert_array_equal(model.Phi_tilde, phi)
+        np.testing.assert_array_equal(model.Q, q)
+
+
+@pytest.mark.parametrize("phi,q,match", [
+    (np.zeros((2, 2, 3)), [np.eye(2), [[1.0, 0.5], [0.0, 1.0]]], "Q must be symmetric"),
+    (np.zeros((0, 2, 3)), np.zeros((0, 2, 2)), "N >= 1"),
+    (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), r"Phi_tilde \(N, D, D\+1\)"),
+    (np.zeros((2, 2, 3)), np.zeros((3, 2, 2)), r"Q \(N, D, D\)"),
+])
+def test_model_stacks_are_validated(phi, q, match):
+    with pytest.raises(ValueError, match=match):
+        SkillModel(Phi_tilde=phi, Q=q, dt=0.1)

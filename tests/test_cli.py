@@ -154,9 +154,9 @@ class TestAssimilate:
                          "learn"]) == 0
         inc = load_model(os.path.join(out_inc, "model.json"))
         batch = load_model(os.path.join(out_batch, "model.json"))
-        for a, b in zip(inc.steps, batch.steps):
-            scale = max(np.max(np.abs(b.Phi_tilde)), 1e-12)
-            assert np.max(np.abs(a.Phi_tilde - b.Phi_tilde)) / scale <= 1e-8
+        for a, b in zip(inc.Phi_tilde, batch.Phi_tilde):
+            scale = max(np.max(np.abs(b)), 1e-12)
+            assert np.max(np.abs(a - b)) / scale <= 1e-8
 
     def test_corrupt_checkpoint_no_partial_write(self, scene_dir, tmp_path):
         root, _ = scene_dir
@@ -172,6 +172,21 @@ class TestAssimilate:
         assert code == 2
         assert open(checkpoint, "rb").read() == before
         assert not os.path.exists(os.path.join(out, "model.json"))
+
+    def test_wrong_shaped_checkpoint_names_the_file(self, scene_dir, tmp_path, capsys):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        checkpoint = os.path.join(out, "ck.json")
+        base = ["--config", str(root / "config.json"), "--out", out, "assimilate",
+                "--checkpoint", checkpoint]
+        assert cli_main(base + ["--demo", str(root / "demo_000.json")]) == 0
+        data = json.load(open(checkpoint))
+        data["steps"][4]["M"] = [row[:-2] for row in data["steps"][4]["M"]]
+        write_json(checkpoint, data)
+        capsys.readouterr()
+        assert cli_main(base + ["--demo", str(root / "demo_001.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"corrupt checkpoint {checkpoint}: step 4: M must be" in err
 
     def test_grid_mismatch_exit_code(self, scene_dir, tmp_path):
         root, _ = scene_dir
@@ -371,6 +386,25 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure: prior moments overflow at node 11 of 30" in (
             capsys.readouterr().err)
+
+    def test_model_with_a_short_step_names_the_file(self, scene_dir, tmp_path, capsys):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        model_path = os.path.join(out, "model.json")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        model = json.load(open(model_path))
+        model["steps"][7]["Q"] = model["steps"][7]["Q"][:-1]
+        write_json(model_path, model)
+        capsys.readouterr()
+        for command in ("rollout", "reproduce"):
+            assert cli_main(["--config", str(root / "config.json"), "--out", out,
+                             command, "--model", model_path]) == 2
+            assert f"corrupt model {model_path}: step 7: Q must be" in capsys.readouterr().err
+
+    def test_null_config_value_names_its_key(self, tmp_path, capsys):
+        write_json(str(tmp_path / "cfg.json"), {"reproduction": {"max_iters": None}})
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "learn"]) == 2
+        assert "reproduction.max_iters must be an int, got None" in capsys.readouterr().err
 
     def test_missing_config(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "nope.json"), "learn"]) == 2

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from iwskill.config import ConfigError, load_config
@@ -33,3 +36,42 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
     assert type(rc.start_sigma) is float and type(rc.max_iters) is int
     assert rc.starts == [[0.0, 1.0]] and rc.anchors == [] and rc.environment is None
     assert (rc.eps_repro, rc.abs_tol) == (0.1, 1e-8)  # untouched defaults
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"grid_n": None}, "grid_n must be an int, got None"),
+    ({"grid_n": "abc"}, "grid_n must be an int, got 'abc'"),
+    ({"alpha": None}, "alpha must be a number, got None"),
+    ({"grid_n": 1e999}, "grid_n must be an int, got inf"),
+    ({"ridge_lambda": "small"}, "ridge_lambda must be a number"),
+    ({"dtw_reference": "first"}, "dtw_reference must be an int"),
+    ({"reproduction": {"max_iters": None}}, "reproduction.max_iters must be an int, got None"),
+    ({"reproduction": {"sigma_repro": None}}, "reproduction.sigma_repro must be a number"),
+    ({"weights": {"epsilon": None, "sigma_obs": 0.01}}, "weights.epsilon must be a number"),
+    ({"weights": {"epsilon": 0.3, "sigma_obs": None}}, "weights.sigma_obs must be a number"),
+    ({"weights": None}, "weights must be an object, got None"),
+    ({"weights": [0.3, 0.01]}, "weights must be an object"),
+    ({"reproduction": None}, "reproduction must be an object, got None"),
+    ({"reproduction": [1.0]}, "reproduction must be an object"),
+    ({"demos": "demo_000.json"}, "demos must be a list of paths, got 'demo_000.json'"),
+    ({"demos": [3]}, "demos must be a path, got 3"),
+    ({"environment": 5}, "environment must be a path, got 5"),
+    ({"out_dir": None}, "out_dir must be a path, got None"),
+    ({"init_state": [0.0]}, "init_state must be an object"),
+    ({"reproduction": {"environment": ["env.json"]}}, "reproduction.environment must be a path"),
+    ({"reproduction": {"starts": 5}}, "reproduction.starts must be a list of states"),
+    ({"reproduction": {"anchors": [[0, 1.0]]}}, "reproduction.anchors must be a list of objects"),
+])
+def test_malformed_value_names_its_key(tmp_path, raw, message):
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        load_config(path)
+
+
+def test_config_must_be_an_object(tmp_path):
+    path = str(tmp_path / "cfg.json")
+    write_json(path, [{"grid_n": 10}])
+    with pytest.raises(ConfigError, match="the config must be an object"):
+        load_config(path)

@@ -1,10 +1,23 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
-from iwskill.batch import batch_estimate_step, StepData
 from iwskill.demos import StateTrajectory
-from iwskill.incremental import (IncrementalLearner, MNIWState, assimilate_demo, extract_map,
+from iwskill.incremental import (IncrementalLearner, assimilate_demo, extract_map,
                                  load_checkpoint, save_checkpoint)
+from iwskill.utils import read_json, write_json
+from test_batch import Interval, fit_one, intervals
+
+MNIW = namedtuple("MNIW", "M R V nu")
+
+
+def beliefs(learner):
+    """Interval i's sufficient statistics (M, R, V, nu) for every i."""
+    return [MNIW(*stats) for stats in zip(learner.M, learner.R, learner.V, learner.nu)]
 
 
 def random_demos(rng, k=10, n_steps=3, dim=4):
@@ -23,7 +36,7 @@ def assimilate_all(learner, demos, weights):
 class TestInit:
     def test_reference_hyperparameters(self):
         learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10)
-        for step in learner.steps:
+        for step in beliefs(learner):
             np.testing.assert_allclose(step.R, 1e-10 * np.eye(5))
             np.testing.assert_allclose(step.V, 1e-10 * np.eye(4))
             assert step.nu == pytest.approx(1e-10)
@@ -33,7 +46,7 @@ class TestInit:
         learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10)
         with pytest.warns(UserWarning, match="before any demonstration"):
             model = extract_map(learner)
-        for step in model.steps:
+        for step in intervals(model):
             np.testing.assert_array_equal(step.Phi_tilde, 0.0)
             np.testing.assert_allclose(step.Q, (1e-10 / (1e-10 + 5)) * np.eye(4))
 
@@ -47,9 +60,9 @@ class TestInit:
 class TestUpdateLaws:
     def test_scalar_hand_evaluation(self):
         # D=1 transition x=1 -> 2 with unit weight against the written-out laws
-        state = MNIWState(M=np.zeros((1, 2)), R=1e-10 * np.eye(2),
-                          V=1e-10 * np.eye(1), nu=1e-10)
-        state.update(1.0, np.array([1.0]), np.array([2.0]))
+        learner = IncrementalLearner(1, 1, alpha=1e10, beta=1e10)
+        assimilate_demo(learner, StateTrajectory(dt=1.0, states=[[1.0], [2.0]]), np.ones(2))
+        [state] = beliefs(learner)
         x_tilde = np.array([1.0, 1.0])
         r_expected = np.outer(x_tilde, x_tilde) + 1e-10 * np.eye(2)
         np.testing.assert_allclose(state.R, r_expected, rtol=1e-12)
@@ -67,10 +80,10 @@ class TestUpdateLaws:
         demos, weights = random_demos(rng, k=1)
         learner = IncrementalLearner(3, 4, alpha=1.0, beta=1.0)
         assimilate_demo(learner, demos[0], np.ones(4))
-        before = [(s.M.copy(), s.R.copy(), s.V.copy(), s.nu) for s in learner.steps]
+        before = [(s.M.copy(), s.R.copy(), s.V.copy(), s.nu) for s in beliefs(learner)]
         ghost = StateTrajectory(dt=0.1, states=rng.normal(size=(4, 4)))
         assimilate_demo(learner, ghost, np.full(4, 1e-30))
-        for (m0, r0, v0, nu0), s in zip(before, learner.steps):
+        for (m0, r0, v0, nu0), s in zip(before, beliefs(learner)):
             assert np.max(np.abs(s.R - r0)) / np.max(np.abs(r0)) <= 1e-12
             assert np.max(np.abs(s.M - m0)) / max(np.max(np.abs(m0)), 1e-300) <= 1e-12
             assert np.max(np.abs(s.V - v0)) / np.max(np.abs(v0)) <= 1e-12
@@ -83,7 +96,7 @@ class TestUpdateLaws:
         learner = IncrementalLearner(3, 4, alpha=1e6, beta=1e6)
         assimilate_demo(learner, demos[0], w)
         assimilate_demo(learner, demos[0], w)
-        for i, s in enumerate(learner.steps):
+        for i, s in enumerate(beliefs(learner)):
             x_tilde = np.concatenate([[1.0], demos[0].states[i]])
             expected = 2 * 0.6 * np.outer(x_tilde, x_tilde) + np.eye(5) / 1e6
             np.testing.assert_allclose(s.R, expected, rtol=1e-9)
@@ -115,17 +128,17 @@ class TestBatchEquivalence:
                                 np.stack([d.states[i] for d in demos], axis=1)])
             targets = np.stack([d.states[i + 1] for d in demos], axis=1)
             w = np.array([weights[k][i] for k in range(12)])
-            batch = batch_estimate_step(StepData(inputs=inputs, targets=targets, weights=w),
-                                        lam=1.0 / alpha)
+            batch = fit_one(Interval(inputs=inputs, targets=targets, weights=w),
+                            lam=1.0 / alpha)
             scale = np.max(np.abs(batch.Phi_tilde))
-            assert np.max(np.abs(model.steps[i].Phi_tilde - batch.Phi_tilde)) / scale <= 1e-8
+            assert np.max(np.abs(model.Phi_tilde[i] - batch.Phi_tilde)) / scale <= 1e-8
 
     def test_unrolled_r_statistic(self):
         rng = np.random.default_rng(4)
         demos, weights = random_demos(rng, k=8, n_steps=3, dim=4)
         alpha = 1e6
         learner = assimilate_all(IncrementalLearner(3, 4, alpha=alpha, beta=1e6), demos, weights)
-        for i, s in enumerate(learner.steps):
+        for i, s in enumerate(beliefs(learner)):
             inputs = np.vstack([np.ones((1, 8)),
                                 np.stack([d.states[i] for d in demos], axis=1)])
             w = np.array([weights[k][i] for k in range(8)])
@@ -139,7 +152,7 @@ class TestBatchEquivalence:
         perm = [4, 2, 6, 0, 5, 1, 3]
         b = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10),
                            [demos[p] for p in perm], [weights[p] for p in perm])
-        for sa, sb in zip(a.steps, b.steps):
+        for sa, sb in zip(beliefs(a), beliefs(b)):
             assert np.max(np.abs(sa.R - sb.R)) / np.max(np.abs(sa.R)) <= 1e-8
             assert np.max(np.abs(sa.M - sb.M)) / np.max(np.abs(sa.M)) <= 1e-8
 
@@ -148,7 +161,7 @@ class TestBatchEquivalence:
         demos, weights = random_demos(rng, k=9)
         beta = 1e10
         learner = assimilate_all(IncrementalLearner(3, 4, 1e10, beta), demos, weights)
-        for s in learner.steps:
+        for s in beliefs(learner):
             assert s.nu == 1.0 / beta + 9
 
     def test_spd_after_every_update(self):
@@ -157,7 +170,7 @@ class TestBatchEquivalence:
         learner = IncrementalLearner(3, 4, 1e10, 1e10)
         for demo, w in zip(demos, weights):
             assimilate_demo(learner, demo, w)
-            for s in learner.steps:
+            for s in beliefs(learner):
                 np.linalg.cholesky(s.R)
                 np.linalg.cholesky(s.V)
 
@@ -176,9 +189,9 @@ class TestBatchEquivalence:
             inputs = np.vstack([np.ones((1, k)),
                                 np.stack([d.states[i] for d in demos], axis=1)])
             targets = np.stack([d.states[i + 1] for d in demos], axis=1)
-            batch = batch_estimate_step(StepData(inputs=inputs, targets=targets,
-                                                 weights=np.ones(k)), lam=1e-10)
-            rel = np.linalg.norm(model.steps[i].Q - batch.Q) / np.linalg.norm(batch.Q)
+            batch = fit_one(Interval(inputs=inputs, targets=targets,
+                                     weights=np.ones(k)), lam=1e-10)
+            rel = np.linalg.norm(model.Q[i] - batch.Q) / np.linalg.norm(batch.Q)
             assert rel <= 0.10
 
 
@@ -191,14 +204,14 @@ class TestCheckpoint:
         save_checkpoint(path, learner)
         again = load_checkpoint(path)
         assert again.demos_seen == 3 and again.dt == 0.1
-        for sa, sb in zip(learner.steps, again.steps):
+        for sa, sb in zip(beliefs(learner), beliefs(again)):
             np.testing.assert_array_equal(sa.M, sb.M)
             np.testing.assert_array_equal(sa.R, sb.R)
             np.testing.assert_array_equal(sa.V, sb.V)
             assert sa.nu == sb.nu
         model_a = extract_map(learner)
         model_b = extract_map(again)
-        for a, b in zip(model_a.steps, model_b.steps):
+        for a, b in zip(intervals(model_a), intervals(model_b)):
             np.testing.assert_array_equal(a.Phi_tilde, b.Phi_tilde)
 
     def test_corrupt_checkpoint(self, tmp_path):
@@ -206,3 +219,52 @@ class TestCheckpoint:
         path.write_text("{ not json")
         with pytest.raises(Exception):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field,row", [("M", [[0.0] * 3] * 4), ("R", [[0.0] * 5] * 4),
+                                           ("V", [[0.0] * 3] * 4), ("nu", [1.0])])
+    def test_wrong_shaped_step_is_named(self, tmp_path, field, row):
+        rng = np.random.default_rng(10)
+        demos, weights = random_demos(rng, k=2)
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10), demos, weights))
+        data = read_json(path)
+        data["steps"][2][field] = row
+        write_json(path, data)
+        with pytest.raises(ValueError, match=f"step 2: {field} must be a number array of shape"):
+            load_checkpoint(path)
+
+
+def reference_update(stats, w, x_in, x_out):
+    """One interval's weighted conjugate update, by the formulas of the former
+    per-interval MNIW state: R, then M through a Cholesky solve against the
+    new R, then V with the residual and drift terms, then nu."""
+    x_tilde = np.concatenate([[1.0], x_in])
+    r_new = stats.R + w * np.outer(x_tilde, x_tilde)
+    factor = cho_factor(r_new)
+    m_new = cho_solve(factor, (w * np.outer(x_out, x_tilde) + stats.M @ stats.R).T).T
+    resid = x_out - m_new @ x_tilde
+    drift = m_new - stats.M
+    v_new = stats.V + w * np.outer(resid, resid) + drift @ stats.R @ drift.T
+    return MNIW(m_new, r_new, v_new, stats.nu + 1.0)
+
+
+class TestStackedUpdateEqualsPerIntervalLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), d=st.integers(1, 4), k=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1), alpha=st.sampled_from([1.0, 1e6, 1e10]),
+           beta=st.sampled_from([1.0, 1e10]))
+    def test_bit_identical(self, n, d, k, seed, alpha, beta):
+        rng = np.random.default_rng(seed)
+        learner = IncrementalLearner(n, d, alpha, beta)
+        stats = beliefs(learner)
+        for _ in range(k):
+            demo = StateTrajectory(dt=0.1, states=rng.normal(size=(n + 1, d)))
+            w = rng.uniform(1e-3, 1.0, size=n + 1)
+            assimilate_demo(learner, demo, w)
+            stats = [reference_update(s, w[i], demo.states[i], demo.states[i + 1])
+                     for i, s in enumerate(stats)]
+            for got, want in zip(beliefs(learner), stats):
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+        for a in (learner.M, learner.R, learner.V):
+            assert a.flags.c_contiguous

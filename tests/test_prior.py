@@ -1,43 +1,52 @@
 import numpy as np
 import pytest
 
-from iwskill.batch import SkillModel, SkillStepModel
+from iwskill.batch import SkillModel
 from iwskill.demos import DemoSet, StateTrajectory
+from iwskill.linalg import psd_sqrt
 from iwskill.prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
-                           prior_band_csv, rollout_moments, sample_trajectories)
+                           prior_band_csv, sample_trajectories)
 
 
 def random_model(rng, dim=2, n_steps=5, noise=0.05, contraction=0.9):
-    steps = []
+    phis, qs = [], []
     for _ in range(n_steps):
         phi = rng.normal(size=(dim, dim))
         phi *= contraction / max(np.abs(np.linalg.eigvals(phi)))
         u = rng.normal(scale=0.3, size=dim)
         a = rng.normal(scale=noise, size=(dim, dim))
         # keep Q comfortably positive definite so inverses stay well behaved
-        steps.append(SkillStepModel(Phi_tilde=np.hstack([u[:, None], phi]),
-                                    Q=a @ a.T + 0.2 * noise ** 2 * np.eye(dim)))
-    return SkillModel(steps=steps, dt=0.1, dim=dim)
+        phis.append(np.hstack([u[:, None], phi]))
+        qs.append(a @ a.T + 0.2 * noise ** 2 * np.eye(dim))
+    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.1)
+
+
+def node_marginals(model, init):
+    """The marginal Gaussian of every node, from the prior's moment arrays."""
+    prior = GaussianTrajectoryPrior(model, init)
+    return [GaussianState(mean=m, cov=c) for m, c in zip(prior.means, prior.covs)]
 
 
 def reference_moments_and_precision(model, init, jitter=1e-10):
-    """Per-interval loops over the model's steps: rollout moments and the
-    information-form precision blocks, one interval at a time."""
+    """Per-interval loops over the model's intervals: rollout moments and the
+    information-form precision blocks, one (D, D+1) map at a time."""
+    steps = [(model.Phi_tilde[i], model.Phi_tilde[i][:, 1:], model.Q[i])
+             for i in range(model.n_steps)]
     means, covs = [init.mean], [init.cov]
-    for step in model.steps:
-        means.append(step.predict(means[-1]))
-        cov = step.transition @ covs[-1] @ step.transition.T + step.Q
+    for phi_tilde, phi, q in steps:
+        means.append(phi_tilde @ np.concatenate([[1.0], means[-1]]))
+        cov = phi @ covs[-1] @ phi.T + q
         covs.append((cov + cov.T) / 2.0)
     d, n = model.dim, model.n_steps
     eye = np.eye(d)
     diag = np.zeros((n + 1, d, d))
     off = np.zeros((n, d, d))
     diag[0] = np.linalg.inv(init.cov + jitter * eye)
-    for i, step in enumerate(model.steps):
-        q_inv = np.linalg.inv(step.Q + jitter * eye)
-        diag[i] += step.transition.T @ q_inv @ step.transition
+    for i, (_, phi, q) in enumerate(steps):
+        q_inv = np.linalg.inv(q + jitter * eye)
+        diag[i] += phi.T @ q_inv @ phi
         diag[i + 1] += q_inv
-        off[i] = -q_inv @ step.transition
+        off[i] = -q_inv @ phi
     return np.stack(means), np.stack(covs), diag, off
 
 
@@ -80,38 +89,36 @@ class TestInitialStateDistribution:
 class TestRollout:
     def test_identity_dynamics_are_constant(self):
         dim = 3
-        step = SkillStepModel(Phi_tilde=np.hstack([np.zeros((dim, 1)), np.eye(dim)]),
-                              Q=np.zeros((dim, dim)))
-        model = SkillModel(steps=[step] * 4, dt=0.1)
+        model = SkillModel(Phi_tilde=[np.hstack([np.zeros((dim, 1)), np.eye(dim)])] * 4,
+                           Q=[np.zeros((dim, dim))] * 4, dt=0.1)
         init = GaussianState(mean=np.array([1.0, -2.0, 0.5]), cov=0.3 * np.eye(dim))
-        for g in rollout_moments(model, init):
+        for g in node_marginals(model, init):
             np.testing.assert_allclose(g.mean, init.mean)
             np.testing.assert_allclose(g.cov, init.cov)
 
     def test_scalar_geometric_recursion(self):
-        step = SkillStepModel(Phi_tilde=np.array([[1.0, 0.5]]), Q=np.zeros((1, 1)))
-        model = SkillModel(steps=[step] * 3, dt=1.0)
+        model = SkillModel(Phi_tilde=[[[1.0, 0.5]]] * 3, Q=np.zeros((3, 1, 1)), dt=1.0)
         init = GaussianState(mean=np.zeros(1), cov=np.zeros((1, 1)))
-        means = [g.mean[0] for g in rollout_moments(model, init)]
+        means = [g.mean[0] for g in node_marginals(model, init)]
         np.testing.assert_allclose(means, [0.0, 1.0, 1.5, 1.75])
 
     def test_dimension_mismatch(self):
         model = random_model(np.random.default_rng(1), dim=2)
         init = GaussianState(mean=np.zeros(3), cov=np.eye(3))
         with pytest.raises(ValueError, match="dimension"):
-            rollout_moments(model, init)
+            node_marginals(model, init)
 
     def test_moments_match_monte_carlo(self):
         rng = np.random.default_rng(2)
         model = random_model(rng, dim=2, n_steps=4)
         init = random_init(rng, dim=2)
-        marginals = rollout_moments(model, init)
+        marginals = node_marginals(model, init)
         n = 200_000
         samples = init.mean + rng.standard_normal((n, 2)) @ np.linalg.cholesky(init.cov).T
-        for i, step in enumerate(model.steps, start=1):
+        for i in range(1, model.n_steps + 1):
             noise = rng.standard_normal((n, 2)) @ np.linalg.cholesky(
-                step.Q + 1e-14 * np.eye(2)).T
-            samples = samples @ step.transition.T + step.bias + noise
+                model.Q[i - 1] + 1e-14 * np.eye(2)).T
+            samples = samples @ model.transition[i - 1].T + model.bias[i - 1] + noise
             se_mean = np.sqrt(np.diag(marginals[i].cov) / n)
             assert np.all(np.abs(samples.mean(axis=0) - marginals[i].mean) <= 4 * se_mean)
             emp_cov = np.cov(samples.T)
@@ -126,10 +133,10 @@ class TestJointPrior:
         model = random_model(rng, dim=2, n_steps=1)
         init = random_init(rng, dim=2)
         prior = GaussianTrajectoryPrior(model, init)
-        phi = model.steps[0].transition
+        phi = model.transition[0]
         p0 = init.cov
         expected = np.block([[p0, p0 @ phi.T],
-                             [phi @ p0, phi @ p0 @ phi.T + model.steps[0].Q]])
+                             [phi @ p0, phi @ p0 @ phi.T + model.Q[0]]])
         np.testing.assert_allclose(prior.dense_covariance(), expected, rtol=1e-12)
 
     def test_marginals_consistent_with_rollout(self):
@@ -137,7 +144,7 @@ class TestJointPrior:
         model = random_model(rng, dim=3, n_steps=6)
         init = random_init(rng, dim=3)
         prior = GaussianTrajectoryPrior(model, init)
-        marginals = rollout_moments(model, init)
+        marginals = node_marginals(model, init)
         dense = prior.dense_covariance()
         for i, g in enumerate(marginals):
             np.testing.assert_allclose(prior.covs[i], g.cov, atol=1e-10)
@@ -181,10 +188,9 @@ class TestJointPrior:
         rng = np.random.default_rng(8)
         model = random_model(rng, dim=2, n_steps=5)
         init = random_init(rng, dim=2)
-        base = rollout_moments(model, init)
-        noisier_steps = [SkillStepModel(Phi_tilde=s.Phi_tilde, Q=s.Q + 0.05 * np.eye(2))
-                         for s in model.steps]
-        noisier = rollout_moments(SkillModel(steps=noisier_steps, dt=model.dt), init)
+        base = node_marginals(model, init)
+        noisier = node_marginals(SkillModel(Phi_tilde=model.Phi_tilde,
+                                             Q=model.Q + 0.05 * np.eye(2), dt=model.dt), init)
         for g_lo, g_hi in zip(base, noisier):
             assert np.all(np.diag(g_hi.cov) >= np.diag(g_lo.cov) - 1e-12)
 
@@ -199,18 +205,19 @@ class TestJointPrior:
         np.testing.assert_array_equal(prior.covs, covs)
         np.testing.assert_array_equal(prior.prec_diag, diag)
         np.testing.assert_array_equal(prior.prec_off, off)
-        for g, m, c in zip(rollout_moments(model, init), means, covs):
+        for g, m, c in zip(node_marginals(model, init), means, covs):
             np.testing.assert_array_equal(g.mean, m)
             np.testing.assert_array_equal(g.cov, c)
 
     def test_overflowing_dynamics_raise(self):
         rng = np.random.default_rng(15)
         model = random_model(rng, dim=2, n_steps=6)
-        steps = list(model.steps)
-        steps[3] = SkillStepModel(Phi_tilde=1e200 * steps[3].Phi_tilde, Q=steps[3].Q)
+        phi_tilde = model.Phi_tilde.copy()
+        phi_tilde[3] = 1e200 * phi_tilde[3]
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="overflow at node 4 of 6"):
-            GaussianTrajectoryPrior(SkillModel(steps=steps, dt=model.dt), random_init(rng, dim=2))
+            GaussianTrajectoryPrior(SkillModel(Phi_tilde=phi_tilde, Q=model.Q, dt=model.dt),
+                                    random_init(rng, dim=2))
 
     def test_dense_covariance_guard(self):
         rng = np.random.default_rng(9)
@@ -223,12 +230,11 @@ class TestJointPrior:
 class TestSampling:
     def test_zero_noise_fixed_start_gives_mean_path(self):
         rng = np.random.default_rng(10)
-        steps = []
+        phis = []
         for _ in range(4):
             phi = rng.normal(size=(2, 2)) * 0.4
-            steps.append(SkillStepModel(Phi_tilde=np.hstack([rng.normal(size=(2, 1)), phi]),
-                                        Q=np.zeros((2, 2))))
-        model = SkillModel(steps=steps, dt=0.1)
+            phis.append(np.hstack([rng.normal(size=(2, 1)), phi]))
+        model = SkillModel(Phi_tilde=np.stack(phis), Q=np.zeros((4, 2, 2)), dt=0.1)
         init = GaussianState(mean=np.array([0.3, -0.1]), cov=np.zeros((2, 2)))
         prior = GaussianTrajectoryPrior(model, init)
         for traj in sample_trajectories(prior, 5, seed=0):
@@ -255,6 +261,22 @@ class TestSampling:
             p = prior.covs[i]
             se = np.sqrt((np.outer(np.diag(p), np.diag(p)) + p ** 2) / n)
             assert np.all(np.abs(emp - p) <= 4 * se)
+
+    @pytest.mark.parametrize("dim,n_steps", [(1, 1), (2, 5), (4, 60)])
+    def test_samples_equal_per_interval_loop(self, dim, n_steps):
+        rng = np.random.default_rng(dim * 100 + n_steps)
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=dim, n_steps=n_steps),
+                                        random_init(rng, dim=dim))
+        draws = np.random.default_rng(5)
+        state = prior.init.mean + draws.standard_normal((3, dim)) @ psd_sqrt(prior.init.cov).T
+        nodes = [state]
+        for i in range(n_steps):
+            noise = draws.standard_normal((3, dim)) @ psd_sqrt(prior.model.Q[i]).T
+            state = state @ prior.model.Phi_tilde[i][:, 1:].T + prior.model.Phi_tilde[i][:, 0] \
+                + noise
+            nodes.append(state)
+        for s, traj in enumerate(sample_trajectories(prior, 3, seed=5)):
+            np.testing.assert_array_equal(traj.states, np.stack(nodes, axis=1)[s])
 
     def test_bad_count(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iwskill.batch import SkillModel, SkillStepModel
+from iwskill.batch import SkillModel
 from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf
 from iwskill.prior import GaussianState, GaussianTrajectoryPrior
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
@@ -118,9 +118,8 @@ class TestNegativeLogPosterior:
             assert negative_log_posterior(x, problem) == pytest.approx(expected, rel=1e-9)
 
     def test_obstacle_factor_only_penalizes_collision(self, disc_sdf):
-        step = SkillStepModel(Phi_tilde=np.hstack([np.zeros((4, 1)), np.eye(4)]),
-                              Q=0.01 * np.eye(4))
-        model = SkillModel(steps=[step] * 2, dt=0.1)
+        model = SkillModel(Phi_tilde=[np.hstack([np.zeros((4, 1)), np.eye(4)])] * 2,
+                           Q=[0.01 * np.eye(4)] * 2, dt=0.1)
         clear = GaussianTrajectoryPrior(model, GaussianState(
             mean=np.array([1.5, 0.8, 0.0, 0.0]), cov=0.01 * np.eye(4)))
         colliding = GaussianTrajectoryPrior(model, GaussianState(
@@ -224,8 +223,7 @@ class TestOptimizeMap:
         # information is the prior information plus 1/sigma^2 on each node.
         phi, u, q = 0.8, 0.1, 0.05
         p0 = 0.2
-        step = SkillStepModel(Phi_tilde=np.array([[u, phi]]), Q=np.array([[q]]))
-        model = SkillModel(steps=[step], dt=1.0)
+        model = SkillModel(Phi_tilde=np.array([[[u, phi]]]), Q=np.array([[[q]]]), dt=1.0)
         prior = GaussianTrajectoryPrior(model, GaussianState(mean=np.array([0.5]),
                                                        cov=np.array([[p0]])))
         t0, t1, s0, s1 = -0.2, 1.4, 0.3, 0.15
@@ -305,9 +303,8 @@ class TestOptimizeMap:
     def test_infeasible_solution_flagged(self, disc_sdf):
         # anchor a node deep inside the obstacle with huge confidence; the
         # optimizer cannot clear it and must say so
-        step = SkillStepModel(Phi_tilde=np.hstack([np.zeros((4, 1)), np.eye(4)]),
-                              Q=0.001 * np.eye(4))
-        model = SkillModel(steps=[step] * 2, dt=0.1)
+        model = SkillModel(Phi_tilde=[np.hstack([np.zeros((4, 1)), np.eye(4)])] * 2,
+                           Q=[0.001 * np.eye(4)] * 2, dt=0.1)
         prior = GaussianTrajectoryPrior(model, GaussianState(
             mean=np.array([0.5, 0.0, 0.0, 0.0]), cov=1e-6 * np.eye(4)))
         factors = [StateAnchor(index=i, target=np.array([0.5, 0.0, 0.0, 0.0]),
