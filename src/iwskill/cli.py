@@ -45,6 +45,9 @@ def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
         raise ConfigError("no demo files configured")
     raw = [_read_demo(p) for p in cfg.demos]
     if cfg.align == "dtw":
+        if cfg.dtw_reference is not None and not 0 <= cfg.dtw_reference < len(raw):
+            raise ConfigError(f"dtw_reference must index one of the {len(raw)} demos "
+                              f"(0 to {len(raw) - 1}), got {cfg.dtw_reference}")
         raw = dm.dtw_align(raw, cfg.dtw_reference)
     return dm.DemoSet(demos=[dm.estimate_states(d, cfg.grid_n) for d in raw])
 
@@ -69,22 +72,21 @@ def _write_weights(cfg: PipelineConfig, weights: list) -> None:
 
 def _load_prior(cfg: PipelineConfig, model_path: str) -> GaussianTrajectoryPrior:
     """The model's trajectory prior, started from `init_state` or else from
-    the configured demos' start states."""
+    the configured demos' start states (the demos are read only then)."""
     try:
         model = load_model(model_path)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"corrupt model {model_path}: {exc}") from exc
-    demo_set = _load_demo_set(cfg) if cfg.demos else None
     if cfg.init_state is not None:
         mean = np.asarray(cfg.init_state["mean"], dtype=float)
         cov = np.asarray(cfg.init_state["cov"], dtype=float)
         if mean.shape != (model.dim,) or cov.shape != (model.dim, model.dim):
             raise ConfigError("init_state dimensions do not match the model")
         init = GaussianState(mean=mean, cov=cov)
-    elif demo_set is None:
+    elif not cfg.demos:
         raise ConfigError("need either init_state or demo files to build the prior")
     else:
-        init = initial_state_distribution(demo_set)
+        init = initial_state_distribution(_load_demo_set(cfg))
     return GaussianTrajectoryPrior(model, init)
 
 

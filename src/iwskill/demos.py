@@ -13,8 +13,9 @@ from .utils import write_json
 
 @dataclass(frozen=True)
 class RawDemo:
-    """A recorded demonstration: strictly increasing timestamps (s) and
-    P-dimensional positions (m), P >= 1. Needs >= 4 samples for cubic splines."""
+    """A recorded demonstration: strictly increasing, finite timestamps (s)
+    and finite P-dimensional positions (m), P >= 1. Needs >= 4 samples for
+    cubic splines."""
 
     timestamps: np.ndarray
     positions: np.ndarray
@@ -28,6 +29,10 @@ class RawDemo:
             raise ValueError("timestamps and positions must have matching sample counts")
         if t.shape[0] < 4:
             raise ValueError(f"too few samples: need >= 4 for a cubic spline, got {t.shape[0]}")
+        bad = ~(np.isfinite(t) & np.isfinite(p).all(axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"row {i} is not finite: time {t[i]}, position {p[i].tolist()}")
         if np.any(np.diff(t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "timestamps", t)
@@ -139,55 +144,56 @@ def estimate_states(demo: RawDemo, n_steps: int) -> StateTrajectory:
     return StateTrajectory(dt=dt, states=np.hstack([pos, vel]))
 
 
-def dtw_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Accumulated DTW cost over Euclidean point distances with steps
-    {(1,0),(0,1),(1,1)}. Entry [i, j] is the optimal cost of aligning
-    a[:i+1] with b[:j+1]."""
-    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    n, m = dist.shape
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(n):
-        for j in range(m):
-            acc[i + 1, j + 1] = dist[i, j] + min(acc[i, j], acc[i, j + 1], acc[i + 1, j])
-    return acc[1:, 1:]
+# Demo pairs one DTW wavefront advances together: its int8 step stack, 8·(n+1)·(m+1)
+# bytes, stays below the n·m·(16 + 8P) bytes of a dense single-pair DTW's floats.
+DTW_CHUNK = 8
+
+
+def _dtw_chunk(a: np.ndarray, bs: list) -> tuple[np.ndarray, list]:
+    """DTW costs and forward (i, j) index paths from `a` (n, P) to each of
+    `bs`, steps {(1,0),(0,1),(1,1)} over Euclidean distances, by one
+    anti-diagonal wavefront over all pairs. Accumulated cell (r, c) needs only
+    diagonals r+c-1 and r+c-2 (two rolling arrays indexed by r), so padding
+    shorter demos never reaches a pair's own cells. Each cell keeps its step
+    as int8, the first minimum of (diagonal, up, left): ties prefer the diagonal."""
+    n, ms, kc = len(a), [len(b) for b in bs], len(bs)
+    m = max(ms)
+    rev = np.stack([np.pad(b[::-1], ((m - len(b), 0), (0, 0))) for b in bs])  # right-aligned
+    steps = np.zeros((kc, (n + 1) * (m + 1)), dtype=np.int8)
+    prev2, prev1 = np.full((2, kc, n + 1), np.inf)
+    prev2[:, 0], last_row = 0.0, np.empty((kc, m + 1))
+    for s in range(2, n + m + 1):
+        lo, hi = max(1, s - m), min(n, s - 1)
+        diag, up, left = prev2[:, lo - 1:hi], prev1[:, lo - 1:hi], prev1[:, lo:hi + 1]
+        dist = np.linalg.norm(a[lo - 1:hi] - rev[:, m - s + lo:m - s + hi + 1], axis=-1)
+        best = np.minimum(diag, up)
+        steps[:, lo * m + s:hi * m + s + 1:m] = np.where(left < best, 2, up < diag)
+        prev2[:, 0] = np.inf                      # only diagonal 0 holds acc[0, 0] = 0
+        prev2[:, lo:hi + 1] = dist + np.minimum(best, left)
+        last_row[:, max(s - n, 0)] = prev2[:, n]  # acc[n, s - n]; column 0 stays inf
+        prev1, prev2 = prev2, prev1
+    paths = []
+    for k, mk in enumerate(ms):
+        moves, i, j = memoryview(steps[k]), n - 1, mk - 1
+        path = [(i, j)]
+        while i > 0 or j > 0:
+            move = 2 if i == 0 else 1 if j == 0 else moves[(i + 1) * (m + 1) + j + 1]
+            i, j = i - (move != 2), j - (move != 1)
+            path.append((i, j))
+        paths.append(np.array(path[::-1]).T)
+    return last_row[np.arange(kc), ms], paths
 
 
 def dtw_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list]:
-    """Optimal warping path [(i, j), ...] and its total cost.
-
-    Ties in the traceback prefer the diagonal step, so the path (and hence
-    the alignment) is deterministic.
-    """
-    acc = dtw_cost_matrix(a, b)
-    i, j = acc.shape[0] - 1, acc.shape[1] - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            candidates = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-            move = int(np.argmin(candidates))
-            if move == 0:
-                i, j = i - 1, j - 1
-            elif move == 1:
-                i -= 1
-            else:
-                j -= 1
-        path.append((i, j))
-    path.reverse()
-    return float(acc[-1, -1]), path
+    """Total cost and optimal warping path [(i, j), ...] from a (n, P) to b (m, P)."""
+    costs, [path] = _dtw_chunk(a, [b])
+    return float(costs[0]), [tuple(ij) for ij in path.T.tolist()]
 
 
 def dtw_align(demos: list, reference_index: int | None = None) -> list:
-    """Warp every demo onto the reference demo's time axis.
-
-    Each reference sample receives the average of the demo samples matched
-    to it by the optimal warping path, so all outputs share the reference's
-    timestamps and length. The reference defaults to the longest demo.
-    """
+    """Warp every demo onto the reference demo's time axis (default: the
+    longest demo). Each reference sample receives the average, summed in path
+    order, of the demo samples its optimal warping path matches to it."""
     if len(demos) == 0:
         raise ValueError("empty demonstration set")
     dims = {d.dim for d in demos}
@@ -198,19 +204,18 @@ def dtw_align(demos: list, reference_index: int | None = None) -> list:
     if not 0 <= reference_index < len(demos):
         raise ValueError(f"reference index {reference_index} out of range")
     ref = demos[reference_index]
-
-    aligned = []
-    for k, demo in enumerate(demos):
-        if k == reference_index:
-            aligned.append(demo)
-            continue
-        _, path = dtw_path(ref.positions, demo.positions)
-        sums = np.zeros_like(ref.positions)
-        counts = np.zeros(len(ref))
-        for i, j in path:
-            sums[i] += demo.positions[j]
-            counts[i] += 1
-        aligned.append(RawDemo(timestamps=ref.timestamps.copy(), positions=sums / counts[:, None]))
+    others = demos[:reference_index] + demos[reference_index + 1:]
+    n, aligned = len(ref), []
+    for c in range(0, len(others), DTW_CHUNK):
+        chunk = others[c:c + DTW_CHUNK]
+        _, paths = _dtw_chunk(ref.positions, [d.positions for d in chunk])
+        rows = np.concatenate([k * n + i for k, (i, _) in enumerate(paths)])
+        sums = np.zeros((len(chunk) * n, ref.dim))
+        np.add.at(sums, rows, np.concatenate([d.positions[j] for d, (_, j) in zip(chunk, paths)]))
+        means = sums / np.bincount(rows, minlength=len(sums))[:, None]
+        aligned += [RawDemo(timestamps=ref.timestamps.copy(), positions=p)
+                    for p in means.reshape(len(chunk), n, ref.dim)]
+    aligned.insert(reference_index, ref)
     return aligned
 
 

@@ -240,6 +240,22 @@ class TestScalarModel:
 
 
 class TestReproduce:
+    def test_init_state_skips_demo_alignment(self, scene_dir, tmp_path, monkeypatch):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        cfg = json.load(open(root / "config.json"))
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None, align="dtw",
+                   init_state={"mean": [0.0, 0.5, 3.0, 1.0], "cov": (1e-4 * np.eye(4)).tolist()})
+        cfg["reproduction"] = {"starts": [[0.0, 0.5, 3.0, 1.0]]}
+        write_json(str(tmp_path / "cfg.json"), cfg)
+
+        def no_alignment(*args, **kwargs):
+            raise AssertionError("demos aligned although init_state is set")
+        monkeypatch.setattr("iwskill.demos.dtw_align", no_alignment)
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", out, "reproduce",
+                         "--model", os.path.join(out, "model.json")]) == 0
+
     def test_mean_start_returns_prior_mean(self, scene_dir, tmp_path):
         root, _ = scene_dir
         out = str(tmp_path / "out")
@@ -430,6 +446,30 @@ class TestExitCodes:
                          str(tmp_path / "out"), "learn"]) == 2
         assert "failed to read demo" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out" / "model.json")
+
+    @pytest.mark.parametrize("line", ["0.2,nan,0.1", "nan,0.1,0.1"])
+    def test_non_finite_demo_names_the_file_and_row(self, tmp_path, capsys, line):
+        rows = [f"{0.1 * i},{0.1 * i},0.0" for i in range(8)]
+        rows[2] = line
+        (tmp_path / "demo.csv").write_text("\n".join(rows) + "\n")
+        write_json(str(tmp_path / "cfg.json"), {"demos": ["demo.csv", "demo.csv"]})
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
+                         str(tmp_path / "out"), "learn"]) == 2
+        err = capsys.readouterr().err
+        assert f"failed to read demo {tmp_path / 'demo.csv'}: row 2 is not finite" in err
+
+    @pytest.mark.parametrize("index", [8, -1])
+    def test_dtw_reference_out_of_range_names_the_key(self, scene_dir, tmp_path, capsys, index):
+        root, _ = scene_dir
+        cfg = json.load(open(root / "config.json"))
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None,
+                   align="dtw", dtw_reference=index)
+        write_json(str(tmp_path / "cfg.json"), cfg)
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
+                         str(tmp_path / "out"), "learn"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: dtw_reference must index one of the 8 demos" in err
+        assert f"got {index}" in err
 
     def test_unknown_config_key(self, tmp_path):
         write_json(str(tmp_path / "bad.json"), {"grid": 10})

@@ -1,11 +1,18 @@
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwskill.demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, dtw_path,
-                           estimate_states, fit_cubic_spline)
+from iwskill.batch import learn_batch_weighted, save_model
+from iwskill.cli import main as cli_main
+from iwskill.demos import (DTW_CHUNK, DemoSet, RawDemo, StateTrajectory, dtw_align, dtw_path,
+                           estimate_states, fit_cubic_spline, save_raw_demo)
+from iwskill.synthetic import make_reaching_scene
+from iwskill.utils import write_json
 
 
 def line_demo(slope=2.0, intercept=0.0, t=None):
@@ -36,6 +43,70 @@ def brute_force_dtw_cost(a, b):
     return best[0]
 
 
+def reference_dtw_path(a, b):
+    """The per-pair double loop and traceback the batched kernel replaced,
+    kept as the bit-for-bit reference."""
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    n, m = dist.shape
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(n):
+        for j in range(m):
+            acc[i + 1, j + 1] = dist[i, j] + min(acc[i, j], acc[i, j + 1], acc[i + 1, j])
+    acc = acc[1:, 1:]
+    i, j = n - 1, m - 1
+    path = [(i, j)]
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            move = int(np.argmin((acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])))
+            if move == 0:
+                i, j = i - 1, j - 1
+            elif move == 1:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    path.reverse()
+    return float(acc[-1, -1]), path
+
+
+def reference_dtw_align(demos, reference_index):
+    """The per-pair alignment loop the batched kernel replaced."""
+    ref = demos[reference_index]
+    aligned = []
+    for k, demo in enumerate(demos):
+        if k == reference_index:
+            aligned.append(demo)
+            continue
+        _, path = reference_dtw_path(ref.positions, demo.positions)
+        sums = np.zeros_like(ref.positions)
+        counts = np.zeros(len(ref))
+        for i, j in path:
+            sums[i] += demo.positions[j]
+            counts[i] += 1
+        aligned.append(RawDemo(timestamps=ref.timestamps.copy(), positions=sums / counts[:, None]))
+    return aligned
+
+
+@st.composite
+def demo_sets(draw):
+    """1-5 demos of ragged length and dimension 1-3, with real or
+    integer-valued positions (integers force ties), and a reference index
+    drawn over all demos, so it is often not the longest."""
+    k, dim = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    values = st.integers(-2, 2).map(float) if draw(st.booleans()) else st.floats(-5, 5)
+    demos = []
+    for length in draw(st.lists(st.integers(4, 11), min_size=k, max_size=k)):
+        rows = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                             min_size=length, max_size=length))
+        demos.append(RawDemo(timestamps=np.arange(length, dtype=float), positions=np.array(rows)))
+    return demos, draw(st.integers(0, k - 1))
+
+
 class TestCubicSpline:
     def test_linear_data_reproduced_exactly(self):
         demo = line_demo(slope=2.0)
@@ -62,6 +133,14 @@ class TestCubicSpline:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="too few samples"):
             RawDemo(timestamps=np.array([0.0, 1.0, 2.0]), positions=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("row, column", [(2, 0), (5, 1), (0, 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_names_its_row(self, row, column, bad):
+        samples = np.column_stack([np.linspace(0.0, 1.0, 7), np.zeros((7, 2))])
+        samples[row, column] = bad
+        with pytest.raises(ValueError, match=f"row {row} is not finite"):
+            RawDemo(timestamps=samples[:, 0], positions=samples[:, 1:])
 
     def test_non_increasing_timestamps(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -170,6 +249,65 @@ class TestDtw:
         c = np.array([[0.0], [1.5], [2.0]])
         cost_c, _ = dtw_path(a, c)
         assert cost_c > 0.0
+
+
+class TestBatchedDtw:
+    """The wavefront kernel against the per-pair loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(demo_sets())
+    def test_bit_equal_to_per_pair_loop(self, case):
+        demos, ref = case
+        for got, want in zip(dtw_align(demos, ref), reference_dtw_align(demos, ref)):
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.timestamps.tobytes() == want.timestamps.tobytes()
+        for demo in demos:
+            assert dtw_path(demos[ref].positions, demo.positions) == \
+                reference_dtw_path(demos[ref].positions, demo.positions)
+
+    def test_more_pairs_than_one_chunk(self):
+        rng = np.random.default_rng(5)
+        demos = [RawDemo(timestamps=np.arange(6 + k % 4, dtype=float),
+                         positions=rng.normal(size=(6 + k % 4, 2)))
+                 for k in range(DTW_CHUNK + 3)]
+        for got, want in zip(dtw_align(demos, 2), reference_dtw_align(demos, 2)):
+            assert got.positions.tobytes() == want.positions.tobytes()
+
+    def test_working_memory_is_the_int8_step_stack(self):
+        # 8 demos x 400 samples: 7 pairs share one chunk, whose int8 step
+        # stack is 7 (n+1)(m+1) bytes. Beyond it the kernel holds O(K n)
+        # floats, well under one float64 n x m matrix; a float cost or
+        # distance matrix per pair (the per-pair loop held several) fails.
+        rng = np.random.default_rng(0)
+        n = 400
+        demos = [RawDemo(timestamps=np.arange(n, dtype=float),
+                         positions=np.cumsum(rng.normal(size=(n, 2)), axis=0)) for _ in range(8)]
+        tracemalloc.start()
+        try:
+            dtw_align(demos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * (n + 1) ** 2 + 8 * n * n
+
+    def test_cli_reference_shorter_than_the_others(self, tmp_path):
+        scene = make_reaching_scene(n_raw=40)
+        raw = list(scene.raw_demos)
+        raw[3] = RawDemo(timestamps=raw[3].timestamps[::2], positions=raw[3].positions[::2])
+        names = []
+        for k, demo in enumerate(raw):
+            names.append(f"demo_{k:03d}.json")
+            save_raw_demo(str(tmp_path / names[-1]), demo)
+        write_json(str(tmp_path / "cfg.json"), {"demos": names, "grid_n": 25, "align": "dtw",
+                                                "dtw_reference": 3, "out_dir": "out"})
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--no-weighting", "learn"]) == 0
+        ds = DemoSet(demos=[estimate_states(d, 25) for d in dtw_align(raw, 3)])
+        save_model(str(tmp_path / "expected.json"),
+                   learn_batch_weighted(ds, [np.ones(26)] * len(raw)))
+        assert (tmp_path / "out" / "model.json").read_bytes() == \
+            (tmp_path / "expected.json").read_bytes()
+        assert json.loads((tmp_path / "out" / "model.json").read_text())["dt"] == \
+            pytest.approx((raw[3].timestamps[-1] - raw[3].timestamps[0]) / 25)
 
 
 class TestRawDemoFiles:
