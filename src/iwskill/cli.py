@@ -9,6 +9,7 @@ with 0 on success, 2 on configuration errors, 3 on numerical failures, and
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -221,9 +222,7 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
     rc = cfg.reproduction
     starts = rc.starts if rc.starts else [None]
 
-    opts = OptimizerOptions(max_iters=rc.max_iters, abs_tol=rc.abs_tol,
-                            rel_tol=rc.rel_tol, lm_damping_init=rc.lm_damping_init,
-                            tol_clear=rc.tol_clear)
+    opts = OptimizerOptions(**{f.name: getattr(rc, f.name) for f in fields(OptimizerOptions)})
     env = load_environment(rc.environment) if rc.environment else None
     base_factors = _reproduction_factors(cfg, prior, env)
     all_converged = True
@@ -247,8 +246,8 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
         atomic_write_text(stem + ".svg", scene.render())
         clear = solution.min_clearance
         clear_txt = "n/a" if clear >= NO_OBSTACLE_DISTANCE else f"{clear:.4f}"
-        print(f"start {si}: objective {solution.objective:.6g}, "
-              f"{solution.iterations} iterations, converged={solution.converged}, "
+        print(f"start {si}: objective {solution.objective:.6g}, {solution.iterations} "
+              f"iterations, converged={solution.converged} (stop: {solution.stop}), "
               f"feasible={solution.feasible}, min clearance {clear_txt}")
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 

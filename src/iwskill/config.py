@@ -8,6 +8,8 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .environment import WeightParams
 
 
@@ -132,6 +134,14 @@ def load_config(path: str) -> PipelineConfig:
     cfg.out_dir = resolve(raw.get("out_dir", cfg.out_dir), "out_dir")
     if raw.get("init_state") is not None:
         cfg.init_state = _typed(raw["init_state"], dict, where + "init_state", "an object")
+        for key in ("mean", "cov"):
+            if key not in cfg.init_state:
+                raise ConfigError(f"{where}init_state.{key} is missing")
+        cov = np.asarray(cfg.init_state["cov"], dtype=float)
+        if (cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not np.isfinite(cov).all()
+                or np.linalg.eigvalsh(cov).min() < -1e-12 * np.abs(cov).max()):
+            raise ConfigError(f"{where}init_state.cov must be a positive semi-definite "
+                              f"matrix, got {cfg.init_state['cov']!r}")
 
     repro_raw = _typed(raw.get("reproduction", {}), dict, where + "reproduction", "an object")
     unknown = set(repro_raw) - _REPRO_KEYS

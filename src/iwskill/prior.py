@@ -12,7 +12,7 @@ import numpy as np
 
 from .batch import SkillModel
 from .demos import DemoSet, StateTrajectory
-from .linalg import block_tridiag_dense, block_tridiag_matvec, psd_sqrt
+from .linalg import block_tridiag_dense, psd_sqrt
 from .utils import csv_text
 
 _JITTER = 1e-10
@@ -92,23 +92,26 @@ class GaussianTrajectoryPrior:
         return self.means.reshape(-1)
 
     def _assemble_precision(self) -> None:
-        """Information form of the Markov chain: interval i adds
-        Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1) and
-        -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0."""
-        eye = np.eye(self.dim)
+        """Information form of the Markov chain: `info` stacks P_0^-1 and each Q_i^-1.
+        Interval i adds Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1)
+        and -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0."""
         phi = np.ascontiguousarray(self.model.transition)
-        q_inv = np.linalg.inv(self.model.Q + _JITTER * eye)
-        diag = np.zeros((self.n_steps + 1, self.dim, self.dim))
-        diag[0] = np.linalg.inv(self.init.cov + _JITTER * eye)
+        covs = np.concatenate([self.init.cov[None], self.model.Q])
+        self.info = np.linalg.inv(covs + _JITTER * np.eye(self.dim))
+        q_inv = self.info[1:]
+        diag = self.info.copy()
         diag[:-1] += phi.transpose(0, 2, 1) @ q_inv @ phi
-        diag[1:] += q_inv
         self.prec_diag = diag
         self.prec_off = -q_inv @ phi
 
     def quad_form(self, x: np.ndarray) -> float:
-        """(x - mu)^T K^{-1} (x - mu) through the sparse precision."""
-        r = np.asarray(x, dtype=float).reshape(-1) - self.stacked_mean
-        return float(r @ block_tridiag_matvec(self.prec_diag, self.prec_off, r))
+        """(x - mu)^T K^{-1} (x - mu) summed as e^T info e over the start offset
+        x_0 - mu_0 and each interval's residual x_{i+1} - Phi_i x_i - u_i, which
+        avoids the cancellation between the large entries of K^{-1}."""
+        s = np.asarray(x, dtype=float).reshape(-1, self.dim)
+        e = np.concatenate([s[:1] - self.means[:1], s[1:] - self.model.bias
+                            - np.einsum("nij,nj->ni", self.model.transition, s[:-1])])
+        return float(np.einsum("ni,nij,nj->", e, self.info, e))
 
     def dense_precision(self) -> np.ndarray:
         return block_tridiag_dense(self.prec_diag, self.prec_off)

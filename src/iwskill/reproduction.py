@@ -2,10 +2,12 @@
 
 The posterior combines the trajectory prior with event factors: state
 anchors (new start/goal/via constraints) and an obstacle factor over a set
-of nodes, evaluated with one batched query of a signed distance field. The
-negative log posterior is minimized with Levenberg-Marquardt; because every
-factor term touches a single node, the damped Gauss-Newton systems keep the
-prior's block-tridiagonal sparsity and are solved by LAPACK banded Cholesky.
+of nodes, evaluated with one batched query of a signed distance field.
+Each factor linearizes into whitened residual rows that each touch a single
+node, so the negative log posterior is half the prior's Mahalanobis term plus
+half the rows' sum of squares, and the damped Gauss-Newton systems of
+Levenberg-Marquardt keep the prior's block-tridiagonal sparsity; they are
+solved by LAPACK banded Cholesky.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +23,9 @@ from .utils import csv_text
 
 class SingularNormalEquationsError(RuntimeError):
     """Damping escalation failed to make the normal equations factorizable."""
+
+
+LM_DAMPING_MAX = 1e12  # damping past this ends LM (a failed factorization raises)
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,14 @@ class StateAnchor:
             raise ValueError("anchor covariance must be positive definite")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "sigma", sigma)
+        # W = C^-1 for sigma = C C^T, so W^T W is the information sigma^-1
+        object.__setattr__(self, "whiten", np.linalg.inv(np.linalg.cholesky(sigma)))
+        object.__setattr__(self, "indices", np.array([self.index]))
+
+    def linearize(self, states: np.ndarray) -> tuple:
+        """Whitened rows W (x_index - target), their node `index` and their Jacobian W."""
+        return (self.whiten @ (states[self.index] - self.target),
+                np.full(self.target.shape[0], self.index), self.whiten)
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,17 @@ class ObstacleFactor:
         if not self.sigma_repro > 0:
             raise ValueError("sigma_repro must be positive")
 
+    def linearize(self, states: np.ndarray) -> tuple:
+        """Whitened rows max(eps_repro - d, 0) / sigma_repro, d the field
+        distance of each node's position; the nodes; and the rows' Jacobians,
+        -grad d / sigma_repro on the positions inside the band, else zero."""
+        d = _clearances(self.sdf, self.indices, states)
+        inside = d <= self.eps_repro
+        jac = np.zeros((self.indices.size, states.shape[1]))
+        jac[inside, :self.sdf.dim] = -self.sdf.gradient(states[self.indices[inside], :self.sdf.dim])
+        return (np.maximum(self.eps_repro - d, 0.0) / self.sigma_repro, self.indices,
+                jac / self.sigma_repro)
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -76,7 +100,6 @@ class OptimizerOptions:
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     lm_damping_init: float = 1e-4
-    lm_damping_max: float = 1e12
     tol_clear: float = 0.01
 
 
@@ -89,7 +112,7 @@ class ReproductionProblem:
     def __post_init__(self):
         n = self.prior.n_steps
         for f in self.factors:
-            for index in np.atleast_1d(f.indices if isinstance(f, ObstacleFactor) else f.index):
+            for index in f.indices:
                 if not 0 <= index <= n:
                     raise ValueError(f"factor index {index} outside 0..{n}")
 
@@ -99,11 +122,16 @@ class Solution:
     trajectory: StateTrajectory
     objective: float
     iterations: int
-    converged: bool
+    # why LM stopped: "gradient", "step", "damping" or "max_iters"
+    stop: str
     feasible: bool
     min_clearance: float
     # objective after the start point and after each accepted step; nonincreasing
     objective_history: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "max_iters"
 
 
 def _clearances(sdf: SignedDistanceField, nodes: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -116,147 +144,105 @@ def _clearances(sdf: SignedDistanceField, nodes: np.ndarray, states: np.ndarray)
                            row=exc.row) from exc
 
 
-def _obstacle_terms(sdf: SignedDistanceField, eps_repro: float, nodes: np.ndarray,
-                    states: np.ndarray, jacobian: bool):
-    """Hinge costs (n,) of the listed nodes and, if asked, their Jacobians
-    (n, D): -grad d on the position components while inside the band
-    (d <= eps_repro), zero outside and on all velocity components."""
-    d = _clearances(sdf, nodes, states)
-    cost = np.maximum(eps_repro - d, 0.0)
-    if not jacobian:
-        return cost, None
-    jac = np.zeros((nodes.size, states.shape[1]))
-    jac[:, : sdf.dim] = np.where((d > eps_repro)[:, None], 0.0,
-                                 -sdf.gradient(states[nodes, : sdf.dim]))
-    return cost, jac
-
-
 def obstacle_cost(state: np.ndarray, sdf: SignedDistanceField,
                   eps_repro: float) -> tuple[float, np.ndarray]:
     """Hinge collision cost hinge(d(p), eps_repro) of one state, on its
-    position components p, and its gradient."""
-    cost, jac = _obstacle_terms(sdf, eps_repro, np.zeros(1, dtype=int),
-                                np.asarray(state, dtype=float)[None, :], jacobian=True)
-    return float(cost[0]), jac[0]
+    position components p, and its gradient: the one row of an obstacle
+    factor on that state at sigma_repro 1."""
+    r, _, jac = ObstacleFactor(indices=[0], sdf=sdf, eps_repro=eps_repro,
+                               sigma_repro=1.0).linearize(np.asarray(state, dtype=float)[None, :])
+    return float(r[0]), jac[0]
 
 
 def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> float:
-    """0.5 * prior Mahalanobis term plus 0.5 * every factor's weighted
-    squared residual, added factor by factor and node by node."""
+    """0.5 * (prior Mahalanobis term + every factor's sum of squared rows)."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    total = 0.5 * problem.prior.quad_form(x)
-    states = x.reshape(-1, problem.prior.dim)
-    for f in problem.factors:
-        if isinstance(f, StateAnchor):
-            r = states[f.index] - f.target
-            total += 0.5 * float(r @ np.linalg.solve(f.sigma, r))
-        else:
-            c, _ = _obstacle_terms(f.sdf, f.eps_repro, f.indices, states, jacobian=False)
-            for term in (0.5 * c * c / f.sigma_repro ** 2).tolist():
-                total += term
-    return float(total)
+    rows = [f.linearize(x.reshape(-1, problem.prior.dim))[0] for f in problem.factors]
+    return 0.5 * (problem.prior.quad_form(x) + sum(float(r @ r) for r in rows))
 
 
 def _gradient_and_gn_blocks(x: np.ndarray, problem: ReproductionProblem):
     """Gradient of the objective and the Gauss-Newton Hessian blocks.
 
-    The prior contributes its precision; each factor adds J^T S^{-1} J to its
-    nodes' diagonal blocks and J^T S^{-1} r to the gradient, so the system
-    stays block tridiagonal.
+    The prior contributes its precision; each residual row r with Jacobian
+    row j on node i adds j r to the gradient and j j^T to block (i, i), so
+    the system stays block tridiagonal.
     """
     prior = problem.prior
-    d = prior.dim
-    states = x.reshape(-1, d)
     grad = block_tridiag_matvec(prior.prec_diag, prior.prec_off, x - prior.stacked_mean)
-    grad = grad.reshape(-1, d)
+    grad = grad.reshape(-1, prior.dim)
     h_diag = prior.prec_diag.copy()
     for f in problem.factors:
-        if isinstance(f, StateAnchor):
-            info = np.linalg.inv(f.sigma)
-            grad[f.index] += info @ (states[f.index] - f.target)
-            h_diag[f.index] += info
-        else:
-            c, jac = _obstacle_terms(f.sdf, f.eps_repro, f.indices, states, jacobian=True)
-            inv_s2 = 1.0 / f.sigma_repro ** 2
-            grad[f.indices] += (inv_s2 * c)[:, None] * jac
-            h_diag[f.indices] += inv_s2 * (jac[:, :, None] * jac[:, None, :])
+        r, nodes, jac = f.linearize(x.reshape(-1, prior.dim))
+        np.add.at(grad, nodes, r[:, None] * jac)
+        np.add.at(h_diag, nodes, jac[:, :, None] * jac[:, None, :])
     return grad.reshape(-1), h_diag
 
 
-def _solution(problem, x, objective, iterations, converged, history) -> Solution:
-    prior = problem.prior
-    d = prior.dim
-    states = x.reshape(prior.n_steps + 1, d)
-    min_clear = NO_OBSTACLE_DISTANCE
-    feasible = True
+def _solution(problem, x, objective, iterations, stop, history) -> Solution:
+    states = x.reshape(-1, problem.prior.dim)
+    min_clear, feasible = NO_OBSTACLE_DISTANCE, True
     for f in problem.factors:
         if isinstance(f, ObstacleFactor):
             dist = _clearances(f.sdf, f.indices, states)
             min_clear = min(min_clear, float(dist.min()))
-            if np.any(dist < f.eps_repro - problem.options.tol_clear):
-                feasible = False
-    return Solution(trajectory=StateTrajectory(dt=prior.dt, states=states),
-                    objective=objective, iterations=iterations,
-                    converged=converged, feasible=feasible, min_clearance=min_clear,
-                    objective_history=history)
+            feasible &= bool(np.all(dist >= f.eps_repro - problem.options.tol_clear))
+    return Solution(trajectory=StateTrajectory(dt=problem.prior.dt, states=states),
+                    objective=objective, iterations=iterations, stop=stop,
+                    feasible=feasible, min_clearance=min_clear, objective_history=history)
 
 
 def optimize_map(problem: ReproductionProblem) -> Solution:
-    """Levenberg-Marquardt from the prior mean.
+    """Levenberg-Marquardt from the prior mean, with the damping update and
+    stops of Madsen, Nielsen & Tingleff (2004), section 3.2.
 
-    Damped Gauss-Newton steps are solved through the banded Cholesky of the
-    block-tridiagonal system. Damping shrinks by 10x on accepted steps and
-    grows by 10x on rejections and on a system that is not positive definite
-    or not finite (LinAlgError); growing it past lm_damping_max raises
-    SingularNormalEquationsError. Convergence: gradient norm below abs_tol,
-    or an accepted step whose relative objective decrease falls below
-    rel_tol. Hitting max_iters returns the best iterate with converged=False.
+    A step that lowers the objective is kept and scales the damping mu by
+    max(1/3, 1 - (2 rho - 1)^3), rho being the actual decrease over the
+    predicted 0.5 step^T (mu step - g); mu grows by 2, 4, 8, ... on
+    consecutive rejected steps, and by 10 on a damped system that is not
+    positive definite or not finite, which past LM_DAMPING_MAX raises
+    SingularNormalEquationsError. `stop`: "gradient" (norm below abs_tol),
+    "step" (no longer than rel_tol * (||x|| + rel_tol); kept if it lowers
+    the objective), "damping" (mu past LM_DAMPING_MAX after a rejection)
+    or "max_iters" (the best iterate, not converged).
     """
     opts = problem.options
     x = problem.prior.stacked_mean.copy()
     obj = negative_log_posterior(x, problem)
-    history = [obj]
-    damping = opts.lm_damping_init
-    eye = np.eye(problem.prior.dim)
-
+    history, grad, stop = [obj], None, "max_iters"
+    damping, growth = opts.lm_damping_init, 2.0
     iterations = 0
-    converged = False
-    for _ in range(opts.max_iters):
-        grad, h_diag = _gradient_and_gn_blocks(x, problem)
-        if np.linalg.norm(grad) < opts.abs_tol:
-            converged = True
-            break
+    while iterations < opts.max_iters:
+        if grad is None:
+            grad, h_diag = _gradient_and_gn_blocks(x, problem)
+            if np.linalg.norm(grad) < opts.abs_tol:
+                stop = "gradient"
+                break
         while True:
-            damped = h_diag + damping * eye[None, :, :]
             try:
-                chol = BlockTridiagCholesky(damped, problem.prior.prec_off)
-                step = chol.solve(-grad)
+                step = BlockTridiagCholesky(h_diag + damping * np.eye(problem.prior.dim),
+                                            problem.prior.prec_off).solve(-grad)
                 break
             except np.linalg.LinAlgError as exc:
                 damping *= 10.0
-                if damping > opts.lm_damping_max:
+                if damping > LM_DAMPING_MAX:
                     raise SingularNormalEquationsError(
                         f"normal equations not factorizable at damping {damping:.1e}: "
                         f"{exc}") from exc
-        x_new = x + step
-        obj_new = negative_log_posterior(x_new, problem)
+        small = np.linalg.norm(step) <= opts.rel_tol * (np.linalg.norm(x) + opts.rel_tol)
+        obj_new = negative_log_posterior(x + step, problem)
         iterations += 1
         if obj_new < obj:
-            rel_drop = (obj - obj_new) / max(abs(obj), 1e-300)
-            x, obj = x_new, obj_new
+            rho = (obj - obj_new) / (0.5 * float(step @ (damping * step - grad)))
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            x, obj, grad, growth = x + step, obj_new, None, 2.0
             history.append(obj)
-            assert history[-1] <= history[-2], "accepted step increased the objective"
-            damping = max(damping / 10.0, 1e-12)
-            if rel_drop < opts.rel_tol:
-                converged = True
-                break
         else:
-            damping *= 10.0
-            if damping > opts.lm_damping_max:
-                # step size has collapsed; no further descent possible
-                converged = True
-                break
-    return _solution(problem, x, obj, iterations, converged, history)
+            damping, growth = damping * growth, growth * 2.0
+        if small or damping > LM_DAMPING_MAX:
+            stop = "step" if small else "damping"
+            break
+    return _solution(problem, x, obj, iterations, stop, history)
 
 
 def solution_csv(solution: Solution) -> str:
@@ -271,6 +257,7 @@ def solution_summary(solution: Solution) -> dict:
         "objective": solution.objective,
         "iterations": solution.iterations,
         "converged": solution.converged,
+        "stop": solution.stop,
         "feasible": solution.feasible,
         # null when nothing was checked for clearance (no obstacles)
         "min_clearance": (None if solution.min_clearance >= NO_OBSTACLE_DISTANCE

@@ -238,6 +238,16 @@ class TestScalarModel:
             with open(tmp_path / "out" / name) as fh:
                 assert fh.read().startswith("<svg")
 
+    def test_indefinite_init_cov_is_a_config_error(self, tmp_path, capsys):
+        write_json(str(tmp_path / "model.json"),
+                   {"dt": 0.1, "D": 1, "steps": [{"Phi_tilde": [[0.0, 0.9]], "Q": [[0.01]]}]})
+        cfg = str(tmp_path / "cfg.json")
+        write_json(cfg, {"out_dir": "out", "init_state": {"mean": [0.0], "cov": [[-1.0]]}})
+        assert cli_main(["--config", cfg, "rollout", "--model",
+                         str(tmp_path / "model.json")]) == 2
+        assert f"{cfg}: init_state.cov must be a positive semi-definite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "prior.csv").exists()
+
 
 class TestReproduce:
     def test_init_state_skips_demo_alignment(self, scene_dir, tmp_path, monkeypatch):

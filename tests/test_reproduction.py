@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from iwskill.batch import SkillModel
-from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf
-from iwskill.prior import GaussianState, GaussianTrajectoryPrior
+from iwskill.batch import SkillModel, learn_batch_weighted
+from iwskill.demos import DemoSet, estimate_states
+from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf, weight_trajectory
+from iwskill.prior import GaussianState, GaussianTrajectoryPrior, initial_state_distribution
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                                   SingularNormalEquationsError, Solution, StateAnchor,
                                   negative_log_posterior, obstacle_cost, optimize_map,
                                   solution_csv, solution_summary)
+from iwskill.synthetic import make_reaching_scene
 
 from test_prior import random_init, random_model
 
@@ -159,7 +161,7 @@ class TestObstacleFactorBatch:
                 expected += 0.5 * c * c / 0.05 ** 2
                 active += c > 0
             assert active > 0
-            assert negative_log_posterior(x, problem) == expected
+            assert negative_log_posterior(x, problem) == pytest.approx(expected, rel=1e-12)
 
     def test_subset_of_nodes(self, prior, disc_sdf):
         x = np.tile([0.5, 0.1, 0.0, 0.0], 9)  # every node is inside the disc's band
@@ -191,7 +193,7 @@ class TestOptimizeMap:
         rng = np.random.default_rng(4)
         prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
         sol = optimize_map(ReproductionProblem(prior=prior, factors=[]))
-        assert sol.converged and sol.iterations <= 1
+        assert sol.converged and sol.iterations == 0 and sol.stop == "gradient"
         np.testing.assert_allclose(sol.trajectory.states.reshape(-1), prior.stacked_mean,
                                    atol=1e-12)
 
@@ -207,6 +209,27 @@ class TestOptimizeMap:
             expected = dense_map_oracle(prior, anchors)
             assert sol.converged
             np.testing.assert_allclose(sol.trajectory.states.reshape(-1), expected, atol=1e-6)
+
+    @pytest.mark.parametrize("grid_n", [30, 60])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_learned_reaching_prior_solves_in_three_steps(self, seed, grid_n):
+        # anchors-only MAP is a quadratic problem: the first damped
+        # Gauss-Newton step lands next to the optimum and the step-norm
+        # stop ends LM right after it
+        scene = make_reaching_scene(seed=seed)
+        demo_set = DemoSet(demos=[estimate_states(d, grid_n) for d in scene.raw_demos])
+        model = learn_batch_weighted(demo_set, [weight_trajectory(t, scene.env,
+                                                                  scene.weight_params)
+                                                for t in demo_set.demos])
+        prior = GaussianTrajectoryPrior(model, initial_state_distribution(demo_set))
+        states = np.stack([t.states for t in demo_set.demos])
+        mix = np.random.default_rng(seed).dirichlet(np.ones(states.shape[0]))
+        anchors = [StateAnchor(index=0, target=mix @ states[:, 0], sigma=np.asarray(1e-3)),
+                   StateAnchor(index=grid_n, target=mix @ states[:, -1], sigma=np.asarray(1e-3))]
+        sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
+        assert sol.stop == "step" and sol.iterations <= 3
+        np.testing.assert_allclose(sol.trajectory.states.reshape(-1),
+                                   dense_map_oracle(prior, anchors), rtol=0, atol=1e-6)
 
     def test_tight_start_anchor_matches_gaussian_conditioning(self):
         rng = np.random.default_rng(6)
@@ -270,7 +293,7 @@ class TestOptimizeMap:
                                sigma=np.asarray(1e-6))]
         opts = OptimizerOptions(max_iters=1, lm_damping_init=1e6)
         sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors, options=opts))
-        assert not sol.converged
+        assert not sol.converged and sol.stop == "max_iters"
         assert sol.iterations == 1
 
     def test_indefinite_beyond_max_damping_raises(self):
@@ -330,14 +353,18 @@ def test_solution_exports():
     traj_states = np.arange(8.0).reshape(2, 4)
     from iwskill.demos import StateTrajectory
     sol = Solution(trajectory=StateTrajectory(dt=0.5, states=traj_states),
-                   objective=1.25, iterations=3, converged=True, feasible=True,
+                   objective=1.25, iterations=3, stop="step", feasible=True,
                    min_clearance=0.42)
     csv_text = solution_csv(sol)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "t,x_1,x_2,x_3,x_4"
     assert len(lines) == 3
     summary = solution_summary(sol)
-    assert summary == {"objective": 1.25, "iterations": 3, "converged": True,
+    assert summary == {"objective": 1.25, "iterations": 3, "converged": True, "stop": "step",
                        "feasible": True, "min_clearance": 0.42}
     sol.min_clearance = 1e9  # no obstacle factor: nothing was checked
     assert solution_summary(sol)["min_clearance"] is None
+    for stop in ("gradient", "damping", "max_iters"):
+        sol.stop = stop
+        assert solution_summary(sol)["converged"] is (stop != "max_iters")
+        assert solution_summary(sol)["stop"] == stop
