@@ -58,13 +58,13 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
     ({"environment": 5}, "environment must be a path, got 5"),
     ({"out_dir": None}, "out_dir must be a path, got None"),
     ({"init_state": [0.0]}, "init_state must be an object"),
+    ({"reproduction": {"environment": ["env.json"]}}, "reproduction.environment must be a path"),
+    ({"reproduction": {"starts": 5}}, "reproduction.starts must be a list of states"),
+    ({"reproduction": {"anchors": [[0, 1.0]]}}, "reproduction.anchors must be a list of objects"),
     ({"init_state": {"cov": [[0.01]]}}, "init_state.mean is missing"),
     ({"init_state": {"mean": [0.0]}}, "init_state.cov is missing"),
     ({"init_state": {"mean": [0.0], "cov": [[-1.0]]}},
      "init_state.cov must be a positive semi-definite matrix, got [[-1.0]]"),
-    ({"reproduction": {"environment": ["env.json"]}}, "reproduction.environment must be a path"),
-    ({"reproduction": {"starts": 5}}, "reproduction.starts must be a list of states"),
-    ({"reproduction": {"anchors": [[0, 1.0]]}}, "reproduction.anchors must be a list of objects"),
 ])
 def test_malformed_value_names_its_key(tmp_path, raw, message):
     path = str(tmp_path / "cfg.json")
