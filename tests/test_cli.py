@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -517,3 +518,9 @@ class TestExitCodes:
         write_json(cfg_path, cfg)
         assert cli_main(["--config", cfg_path, "--out", str(tmp_path / "out"),
                          "learn"]) == 3
+
+
+def test_import_freezes_the_loaded_modules():
+    """Full collections in a process that calls `main` repeatedly skip numpy,
+    scipy and the iwskill modules, which live as long as the process."""
+    assert gc.get_freeze_count() > 10_000
