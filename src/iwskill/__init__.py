@@ -20,6 +20,6 @@ from .prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distri
                     sample_trajectories)
 from .reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                            SingularNormalEquationsError, Solution, StateAnchor,
-                           negative_log_posterior, obstacle_cost, optimize_map)
+                           negative_log_posterior, optimize_map)
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -23,9 +22,8 @@ from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load
                           save_checkpoint)
 from .prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
                     prior_band_csv, sample_trajectories)
-from .reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
-                           SingularNormalEquationsError, StateAnchor, optimize_map,
-                           solution_csv, solution_summary)
+from .reproduction import (ObstacleFactor, ReproductionProblem, SingularNormalEquationsError,
+                           StateAnchor, optimize_map, solution_csv, solution_summary)
 from .svg import SvgScene
 from .utils import atomic_write_text, csv_text, write_json
 
@@ -195,14 +193,9 @@ def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, e
     """Configured anchors, then one obstacle factor over every node when the
     reproduction scene has obstacles."""
     rc = cfg.reproduction
-    d = prior.dim
-    factors = []
-    for spec in rc.anchors:
-        target = np.asarray(spec["state"], dtype=float)
-        if target.shape != (d,):
-            raise ConfigError(f"anchor state must have dimension {d}")
-        factors.append(StateAnchor(index=int(spec["index"]), target=target,
-                                   sigma=np.asarray(float(spec.get("sigma", rc.start_sigma)))))
+    factors = list(rc.anchors)
+    if any(a.target.shape != (prior.dim,) for a in factors):
+        raise ConfigError(f"anchor state must have dimension {prior.dim}")
     if env is not None and env.obstacles:
         lo, hi = scene_bounds(env, rc.sdf_margin)
         # make sure the prior's reachable area is inside the grid
@@ -225,8 +218,6 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
     prior = _load_prior(cfg, args.model)
     rc = cfg.reproduction
     starts = rc.starts if rc.starts else [None]
-
-    opts = OptimizerOptions(**{f.name: getattr(rc, f.name) for f in fields(OptimizerOptions)})
     env = load_environment(rc.environment) if rc.environment else None
     base_factors = _reproduction_factors(cfg, prior, env)
     all_converged = True
@@ -236,10 +227,9 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
             target = np.asarray(start, dtype=float)
             if target.shape != (prior.dim,):
                 raise ConfigError(f"start state must have dimension {prior.dim}")
-            factors.append(StateAnchor(index=0, target=target,
-                                       sigma=np.asarray(rc.start_sigma)))
+            factors.append(StateAnchor(index=0, target=target, sigma=rc.start_sigma))
         solution = optimize_map(ReproductionProblem(prior=prior, factors=factors,
-                                                    options=opts))
+                                                    options=rc.options))
         all_converged &= solution.converged
         stem = os.path.join(cfg.out_dir, f"solution_{si:03d}")
         atomic_write_text(stem + ".csv", solution_csv(solution))

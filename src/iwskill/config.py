@@ -5,12 +5,14 @@ config plus its data directory is relocatable.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .environment import WeightParams
+from .reproduction import OptimizerOptions, StateAnchor
 
 
 class ConfigError(Exception):
@@ -22,16 +24,13 @@ class ReproductionConfig:
     environment: str | None = None
     starts: list = field(default_factory=list)
     start_sigma: float = 1e-3
-    anchors: list = field(default_factory=list)     # {"index", "state", "sigma"}
+    anchors: list = field(default_factory=list)     # StateAnchor, from {"index", "state", "sigma"}
     eps_repro: float = 0.1
     sigma_repro: float = 0.05
     sdf_resolution: float = 0.02
     sdf_margin: float = 0.5
-    max_iters: int = 100
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-    lm_damping_init: float = 1e-4
-    tol_clear: float = 0.01
+    # read from the same flat keys: max_iters, abs_tol, rel_tol, lm_damping_init, tol_clear
+    options: OptimizerOptions = field(default_factory=OptimizerOptions)
 
 
 @dataclass
@@ -51,38 +50,29 @@ class PipelineConfig:
     init_state: dict | None = None     # {"mean": [...], "cov": [[...]]}
     reproduction: ReproductionConfig = field(default_factory=ReproductionConfig)
 
-    def validate(self) -> None:
-        if self.grid_n < 1:
-            raise ConfigError("grid_n must be >= 1")
-        if self.align not in ("dtw", "none"):
-            raise ConfigError(f"align must be 'dtw' or 'none', got {self.align!r}")
-        for path in self.demos:
-            if not os.path.exists(path):
-                raise ConfigError(f"demo file not found: {path}")
-        for path in (self.environment, self.reproduction.environment):
-            if path is not None and not os.path.exists(path):
-                raise ConfigError(f"environment file not found: {path}")
-
 
 _TOP_KEYS = {f.name for f in fields(PipelineConfig)}
-_REPRO_KEYS = {f.name for f in fields(ReproductionConfig)}
+_REPRO_KEYS = {f.name for f in fields(ReproductionConfig) + fields(OptimizerOptions)} - {"options"}
 
 
-def _scalar(raw: dict, key: str, kind: type, where: str):
-    """raw[key] as a `kind` (int or float), or a ConfigError naming the key."""
+def _scalar(raw: dict, key: str, kind: type, where: str, positive: bool = False):
+    """raw[key] as a `kind` (int or float), or a ConfigError naming the key;
+    with `positive`, also one if it is not a positive finite number."""
     try:
-        return kind(raw[key])
+        value = kind(raw[key])
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}{key} must be {'an int' if kind is int else 'a number'}, "
                           f"got {raw[key]!r}") from None
+    if positive and not 0 < value < math.inf:
+        raise ConfigError(f"{where}{key} must be a positive number, got {raw[key]!r}")
+    return value
 
 
-def _coerce_scalars(target, raw: dict, where: str) -> None:
-    """Set every int or float field of `target` that `raw` names, converted
-    by the type of the field's default."""
-    for f in fields(target):
-        if f.name in raw and type(f.default) in (int, float):
-            setattr(target, f.name, _scalar(raw, f.name, type(f.default), where))
+def _scalars(cls: type, raw: dict, where: str) -> dict:
+    """Every int or float field of dataclass `cls` that `raw` names,
+    converted by the type of the field's default."""
+    return {f.name: _scalar(raw, f.name, type(f.default), where) for f in fields(cls)
+            if f.name in raw and type(f.default) in (int, float)}
 
 
 def _typed(value, kind: type, key: str, what: str):
@@ -90,6 +80,16 @@ def _typed(value, kind: type, key: str, what: str):
     if not isinstance(value, kind):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     return value
+
+
+def _anchor(raw: dict, where: str, start_sigma: float) -> StateAnchor:
+    """One `reproduction.anchors` entry; its `sigma` defaults to start_sigma."""
+    raw = {"index": None, "state": None, "sigma": start_sigma, **raw}
+    state = raw["state"]
+    if not (isinstance(state, list) and all(isinstance(v, (int, float)) for v in state)):
+        raise ConfigError(f"{where}state must be a list of numbers, got {state!r}")
+    return StateAnchor(index=_scalar(raw, "index", int, where), target=np.asarray(state, float),
+                       sigma=_scalar(raw, "sigma", float, where, positive=True))
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -113,11 +113,10 @@ def load_config(path: str) -> PipelineConfig:
             return None
         return os.path.normpath(os.path.join(base, _typed(p, str, where + key, "a path")))
 
-    cfg = PipelineConfig()
+    cfg = PipelineConfig(**_scalars(PipelineConfig, raw, where))
     cfg.demos = [resolve(p, "demos")
                  for p in _typed(raw.get("demos", []), list, where + "demos", "a list of paths")]
     cfg.environment = resolve(raw.get("environment"), "environment", optional=True)
-    _coerce_scalars(cfg, raw, where)
     cfg.align = raw.get("align", cfg.align)
     if raw.get("dtw_reference") is not None:
         cfg.dtw_reference = _scalar(raw, "dtw_reference", int, where)
@@ -148,15 +147,28 @@ def load_config(path: str) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown reproduction keys {sorted(unknown)}")
     repro = where + "reproduction."
-    rc = ReproductionConfig(
-        environment=resolve(repro_raw.get("environment"), "reproduction.environment",
-                            optional=True),
-        starts=_typed(repro_raw.get("starts", []), list, repro + "starts", "a list of states"),
-        anchors=[_typed(a, dict, repro + "anchors", "a list of objects")
-                 for a in _typed(repro_raw.get("anchors", []), list, repro + "anchors",
-                                 "a list of objects")])
-    _coerce_scalars(rc, repro_raw, repro)
+    rc = ReproductionConfig(**_scalars(ReproductionConfig, repro_raw, repro),
+                            options=OptimizerOptions(**_scalars(OptimizerOptions, repro_raw,
+                                                                repro)))
+    rc.environment = resolve(repro_raw.get("environment"), "reproduction.environment",
+                             optional=True)
+    rc.starts = _typed(repro_raw.get("starts", []), list, repro + "starts", "a list of states")
+    if "start_sigma" in repro_raw:
+        _scalar(repro_raw, "start_sigma", float, repro, positive=True)
+    rc.anchors = [_anchor(_typed(a, dict, repro + "anchors", "a list of objects"),
+                          f"{repro}anchors[{i}].", rc.start_sigma)
+                  for i, a in enumerate(_typed(repro_raw.get("anchors", []), list,
+                                               repro + "anchors", "a list of objects"))]
     cfg.reproduction = rc
 
-    cfg.validate()
+    if cfg.grid_n < 1:
+        raise ConfigError("grid_n must be >= 1")
+    if cfg.align not in ("dtw", "none"):
+        raise ConfigError(f"align must be 'dtw' or 'none', got {cfg.align!r}")
+    for path in cfg.demos:
+        if not os.path.exists(path):
+            raise ConfigError(f"demo file not found: {path}")
+    for path in (cfg.environment, rc.environment):
+        if path is not None and not os.path.exists(path):
+            raise ConfigError(f"environment file not found: {path}")
     return cfg

@@ -237,31 +237,28 @@ def hinge_cost(d, params: WeightParams):
     return np.maximum(params.epsilon - d, 0.0)
 
 
-def _state_weights(states: np.ndarray, source, params: WeightParams) -> np.ndarray:
-    """Importance weights of state rows (n, D), D = dim or 2 dim, with one
-    batched distance query on the position components."""
-    if isinstance(source, SignedDistanceField):
-        dim, distance = source.dim, source.query
-    else:
-        dim, distance = source.dimension, lambda pos: signed_distance(source, pos)
+def _state_weights(states: np.ndarray, env: Environment, params: WeightParams) -> np.ndarray:
+    """Importance weights of state rows (n, D), D = dim or 2 dim, from the
+    exact distances of their position components."""
+    dim = env.dimension
     if states.ndim != 2 or states.shape[1] not in (dim, 2 * dim):
         raise ValueError(f"state of length {states.shape[1:]} incompatible with {dim}-D scene")
-    c = hinge_cost(distance(states[:, :dim]), params)
+    c = hinge_cost(signed_distance(env, states[:, :dim]), params)
     return np.exp(-c * c / (2.0 * params.sigma_obs ** 2))
 
 
-def importance_weight(x: np.ndarray, source, params: WeightParams) -> float:
+def importance_weight(x: np.ndarray, env: Environment, params: WeightParams) -> float:
     """exp(-c(x)^2 / (2 sigma_obs^2)) in (0, 1], with the distance taken on
     the position components of the state only."""
-    return float(_state_weights(np.asarray(x, dtype=float)[None, :], source, params)[0])
+    return float(_state_weights(np.asarray(x, dtype=float)[None, :], env, params)[0])
 
 
-def weight_trajectory(traj, source, params: WeightParams) -> np.ndarray:
-    """Per-node importance weights w(x_i), length N+1. `source` may be an
-    Environment, a SignedDistanceField, or None (all weights 1)."""
-    if source is None:
+def weight_trajectory(traj, env: Environment | None, params: WeightParams) -> np.ndarray:
+    """Per-node importance weights w(x_i), length N+1, against the exact
+    distances to the obstacles of scene `env`; all ones for `env` None."""
+    if env is None:
         return np.ones(traj.states.shape[0])
-    return _state_weights(traj.states, source, params)
+    return _state_weights(traj.states, env, params)
 
 
 def load_environment(path: str) -> Environment:
@@ -296,9 +293,6 @@ def environment_to_dict(env: Environment) -> dict:
 
 
 def scene_bounds(env: Environment, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned bounds enclosing all obstacles plus a margin; the margin
-    alone around the origin if the scene is empty."""
-    if not env.obstacles:
-        return (np.full(env.dimension, -margin), np.full(env.dimension, margin))
+    """Axis-aligned bounds enclosing all obstacles (at least one) plus a margin."""
     los, his = zip(*[obs.bounds() for obs in env.obstacles])
     return np.min(los, axis=0) - margin, np.max(his, axis=0) + margin

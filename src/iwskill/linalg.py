@@ -1,4 +1,4 @@
-"""Symmetric block-tridiagonal matrices: Cholesky factorization, solves, matvecs.
+"""Symmetric block-tridiagonal matrices: Cholesky factorization and solves.
 
 A symmetric block-tridiagonal matrix over n blocks of size d is stored as
     diag: (n, d, d)   diagonal blocks
@@ -57,17 +57,6 @@ class BlockTridiagCholesky:
         if not np.isfinite(b).all():
             raise np.linalg.LinAlgError("right-hand side has a NaN or infinite entry")
         return cho_solve_banded((self.band, True), b, check_finite=False)
-
-
-def block_tridiag_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = A x for stacked x of shape (n*d,)."""
-    n, d, _ = diag.shape
-    xb = x.reshape(n, d)
-    y = np.einsum("nij,nj->ni", diag, xb)
-    if n > 1:
-        y[1:] += np.einsum("nij,nj->ni", off, xb[:-1])
-        y[:-1] += np.einsum("nji,nj->ni", off, xb[1:])
-    return y.reshape(n * d)
 
 
 def block_tridiag_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

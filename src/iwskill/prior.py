@@ -81,7 +81,16 @@ class GaussianTrajectoryPrior:
         self.n_steps = model.n_steps
         self.means, self.covs = _moment_arrays(model, init)
         self.stds = np.sqrt(np.clip(np.diagonal(self.covs, axis1=1, axis2=2), 0.0, None))
-        self._assemble_precision()
+        # Information form of the Markov chain: `info` stacks P_0^-1 and each Q_i^-1.
+        # Interval i adds Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1)
+        # and -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0.
+        phi = np.ascontiguousarray(model.transition)
+        covs = np.concatenate([init.cov[None], model.Q])
+        self.info = np.linalg.inv(covs + _JITTER * np.eye(self.dim))
+        q_inv = self.info[1:]
+        self.prec_diag = self.info.copy()
+        self.prec_diag[:-1] += phi.transpose(0, 2, 1) @ q_inv @ phi
+        self.prec_off = -q_inv @ phi
 
     @property
     def times(self) -> np.ndarray:
@@ -91,27 +100,25 @@ class GaussianTrajectoryPrior:
     def stacked_mean(self) -> np.ndarray:
         return self.means.reshape(-1)
 
-    def _assemble_precision(self) -> None:
-        """Information form of the Markov chain: `info` stacks P_0^-1 and each Q_i^-1.
-        Interval i adds Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1)
-        and -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0."""
-        phi = np.ascontiguousarray(self.model.transition)
-        covs = np.concatenate([self.init.cov[None], self.model.Q])
-        self.info = np.linalg.inv(covs + _JITTER * np.eye(self.dim))
-        q_inv = self.info[1:]
-        diag = self.info.copy()
-        diag[:-1] += phi.transpose(0, 2, 1) @ q_inv @ phi
-        self.prec_diag = diag
-        self.prec_off = -q_inv @ phi
+    def _residuals(self, x: np.ndarray) -> np.ndarray:
+        """The start offset x_0 - mu_0 and each interval's dynamics residual
+        x_{i+1} - Phi_i x_i - u_i, stacked (N+1, D): `info` weighs each one."""
+        s = np.asarray(x, dtype=float).reshape(-1, self.dim)
+        return np.concatenate([s[:1] - self.means[:1], s[1:] - self.model.bias
+                               - np.einsum("nij,nj->ni", self.model.transition, s[:-1])])
 
     def quad_form(self, x: np.ndarray) -> float:
-        """(x - mu)^T K^{-1} (x - mu) summed as e^T info e over the start offset
-        x_0 - mu_0 and each interval's residual x_{i+1} - Phi_i x_i - u_i, which
-        avoids the cancellation between the large entries of K^{-1}."""
-        s = np.asarray(x, dtype=float).reshape(-1, self.dim)
-        e = np.concatenate([s[:1] - self.means[:1], s[1:] - self.model.bias
-                            - np.einsum("nij,nj->ni", self.model.transition, s[:-1])])
+        """(x - mu)^T K^{-1} (x - mu) summed as e^T info e over the residuals,
+        which avoids the cancellation between the large entries of K^{-1}."""
+        e = self._residuals(x)
         return float(np.einsum("ni,nij,nj->", e, self.info, e))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """K^{-1} (x - mu), the gradient of quad_form(x) / 2, from the same
+        residuals: node i gets info_i e_i - Phi_i^T info_{i+1} e_{i+1}."""
+        w = np.einsum("nij,nj->ni", self.info, self._residuals(x))
+        w[:-1] -= np.einsum("nji,nj->ni", self.model.transition, w[1:])
+        return w.reshape(-1)
 
     def dense_precision(self) -> np.ndarray:
         return block_tridiag_dense(self.prec_diag, self.prec_off)

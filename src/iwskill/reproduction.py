@@ -16,7 +16,7 @@ import numpy as np
 
 from .demos import StateTrajectory
 from .environment import NO_OBSTACLE_DISTANCE, SdfGridError, SignedDistanceField
-from .linalg import BlockTridiagCholesky, block_tridiag_matvec
+from .linalg import BlockTridiagCholesky
 from .prior import GaussianTrajectoryPrior
 from .utils import csv_text
 
@@ -30,35 +30,26 @@ LM_DAMPING_MAX = 1e12  # damping past this ends LM (a failed factorization raise
 
 @dataclass(frozen=True)
 class StateAnchor:
-    """Soft equality factor pinning node `index` to `target` with covariance
-    `sigma` (full D x D, or built from a scalar / diagonal)."""
+    """Soft equality factor pinning node `index` to `target` with standard
+    deviation `sigma` (a positive scalar) in every state component: its rows
+    are the offset x_index - target whitened by 1 / sigma."""
 
     index: int
     target: np.ndarray
-    sigma: np.ndarray
+    sigma: float
 
     def __post_init__(self):
-        target = np.asarray(self.target, dtype=float)
-        d = target.shape[0]
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim == 0:
-            sigma = float(sigma) ** 2 * np.eye(d)
-        elif sigma.ndim == 1:
-            sigma = np.diag(sigma.astype(float) ** 2)
-        if sigma.shape != (d, d):
-            raise ValueError("anchor sigma must be scalar, per-dimension, or D x D")
-        if np.any(np.linalg.eigvalsh((sigma + sigma.T) / 2.0) <= 0):
-            raise ValueError("anchor covariance must be positive definite")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "sigma", sigma)
-        # W = C^-1 for sigma = C C^T, so W^T W is the information sigma^-1
-        object.__setattr__(self, "whiten", np.linalg.inv(np.linalg.cholesky(sigma)))
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"anchor sigma must be a positive number, got {self.sigma!r}")
+        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
         object.__setattr__(self, "indices", np.array([self.index]))
 
     def linearize(self, states: np.ndarray) -> tuple:
-        """Whitened rows W (x_index - target), their node `index` and their Jacobian W."""
-        return (self.whiten @ (states[self.index] - self.target),
-                np.full(self.target.shape[0], self.index), self.whiten)
+        """Whitened rows (x_index - target) / sigma, their node `index` and
+        their Jacobian I / sigma."""
+        d = self.target.shape[0]
+        return ((states[self.index] - self.target) / self.sigma, np.full(d, self.index),
+                np.eye(d) / self.sigma)
 
 
 @dataclass(frozen=True)
@@ -69,8 +60,8 @@ class ObstacleFactor:
 
     indices: np.ndarray
     sdf: SignedDistanceField
-    eps_repro: float = 0.1
-    sigma_repro: float = 0.05
+    eps_repro: float
+    sigma_repro: float
 
     def __post_init__(self):
         indices = np.array(self.indices, dtype=int).reshape(-1)
@@ -96,7 +87,7 @@ class ObstacleFactor:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    max_iters: int = 100
+    max_iters: int = 200
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     lm_damping_init: float = 1e-4
@@ -111,10 +102,9 @@ class ReproductionProblem:
 
     def __post_init__(self):
         n = self.prior.n_steps
-        for f in self.factors:
-            for index in f.indices:
-                if not 0 <= index <= n:
-                    raise ValueError(f"factor index {index} outside 0..{n}")
+        bad = [i for f in self.factors for i in f.indices if not 0 <= i <= n]
+        if bad:
+            raise ValueError(f"factor index {bad[0]} outside 0..{n}")
 
 
 @dataclass
@@ -144,16 +134,6 @@ def _clearances(sdf: SignedDistanceField, nodes: np.ndarray, states: np.ndarray)
                            row=exc.row) from exc
 
 
-def obstacle_cost(state: np.ndarray, sdf: SignedDistanceField,
-                  eps_repro: float) -> tuple[float, np.ndarray]:
-    """Hinge collision cost hinge(d(p), eps_repro) of one state, on its
-    position components p, and its gradient: the one row of an obstacle
-    factor on that state at sigma_repro 1."""
-    r, _, jac = ObstacleFactor(indices=[0], sdf=sdf, eps_repro=eps_repro,
-                               sigma_repro=1.0).linearize(np.asarray(state, dtype=float)[None, :])
-    return float(r[0]), jac[0]
-
-
 def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> float:
     """0.5 * (prior Mahalanobis term + every factor's sum of squared rows)."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -164,18 +144,22 @@ def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> float
 def _gradient_and_gn_blocks(x: np.ndarray, problem: ReproductionProblem):
     """Gradient of the objective and the Gauss-Newton Hessian blocks.
 
-    The prior contributes its precision; each residual row r with Jacobian
-    row j on node i adds j r to the gradient and j j^T to block (i, i), so
-    the system stays block tridiagonal.
+    The prior contributes its gradient and precision; each residual row r
+    with Jacobian row j on node i adds j r to the gradient and j j^T to block
+    (i, i), so the system stays block tridiagonal. An overflow (an infinite
+    or NaN entry in either) raises SingularNormalEquationsError, unwarned.
     """
     prior = problem.prior
-    grad = block_tridiag_matvec(prior.prec_diag, prior.prec_off, x - prior.stacked_mean)
-    grad = grad.reshape(-1, prior.dim)
-    h_diag = prior.prec_diag.copy()
-    for f in problem.factors:
-        r, nodes, jac = f.linearize(x.reshape(-1, prior.dim))
-        np.add.at(grad, nodes, r[:, None] * jac)
-        np.add.at(h_diag, nodes, jac[:, :, None] * jac[:, None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = prior.gradient(x).reshape(-1, prior.dim)
+        h_diag = prior.prec_diag.copy()
+        for f in problem.factors:
+            r, nodes, jac = f.linearize(x.reshape(-1, prior.dim))
+            np.add.at(grad, nodes, r[:, None] * jac)
+            np.add.at(h_diag, nodes, jac[:, :, None] * jac[:, None, :])
+    if not (np.isfinite(grad).all() and np.isfinite(h_diag).all()):
+        raise SingularNormalEquationsError("normal equations not factorizable at damping 0: "
+                                           "NaN or infinite gradient or Gauss-Newton blocks")
     return grad.reshape(-1), h_diag
 
 
@@ -200,24 +184,25 @@ def optimize_map(problem: ReproductionProblem) -> Solution:
     max(1/3, 1 - (2 rho - 1)^3), rho being the actual decrease over the
     predicted 0.5 step^T (mu step - g); mu grows by 2, 4, 8, ... on
     consecutive rejected steps, and by 10 on a damped system that is not
-    positive definite or not finite, which past LM_DAMPING_MAX raises
-    SingularNormalEquationsError. `stop`: "gradient" (norm below abs_tol),
+    positive definite, which past LM_DAMPING_MAX raises
+    SingularNormalEquationsError; so does a gradient or an undamped system
+    that is not finite, at once. `stop`: "gradient" (norm below abs_tol),
     "step" (no longer than rel_tol * (||x|| + rel_tol); kept if it lowers
     the objective), "damping" (mu past LM_DAMPING_MAX after a rejection)
     or "max_iters" (the best iterate, not converged).
     """
     opts = problem.options
     x = problem.prior.stacked_mean.copy()
+    grad, h_diag = _gradient_and_gn_blocks(x, problem)
     obj = negative_log_posterior(x, problem)
-    history, grad, stop = [obj], None, "max_iters"
+    history, stop, iterations = [obj], "max_iters", 0
     damping, growth = opts.lm_damping_init, 2.0
-    iterations = 0
     while iterations < opts.max_iters:
         if grad is None:
             grad, h_diag = _gradient_and_gn_blocks(x, problem)
-            if np.linalg.norm(grad) < opts.abs_tol:
-                stop = "gradient"
-                break
+        if np.linalg.norm(grad) < opts.abs_tol:
+            stop = "gradient"
+            break
         while True:
             try:
                 step = BlockTridiagCholesky(h_diag + damping * np.eye(problem.prior.dim),

@@ -20,7 +20,7 @@ from iwskill.environment import (Environment, Sphere, WeightParams, build_sdf,
 from iwskill.incremental import IncrementalLearner, assimilate_demo, extract_map
 from iwskill.prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
                            sample_trajectories)
-from iwskill.reproduction import (ReproductionProblem, StateAnchor, obstacle_cost,
+from iwskill.reproduction import (ObstacleFactor, ReproductionProblem, StateAnchor,
                                   optimize_map)
 from iwskill.synthetic import (make_placing_scene, make_reaching_scene,
                                max_deviation_from_segment, path_length)
@@ -222,26 +222,26 @@ def test_acceptance_6_map_inference_oracle():
         a = rng.normal(scale=0.2, size=(dim, dim))
         init = GaussianState(mean=rng.normal(size=dim), cov=a @ a.T + 0.01 * np.eye(dim))
         prior = GaussianTrajectoryPrior(model, init)
-        anchors = [StateAnchor(index=0, target=rng.normal(size=dim), sigma=np.asarray(0.1)),
-                   StateAnchor(index=n_steps, target=rng.normal(size=dim),
-                               sigma=np.asarray(0.05))]
+        anchors = [StateAnchor(index=0, target=rng.normal(size=dim), sigma=0.1),
+                   StateAnchor(index=n_steps, target=rng.normal(size=dim), sigma=0.05)]
         solution = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
         lam = prior.dense_precision()
         rhs = lam @ prior.stacked_mean
         for f in anchors:
             sl = slice(f.index * dim, (f.index + 1) * dim)
-            info = np.linalg.inv(f.sigma)
-            lam[sl, sl] += info
-            rhs[sl] += info @ f.target
+            lam[sl, sl] += np.eye(dim) / f.sigma ** 2
+            rhs[sl] += f.target / f.sigma ** 2
         expected = np.linalg.solve(lam, rhs)
         assert solution.converged
         assert np.max(np.abs(solution.trajectory.states.reshape(-1) - expected)) <= 1e-6
 
-    # obstacle-cost gradients vs central finite differences on in-band states
+    # obstacle-cost gradients vs central finite differences on in-band states:
+    # the one row of an obstacle factor at sigma_repro 1 is the hinge cost
     env = Environment(dimension=2, obstacles=[Sphere(center=np.array([0.5, 0.0]),
                                                      radius=0.2)])
     sdf = build_sdf(env, [-0.5, -1.0], [1.5, 1.0], resolution=0.02)
     eps = 0.15
+    factor = ObstacleFactor(indices=[0], sdf=sdf, eps_repro=eps, sigma_repro=1.0)
     h = 1e-7
     checked = 0
     while checked < 1000:
@@ -252,14 +252,14 @@ def test_acceptance_6_map_inference_oracle():
         if np.any(frac < 0.03) or np.any(frac > 0.97):
             continue
         state = np.concatenate([pos, rng.normal(size=2)])
-        cost, grad = obstacle_cost(state, sdf, eps)
+        [cost], _, [grad] = factor.linearize(state[None, :])
         if not 0.05 * eps < cost < 0.95 * eps:
             continue  # keep clear of the hinge kink
         for kdim in range(2):
             e = np.zeros(4)
             e[kdim] = h
-            fd = (obstacle_cost(state + e, sdf, eps)[0]
-                  - obstacle_cost(state - e, sdf, eps)[0]) / (2 * h)
+            fd = (factor.linearize((state + e)[None, :])[0][0]
+                  - factor.linearize((state - e)[None, :])[0][0]) / (2 * h)
             assert abs(grad[kdim] - fd) <= 1e-4 * max(abs(fd), 1e-3)
         checked += 1
     _report(6, "anchors-only MAP matches dense conditioning to 1e-6; obstacle "
@@ -287,7 +287,7 @@ def test_acceptance_7_reaching_analogue():
     new_start = np.array([0.0, 0.5, 3.0, 1.0])
     lengths = {}
     for name, prior in (("weighted", prior_w), ("unweighted", prior_u)):
-        anchor = StateAnchor(index=0, target=new_start, sigma=np.asarray(1e-3))
+        anchor = StateAnchor(index=0, target=new_start, sigma=1e-3)
         solution = optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
         assert solution.converged
         assert solution.feasible and solution.min_clearance >= 1e6  # no obstacles

@@ -391,12 +391,14 @@ class TestExitCodes:
 
     def test_unfactorizable_normal_equations_are_numerical_failure(self, scene_dir, tmp_path,
                                                                    capsys):
-        # the anchor's information 1/start_sigma^2 = 1e320 overflows to inf
+        # the anchor's information 1/start_sigma^2 = 1e320 overflows to inf:
+        # LM stops before its first step, and numpy prints no warning
         code = _reproduce_in_displaced_scene(scene_dir, tmp_path, {"start_sigma": 1e-160})
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure: normal equations not factorizable at damping" in err
         assert "NaN or infinite" in err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_diverging_prior_is_numerical_failure(self, scene_dir, tmp_path, capsys):
         root, _ = scene_dir

@@ -32,10 +32,10 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
     assert (cfg.grid_n, cfg.alpha, cfg.seed, cfg.rollout_samples) == (12, 3.0, 4, 2)
     assert type(cfg.grid_n) is int and type(cfg.alpha) is float
     rc = cfg.reproduction
-    assert (rc.start_sigma, rc.max_iters, rc.tol_clear) == (1.0, 7, 0.5)
-    assert type(rc.start_sigma) is float and type(rc.max_iters) is int
+    assert (rc.start_sigma, rc.options.max_iters, rc.options.tol_clear) == (1.0, 7, 0.5)
+    assert type(rc.start_sigma) is float and type(rc.options.max_iters) is int
     assert rc.starts == [[0.0, 1.0]] and rc.anchors == [] and rc.environment is None
-    assert (rc.eps_repro, rc.abs_tol) == (0.1, 1e-8)  # untouched defaults
+    assert (rc.eps_repro, rc.options.abs_tol) == (0.1, 1e-8)  # untouched defaults
 
 
 @pytest.mark.parametrize("raw,message", [
@@ -65,6 +65,27 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
     ({"init_state": {"mean": [0.0]}}, "init_state.cov is missing"),
     ({"init_state": {"mean": [0.0], "cov": [[-1.0]]}},
      "init_state.cov must be a positive semi-definite matrix, got [[-1.0]]"),
+    ({"reproduction": {"start_sigma": -0.001}},
+     "reproduction.start_sigma must be a positive number, got -0.001"),
+    ({"reproduction": {"start_sigma": 0}},
+     "reproduction.start_sigma must be a positive number, got 0"),
+    ({"reproduction": {"start_sigma": 1e999}},
+     "reproduction.start_sigma must be a positive number, got inf"),
+    ({"reproduction": {"anchors": [{"index": 3, "state": [0.0], "sigma": 0}]}},
+     "reproduction.anchors[0].sigma must be a positive number, got 0"),
+    ({"reproduction": {"anchors": [{"index": 3, "state": [0.0], "sigma": [0.1]}]}},
+     "reproduction.anchors[0].sigma must be a number, got [0.1]"),
+    ({"reproduction": {"anchors": [{"index": 3, "state": [0.0]},
+                                   {"index": [1], "state": [0.0]}]}},
+     "reproduction.anchors[1].index must be an int, got [1]"),
+    ({"reproduction": {"anchors": [{"state": [0.0]}]}},
+     "reproduction.anchors[0].index must be an int, got None"),
+    ({"reproduction": {"anchors": [{"index": 3, "state": 0.5}]}},
+     "reproduction.anchors[0].state must be a list of numbers, got 0.5"),
+    ({"reproduction": {"anchors": [{"index": 3, "state": [0.0, "x"]}]}},
+     "reproduction.anchors[0].state must be a list of numbers, got [0.0, 'x']"),
+    ({"reproduction": {"start_sigma": -1.0, "anchors": [{"index": 3, "state": [0.0]}]}},
+     "reproduction.start_sigma must be a positive number, got -1.0"),
 ])
 def test_malformed_value_names_its_key(tmp_path, raw, message):
     path = str(tmp_path / "cfg.json")
@@ -72,6 +93,15 @@ def test_malformed_value_names_its_key(tmp_path, raw, message):
         json.dump(raw, fh)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         load_config(path)
+
+
+def test_anchors_take_start_sigma_by_default(tmp_path):
+    path = str(tmp_path / "cfg.json")
+    write_json(path, {"reproduction": {"start_sigma": 0.25, "anchors": [
+        {"index": 4, "state": [1, 2.5]}, {"index": 7.0, "state": [0.0, 0.0], "sigma": 1e-3}]}})
+    a, b = load_config(path).reproduction.anchors
+    assert (a.index, a.sigma, b.index, b.sigma) == (4, 0.25, 7, 1e-3)
+    assert a.target.dtype == float and a.target.tolist() == [1.0, 2.5]
 
 
 def test_config_must_be_an_object(tmp_path):

@@ -364,25 +364,6 @@ class TestWeights:
         order = np.argsort(d)
         assert np.all(np.diff(w[order]) >= -1e-15)
 
-    def test_weights_from_sdf_match_exact_distances(self, two_obstacle_env):
-        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.02)
-        params = WeightParams(epsilon=0.4, sigma_obs=0.2)
-        xs = np.linspace(-1.5, 3.5, 9)
-        states = np.stack([xs, np.full_like(xs, 1.8), np.ones_like(xs), np.zeros_like(xs)],
-                          axis=1)
-        traj = StateTrajectory(dt=0.1, states=states)
-        w_sdf = weight_trajectory(traj, sdf, params)
-        w_env = weight_trajectory(traj, two_obstacle_env, params)
-        # interpolation error in d perturbs the weight by at most ~res/sigma
-        np.testing.assert_allclose(w_sdf, w_env, atol=0.05)
-
-    def test_weight_trajectory_outside_sdf_bounds(self, two_obstacle_env):
-        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.5)
-        states = np.array([[0.0, 0.0, 0.0, 0.0], [9.0, 0.0, 0.0, 0.0]])
-        traj = StateTrajectory(dt=0.1, states=states)
-        with pytest.raises(ValueError, match="outside SDF bounds"):
-            weight_trajectory(traj, sdf, WeightParams())
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             WeightParams(epsilon=-0.1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwskill.batch import SkillModel, learn_batch_weighted
 from iwskill.demos import DemoSet, estimate_states
@@ -7,7 +9,7 @@ from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf, we
 from iwskill.prior import GaussianState, GaussianTrajectoryPrior, initial_state_distribution
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                                   SingularNormalEquationsError, Solution, StateAnchor,
-                                  negative_log_posterior, obstacle_cost, optimize_map,
+                                  _gradient_and_gn_blocks, negative_log_posterior, optimize_map,
                                   solution_csv, solution_summary)
 from iwskill.synthetic import make_reaching_scene
 
@@ -15,17 +17,59 @@ from test_prior import random_init, random_model
 
 
 def dense_map_oracle(prior, anchors):
-    """Closed-form MAP for anchors-only problems, solved densely in
-    information form."""
+    """MAP of an anchors-only problem: the least-squares solution of the
+    stacked whitened rows, the prior's start row W_0 (x_0 - mu_0), each
+    interval's dynamics rows W_{i+1} (x_{i+1} - Phi_i x_i - u_i) and each
+    anchor's rows (x_index - target) / sigma, with W_k^T W_k = info_k. It
+    never forms the information matrix, whose entries reach 1e10 on learned
+    priors."""
+    n, d = prior.n_steps + 1, prior.dim
+    w = np.linalg.cholesky(prior.info).transpose(0, 2, 1)
+    rows = np.zeros(((n + len(anchors)) * d, n * d))
+    rhs = np.zeros(rows.shape[0])
+    rows[:d, :d], rhs[:d] = w[0], w[0] @ prior.means[0]
+    for i in range(n - 1):
+        r = slice((i + 1) * d, (i + 2) * d)
+        rows[r, (i + 1) * d:(i + 2) * d] = w[i + 1]
+        rows[r, i * d:(i + 1) * d] = -w[i + 1] @ prior.model.transition[i]
+        rhs[r] = w[i + 1] @ prior.model.bias[i]
+    for k, a in enumerate(anchors):
+        r = slice((n + k) * d, (n + k + 1) * d)
+        rows[r, a.index * d:(a.index + 1) * d] = np.eye(d) / a.sigma
+        rhs[r] = a.target / a.sigma
+    return np.linalg.lstsq(rows, rhs, rcond=None)[0]
+
+
+def start_only_closed_form(prior, anchor):
+    """MAP with one anchor on node 0: the start's Gaussian posterior, rolled
+    through the dynamics (every dynamics residual is zero)."""
+    info0 = prior.info[0]
     d = prior.dim
-    lam = prior.dense_precision()
-    rhs = lam @ prior.stacked_mean
-    for a in anchors:
-        sl = slice(a.index * d, (a.index + 1) * d)
-        info = np.linalg.inv(a.sigma)
-        lam[sl, sl] += info
-        rhs[sl] += info @ a.target
-    return np.linalg.solve(lam, rhs)
+    states = [np.linalg.solve(info0 + np.eye(d) / anchor.sigma ** 2,
+                              info0 @ prior.means[0] + anchor.target / anchor.sigma ** 2)]
+    for phi, u in zip(prior.model.transition, prior.model.bias):
+        states.append(phi @ states[-1] + u)
+    return np.concatenate(states)
+
+
+def hinge_row(state, sdf, eps_repro):
+    """The one row of an obstacle factor on `state` at sigma_repro 1, and its
+    Jacobian row: the hinge max(eps_repro - d, 0) and its gradient."""
+    r, _, jac = ObstacleFactor(indices=[0], sdf=sdf, eps_repro=eps_repro,
+                               sigma_repro=1.0).linearize(np.asarray(state)[None, :])
+    return float(r[0]), jac[0]
+
+
+def reaching_prior(seed, grid_n, weighted=True):
+    """Prior of the reaching scene's batch-learned model, started from the
+    demos' start states, and the demos' states (K, N+1, D)."""
+    scene = make_reaching_scene(seed=seed)
+    demo_set = DemoSet(demos=[estimate_states(d, grid_n) for d in scene.raw_demos])
+    env = scene.env if weighted else None
+    model = learn_batch_weighted(demo_set, [weight_trajectory(t, env, scene.weight_params)
+                                            for t in demo_set.demos])
+    return (GaussianTrajectoryPrior(model, initial_state_distribution(demo_set)),
+            np.stack([t.states for t in demo_set.demos]))
 
 
 def conditional_given_start(prior, x0):
@@ -46,7 +90,7 @@ def disc_sdf():
 
 class TestObstacleCost:
     def test_far_state_is_free(self, disc_sdf):
-        cost, grad = obstacle_cost(np.array([1.8, 0.8, 0.0, 0.0]), disc_sdf, eps_repro=0.1)
+        cost, grad = hinge_row(np.array([1.8, 0.8, 0.0, 0.0]), disc_sdf, eps_repro=0.1)
         assert cost == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -54,7 +98,7 @@ class TestObstacleCost:
         eps = 0.1
         # place the position at distance eps/2 from the surface
         state = np.array([0.5 + 0.2 + eps / 2, 0.0, 0.0, 0.0])
-        cost, grad = obstacle_cost(state, disc_sdf, eps_repro=eps)
+        cost, grad = hinge_row(state, disc_sdf, eps_repro=eps)
         assert cost == pytest.approx(eps / 2, abs=2e-3)  # SDF interpolation error
         assert np.any(grad[:2] != 0.0)
         np.testing.assert_array_equal(grad[2:], 0.0)
@@ -72,21 +116,21 @@ class TestObstacleCost:
             if np.any(frac < 0.03) or np.any(frac > 0.97):
                 continue
             state = np.concatenate([pos, rng.normal(size=2)])
-            cost, grad = obstacle_cost(state, disc_sdf, eps)
+            cost, grad = hinge_row(state, disc_sdf, eps)
             if not 0.01 * eps < cost < 0.99 * eps:
                 continue  # stay away from the hinge kink
             for k in range(2):
                 e = np.zeros(4)
                 e[k] = h
-                c_hi, _ = obstacle_cost(state + e, disc_sdf, eps)
-                c_lo, _ = obstacle_cost(state - e, disc_sdf, eps)
+                c_hi, _ = hinge_row(state + e, disc_sdf, eps)
+                c_lo, _ = hinge_row(state - e, disc_sdf, eps)
                 fd = (c_hi - c_lo) / (2 * h)
                 assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
             checked += 1
 
     def test_out_of_bounds(self, disc_sdf):
         with pytest.raises(ValueError, match="outside"):
-            obstacle_cost(np.array([5.0, 5.0, 0.0, 0.0]), disc_sdf, 0.1)
+            hinge_row(np.array([5.0, 5.0, 0.0, 0.0]), disc_sdf, 0.1)
 
 
 class TestNegativeLogPosterior:
@@ -99,15 +143,15 @@ class TestNegativeLogPosterior:
     def test_anchor_at_its_own_mean(self):
         rng = np.random.default_rng(2)
         prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
-        anchor = StateAnchor(index=2, target=prior.means[2].copy(), sigma=np.asarray(0.1))
+        anchor = StateAnchor(index=2, target=prior.means[2].copy(), sigma=0.1)
         problem = ReproductionProblem(prior=prior, factors=[anchor])
         assert negative_log_posterior(prior.stacked_mean, problem) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_evaluation(self):
         rng = np.random.default_rng(3)
         prior = GaussianTrajectoryPrior(random_model(rng, n_steps=4), random_init(rng))
-        anchors = [StateAnchor(index=0, target=rng.normal(size=2), sigma=np.asarray(0.3)),
-                   StateAnchor(index=4, target=rng.normal(size=2), sigma=np.asarray(0.05))]
+        anchors = [StateAnchor(index=0, target=rng.normal(size=2), sigma=0.3),
+                   StateAnchor(index=4, target=rng.normal(size=2), sigma=0.05)]
         problem = ReproductionProblem(prior=prior, factors=anchors)
         lam = prior.dense_precision()
         for _ in range(5):
@@ -116,7 +160,7 @@ class TestNegativeLogPosterior:
             expected = 0.5 * r @ lam @ r
             for a in anchors:
                 ra = x[a.index * 2:(a.index + 1) * 2] - a.target
-                expected += 0.5 * ra @ np.linalg.solve(a.sigma, ra)
+                expected += 0.5 * ra @ ra / a.sigma ** 2
             assert negative_log_posterior(x, problem) == pytest.approx(expected, rel=1e-9)
 
     def test_obstacle_factor_only_penalizes_collision(self, disc_sdf):
@@ -157,7 +201,7 @@ class TestObstacleFactorBatch:
             expected = 0.5 * prior.quad_form(x)
             active = 0
             for i in range(9):
-                c, _ = obstacle_cost(x[4 * i:4 * i + 4], disc_sdf, 0.15)
+                c, _ = hinge_row(x[4 * i:4 * i + 4], disc_sdf, 0.15)
                 expected += 0.5 * c * c / 0.05 ** 2
                 active += c > 0
             assert active > 0
@@ -166,7 +210,7 @@ class TestObstacleFactorBatch:
     def test_subset_of_nodes(self, prior, disc_sdf):
         x = np.tile([0.5, 0.1, 0.0, 0.0], 9)  # every node is inside the disc's band
         base = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[]))
-        c, _ = obstacle_cost(x[:4], disc_sdf, 0.1)
+        c, _ = hinge_row(x[:4], disc_sdf, 0.1)
         for nodes in ([4], [0, 8], range(9)):
             factor = ObstacleFactor(indices=nodes, sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
             got = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[factor]))
@@ -174,7 +218,7 @@ class TestObstacleFactorBatch:
                                         rel=1e-12)
 
     def test_off_grid_node_is_named(self, prior, disc_sdf):
-        factor = ObstacleFactor(indices=range(9), sdf=disc_sdf)
+        factor = ObstacleFactor(indices=range(9), sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
         x = np.tile([0.5, 0.6, 0.0, 0.0], 9)
         x[4 * 6] = 7.0
         with pytest.raises(SdfGridError, match=r"node 6 left the SDF grid: query \[7.0, 0.6\]"):
@@ -182,10 +226,10 @@ class TestObstacleFactorBatch:
 
     def test_index_validation(self, prior, disc_sdf):
         with pytest.raises(ValueError, match="distinct"):
-            ObstacleFactor(indices=[1, 2, 1], sdf=disc_sdf)
+            ObstacleFactor(indices=[1, 2, 1], sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
         with pytest.raises(ValueError, match="factor index 9 outside"):
-            ReproductionProblem(prior=prior,
-                                factors=[ObstacleFactor(indices=range(10), sdf=disc_sdf)])
+            ReproductionProblem(prior=prior, factors=[ObstacleFactor(
+                indices=range(10), sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)])
 
 
 class TestOptimizeMap:
@@ -203,8 +247,8 @@ class TestOptimizeMap:
             n = int(rng.integers(3, 10))
             prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=n),
                                       random_init(rng, dim=2))
-            anchors = [StateAnchor(index=0, target=rng.normal(size=2), sigma=np.asarray(0.1)),
-                       StateAnchor(index=n, target=rng.normal(size=2), sigma=np.asarray(0.2))]
+            anchors = [StateAnchor(index=0, target=rng.normal(size=2), sigma=0.1),
+                       StateAnchor(index=n, target=rng.normal(size=2), sigma=0.2)]
             sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
             expected = dense_map_oracle(prior, anchors)
             assert sol.converged
@@ -216,27 +260,30 @@ class TestOptimizeMap:
         # anchors-only MAP is a quadratic problem: the first damped
         # Gauss-Newton step lands next to the optimum and the step-norm
         # stop ends LM right after it
-        scene = make_reaching_scene(seed=seed)
-        demo_set = DemoSet(demos=[estimate_states(d, grid_n) for d in scene.raw_demos])
-        model = learn_batch_weighted(demo_set, [weight_trajectory(t, scene.env,
-                                                                  scene.weight_params)
-                                                for t in demo_set.demos])
-        prior = GaussianTrajectoryPrior(model, initial_state_distribution(demo_set))
-        states = np.stack([t.states for t in demo_set.demos])
+        prior, states = reaching_prior(seed, grid_n)
         mix = np.random.default_rng(seed).dirichlet(np.ones(states.shape[0]))
-        anchors = [StateAnchor(index=0, target=mix @ states[:, 0], sigma=np.asarray(1e-3)),
-                   StateAnchor(index=grid_n, target=mix @ states[:, -1], sigma=np.asarray(1e-3))]
+        anchors = [StateAnchor(index=0, target=mix @ states[:, 0], sigma=1e-3),
+                   StateAnchor(index=grid_n, target=mix @ states[:, -1], sigma=1e-3)]
         sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
         assert sol.stop == "step" and sol.iterations <= 3
         np.testing.assert_allclose(sol.trajectory.states.reshape(-1),
                                    dense_map_oracle(prior, anchors), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_oracle_matches_start_only_closed_form(self, weighted):
+        # the committed reaching reproduction (results/reaching): 60 nodes,
+        # a start anchor at sigma 1e-3; an information-form solve is 1e-4 off
+        prior, _ = reaching_prior(0, 60, weighted)
+        anchor = StateAnchor(index=0, target=np.array([0.0, 0.5, 3.0, 1.0]), sigma=1e-3)
+        np.testing.assert_allclose(dense_map_oracle(prior, [anchor]),
+                                   start_only_closed_form(prior, anchor), rtol=0, atol=1e-8)
 
     def test_tight_start_anchor_matches_gaussian_conditioning(self):
         rng = np.random.default_rng(6)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=8),
                                   random_init(rng, dim=2))
         new_start = prior.means[0] + np.array([0.3, -0.2])
-        anchor = StateAnchor(index=0, target=new_start, sigma=np.asarray(1e-7))
+        anchor = StateAnchor(index=0, target=new_start, sigma=1e-7)
         sol = optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
         expected = conditional_given_start(prior, new_start)
         np.testing.assert_allclose(sol.trajectory.states.reshape(-1), expected, atol=1e-5)
@@ -250,8 +297,8 @@ class TestOptimizeMap:
         prior = GaussianTrajectoryPrior(model, GaussianState(mean=np.array([0.5]),
                                                        cov=np.array([[p0]])))
         t0, t1, s0, s1 = -0.2, 1.4, 0.3, 0.15
-        anchors = [StateAnchor(index=0, target=np.array([t0]), sigma=np.asarray(s0)),
-                   StateAnchor(index=1, target=np.array([t1]), sigma=np.asarray(s1))]
+        anchors = [StateAnchor(index=0, target=np.array([t0]), sigma=s0),
+                   StateAnchor(index=1, target=np.array([t1]), sigma=s1)]
         sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
         lam_prior = np.array([[1 / p0 + phi ** 2 / q, -phi / q], [-phi / q, 1 / q]])
         mu = np.array([0.5, phi * 0.5 + u])
@@ -267,7 +314,7 @@ class TestOptimizeMap:
         prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=5),
                                   random_init(rng, dim=2))
         target = prior.means[3] + np.array([0.5, 0.4])
-        anchor = StateAnchor(index=3, target=target, sigma=np.asarray(sigma))
+        anchor = StateAnchor(index=3, target=target, sigma=sigma)
         sol = optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
         scale = 1.0 + float(np.linalg.norm(target))
         assert np.linalg.norm(sol.trajectory.states[3] - target) <= 10 * sigma * scale
@@ -280,7 +327,7 @@ class TestOptimizeMap:
         factors = [ObstacleFactor(indices=range(7), sdf=disc_sdf, eps_repro=0.12,
                                   sigma_repro=0.05)]
         factors.append(StateAnchor(index=0, target=np.array([0.1, -0.3, 0.0, 0.0]),
-                                   sigma=np.asarray(1e-3)))
+                                   sigma=1e-3))
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
         assert len(sol.objective_history) >= 2
         assert np.all(np.diff(sol.objective_history) <= 0)
@@ -290,7 +337,7 @@ class TestOptimizeMap:
         prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=5),
                                   random_init(rng, dim=2))
         anchors = [StateAnchor(index=5, target=rng.normal(size=2) + 5.0,
-                               sigma=np.asarray(1e-6))]
+                               sigma=1e-6)]
         opts = OptimizerOptions(max_iters=1, lm_damping_init=1e6)
         sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors, options=opts))
         assert not sol.converged and sol.stop == "max_iters"
@@ -300,19 +347,20 @@ class TestOptimizeMap:
         rng = np.random.default_rng(11)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=5), random_init(rng, 2))
         prior.prec_diag[2] -= 1e14 * np.eye(2)  # no damping up to 1e12 makes this PD
-        anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=np.asarray(0.1))
+        anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=0.1)
         with pytest.raises(SingularNormalEquationsError,
                            match="at damping 1.0e\\+13: .*not positive definite"):
             optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
 
     def test_overflowing_anchor_information_raises(self):
-        # sigma^2 = 1e-320 is a positive subnormal, so the anchor is valid,
-        # but its information 1e320 overflows the normal equations
+        # sigma 1e-160 is a valid anchor, but its information 1e320
+        # overflows the gradient and the Gauss-Newton blocks: LM stops at
+        # once, before any step, and numpy warns of nothing
         rng = np.random.default_rng(12)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=5), random_init(rng, 2))
-        anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=np.asarray(1e-160))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(SingularNormalEquationsError, match="NaN or infinite"):
+        anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=1e-160)
+        with pytest.raises(SingularNormalEquationsError,
+                           match="at damping 0: NaN or infinite gradient or Gauss-Newton"):
             optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
 
     def test_factor_index_validation(self):
@@ -321,7 +369,7 @@ class TestOptimizeMap:
         with pytest.raises(ValueError, match="outside"):
             ReproductionProblem(prior=prior,
                                 factors=[StateAnchor(index=7, target=np.zeros(2),
-                                                     sigma=np.asarray(0.1))])
+                                                     sigma=0.1)])
 
     def test_infeasible_solution_flagged(self, disc_sdf):
         # anchor a node deep inside the obstacle with huge confidence; the
@@ -331,7 +379,7 @@ class TestOptimizeMap:
         prior = GaussianTrajectoryPrior(model, GaussianState(
             mean=np.array([0.5, 0.0, 0.0, 0.0]), cov=1e-6 * np.eye(4)))
         factors = [StateAnchor(index=i, target=np.array([0.5, 0.0, 0.0, 0.0]),
-                               sigma=np.asarray(1e-6)) for i in range(3)]
+                               sigma=1e-6) for i in range(3)]
         factors.append(ObstacleFactor(indices=[1], sdf=disc_sdf, eps_repro=0.1, sigma_repro=1.0))
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
         assert not sol.feasible
@@ -347,6 +395,24 @@ class TestOptimizeMap:
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
         assert sol.feasible
         assert sol.min_clearance >= 0.1 - 0.01
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 4), n_steps=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_matches_central_differences(dim, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    prior = GaussianTrajectoryPrior(random_model(rng, dim=dim, n_steps=n_steps),
+                                    random_init(rng, dim))
+    anchors = [StateAnchor(index=int(rng.integers(0, n_steps + 1)), target=rng.normal(size=dim),
+                           sigma=float(rng.uniform(0.05, 1.0))) for _ in range(2)]
+    problem = ReproductionProblem(prior=prior, factors=anchors)
+    x = prior.stacked_mean + rng.normal(scale=0.1, size=prior.stacked_mean.size)
+    grad, _ = _gradient_and_gn_blocks(x, problem)
+    h = 1e-5
+    fd = np.array([(negative_log_posterior(x + h * e, problem)
+                    - negative_log_posterior(x - h * e, problem)) / (2 * h)
+                   for e in np.eye(x.size)])
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 
 def test_solution_exports():
