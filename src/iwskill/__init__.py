@@ -12,8 +12,8 @@ from .batch import (SingularSystemError, SkillModel, effective_sample_size, fit_
 from .demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, estimate_states,
                     fit_cubic_spline, load_raw_demo, save_raw_demo)
 from .environment import (Box, Environment, SdfGridError, SignedDistanceField, Sphere, WeightParams,
-                          build_sdf, hinge_cost, importance_weight, load_environment,
-                          signed_distance, weight_trajectory)
+                          build_sdf, hinge_cost, load_environment, signed_distance,
+                          weight_trajectory)
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
 from .prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,

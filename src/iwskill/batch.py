@@ -20,7 +20,7 @@ Q_MIN = 1e-6
 
 
 class SingularSystemError(RuntimeError):
-    """Unregularized normal equations are rank deficient."""
+    """An interval's linear system is not finite or not positive definite."""
 
 
 class DegenerateWeightsWarning(UserWarning):
@@ -69,9 +69,13 @@ class SkillModel:
 def solve_intervals(a: np.ndarray, b: np.ndarray, what: str,
                     rank_tol: float = 0.0) -> np.ndarray:
     """x[i] with x[i] a[i] = b[i] for SPD a (N, n, n) and b (N, m, n), by one
-    Cholesky factor per interval. Raises SingularSystemError naming the
-    interval and `what` when a[i] is not positive definite, or when its
-    smallest Cholesky pivot is at most rank_tol times its largest."""
+    Cholesky factor per interval. Raises SingularSystemError naming the first
+    interval whose system is not finite, or the interval and `what` when a[i]
+    is not positive definite or its smallest Cholesky pivot is at most
+    rank_tol times its largest."""
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    if not finite.all():
+        raise SingularSystemError(f"interval {np.argmin(finite)}: system not finite (overflow)")
     x = np.empty(b.shape)
     for i in range(a.shape[0]):
         try:
@@ -117,15 +121,14 @@ def fit_intervals(inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
     if y.ndim != 3 or x.shape != (n, d + 1, k) or w.shape != (n, k) or np.any(w <= 0):
         raise ValueError(f"need inputs (N, D+1, K), targets (N, D, K) and strictly positive "
                          f"weights (N, K); got {x.shape}, {y.shape} and {w.shape}")
-    if lam is None:
-        ridge = 1e-10 * np.sum(w * np.sum(x ** 2, axis=1), axis=1) / (d + 1)
-    elif lam < 0:
+    if lam is not None and lam < 0:
         raise ValueError("ridge coefficient must be >= 0")
-    else:
-        ridge = np.full(n, float(lam))
     xt = x.transpose(0, 2, 1)
-    gram = (x * w[:, None, :]) @ xt + ridge[:, None, None] * np.eye(d + 1)
-    cross = (y * w[:, None, :]) @ xt
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_intervals names an overflow
+        ridge = (np.full(n, float(lam)) if lam is not None
+                 else 1e-10 * np.sum(w * np.sum(x ** 2, axis=1), axis=1) / (d + 1))
+        gram = (x * w[:, None, :]) @ xt + ridge[:, None, None] * np.eye(d + 1)
+        cross = (y * w[:, None, :]) @ xt
     phi = solve_intervals(gram, cross,
                           f"normal equations singular (lam={lam}); K={k} demonstrations "
                           f"cannot determine a {d}x{d + 1} map",

@@ -36,17 +36,18 @@ EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def _read_demo(path: str) -> dm.RawDemo:
+def _read(load, what: str, path: str):
+    """`load(path)`, or a ConfigError naming the `what` file it failed to read."""
     try:
-        return dm.load_raw_demo(path)
-    except (ValueError, KeyError, OSError) as exc:
-        raise ConfigError(f"failed to read demo {path}: {exc}") from exc
+        return load(path)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        raise ConfigError(f"failed to read {what} {path}: {exc}") from exc
 
 
 def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
     if not cfg.demos:
         raise ConfigError("no demo files configured")
-    raw = [_read_demo(p) for p in cfg.demos]
+    raw = [_read(dm.load_raw_demo, "demo", p) for p in cfg.demos]
     if cfg.align == "dtw":
         if cfg.dtw_reference is not None and not 0 <= cfg.dtw_reference < len(raw):
             raise ConfigError(f"dtw_reference must index one of the {len(raw)} demos "
@@ -59,8 +60,8 @@ def _demo_weights(cfg: PipelineConfig, trajs: list, env_path: str | None,
                   no_weighting: bool) -> list:
     """Per-node weights of each trajectory against the scene at `env_path`;
     all ones with `--no-weighting` or without a scene."""
-    env = None if no_weighting or env_path is None else load_environment(env_path)
-    return [weight_trajectory(t, env, cfg.weights) for t in trajs]
+    env = None if no_weighting or env_path is None else _read(load_environment, "scene", env_path)
+    return [weight_trajectory(t.states, env, cfg.weights) for t in trajs]
 
 
 def _write_weights(cfg: PipelineConfig, weights: list) -> None:
@@ -125,7 +126,7 @@ def cmd_learn(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_assimilate(cfg: PipelineConfig, args) -> int:
-    traj = dm.estimate_states(_read_demo(args.demo), cfg.grid_n)
+    traj = dm.estimate_states(_read(dm.load_raw_demo, "demo", args.demo), cfg.grid_n)
 
     if os.path.exists(args.checkpoint):
         try:
@@ -175,14 +176,15 @@ def cmd_rollout(cfg: PipelineConfig, args) -> int:
     if cfg.rollout_samples > 0:
         samples = sample_trajectories(prior, cfg.rollout_samples, seed=cfg.seed)
         header = ["sample", "t"] + [f"x_{j + 1}" for j in range(prior.dim)]
-        table = np.concatenate([np.column_stack([traj.times, traj.states]) for traj in samples])
-        labels = [str(si) for si, traj in enumerate(samples) for _ in range(traj.n_steps + 1)]
+        table = np.column_stack([np.tile(prior.times, len(samples)),
+                                 samples.reshape(-1, prior.dim)])
+        labels = [str(si) for si in range(len(samples)) for _ in prior.times]
         atomic_write_text(os.path.join(cfg.out_dir, "samples.csv"),
                           csv_text(header, table, labels))
-    env = load_environment(cfg.environment) if cfg.environment else None
+    env = _read(load_environment, "scene", cfg.environment) if cfg.environment else None
     scene = _band_scene(prior, env)
-    for traj in samples:
-        scene.polyline(_plane(prior, traj.states), color="#9467bd", width=1.0, opacity=0.5)
+    for states in samples:
+        scene.polyline(_plane(prior, states), color="#9467bd", width=1.0, opacity=0.5)
     scene.polyline(_plane(prior, prior.means), color="#1f77b4", width=2.5)
     atomic_write_text(os.path.join(cfg.out_dir, "rollout.svg"), scene.render())
     print(f"rolled out prior over {prior.n_steps} steps -> {cfg.out_dir}")
@@ -194,8 +196,12 @@ def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, e
     reproduction scene has obstacles."""
     rc = cfg.reproduction
     factors = list(rc.anchors)
-    if any(a.target.shape != (prior.dim,) for a in factors):
-        raise ConfigError(f"anchor state must have dimension {prior.dim}")
+    for i, a in enumerate(factors):
+        where = f"reproduction.anchors[{i}]"
+        if a.target.shape != (prior.dim,):
+            raise ConfigError(f"{where}.state must have dimension {prior.dim}")
+        if not 0 <= a.index <= prior.n_steps:
+            raise ConfigError(f"{where}.index must be a node 0..{prior.n_steps}, got {a.index}")
     if env is not None and env.obstacles:
         lo, hi = scene_bounds(env, rc.sdf_margin)
         # make sure the prior's reachable area is inside the grid
@@ -218,7 +224,7 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
     prior = _load_prior(cfg, args.model)
     rc = cfg.reproduction
     starts = rc.starts if rc.starts else [None]
-    env = load_environment(rc.environment) if rc.environment else None
+    env = _read(load_environment, "scene", rc.environment) if rc.environment else None
     base_factors = _reproduction_factors(cfg, prior, env)
     all_converged = True
     for si, start in enumerate(starts):
@@ -226,7 +232,7 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
         if start is not None:
             target = np.asarray(start, dtype=float)
             if target.shape != (prior.dim,):
-                raise ConfigError(f"start state must have dimension {prior.dim}")
+                raise ConfigError(f"reproduction.starts[{si}] must have dimension {prior.dim}")
             factors.append(StateAnchor(index=0, target=target, sigma=rc.start_sigma))
         solution = optimize_map(ReproductionProblem(prior=prior, factors=factors,
                                                     options=rc.options))

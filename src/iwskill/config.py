@@ -56,10 +56,12 @@ _REPRO_KEYS = {f.name for f in fields(ReproductionConfig) + fields(OptimizerOpti
 
 
 def _scalar(raw: dict, key: str, kind: type, where: str, positive: bool = False):
-    """raw[key] as a `kind` (int or float), or a ConfigError naming the key;
-    with `positive`, also one if it is not a positive finite number."""
+    """raw[key] as a `kind` (int or float; a whole number for int), or a ConfigError
+    naming the key; with `positive`, also one if it is not a positive finite number."""
     try:
         value = kind(raw[key])
+        if kind is int and isinstance(raw[key], float) and not raw[key].is_integer():
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}{key} must be {'an int' if kind is int else 'a number'}, "
                           f"got {raw[key]!r}") from None
@@ -82,13 +84,18 @@ def _typed(value, kind: type, key: str, what: str):
     return value
 
 
+def _state(value, key: str) -> list:
+    """`value` itself, or a ConfigError naming `key` if it is not a list of numbers."""
+    if not (isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return value
+
+
 def _anchor(raw: dict, where: str, start_sigma: float) -> StateAnchor:
     """One `reproduction.anchors` entry; its `sigma` defaults to start_sigma."""
     raw = {"index": None, "state": None, "sigma": start_sigma, **raw}
-    state = raw["state"]
-    if not (isinstance(state, list) and all(isinstance(v, (int, float)) for v in state)):
-        raise ConfigError(f"{where}state must be a list of numbers, got {state!r}")
-    return StateAnchor(index=_scalar(raw, "index", int, where), target=np.asarray(state, float),
+    return StateAnchor(index=_scalar(raw, "index", int, where),
+                       target=np.asarray(_state(raw["state"], where + "state"), float),
                        sigma=_scalar(raw, "sigma", float, where, positive=True))
 
 
@@ -147,14 +154,16 @@ def load_config(path: str) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown reproduction keys {sorted(unknown)}")
     repro = where + "reproduction."
+    for key in ("start_sigma", "lm_damping_init"):
+        if key in repro_raw:
+            _scalar(repro_raw, key, float, repro, positive=True)
     rc = ReproductionConfig(**_scalars(ReproductionConfig, repro_raw, repro),
                             options=OptimizerOptions(**_scalars(OptimizerOptions, repro_raw,
                                                                 repro)))
     rc.environment = resolve(repro_raw.get("environment"), "reproduction.environment",
                              optional=True)
-    rc.starts = _typed(repro_raw.get("starts", []), list, repro + "starts", "a list of states")
-    if "start_sigma" in repro_raw:
-        _scalar(repro_raw, "start_sigma", float, repro, positive=True)
+    rc.starts = [_state(start, f"{repro}starts[{i}]") for i, start in enumerate(
+        _typed(repro_raw.get("starts", []), list, repro + "starts", "a list of states"))]
     rc.anchors = [_anchor(_typed(a, dict, repro + "anchors", "a list of objects"),
                           f"{repro}anchors[{i}].", rc.start_sigma)
                   for i, a in enumerate(_typed(repro_raw.get("anchors", []), list,

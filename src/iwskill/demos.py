@@ -149,9 +149,9 @@ def estimate_states(demo: RawDemo, n_steps: int) -> StateTrajectory:
 DTW_CHUNK = 8
 
 
-def _dtw_chunk(a: np.ndarray, bs: list) -> tuple[np.ndarray, list]:
-    """DTW costs and forward (i, j) index paths from `a` (n, P) to each of
-    `bs`, steps {(1,0),(0,1),(1,1)} over Euclidean distances, by one
+def _dtw_chunk(a: np.ndarray, bs: list) -> list:
+    """Optimal forward (i, j) index paths, each (2, length), from `a` (n, P)
+    to each of `bs`, steps {(1,0),(0,1),(1,1)} over Euclidean distances, by one
     anti-diagonal wavefront over all pairs. Accumulated cell (r, c) needs only
     diagonals r+c-1 and r+c-2 (two rolling arrays indexed by r), so padding
     shorter demos never reaches a pair's own cells. Each cell keeps its step
@@ -161,7 +161,7 @@ def _dtw_chunk(a: np.ndarray, bs: list) -> tuple[np.ndarray, list]:
     rev = np.stack([np.pad(b[::-1], ((m - len(b), 0), (0, 0))) for b in bs])  # right-aligned
     steps = np.zeros((kc, (n + 1) * (m + 1)), dtype=np.int8)
     prev2, prev1 = np.full((2, kc, n + 1), np.inf)
-    prev2[:, 0], last_row = 0.0, np.empty((kc, m + 1))
+    prev2[:, 0] = 0.0
     for s in range(2, n + m + 1):
         lo, hi = max(1, s - m), min(n, s - 1)
         diag, up, left = prev2[:, lo - 1:hi], prev1[:, lo - 1:hi], prev1[:, lo:hi + 1]
@@ -170,7 +170,6 @@ def _dtw_chunk(a: np.ndarray, bs: list) -> tuple[np.ndarray, list]:
         steps[:, lo * m + s:hi * m + s + 1:m] = np.where(left < best, 2, up < diag)
         prev2[:, 0] = np.inf                      # only diagonal 0 holds acc[0, 0] = 0
         prev2[:, lo:hi + 1] = dist + np.minimum(best, left)
-        last_row[:, max(s - n, 0)] = prev2[:, n]  # acc[n, s - n]; column 0 stays inf
         prev1, prev2 = prev2, prev1
     paths = []
     for k, mk in enumerate(ms):
@@ -181,13 +180,7 @@ def _dtw_chunk(a: np.ndarray, bs: list) -> tuple[np.ndarray, list]:
             i, j = i - (move != 2), j - (move != 1)
             path.append((i, j))
         paths.append(np.array(path[::-1]).T)
-    return last_row[np.arange(kc), ms], paths
-
-
-def dtw_path(a: np.ndarray, b: np.ndarray) -> tuple[float, list]:
-    """Total cost and optimal warping path [(i, j), ...] from a (n, P) to b (m, P)."""
-    costs, [path] = _dtw_chunk(a, [b])
-    return float(costs[0]), [tuple(ij) for ij in path.T.tolist()]
+    return paths
 
 
 def dtw_align(demos: list, reference_index: int | None = None) -> list:
@@ -208,7 +201,7 @@ def dtw_align(demos: list, reference_index: int | None = None) -> list:
     n, aligned = len(ref), []
     for c in range(0, len(others), DTW_CHUNK):
         chunk = others[c:c + DTW_CHUNK]
-        _, paths = _dtw_chunk(ref.positions, [d.positions for d in chunk])
+        paths = _dtw_chunk(ref.positions, [d.positions for d in chunk])
         rows = np.concatenate([k * n + i for k, (i, _) in enumerate(paths)])
         sums = np.zeros((len(chunk) * n, ref.dim))
         np.add.at(sums, rows, np.concatenate([d.positions[j] for d, (_, j) in zip(chunk, paths)]))

@@ -6,11 +6,12 @@ Gaussian so the weight decays from 1 toward 0 as the state approaches an
 obstacle.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .utils import read_json
 
 # Signed distance reported when a scene has no obstacles (>= 1e6 by contract).
 NO_OBSTACLE_DISTANCE = 1.0e9
@@ -36,12 +37,13 @@ def _norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
-def _point_rows(p, dim: int) -> tuple[np.ndarray, bool]:
-    """Points as rows (n, dim), and whether a single point (dim,) was given."""
+def _point_rows(p, dim: int) -> np.ndarray:
+    """Points as a float array of rows (n, dim), or a ValueError."""
     p = np.asarray(p, dtype=float)
-    if p.shape[-1:] != (dim,) or p.ndim > 2:
-        raise ValueError(f"query point has dimension {p.shape}, scene is {dim}-D")
-    return p.reshape(-1, dim), p.ndim == 1
+    if p.ndim != 2 or p.shape[1] != dim:
+        raise ValueError(f"query points of shape {p.shape}: need (n, {dim}) rows "
+                         f"for the scene dimension {dim}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,9 @@ class Sphere:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def signed_distance(self, points) -> float | np.ndarray:
-        """Signed distance of one point (dim,) or of point rows (n, dim)."""
-        rows, single = _point_rows(points, self.dim)
-        d = _norms(rows - self.center) - self.radius
-        return float(d[0]) if single else d
+    def signed_distance(self, points) -> np.ndarray:
+        """Signed distance of each point row (n, dim)."""
+        return _norms(_point_rows(points, self.dim) - self.center) - self.radius
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.radius, self.center + self.radius
@@ -85,15 +85,12 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def signed_distance(self, points) -> float | np.ndarray:
-        """Signed distance of one point (dim,) or of point rows (n, dim): the
-        exact closed form, positive outside, negative inside."""
-        rows, single = _point_rows(points, self.dim)
-        center = (self.lo + self.hi) / 2.0
-        half = (self.hi - self.lo) / 2.0
-        q = np.abs(rows - center) - half
-        d = _norms(np.maximum(q, 0.0)) + np.minimum(q.max(axis=1), 0.0)
-        return float(d[0]) if single else d
+    def signed_distance(self, points) -> np.ndarray:
+        """Signed distance of each point row (n, dim): the exact closed form,
+        positive outside, negative inside."""
+        rows = _point_rows(points, self.dim)
+        q = np.abs(rows - (self.lo + self.hi) / 2.0) - (self.hi - self.lo) / 2.0
+        return _norms(np.maximum(q, 0.0)) + np.minimum(q.max(axis=1), 0.0)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo.copy(), self.hi.copy()
@@ -114,18 +111,17 @@ class Environment:
                 raise ValueError(f"obstacle dimension {obs.dim} != environment dimension {self.dimension}")
 
 
-def signed_distance(env: Environment, points):
-    """Exact signed distance from each point to the nearest obstacle surface
-    (negative inside): a float for one point (dim,), an array for rows
-    (n, dim). Obstacle-free scenes return a large sentinel."""
-    rows, single = _point_rows(points, env.dimension)
+def signed_distance(env: Environment, points) -> np.ndarray:
+    """Exact signed distance from each point row (n, dim) to the nearest
+    obstacle surface (negative inside). Obstacle-free scenes return a large
+    sentinel."""
+    rows = _point_rows(points, env.dimension)
     if not env.obstacles:
-        out = np.full(rows.shape[0], NO_OBSTACLE_DISTANCE)
-    else:
-        out = env.obstacles[0].signed_distance(rows)
-        for obs in env.obstacles[1:]:
-            np.minimum(out, obs.signed_distance(rows), out=out)
-    return float(out[0]) if single else out
+        return np.full(rows.shape[0], NO_OBSTACLE_DISTANCE)
+    out = env.obstacles[0].signed_distance(rows)
+    for obs in env.obstacles[1:]:
+        np.minimum(out, obs.signed_distance(rows), out=out)
+    return out
 
 
 class SignedDistanceField:
@@ -150,10 +146,13 @@ class SignedDistanceField:
         self._corners = np.stack(np.meshgrid(*([np.array([0, 1])] * self.dim), indexing="ij"),
                                  axis=-1).reshape(-1, self.dim)
 
-    def _locate(self, p) -> tuple[bool, np.ndarray, np.ndarray]:
-        """Whether p is a single point, and the cell index and in-cell
-        fraction of each point row."""
-        rows, single = _point_rows(p, self.dim)
+    def _interpolate(self, p, gradient: bool) -> np.ndarray:
+        """Multilinear value (n,) or its gradient (n, dim) at point rows
+        (n, dim); SdfGridError names the first row off the grid. Corners are
+        visited in a fixed order and each corner's weight is a left-to-right
+        product, so a batched query is bit-identical to querying its rows one
+        at a time."""
+        rows = _point_rows(p, self.dim)
         eps = 1e-9 * self.resolution
         outside = np.any((rows < self.origin - eps) | (rows > self.upper + eps), axis=1)
         if outside.any():
@@ -163,14 +162,6 @@ class SignedDistanceField:
         rel = (rows - self.origin) / self.resolution
         cell = np.clip(np.floor(rel).astype(int), 0, np.array(self.values.shape) - 2)
         frac = np.clip(rel - cell, 0.0, 1.0)
-        return single, cell, frac
-
-    def _interpolate(self, p, gradient: bool):
-        """Multilinear value (or its gradient) at one point (dim,) or at point
-        rows (n, dim). Corners are visited in a fixed order and each corner's
-        weight is a left-to-right product, so a batched query is bit-identical
-        to querying its rows one at a time."""
-        single, cell, frac = self._locate(p)
         out = np.zeros(frac.shape if gradient else frac.shape[0])
         for corner in self._corners:
             v = self.values[tuple((cell + corner).T)]
@@ -181,18 +172,15 @@ class SignedDistanceField:
                     out[:, k] += v * sign[k] * np.prod(np.delete(w, k, axis=1), axis=1)
             else:
                 out += np.prod(w, axis=1) * v
-        if gradient:
-            out /= self.resolution
-            return out[0] if single else out
-        return float(out[0]) if single else out
+        return out / self.resolution if gradient else out
 
-    def query(self, p) -> float | np.ndarray:
-        """Interpolated distance: a float for one point (dim,), an array (n,)
-        for point rows (n, dim). Raises SdfGridError off the grid."""
+    def query(self, p) -> np.ndarray:
+        """Interpolated distance (n,) of point rows (n, dim). Raises
+        SdfGridError off the grid."""
         return self._interpolate(p, gradient=False)
 
     def gradient(self, p) -> np.ndarray:
-        """Gradient of `query`: (dim,) for one point, (n, dim) for rows."""
+        """Gradient (n, dim) of `query` at point rows (n, dim)."""
         return self._interpolate(p, gradient=True)
 
 
@@ -237,9 +225,14 @@ def hinge_cost(d, params: WeightParams):
     return np.maximum(params.epsilon - d, 0.0)
 
 
-def _state_weights(states: np.ndarray, env: Environment, params: WeightParams) -> np.ndarray:
-    """Importance weights of state rows (n, D), D = dim or 2 dim, from the
-    exact distances of their position components."""
+def weight_trajectory(states: np.ndarray, env: Environment | None,
+                      params: WeightParams) -> np.ndarray:
+    """Importance weights exp(-c(x)^2 / (2 sigma_obs^2)) in (0, 1] of node
+    rows (n, D), D = dim or 2 dim, against the exact distances of their
+    position components to the obstacles of scene `env`; all ones for `env`
+    None."""
+    if env is None:
+        return np.ones(states.shape[0])
     dim = env.dimension
     if states.ndim != 2 or states.shape[1] not in (dim, 2 * dim):
         raise ValueError(f"state of length {states.shape[1:]} incompatible with {dim}-D scene")
@@ -247,24 +240,8 @@ def _state_weights(states: np.ndarray, env: Environment, params: WeightParams) -
     return np.exp(-c * c / (2.0 * params.sigma_obs ** 2))
 
 
-def importance_weight(x: np.ndarray, env: Environment, params: WeightParams) -> float:
-    """exp(-c(x)^2 / (2 sigma_obs^2)) in (0, 1], with the distance taken on
-    the position components of the state only."""
-    return float(_state_weights(np.asarray(x, dtype=float)[None, :], env, params)[0])
-
-
-def weight_trajectory(traj, env: Environment | None, params: WeightParams) -> np.ndarray:
-    """Per-node importance weights w(x_i), length N+1, against the exact
-    distances to the obstacles of scene `env`; all ones for `env` None."""
-    if env is None:
-        return np.ones(traj.states.shape[0])
-    return _state_weights(traj.states, env, params)
-
-
 def load_environment(path: str) -> Environment:
-    with open(path) as fh:
-        data = json.load(fh)
-    return environment_from_dict(data)
+    return environment_from_dict(read_json(path))
 
 
 def environment_from_dict(data: dict) -> Environment:
@@ -272,11 +249,9 @@ def environment_from_dict(data: dict) -> Environment:
     for spec in data.get("obstacles", []):
         kind = spec.get("type")
         if kind == "sphere":
-            obstacles.append(Sphere(center=np.asarray(spec["center"], dtype=float),
-                                    radius=float(spec["radius"])))
+            obstacles.append(Sphere(center=spec["center"], radius=float(spec["radius"])))
         elif kind == "box":
-            obstacles.append(Box(lo=np.asarray(spec["min"], dtype=float),
-                                 hi=np.asarray(spec["max"], dtype=float)))
+            obstacles.append(Box(lo=spec["min"], hi=spec["max"]))
         else:
             raise ValueError(f"unknown obstacle type: {kind!r}")
     return Environment(dimension=int(data["dimension"]), obstacles=obstacles)

@@ -70,8 +70,9 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
     x_tilde[:, 1:] = demo.states[:-1]
     x_out = demo.states[1:]
     r_prev, m_prev = learner.R, learner.M
-    r_new = r_prev + w * (x_tilde[:, :, None] * x_tilde[:, None, :])
-    cross = w * (x_out[:, :, None] * x_tilde[:, None, :]) + m_prev @ r_prev
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_intervals names an overflow
+        r_new = r_prev + w * (x_tilde[:, :, None] * x_tilde[:, None, :])
+        cross = w * (x_out[:, :, None] * x_tilde[:, None, :]) + m_prev @ r_prev
     m_new = solve_intervals(r_new, cross, "MNIW column statistics R not positive definite")
     resid = x_out - (m_new @ x_tilde[:, :, None])[:, :, 0]
     drift = m_new - m_prev

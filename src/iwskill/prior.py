@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SkillModel
-from .demos import DemoSet, StateTrajectory
+from .demos import DemoSet
 from .linalg import block_tridiag_dense, psd_sqrt
 from .utils import csv_text
 
@@ -69,8 +69,7 @@ class GaussianTrajectoryPrior:
 
     Stores marginal moments, their per-component standard deviations `stds`
     (N+1, D), and the block-tridiagonal precision (diagonal blocks
-    `prec_diag`, sub-diagonal blocks `prec_off`); the dense joint covariance
-    is only materialized on request for small problems.
+    `prec_diag`, sub-diagonal blocks `prec_off`).
     """
 
     def __init__(self, model: SkillModel, init: GaussianState):
@@ -123,39 +122,22 @@ class GaussianTrajectoryPrior:
     def dense_precision(self) -> np.ndarray:
         return block_tridiag_dense(self.prec_diag, self.prec_off)
 
-    def dense_covariance(self) -> np.ndarray:
-        """Full (N+1)D joint covariance from the Markov cross-covariance
-        recursion. Debug path, refused for large N."""
-        if self.n_steps > 50:
-            raise ValueError("dense covariance is a debug path, limited to N <= 50")
-        n = self.n_steps
-        blocks = [[None] * (n + 1) for _ in range(n + 1)]
-        for j in range(n + 1):
-            blocks[j][j] = self.covs[j]
-            for i in range(j + 1, n + 1):
-                blocks[i][j] = self.model.transition[i - 1] @ blocks[i - 1][j]
-                blocks[j][i] = blocks[i][j].T
-        return np.block(blocks)
 
-
-def sample_trajectories(prior: GaussianTrajectoryPrior, n: int, seed: int) -> list:
-    """Draw n trajectories by forward-simulating the stochastic dynamics.
-    Deterministic for a fixed seed."""
+def sample_trajectories(prior: GaussianTrajectoryPrior, n: int, seed: int) -> np.ndarray:
+    """Draw n trajectories (n, N+1, D) by forward-simulating the stochastic
+    dynamics. Deterministic for a fixed seed."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
-    d = prior.dim
-    sqrt0 = psd_sqrt(prior.init.cov)
-    state = prior.init.mean + rng.standard_normal((n, d)) @ sqrt0.T
+    d, model = prior.dim, prior.model
+    state = prior.init.mean + rng.standard_normal((n, d)) @ psd_sqrt(prior.init.cov).T
     nodes = [state]
-    model = prior.model
     sqrt_q = psd_sqrt(model.Q)
     for i in range(model.n_steps):
         noise = rng.standard_normal((n, d)) @ sqrt_q[i].T
         state = state @ model.transition[i].T + model.bias[i] + noise
         nodes.append(state)
-    stacked = np.stack(nodes, axis=1)  # (n, N+1, D)
-    return [StateTrajectory(dt=prior.dt, states=stacked[s]) for s in range(n)]
+    return np.stack(nodes, axis=1)
 
 
 def prior_band_csv(prior: GaussianTrajectoryPrior) -> str:

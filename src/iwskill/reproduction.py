@@ -93,6 +93,10 @@ class OptimizerOptions:
     lm_damping_init: float = 1e-4
     tol_clear: float = 0.01
 
+    def __post_init__(self):  # x10 escalation of a damping <= 0 never passes LM_DAMPING_MAX
+        if not 0 < self.lm_damping_init < np.inf:
+            raise ValueError(f"lm_damping_init must be positive, got {self.lm_damping_init}")
+
 
 @dataclass(frozen=True)
 class ReproductionProblem:

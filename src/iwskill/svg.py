@@ -8,53 +8,33 @@ import io
 
 import numpy as np
 
-from .environment import Box, Environment, Sphere
+from .environment import Environment, Sphere
 
 
 class SvgScene:
-    """Collects shapes in world coordinates, renders one standalone SVG."""
+    """Collects shapes in world coordinates, renders one standalone 640 px
+    wide SVG."""
 
-    def __init__(self, width_px: int = 640):
-        self.width_px = width_px
+    def __init__(self):
         self._shapes: list = []
         self._points: list = []
 
-    def _track(self, pts) -> None:
-        for p in np.atleast_2d(np.asarray(pts, dtype=float)):
-            self._points.append(p[:2])
+    def _add(self, shape: tuple, extent) -> None:
+        self._shapes.append(shape)
+        self._points.extend(np.asarray(extent, dtype=float)[:, :2])
 
     def polyline(self, pts, color: str = "#1f77b4", width: float = 2.0,
                  opacity: float = 1.0, dashed: bool = False) -> None:
-        pts = np.asarray(pts, dtype=float)
-        self._track(pts)
-        self._shapes.append(("polyline", pts.copy(), color, width, opacity, dashed))
+        pts = np.array(pts, dtype=float)
+        self._add(("polyline", pts, color, width, opacity, dashed), pts)
 
-    def polygon(self, pts, color: str = "#aec7e8", opacity: float = 0.5) -> None:
-        pts = np.asarray(pts, dtype=float)
-        self._track(pts)
-        self._shapes.append(("polygon", pts.copy(), color, opacity))
-
-    def circle(self, center, radius: float, color: str = "#d62728",
-               opacity: float = 0.9) -> None:
-        c = np.asarray(center, dtype=float)
-        self._track([c - radius, c + radius])
-        self._shapes.append(("circle", c.copy(), radius, color, opacity))
-
-    def rect(self, lo, hi, color: str = "#d62728", opacity: float = 0.9) -> None:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        self._track([lo, hi])
-        self._shapes.append(("rect", lo.copy(), hi.copy(), color, opacity))
-
-    def environment(self, env: Environment, color: str = "#d62728") -> None:
+    def environment(self, env: Environment) -> None:
+        """Each obstacle's 2-D footprint: spheres as circles, boxes as rects."""
         for obs in env.obstacles:
-            if isinstance(obs, Sphere):
-                self.circle(obs.center[:2], obs.radius, color=color)
-            elif isinstance(obs, Box):
-                self.rect(obs.lo[:2], obs.hi[:2], color=color)
+            self._add(("circle", obs.center[:2], obs.radius) if isinstance(obs, Sphere)
+                      else ("rect", obs.lo[:2], obs.hi[:2]), obs.bounds())
 
-    def band(self, means: np.ndarray, half_widths: np.ndarray,
-             color: str = "#aec7e8", opacity: float = 0.5) -> None:
+    def band(self, means: np.ndarray, half_widths: np.ndarray) -> None:
         """Shaded corridor around a 2-D path: each node offset by its
         half-width along the local path normal."""
         means = np.asarray(means, dtype=float)
@@ -62,55 +42,48 @@ class SvgScene:
         norms = np.linalg.norm(tangents, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         normal = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1) / norms
-        upper = means + half_widths[:, None] * normal
-        lower = means - half_widths[:, None] * normal
-        self.polygon(np.vstack([upper, lower[::-1]]), color=color, opacity=opacity)
+        offset = half_widths[:, None] * normal
+        pts = np.vstack([means + offset, (means - offset)[::-1]])
+        self._add(("polygon", pts), pts)
 
     def render(self) -> str:
         if not self._points:
             raise ValueError("nothing to render")
         pts = np.asarray(self._points)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)
         margin = 0.05 * float(span.max())
         lo, hi = lo - margin, hi + margin
         span = hi - lo
-        scale = self.width_px / span[0]
+        scale = 640 / span[0]
         height_px = span[1] * scale
 
-        def sx(x):
-            return (x - lo[0]) * scale
+        def xy(p):  # world to pixels; world +y is up
+            return (p[0] - lo[0]) * scale, (hi[1] - p[1]) * scale
 
-        def sy(y):  # flip: world +y is up
-            return (hi[1] - y) * scale
+        def coords(pts):
+            return " ".join("%.2f,%.2f" % xy(q) for q in pts)
 
         out = io.StringIO()
-        out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width_px:.0f}" '
-                  f'height="{height_px:.0f}" viewBox="0 0 {self.width_px:.0f} {height_px:.0f}">\n')
+        out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+                  f'height="{height_px:.0f}" viewBox="0 0 640 {height_px:.0f}">\n')
         out.write('<rect width="100%" height="100%" fill="white"/>\n')
-        for shape in self._shapes:
-            kind = shape[0]
+        for kind, *data in self._shapes:
             if kind == "polyline":
-                _, p, color, width, opacity, dashed = shape
-                coords = " ".join(f"{sx(q[0]):.2f},{sy(q[1]):.2f}" for q in p)
+                p, color, width, opacity, dashed = data
                 dash = ' stroke-dasharray="6,4"' if dashed else ""
-                out.write(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                out.write(f'<polyline points="{coords(p)}" fill="none" stroke="{color}" '
                           f'stroke-width="{width}" opacity="{opacity}"{dash}/>\n')
             elif kind == "polygon":
-                _, p, color, opacity = shape
-                coords = " ".join(f"{sx(q[0]):.2f},{sy(q[1]):.2f}" for q in p)
-                out.write(f'<polygon points="{coords}" fill="{color}" opacity="{opacity}" '
+                out.write(f'<polygon points="{coords(data[0])}" fill="#aec7e8" opacity="0.5" '
                           f'stroke="none"/>\n')
             elif kind == "circle":
-                _, c, radius, color, opacity = shape
-                out.write(f'<circle cx="{sx(c[0]):.2f}" cy="{sy(c[1]):.2f}" '
-                          f'r="{radius * scale:.2f}" fill="{color}" opacity="{opacity}"/>\n')
-            elif kind == "rect":
-                _, rlo, rhi, color, opacity = shape
-                out.write(f'<rect x="{sx(rlo[0]):.2f}" y="{sy(rhi[1]):.2f}" '
-                          f'width="{(rhi[0] - rlo[0]) * scale:.2f}" '
-                          f'height="{(rhi[1] - rlo[1]) * scale:.2f}" '
-                          f'fill="{color}" opacity="{opacity}"/>\n')
+                (cx, cy), r = xy(data[0]), data[1] * scale
+                out.write(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="#d62728" '
+                          f'opacity="0.9"/>\n')
+            else:
+                (x, y), (w, h) = xy([data[0][0], data[1][1]]), (data[1] - data[0]) * scale
+                out.write(f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
+                          f'fill="#d62728" opacity="0.9"/>\n')
         out.write("</svg>\n")
         return out.getvalue()

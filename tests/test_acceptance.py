@@ -15,8 +15,7 @@ from iwskill.batch import SkillModel, effective_sample_size, learn_batch_weighte
 from iwskill.cli import main as cli_main
 from iwskill.demos import DemoSet, estimate_states, save_raw_demo
 from iwskill.environment import (Environment, Sphere, WeightParams, build_sdf,
-                                 environment_to_dict, hinge_cost, importance_weight,
-                                 weight_trajectory)
+                                 environment_to_dict, hinge_cost, weight_trajectory)
 from iwskill.incremental import IncrementalLearner, assimilate_demo, extract_map
 from iwskill.prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
                            sample_trajectories)
@@ -27,7 +26,7 @@ from iwskill.synthetic import (make_placing_scene, make_reaching_scene,
 from iwskill.utils import write_json
 from test_batch import Interval, fit_one
 from test_incremental import beliefs
-from test_prior import node_marginals
+from test_prior import dense_covariance, node_marginals
 
 
 def _report(number: int, title: str, started: float, budget: float) -> None:
@@ -149,10 +148,10 @@ def test_acceptance_4_weight_function():
     params = WeightParams(epsilon=0.3, sigma_obs=0.01)
     for extra in (0.0, 0.05, 2.0):
         x = np.array([1.0 + params.epsilon + extra, 0.0])
-        assert importance_weight(x, env, params) == 1.0
+        assert weight_trajectory(x[None], env, params)[0] == 1.0
     # hinge cost equal to sigma_obs gives exp(-1/2)
     x = np.array([1.0 + params.epsilon - params.sigma_obs, 0.0])
-    assert importance_weight(x, env, params) == pytest.approx(np.exp(-0.5), abs=1e-12)
+    assert weight_trajectory(x[None], env, params)[0] == pytest.approx(np.exp(-0.5), abs=1e-12)
     # monotone nondecreasing in the distance over a dense sweep
     sweep = np.linspace(-0.5, 1.0, 1000)
     w = [np.exp(-hinge_cost(d, params) ** 2 / (2 * params.sigma_obs ** 2)) for d in sweep]
@@ -160,7 +159,7 @@ def test_acceptance_4_weight_function():
     # reference parameterization epsilon=3, sigma=1: w(d=1) = exp(-2)
     ref = WeightParams(epsilon=3.0, sigma_obs=1.0)
     x = np.array([2.0, 0.0])  # distance 1 from the unit sphere
-    assert importance_weight(x, env, ref) == pytest.approx(np.exp(-2.0), abs=1e-12)
+    assert weight_trajectory(x[None], env, ref)[0] == pytest.approx(np.exp(-2.0), abs=1e-12)
     _report(4, "weight function boundary, decay point, monotonicity, and the "
                "epsilon=3/sigma=1 profile", started, budget=10.0)
 
@@ -187,7 +186,7 @@ def test_acceptance_5_prior_correctness():
         init = GaussianState(mean=rng.normal(size=dim), cov=a @ a.T + 0.01 * np.eye(dim))
         prior = GaussianTrajectoryPrior(model, init)
 
-        inv = np.linalg.inv(prior.dense_covariance())
+        inv = np.linalg.inv(dense_covariance(prior))
         scale = np.max(np.abs(inv))
         for i in range(n_steps + 1):
             for j in range(n_steps + 1):
@@ -196,8 +195,7 @@ def test_acceptance_5_prior_correctness():
                     assert np.max(np.abs(block)) / scale <= 1e-8
 
         n = 100_000
-        samples = sample_trajectories(prior, n, seed=1005)
-        stacked = np.stack([t.states for t in samples])
+        stacked = sample_trajectories(prior, n, seed=1005)
         marginals = node_marginals(model, init)
         for i, g in enumerate(marginals):
             emp_mean = stacked[:, i, :].mean(axis=0)
@@ -270,9 +268,9 @@ def test_acceptance_7_reaching_analogue():
     started = time.monotonic()
     scene = make_reaching_scene()
     demo_set = DemoSet(demos=[estimate_states(d, 60) for d in scene.raw_demos])
-    weighted = learn_batch_weighted(demo_set, [weight_trajectory(t, scene.env, scene.weight_params)
+    weighted = learn_batch_weighted(demo_set, [weight_trajectory(t.states, scene.env, scene.weight_params)
                                                for t in demo_set.demos])
-    unweighted = learn_batch_weighted(demo_set, [weight_trajectory(t, None, scene.weight_params)
+    unweighted = learn_batch_weighted(demo_set, [weight_trajectory(t.states, None, scene.weight_params)
                                                  for t in demo_set.demos])
     init = initial_state_distribution(demo_set)
     prior_w = GaussianTrajectoryPrior(weighted, init)
@@ -308,11 +306,11 @@ def test_acceptance_8_placing_analogue():
     def run(use_weights: bool):
         learner = IncrementalLearner(n_steps, 4, alpha=1e10, beta=1e10, dt=influenced[0].dt)
         for traj in influenced:
-            w = (weight_trajectory(traj, scene.cluttered_env, scene.weight_params)
+            w = (weight_trajectory(traj.states, scene.cluttered_env, scene.weight_params)
                  if use_weights else np.ones(n_steps + 1))
             assimilate_demo(learner, traj, w)
         for traj in clean:
-            w = (weight_trajectory(traj, scene.clean_env, scene.weight_params)
+            w = (weight_trajectory(traj.states, scene.clean_env, scene.weight_params)
                  if use_weights else np.ones(n_steps + 1))
             assimilate_demo(learner, traj, w)
         assert learner.demos_seen == 6

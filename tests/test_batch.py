@@ -242,7 +242,8 @@ class TestAssembleAndLearn:
         base = rng.normal(size=(8, 4))
         ds = demo_set_from_states([base.copy() for _ in range(4)])
         env = Environment(dimension=2, obstacles=[])
-        model = learn_batch_weighted(ds, [weight_trajectory(t, env, WeightParams()) for t in ds.demos])
+        model = learn_batch_weighted(ds, [weight_trajectory(t.states, env, WeightParams())
+                                         for t in ds.demos])
         state = base[0].copy()
         for i, step in enumerate(intervals(model)):
             state = step.Phi_tilde @ np.concatenate([[1.0], state])

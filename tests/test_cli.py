@@ -8,7 +8,7 @@ import pytest
 
 from iwskill.batch import load_model
 from iwskill.cli import main as cli_main
-from iwskill.demos import save_raw_demo
+from iwskill.demos import RawDemo, save_raw_demo
 from iwskill.environment import build_sdf, environment_to_dict, load_environment
 from iwskill.synthetic import make_reaching_scene
 from iwskill.utils import write_json
@@ -221,6 +221,33 @@ class TestRollout:
         assert os.path.exists(os.path.join(out, "rollout.svg"))
 
 
+    def test_svg_draws_each_obstacle_the_band_and_the_paths(self, scene_dir, tmp_path):
+        root, _ = scene_dir
+        scene = str(tmp_path / "env.json")
+        write_json(scene, {"dimension": 2, "obstacles": [
+            {"type": "sphere", "center": [1.7, 0.5], "radius": 0.2},
+            {"type": "box", "min": [2.2, -0.8], "max": [2.6, -0.5]}]})
+        cfg = json.load(open(root / "config.json"))
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=scene,
+                   rollout_samples=2)
+        cfg["reproduction"].update(environment=scene, starts=[[0.0, 0.5, 3.0, 1.0]])
+        write_json(str(tmp_path / "cfg.json"), cfg)
+        out = tmp_path / "out"
+        base = ["--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+        assert cli_main(base + ["learn"]) == 0
+        for command in ("rollout", "reproduce"):
+            assert cli_main(base + [command, "--model", str(out / "model.json")]) == 0
+        # the samples and the prior mean; the dashed prior mean and the solution
+        for name, polylines, dashed in (("rollout.svg", 3, 0), ("solution_000.svg", 2, 1)):
+            svg = (out / name).read_text()
+            assert svg.count('<circle ') == svg.count('<circle cx=') == 1
+            assert svg.count('<rect ') == 2 and svg.count('<rect x=') == 1  # and the background
+            assert svg.count('fill="#d62728"') == 2  # both obstacles
+            assert svg.count('<polygon ') == svg.count('fill="#aec7e8"') == 1  # the band
+            assert svg.count('<polyline ') == polylines
+            assert svg.count('stroke-dasharray') == dashed
+
+
 class TestScalarModel:
     """A model with one-dimensional states is drawn as time vs value."""
 
@@ -238,6 +265,24 @@ class TestScalarModel:
         for name in ("rollout.svg", "solution_000.svg"):
             with open(tmp_path / "out" / name) as fh:
                 assert fh.read().startswith("<svg")
+
+    @pytest.mark.parametrize("reproduction, message", [
+        ({"anchors": [{"index": 99, "state": [0.0]}]},
+         "reproduction.anchors[0].index must be a node 0..5, got 99"),
+        ({"anchors": [{"index": 5, "state": [0.0]}, {"index": 2, "state": [0.0, 1.0]}]},
+         "reproduction.anchors[1].state must have dimension 1"),
+        ({"starts": [[0.5], [0.5, 0.0]]}, "reproduction.starts[1] must have dimension 1"),
+    ])
+    def test_reproduction_input_off_the_model_names_its_key(self, tmp_path, capsys,
+                                                            reproduction, message):
+        steps = [{"Phi_tilde": [[0.1, 0.9]], "Q": [[0.01]]} for _ in range(5)]
+        write_json(str(tmp_path / "model.json"), {"dt": 0.1, "D": 1, "steps": steps})
+        write_json(str(tmp_path / "cfg.json"), {
+            "out_dir": "out", "init_state": {"mean": [0.0], "cov": [[0.01]]},
+            "reproduction": reproduction})
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "reproduce",
+                         "--model", str(tmp_path / "model.json")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_indefinite_init_cov_is_a_config_error(self, tmp_path, capsys):
         write_json(str(tmp_path / "model.json"),
@@ -329,8 +374,7 @@ class TestReproduce:
         sol = np.loadtxt(os.path.join(out, "solution_000.csv"), delimiter=",", skiprows=1)
         env = load_environment(str(tmp_path / "env_displaced.json"))
         sdf = build_sdf(env, [-1.0, -2.5], [4.0, 3.0], resolution=0.02)
-        clearances = [sdf.query(p) for p in sol[:, 1:3]]
-        assert min(clearances) >= 0.1 - 0.01 - 0.02  # sdf resolution slack
+        assert sdf.query(sol[:, 1:3]).min() >= 0.1 - 0.01 - 0.02  # sdf resolution slack
 
     def test_obstacle_free_min_clearance_is_null(self, scene_dir, tmp_path):
         root, _ = scene_dir
@@ -429,6 +473,60 @@ class TestExitCodes:
             assert cli_main(["--config", str(root / "config.json"), "--out", out,
                              command, "--model", model_path]) == 2
             assert f"corrupt model {model_path}: step 7: Q must be" in capsys.readouterr().err
+
+    def test_non_positive_damping_start_names_its_key(self, scene_dir, tmp_path, capsys):
+        # LM would escalate it by x10 forever on a damped system that is indefinite
+        assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {"lm_damping_init": -1.0}) == 2
+        assert "reproduction.lm_damping_init must be a positive number, got -1.0" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("stage", ["learn", "assimilate"])
+    def test_overflowing_demos_are_numerical_failure(self, scene_dir, tmp_path, capsys, stage):
+        _, scene = scene_dir
+        names = [f"demo_{k}.json" for k in range(len(scene.raw_demos))]
+        for name, demo in zip(names, scene.raw_demos):
+            save_raw_demo(str(tmp_path / name), RawDemo(demo.timestamps, 1e200 * demo.positions))
+        write_json(str(tmp_path / "cfg.json"), {"demos": names, "grid_n": 20, "align": "none"})
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), stage]
+        if stage == "assimilate":
+            argv += ["--checkpoint", str(tmp_path / "ck.json"), "--demo", str(tmp_path / names[0])]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: interval 0: system not finite (overflow)\n"
+        assert not (tmp_path / "out" / "model.json").exists()
+        assert not (tmp_path / "ck.json").exists()
+
+    @pytest.mark.parametrize("content, reason", [
+        ("{ not json", "Expecting property name"),
+        ('{"dimension": 2, "obstacles": [{"type": "cone"}]}', "unknown obstacle type: 'cone'"),
+    ], ids=["not-json", "cone"])
+    @pytest.mark.parametrize("route", ["environment", "reproduction.environment",
+                                       "assimilate --env"])
+    def test_unreadable_scene_names_the_file(self, scene_dir, tmp_path, capsys, content, reason,
+                                             route):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        scene = tmp_path / "scene.json"
+        scene.write_text(content)
+        cfg = json.load(open(root / "config.json"))
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None)
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", out]
+        if route == "environment":
+            cfg["environment"] = str(scene)
+            argv += ["learn"]
+        elif route == "reproduction.environment":
+            cfg["reproduction"]["environment"] = str(scene)
+            argv += ["reproduce", "--model", os.path.join(out, "model.json")]
+        else:
+            argv += ["assimilate", "--checkpoint", str(tmp_path / "ck.json"),
+                     "--demo", str(root / "demo_000.json"), "--env", str(scene)]
+        write_json(str(tmp_path / "cfg.json"), cfg)
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: failed to read scene {scene}: ")
+        assert reason in err
 
     def test_null_config_value_names_its_key(self, tmp_path, capsys):
         write_json(str(tmp_path / "cfg.json"), {"reproduction": {"max_iters": None}})

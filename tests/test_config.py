@@ -86,6 +86,19 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
      "reproduction.anchors[0].state must be a list of numbers, got [0.0, 'x']"),
     ({"reproduction": {"start_sigma": -1.0, "anchors": [{"index": 3, "state": [0.0]}]}},
      "reproduction.start_sigma must be a positive number, got -1.0"),
+    ({"reproduction": {"lm_damping_init": -1.0}},
+     "reproduction.lm_damping_init must be a positive number, got -1.0"),
+    ({"reproduction": {"lm_damping_init": 0}},
+     "reproduction.lm_damping_init must be a positive number, got 0"),
+    ({"reproduction": {"lm_damping_init": 1e999}},
+     "reproduction.lm_damping_init must be a positive number, got inf"),
+    ({"grid_n": 12.7}, "grid_n must be an int, got 12.7"),
+    ({"reproduction": {"anchors": [{"index": 2.5, "state": [0.0]}]}},
+     "reproduction.anchors[0].index must be an int, got 2.5"),
+    ({"reproduction": {"starts": [["a", 0, 0, 0]]}},
+     "reproduction.starts[0] must be a list of numbers, got ['a', 0, 0, 0]"),
+    ({"reproduction": {"starts": [[0.0, 1.0], 0.5]}},
+     "reproduction.starts[1] must be a list of numbers, got 0.5"),
 ])
 def test_malformed_value_names_its_key(tmp_path, raw, message):
     path = str(tmp_path / "cfg.json")

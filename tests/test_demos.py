@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from iwskill.batch import learn_batch_weighted, save_model
 from iwskill.cli import main as cli_main
-from iwskill.demos import (DTW_CHUNK, DemoSet, RawDemo, StateTrajectory, dtw_align, dtw_path,
+from iwskill.demos import (DTW_CHUNK, DemoSet, RawDemo, StateTrajectory, _dtw_chunk, dtw_align,
                            estimate_states, fit_cubic_spline, save_raw_demo)
 from iwskill.synthetic import make_reaching_scene
 from iwskill.utils import write_json
@@ -41,6 +41,14 @@ def brute_force_dtw_cost(a, b):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def dtw_path(a, b):
+    """The kernel's warping path [(i, j), ...] from a (n, P) to b (m, P), and
+    its cost: the distances summed along it."""
+    [path] = _dtw_chunk(a, [b])
+    i, j = path
+    return float(np.linalg.norm(a[i] - b[j], axis=1).sum()), [tuple(ij) for ij in path.T.tolist()]
 
 
 def reference_dtw_path(a, b):
@@ -261,9 +269,10 @@ class TestBatchedDtw:
         for got, want in zip(dtw_align(demos, ref), reference_dtw_align(demos, ref)):
             assert got.positions.tobytes() == want.positions.tobytes()
             assert got.timestamps.tobytes() == want.timestamps.tobytes()
-        for demo in demos:
-            assert dtw_path(demos[ref].positions, demo.positions) == \
-                reference_dtw_path(demos[ref].positions, demo.positions)
+        paths = _dtw_chunk(demos[ref].positions, [demo.positions for demo in demos])
+        for path, demo in zip(paths, demos):
+            _, want = reference_dtw_path(demos[ref].positions, demo.positions)
+            assert [tuple(ij) for ij in path.T.tolist()] == want
 
     def test_more_pairs_than_one_chunk(self):
         rng = np.random.default_rng(5)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwskill.demos import StateTrajectory
 from iwskill.environment import (MAX_SDF_CELLS, Box, Environment, SdfGridError, Sphere,
                                  WeightParams, build_sdf, environment_from_dict,
-                                 environment_to_dict, hinge_cost, importance_weight,
-                                 signed_distance, weight_trajectory)
+                                 environment_to_dict, hinge_cost, signed_distance,
+                                 weight_trajectory)
 
 
 def surface_sample_distance(env, p, n=20000):
@@ -50,34 +49,37 @@ def two_obstacle_env():
 class TestSignedDistance:
     def test_sphere_center_depth(self):
         env = Environment(dimension=2, obstacles=[Sphere(center=np.array([0.3, -0.2]), radius=0.75)])
-        assert signed_distance(env, np.array([0.3, -0.2])) == pytest.approx(-0.75)
+        assert signed_distance(env, np.array([[0.3, -0.2]])) == pytest.approx([-0.75])
 
     def test_unit_sphere_outside(self):
         env = Environment(dimension=2, obstacles=[Sphere(center=np.zeros(2), radius=1.0)])
-        assert signed_distance(env, np.array([2.0, 0.0])) == pytest.approx(1.0)
+        assert signed_distance(env, np.array([[2.0, 0.0]])) == pytest.approx([1.0])
 
     def test_no_obstacles_sentinel(self):
         env = Environment(dimension=2, obstacles=[])
-        assert signed_distance(env, np.zeros(2)) >= 1e6
+        assert signed_distance(env, np.zeros((1, 2)))[0] >= 1e6
 
     def test_dimension_mismatch(self):
         env = Environment(dimension=2, obstacles=[])
         with pytest.raises(ValueError, match="dimension"):
-            signed_distance(env, np.zeros(3))
+            signed_distance(env, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"need \(n, 2\) rows"):
+            signed_distance(env, np.zeros(2))  # one point is one row, not a vector
 
     def test_min_over_obstacles_vs_surface_sampling(self, two_obstacle_env):
         rng = np.random.default_rng(7)
         for _ in range(40):
             p = rng.uniform([-2.0, -2.0], [4.0, 3.0])
             expected = surface_sample_distance(two_obstacle_env, p)
-            assert signed_distance(two_obstacle_env, p) == pytest.approx(expected, abs=1e-3)
+            assert signed_distance(two_obstacle_env, p[None])[0] == pytest.approx(expected,
+                                                                                  abs=1e-3)
 
     def test_box_interior_and_faces(self):
         env = Environment(dimension=2, obstacles=[Box(lo=np.array([0.0, 0.0]), hi=np.array([2.0, 1.0]))])
-        assert signed_distance(env, np.array([1.0, 0.5])) == pytest.approx(-0.5)
-        assert signed_distance(env, np.array([1.0, 2.0])) == pytest.approx(1.0)
-        # corner region: Euclidean distance to the corner
-        assert signed_distance(env, np.array([3.0, 2.0])) == pytest.approx(np.sqrt(2.0))
+        # interior, above the top face, and the corner region (Euclidean
+        # distance to the corner)
+        assert signed_distance(env, np.array([[1.0, 0.5], [1.0, 2.0], [3.0, 2.0]])) == \
+            pytest.approx([-0.5, 1.0, np.sqrt(2.0)])
 
     def test_invariants_of_primitives(self):
         with pytest.raises(ValueError):
@@ -91,28 +93,28 @@ class TestSignedDistance:
 class TestSdf:
     def test_grid_node_exact(self, two_obstacle_env):
         sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.25)
-        node = sdf.origin + sdf.resolution * np.array([3, 5])
+        node = sdf.origin + sdf.resolution * np.array([[3, 5]])
         assert sdf.query(node) == pytest.approx(signed_distance(two_obstacle_env, node), abs=1e-12)
 
     def test_midpoint_between_nodes_averages(self, two_obstacle_env):
         sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.25)
         a = sdf.origin + sdf.resolution * np.array([2, 4])
         b = a + np.array([sdf.resolution, 0.0])
-        mid = (a + b) / 2
-        assert sdf.query(mid) == pytest.approx((sdf.query(a) + sdf.query(b)) / 2, abs=1e-12)
+        va, vmid, vb = sdf.query(np.array([a, (a + b) / 2, b]))
+        assert vmid == pytest.approx((va + vb) / 2, abs=1e-12)
 
     def test_interpolation_error_below_resolution(self, two_obstacle_env):
         res = 0.05
         sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=res)
         rng = np.random.default_rng(42)
         pts = rng.uniform([-2.0, -2.0], [4.0, 3.0], size=(10000, 2))
-        errs = [abs(sdf.query(p) - signed_distance(two_obstacle_env, p)) for p in pts]
-        assert max(errs) <= res
+        errs = np.abs(sdf.query(pts) - signed_distance(two_obstacle_env, pts))
+        assert errs.max() <= res
 
     def test_out_of_bounds_query(self, two_obstacle_env):
         sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.5)
         with pytest.raises(ValueError, match="outside SDF bounds"):
-            sdf.query(np.array([10.0, 0.0]))
+            sdf.query(np.array([[10.0, 0.0]]))
 
     def test_bad_construction(self, two_obstacle_env):
         with pytest.raises(ValueError, match="resolution"):
@@ -130,11 +132,11 @@ class TestSdf:
             frac = (p - sdf.origin) / sdf.resolution % 1.0
             if np.any(frac < 0.05) or np.any(frac > 0.95):
                 continue  # keep away from cell boundaries where the interpolant kinks
-            g = sdf.gradient(p)
+            [g] = sdf.gradient(p[None])
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
-                fd = (sdf.query(p + e) - sdf.query(p - e)) / (2 * h)
+                [fd] = (sdf.query((p + e)[None]) - sdf.query((p - e)[None])) / (2 * h)
                 assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
             checked += 1
 
@@ -206,12 +208,13 @@ class TestBatchedField:
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, env.dimension)
         expected = np.array([per_point_distance(env, p) for p in nodes])
         np.testing.assert_array_equal(sdf.values.reshape(-1), expected)
-        np.testing.assert_array_equal([signed_distance(env, p) for p in nodes], expected)
-        # batched weights equal one-state weights
+        np.testing.assert_array_equal(signed_distance(env, nodes), expected)
+        # batched weights equal one-row weights
         params = WeightParams(epsilon=0.3, sigma_obs=0.1)
         states = np.random.default_rng(seed).uniform(-1.2, 2.0, (20, 2 * env.dimension))
-        w = weight_trajectory(StateTrajectory(dt=0.1, states=states), env, params)
-        np.testing.assert_array_equal(w, [importance_weight(x, env, params) for x in states])
+        w = weight_trajectory(states, env, params)
+        np.testing.assert_array_equal(w, [weight_trajectory(x[None], env, params)[0]
+                                          for x in states])
 
     @settings(max_examples=30, deadline=None)
     @given(env=scenes(), seed=st.integers(0, 2 ** 32 - 1))
@@ -223,9 +226,9 @@ class TestBatchedField:
         values, grads = sdf.query(pts), sdf.gradient(pts)
         assert values.shape == (40,) and grads.shape == (40, env.dimension)
         for p, v, g in zip(pts, values, grads):
-            assert v == corner_loop_query(sdf, p) == sdf.query(p)
+            assert v == corner_loop_query(sdf, p) == sdf.query(p[None])[0]
             np.testing.assert_array_equal(g, corner_loop_gradient(sdf, p))
-            np.testing.assert_array_equal(g, sdf.gradient(p))
+            np.testing.assert_array_equal(g, sdf.gradient(p[None])[0])
 
     def test_off_grid_row_is_named(self, two_obstacle_env):
         sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.5)
@@ -252,22 +255,20 @@ class TestThreeD:
         ])
 
     def test_exact_distances(self, env3):
-        assert signed_distance(env3, np.array([0.5, 0.0, 1.0])) == pytest.approx(0.5)
-        assert signed_distance(env3, np.array([0.5, 0.0, 0.2])) == pytest.approx(-0.3)
-        # at the origin the sphere is the nearest obstacle
-        assert signed_distance(env3, np.array([0.0, 0.0, 0.0])) == pytest.approx(
-            np.sqrt(0.29) - 0.3)
-        # near the box's upper corner the box wins; distance to the corner
-        assert signed_distance(env3, np.array([-0.4, -0.3, -0.1])) == pytest.approx(
-            np.sqrt(3 * 0.1 ** 2))
+        # above and at the sphere's center; at the origin the sphere is the
+        # nearest obstacle; near the box's upper corner the box wins, at the
+        # distance to the corner
+        points = np.array([[0.5, 0.0, 1.0], [0.5, 0.0, 0.2], [0.0, 0.0, 0.0], [-0.4, -0.3, -0.1]])
+        assert signed_distance(env3, points) == pytest.approx(
+            [0.5, -0.3, np.sqrt(0.29) - 0.3, np.sqrt(3 * 0.1 ** 2)])
 
     def test_sdf_interpolation_and_gradient(self, env3):
         sdf = build_sdf(env3, [-1.5, -1.5, -1.5], [1.5, 1.0, 1.0], resolution=0.1)
         rng = np.random.default_rng(9)
         errs = []
         for _ in range(500):
-            p = rng.uniform([-1.4, -1.4, -1.4], [1.4, 0.9, 0.9])
-            errs.append(abs(sdf.query(p) - signed_distance(env3, p)))
+            p = rng.uniform([-1.4, -1.4, -1.4], [1.4, 0.9, 0.9])[None]
+            errs.append(abs(sdf.query(p)[0] - signed_distance(env3, p)[0]))
         assert max(errs) <= 0.1
         # gradient matches finite differences of the interpolant
         h = 1e-7
@@ -277,11 +278,11 @@ class TestThreeD:
             frac = (p - sdf.origin) / sdf.resolution % 1.0
             if np.any(frac < 0.05) or np.any(frac > 0.95):
                 continue
-            g = sdf.gradient(p)
+            [g] = sdf.gradient(p[None])
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
-                fd = (sdf.query(p + e) - sdf.query(p - e)) / (2 * h)
+                [fd] = (sdf.query((p + e)[None]) - sdf.query((p - e)[None])) / (2 * h)
                 assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
             checked += 1
 
@@ -289,7 +290,7 @@ class TestThreeD:
         params = WeightParams(epsilon=0.3, sigma_obs=0.1)
         state = np.array([0.5, 0.0, 0.7, 1.0, 0.0, 0.0])  # d = 0.2, c = 0.1
         expected = np.exp(-0.1 ** 2 / (2 * 0.1 ** 2))
-        assert importance_weight(state, env3, params) == pytest.approx(expected, rel=1e-12)
+        assert weight_trajectory(state[None], env3, params) == pytest.approx([expected], rel=1e-12)
 
 
 class TestWeights:
@@ -302,7 +303,7 @@ class TestWeights:
     def test_weight_outside_influence_zone(self):
         env = Environment(dimension=2, obstacles=[Sphere(center=np.zeros(2), radius=1.0)])
         params = WeightParams(epsilon=0.3, sigma_obs=0.01)
-        assert importance_weight(np.array([5.0, 0.0]), env, params) == 1.0
+        assert weight_trajectory(np.array([[5.0, 0.0]]), env, params)[0] == 1.0
 
     def test_weight_at_one_sigma_cost(self):
         # place the state so that c(x) = sigma_obs exactly
@@ -310,14 +311,14 @@ class TestWeights:
         env = Environment(dimension=2, obstacles=[Sphere(center=np.zeros(2), radius=1.0)])
         d = params.epsilon - params.sigma_obs
         x = np.array([1.0 + d, 0.0])
-        assert importance_weight(x, env, params) == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert weight_trajectory(x[None], env, params) == pytest.approx([np.exp(-0.5)], abs=1e-12)
 
     def test_reference_parameterization(self):
         # epsilon=3, sigma_obs=1: at distance 1 the cost is 2, weight exp(-2)
         params = WeightParams(epsilon=3.0, sigma_obs=1.0)
         env = Environment(dimension=2, obstacles=[Sphere(center=np.zeros(2), radius=1.0)])
         x = np.array([2.0, 0.0])  # d = 1
-        assert importance_weight(x, env, params) == pytest.approx(np.exp(-2.0), abs=1e-12)
+        assert weight_trajectory(x[None], env, params) == pytest.approx([np.exp(-2.0)], abs=1e-12)
 
     def test_weight_uses_position_components_only(self):
         env = Environment(dimension=2, obstacles=[Sphere(center=np.zeros(2), radius=1.0)])
@@ -325,7 +326,8 @@ class TestWeights:
         near = np.array([1.1, 0.0])
         state_fast = np.concatenate([near, [99.0, -99.0]])
         state_slow = np.concatenate([near, [0.0, 0.0]])
-        assert importance_weight(state_fast, env, params) == importance_weight(state_slow, env, params)
+        w_fast, w_slow = weight_trajectory(np.array([state_fast, state_slow]), env, params)
+        assert w_fast == w_slow
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0))
@@ -343,20 +345,19 @@ class TestWeights:
             assert abs(hinge_cost(0.7 - h, params) - hinge_cost(0.7 + h, params)) <= h + 1e-15
 
     def test_weight_trajectory_obstacle_free(self):
-        traj = StateTrajectory(dt=0.1, states=np.random.default_rng(0).normal(size=(6, 4)))
+        states = np.random.default_rng(0).normal(size=(6, 4))
         env = Environment(dimension=2, obstacles=[])
-        w = weight_trajectory(traj, env, WeightParams())
-        np.testing.assert_array_equal(w, 1.0)
-        np.testing.assert_array_equal(weight_trajectory(traj, None, WeightParams()), 1.0)
+        w = weight_trajectory(states, env, WeightParams())
+        np.testing.assert_array_equal(w, np.ones(6))
+        np.testing.assert_array_equal(weight_trajectory(states, None, WeightParams()), np.ones(6))
 
     def test_weight_trajectory_dips_near_obstacle(self):
         env = Environment(dimension=2, obstacles=[Sphere(center=np.array([0.5, 0.0]), radius=0.1)])
         params = WeightParams(epsilon=0.3, sigma_obs=0.1)
         xs = np.linspace(0.0, 1.0, 21)
         states = np.stack([xs, np.zeros_like(xs), np.ones_like(xs), np.zeros_like(xs)], axis=1)
-        traj = StateTrajectory(dt=0.05, states=states)
-        w = weight_trajectory(traj, env, params)
-        direct = np.array([importance_weight(s, env, params) for s in states])
+        w = weight_trajectory(states, env, params)
+        direct = np.array([weight_trajectory(s[None], env, params)[0] for s in states])
         np.testing.assert_allclose(w, direct)
         assert w.min() < 1.0
         # monotone in the nodewise distance

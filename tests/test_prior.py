@@ -27,6 +27,19 @@ def node_marginals(model, init):
     return [GaussianState(mean=m, cov=c) for m, c in zip(prior.means, prior.covs)]
 
 
+def dense_covariance(prior):
+    """Oracle: the full (N+1)D joint covariance of a prior, from the Markov
+    cross-covariance recursion, one block at a time."""
+    n = prior.n_steps
+    blocks = [[None] * (n + 1) for _ in range(n + 1)]
+    for j in range(n + 1):
+        blocks[j][j] = prior.covs[j]
+        for i in range(j + 1, n + 1):
+            blocks[i][j] = prior.model.transition[i - 1] @ blocks[i - 1][j]
+            blocks[j][i] = blocks[i][j].T
+    return np.block(blocks)
+
+
 def reference_moments_and_precision(model, init, jitter=1e-10):
     """Per-interval loops over the model's intervals: rollout moments and the
     information-form precision blocks, one (D, D+1) map at a time."""
@@ -137,7 +150,7 @@ class TestJointPrior:
         p0 = init.cov
         expected = np.block([[p0, p0 @ phi.T],
                              [phi @ p0, phi @ p0 @ phi.T + model.Q[0]]])
-        np.testing.assert_allclose(prior.dense_covariance(), expected, rtol=1e-12)
+        np.testing.assert_allclose(dense_covariance(prior), expected, rtol=1e-12)
 
     def test_marginals_consistent_with_rollout(self):
         rng = np.random.default_rng(4)
@@ -145,7 +158,7 @@ class TestJointPrior:
         init = random_init(rng, dim=3)
         prior = GaussianTrajectoryPrior(model, init)
         marginals = node_marginals(model, init)
-        dense = prior.dense_covariance()
+        dense = dense_covariance(prior)
         for i, g in enumerate(marginals):
             np.testing.assert_allclose(prior.covs[i], g.cov, atol=1e-10)
             np.testing.assert_allclose(dense[3 * i:3 * i + 3, 3 * i:3 * i + 3], g.cov,
@@ -156,7 +169,7 @@ class TestJointPrior:
         model = random_model(rng, dim=2, n_steps=5)
         init = random_init(rng, dim=2)
         prior = GaussianTrajectoryPrior(model, init)
-        inv = np.linalg.inv(prior.dense_covariance())
+        inv = np.linalg.inv(dense_covariance(prior))
         scale = np.max(np.abs(inv))
         d = 2
         for i in range(6):
@@ -170,7 +183,7 @@ class TestJointPrior:
         model = random_model(rng, dim=2, n_steps=4)
         init = random_init(rng, dim=2)
         prior = GaussianTrajectoryPrior(model, init)
-        product = prior.dense_precision() @ prior.dense_covariance()
+        product = prior.dense_precision() @ dense_covariance(prior)
         np.testing.assert_allclose(product, np.eye(10), atol=1e-6)
 
     def test_quad_form_matches_dense(self):
@@ -219,13 +232,6 @@ class TestJointPrior:
             GaussianTrajectoryPrior(SkillModel(Phi_tilde=phi_tilde, Q=model.Q, dt=model.dt),
                                     random_init(rng, dim=2))
 
-    def test_dense_covariance_guard(self):
-        rng = np.random.default_rng(9)
-        model = random_model(rng, dim=2, n_steps=60)
-        prior = GaussianTrajectoryPrior(model, random_init(rng, dim=2))
-        with pytest.raises(ValueError, match="debug"):
-            prior.dense_covariance()
-
 
 class TestSampling:
     def test_zero_noise_fixed_start_gives_mean_path(self):
@@ -237,25 +243,24 @@ class TestSampling:
         model = SkillModel(Phi_tilde=np.stack(phis), Q=np.zeros((4, 2, 2)), dt=0.1)
         init = GaussianState(mean=np.array([0.3, -0.1]), cov=np.zeros((2, 2)))
         prior = GaussianTrajectoryPrior(model, init)
-        for traj in sample_trajectories(prior, 5, seed=0):
-            np.testing.assert_allclose(traj.states, prior.means, atol=1e-12)
+        samples = sample_trajectories(prior, 5, seed=0)
+        assert samples.shape == (5, 5, 2)
+        for states in samples:
+            np.testing.assert_allclose(states, prior.means, atol=1e-12)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, dim=2, n_steps=4)
         prior = GaussianTrajectoryPrior(model, random_init(rng, dim=2))
-        a = sample_trajectories(prior, 3, seed=42)
-        b = sample_trajectories(prior, 3, seed=42)
-        for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.states, tb.states)
+        np.testing.assert_array_equal(sample_trajectories(prior, 3, seed=42),
+                                      sample_trajectories(prior, 3, seed=42))
 
     def test_sample_covariance_matches_marginals(self):
         rng = np.random.default_rng(12)
         model = random_model(rng, dim=2, n_steps=3)
         prior = GaussianTrajectoryPrior(model, random_init(rng, dim=2))
         n = 50_000
-        samples = sample_trajectories(prior, n, seed=7)
-        stacked = np.stack([t.states for t in samples])
+        stacked = sample_trajectories(prior, n, seed=7)
         for i in range(4):
             emp = np.cov(stacked[:, i, :].T)
             p = prior.covs[i]
@@ -275,8 +280,8 @@ class TestSampling:
             state = state @ prior.model.Phi_tilde[i][:, 1:].T + prior.model.Phi_tilde[i][:, 0] \
                 + noise
             nodes.append(state)
-        for s, traj in enumerate(sample_trajectories(prior, 3, seed=5)):
-            np.testing.assert_array_equal(traj.states, np.stack(nodes, axis=1)[s])
+        np.testing.assert_array_equal(sample_trajectories(prior, 3, seed=5),
+                                      np.stack(nodes, axis=1))
 
     def test_bad_count(self):
         rng = np.random.default_rng(13)

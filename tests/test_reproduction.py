@@ -13,7 +13,7 @@ from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, Reproduction
                                   solution_csv, solution_summary)
 from iwskill.synthetic import make_reaching_scene
 
-from test_prior import random_init, random_model
+from test_prior import dense_covariance, random_init, random_model
 
 
 def dense_map_oracle(prior, anchors):
@@ -60,13 +60,20 @@ def hinge_row(state, sdf, eps_repro):
     return float(r[0]), jac[0]
 
 
+@pytest.mark.parametrize("damping", [-1.0, 0.0, np.nan, np.inf])
+def test_options_refuse_a_damping_start_that_cannot_escalate(damping):
+    # x10 escalation from a start <= 0 never passes LM_DAMPING_MAX
+    with pytest.raises(ValueError, match="lm_damping_init must be positive"):
+        OptimizerOptions(lm_damping_init=damping)
+
+
 def reaching_prior(seed, grid_n, weighted=True):
     """Prior of the reaching scene's batch-learned model, started from the
     demos' start states, and the demos' states (K, N+1, D)."""
     scene = make_reaching_scene(seed=seed)
     demo_set = DemoSet(demos=[estimate_states(d, grid_n) for d in scene.raw_demos])
     env = scene.env if weighted else None
-    model = learn_batch_weighted(demo_set, [weight_trajectory(t, env, scene.weight_params)
+    model = learn_batch_weighted(demo_set, [weight_trajectory(t.states, env, scene.weight_params)
                                             for t in demo_set.demos])
     return (GaussianTrajectoryPrior(model, initial_state_distribution(demo_set)),
             np.stack([t.states for t in demo_set.demos]))
@@ -75,7 +82,7 @@ def reaching_prior(seed, grid_n, weighted=True):
 def conditional_given_start(prior, x0):
     """Gaussian conditional mean of the joint prior given the first node."""
     d = prior.dim
-    cov = prior.dense_covariance()
+    cov = dense_covariance(prior)
     mean = prior.stacked_mean
     delta = np.linalg.solve(cov[:d, :d], x0 - mean[:d])
     rest = mean[d:] + cov[d:, :d] @ delta
