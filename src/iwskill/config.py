@@ -174,10 +174,4 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError("grid_n must be >= 1")
     if cfg.align not in ("dtw", "none"):
         raise ConfigError(f"align must be 'dtw' or 'none', got {cfg.align!r}")
-    for path in cfg.demos:
-        if not os.path.exists(path):
-            raise ConfigError(f"demo file not found: {path}")
-    for path in (cfg.environment, rc.environment):
-        if path is not None and not os.path.exists(path):
-            raise ConfigError(f"environment file not found: {path}")
     return cfg

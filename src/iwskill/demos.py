@@ -149,6 +149,7 @@ def estimate_states(demo: RawDemo, n_steps: int) -> StateTrajectory:
 DTW_CHUNK = 8
 
 
+@np.errstate(over="ignore")  # an overflowing distance is inf; learning reports it
 def _dtw_chunk(a: np.ndarray, bs: list) -> list:
     """Optimal forward (i, j) index paths, each (2, length), from `a` (n, P)
     to each of `bs`, steps {(1,0),(0,1),(1,1)} over Euclidean distances, by one

@@ -245,8 +245,12 @@ def load_environment(path: str) -> Environment:
 
 
 def environment_from_dict(data: dict) -> Environment:
+    if not isinstance(data, dict):
+        raise ValueError(f"the scene must be an object, got {data!r}")
     obstacles = []
-    for spec in data.get("obstacles", []):
+    for i, spec in enumerate(data.get("obstacles", [])):
+        if not isinstance(spec, dict):
+            raise ValueError(f"obstacles[{i}] must be an object, got {spec!r}")
         kind = spec.get("type")
         if kind == "sphere":
             obstacles.append(Sphere(center=spec["center"], radius=float(spec["radius"])))

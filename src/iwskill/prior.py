@@ -106,18 +106,15 @@ class GaussianTrajectoryPrior:
         return np.concatenate([s[:1] - self.means[:1], s[1:] - self.model.bias
                                - np.einsum("nij,nj->ni", self.model.transition, s[:-1])])
 
-    def quad_form(self, x: np.ndarray) -> float:
-        """(x - mu)^T K^{-1} (x - mu) summed as e^T info e over the residuals,
-        which avoids the cancellation between the large entries of K^{-1}."""
+    def quad_form(self, x: np.ndarray) -> tuple:
+        """(x - mu)^T K^{-1} (x - mu), summed as e^T info e over the residuals
+        (which avoids the cancellation between the large entries of K^{-1}),
+        and K^{-1} (x - mu), half its gradient, from the same residuals: node i
+        gets info_i e_i - Phi_i^T info_{i+1} e_{i+1}."""
         e = self._residuals(x)
-        return float(np.einsum("ni,nij,nj->", e, self.info, e))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """K^{-1} (x - mu), the gradient of quad_form(x) / 2, from the same
-        residuals: node i gets info_i e_i - Phi_i^T info_{i+1} e_{i+1}."""
-        w = np.einsum("nij,nj->ni", self.info, self._residuals(x))
+        w = np.einsum("nij,nj->ni", self.info, e)
         w[:-1] -= np.einsum("nji,nj->ni", self.model.transition, w[1:])
-        return w.reshape(-1)
+        return float(np.einsum("ni,nij,nj->", e, self.info, e)), w.reshape(-1)
 
     def dense_precision(self) -> np.ndarray:
         return block_tridiag_dense(self.prec_diag, self.prec_off)

@@ -138,33 +138,34 @@ def _clearances(sdf: SignedDistanceField, nodes: np.ndarray, states: np.ndarray)
                            row=exc.row) from exc
 
 
-def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> float:
-    """0.5 * (prior Mahalanobis term + every factor's sum of squared rows)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    rows = [f.linearize(x.reshape(-1, problem.prior.dim))[0] for f in problem.factors]
-    return 0.5 * (problem.prior.quad_form(x) + sum(float(r @ r) for r in rows))
-
-
-def _gradient_and_gn_blocks(x: np.ndarray, problem: ReproductionProblem):
-    """Gradient of the objective and the Gauss-Newton Hessian blocks.
-
-    The prior contributes its gradient and precision; each residual row r
-    with Jacobian row j on node i adds j r to the gradient and j j^T to block
-    (i, i), so the system stays block tridiagonal. An overflow (an infinite
-    or NaN entry in either) raises SingularNormalEquationsError, unwarned.
-    """
+def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> tuple:
+    """The objective 0.5 * (prior Mahalanobis term + every factor's sum of
+    squared rows), its gradient and Gauss-Newton Hessian blocks, from one
+    linearization per factor. The prior adds its gradient and precision; a row
+    r with Jacobian row j on node i adds j r to the gradient and j j^T to
+    block (i, i), so the system stays block tridiagonal. Overflow is unwarned:
+    it leaves an infinite or NaN value (see _finite)."""
     prior = problem.prior
+    x = np.asarray(x, dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = prior.gradient(x).reshape(-1, prior.dim)
-        h_diag = prior.prec_diag.copy()
+        quad, grad = prior.quad_form(x)
+        grad, h_diag = grad.reshape(-1, prior.dim), prior.prec_diag.copy()
+        squares = 0
         for f in problem.factors:
             r, nodes, jac = f.linearize(x.reshape(-1, prior.dim))
+            squares += float(r @ r)
             np.add.at(grad, nodes, r[:, None] * jac)
             np.add.at(h_diag, nodes, jac[:, :, None] * jac[:, None, :])
-    if not (np.isfinite(grad).all() and np.isfinite(h_diag).all()):
+        return 0.5 * (quad + squares), grad.reshape(-1), h_diag
+
+
+def _finite(evaluation: tuple) -> tuple:
+    """An evaluation LM keeps, or SingularNormalEquationsError if its
+    gradient or Gauss-Newton blocks are not finite."""
+    if not all(np.isfinite(a).all() for a in evaluation[1:]):
         raise SingularNormalEquationsError("normal equations not factorizable at damping 0: "
                                            "NaN or infinite gradient or Gauss-Newton blocks")
-    return grad.reshape(-1), h_diag
+    return evaluation
 
 
 def _solution(problem, x, objective, iterations, stop, history) -> Solution:
@@ -189,21 +190,20 @@ def optimize_map(problem: ReproductionProblem) -> Solution:
     predicted 0.5 step^T (mu step - g); mu grows by 2, 4, 8, ... on
     consecutive rejected steps, and by 10 on a damped system that is not
     positive definite, which past LM_DAMPING_MAX raises
-    SingularNormalEquationsError; so does a gradient or an undamped system
-    that is not finite, at once. `stop`: "gradient" (norm below abs_tol),
-    "step" (no longer than rel_tol * (||x|| + rel_tol); kept if it lowers
-    the objective), "damping" (mu past LM_DAMPING_MAX after a rejection)
-    or "max_iters" (the best iterate, not converged).
+    SingularNormalEquationsError; so do a gradient or Gauss-Newton blocks
+    that are not finite at the start or at a kept step, at once (a trial
+    point with a non-finite objective is rejected). Each point is evaluated
+    once. `stop`: "gradient" (norm below abs_tol), "step" (no longer than
+    rel_tol * (||x|| + rel_tol); kept if it lowers the objective), "damping"
+    (mu past LM_DAMPING_MAX after a rejection) or "max_iters" (the best
+    iterate, not converged).
     """
     opts = problem.options
     x = problem.prior.stacked_mean.copy()
-    grad, h_diag = _gradient_and_gn_blocks(x, problem)
-    obj = negative_log_posterior(x, problem)
+    obj, grad, h_diag = _finite(negative_log_posterior(x, problem))
     history, stop, iterations = [obj], "max_iters", 0
     damping, growth = opts.lm_damping_init, 2.0
     while iterations < opts.max_iters:
-        if grad is None:
-            grad, h_diag = _gradient_and_gn_blocks(x, problem)
         if np.linalg.norm(grad) < opts.abs_tol:
             stop = "gradient"
             break
@@ -219,12 +219,12 @@ def optimize_map(problem: ReproductionProblem) -> Solution:
                         f"normal equations not factorizable at damping {damping:.1e}: "
                         f"{exc}") from exc
         small = np.linalg.norm(step) <= opts.rel_tol * (np.linalg.norm(x) + opts.rel_tol)
-        obj_new = negative_log_posterior(x + step, problem)
+        trial = negative_log_posterior(x + step, problem)
         iterations += 1
-        if obj_new < obj:
-            rho = (obj - obj_new) / (0.5 * float(step @ (damping * step - grad)))
+        if trial[0] < obj:
+            rho = (obj - trial[0]) / (0.5 * float(step @ (damping * step - grad)))
             damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            x, obj, grad, growth = x + step, obj_new, None, 2.0
+            x, (obj, grad, h_diag), growth = x + step, _finite(trial), 2.0
             history.append(obj)
         else:
             damping, growth = damping * growth, growth * 2.0

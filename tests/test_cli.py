@@ -301,7 +301,10 @@ class TestReproduce:
         out = str(tmp_path / "out")
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
         cfg = json.load(open(root / "config.json"))
-        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None, align="dtw",
+        demos = [str(tmp_path / d) for d in cfg["demos"]]
+        for d in cfg["demos"]:
+            (tmp_path / d).write_bytes((root / d).read_bytes())
+        cfg.update(demos=demos, environment=None, align="dtw",
                    init_state={"mean": [0.0, 0.5, 3.0, 1.0], "cov": (1e-4 * np.eye(4)).tolist()})
         cfg["reproduction"] = {"starts": [[0.0, 0.5, 3.0, 1.0]]}
         write_json(str(tmp_path / "cfg.json"), cfg)
@@ -309,8 +312,17 @@ class TestReproduce:
         def no_alignment(*args, **kwargs):
             raise AssertionError("demos aligned although init_state is set")
         monkeypatch.setattr("iwskill.demos.dtw_align", no_alignment)
-        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", out, "reproduce",
-                         "--model", os.path.join(out, "model.json")]) == 0
+
+        def rollout_and_reproduce(stage_out):
+            for command in ("rollout", "reproduce"):
+                assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", stage_out,
+                                 command, "--model", os.path.join(out, "model.json")]) == 0
+            return read_all_outputs(stage_out)
+        with_demos = rollout_and_reproduce(str(tmp_path / "with_demos"))
+        assert "prior.csv" in with_demos and "solution_000.csv" in with_demos
+        for path in demos:  # never read: deleting them changes nothing
+            os.remove(path)
+        assert rollout_and_reproduce(str(tmp_path / "without_demos")) == with_demos
 
     def test_mean_start_returns_prior_mean(self, scene_dir, tmp_path):
         root, _ = scene_dir
@@ -480,14 +492,16 @@ class TestExitCodes:
         assert "reproduction.lm_damping_init must be a positive number, got -1.0" in (
             capsys.readouterr().err)
 
-    @pytest.mark.parametrize("stage", ["learn", "assimilate"])
+    @pytest.mark.parametrize("stage", ["learn", "assimilate", "dtw"])  # dtw: learn, aligned
     def test_overflowing_demos_are_numerical_failure(self, scene_dir, tmp_path, capsys, stage):
         _, scene = scene_dir
         names = [f"demo_{k}.json" for k in range(len(scene.raw_demos))]
         for name, demo in zip(names, scene.raw_demos):
             save_raw_demo(str(tmp_path / name), RawDemo(demo.timestamps, 1e200 * demo.positions))
-        write_json(str(tmp_path / "cfg.json"), {"demos": names, "grid_n": 20, "align": "none"})
-        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), stage]
+        write_json(str(tmp_path / "cfg.json"), {"demos": names, "grid_n": 20,
+                                                "align": "dtw" if stage == "dtw" else "none"})
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+                "learn" if stage == "dtw" else stage]
         if stage == "assimilate":
             argv += ["--checkpoint", str(tmp_path / "ck.json"), "--demo", str(tmp_path / names[0])]
         assert cli_main(argv) == 3
@@ -499,7 +513,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("content, reason", [
         ("{ not json", "Expecting property name"),
         ('{"dimension": 2, "obstacles": [{"type": "cone"}]}', "unknown obstacle type: 'cone'"),
-    ], ids=["not-json", "cone"])
+        ("[1, 2]", "the scene must be an object, got [1, 2]"),
+        ('"abc"', "the scene must be an object, got 'abc'"),
+        ('{"dimension": 2, "obstacles": [1]}', "obstacles[0] must be an object, got 1"),
+    ], ids=["not-json", "cone", "list", "string", "obstacle-not-object"])
     @pytest.mark.parametrize("route", ["environment", "reproduction.environment",
                                        "assimilate --env"])
     def test_unreadable_scene_names_the_file(self, scene_dir, tmp_path, capsys, content, reason,
@@ -586,9 +603,22 @@ class TestExitCodes:
         write_json(str(tmp_path / "bad.json"), {"grid": 10})
         assert cli_main(["--config", str(tmp_path / "bad.json"), "learn"]) == 2
 
-    def test_missing_demo_file(self, tmp_path):
+    def test_missing_demo_file(self, tmp_path, capsys):
         write_json(str(tmp_path / "cfg.json"), {"demos": ["missing.json"]})
         assert cli_main(["--config", str(tmp_path / "cfg.json"), "learn"]) == 2
+        assert f"failed to read demo {tmp_path / 'missing.json'}: " in capsys.readouterr().err
+
+    def test_reproduce_ignores_missing_learning_scene(self, scene_dir, tmp_path):
+        # only `reproduction.environment` is read by reproduce
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        cfg = json.load(open(root / "config.json"))
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]],
+                   environment=str(tmp_path / "missing.json"))
+        write_json(str(tmp_path / "cfg.json"), cfg)
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", out, "reproduce",
+                         "--model", os.path.join(out, "model.json")]) == 0
 
     def test_non_convergence_exit_keeps_summary(self, scene_dir, tmp_path):
         root, _ = scene_dir

@@ -195,7 +195,9 @@ class TestJointPrior:
         for _ in range(5):
             x = rng.normal(size=10)
             r = x - prior.stacked_mean
-            np.testing.assert_allclose(prior.quad_form(x), r @ lam @ r, rtol=1e-10)
+            value, grad = prior.quad_form(x)
+            np.testing.assert_allclose(value, r @ lam @ r, rtol=1e-10)
+            np.testing.assert_allclose(grad, lam @ r, rtol=1e-8, atol=1e-8 * np.abs(lam @ r).max())
 
     def test_added_noise_never_shrinks_variances(self):
         rng = np.random.default_rng(8)

@@ -9,8 +9,8 @@ from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf, we
 from iwskill.prior import GaussianState, GaussianTrajectoryPrior, initial_state_distribution
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                                   SingularNormalEquationsError, Solution, StateAnchor,
-                                  _gradient_and_gn_blocks, negative_log_posterior, optimize_map,
-                                  solution_csv, solution_summary)
+                                  negative_log_posterior, optimize_map, solution_csv,
+                                  solution_summary)
 from iwskill.synthetic import make_reaching_scene
 
 from test_prior import dense_covariance, random_init, random_model
@@ -145,14 +145,16 @@ class TestNegativeLogPosterior:
         rng = np.random.default_rng(1)
         prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
         problem = ReproductionProblem(prior=prior, factors=[])
-        assert negative_log_posterior(prior.stacked_mean, problem) == pytest.approx(0.0, abs=1e-12)
+        objective, _, _ = negative_log_posterior(prior.stacked_mean, problem)
+        assert objective == pytest.approx(0.0, abs=1e-12)
 
     def test_anchor_at_its_own_mean(self):
         rng = np.random.default_rng(2)
         prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
         anchor = StateAnchor(index=2, target=prior.means[2].copy(), sigma=0.1)
         problem = ReproductionProblem(prior=prior, factors=[anchor])
-        assert negative_log_posterior(prior.stacked_mean, problem) == pytest.approx(0.0, abs=1e-12)
+        objective, _, _ = negative_log_posterior(prior.stacked_mean, problem)
+        assert objective == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_evaluation(self):
         rng = np.random.default_rng(3)
@@ -168,7 +170,7 @@ class TestNegativeLogPosterior:
             for a in anchors:
                 ra = x[a.index * 2:(a.index + 1) * 2] - a.target
                 expected += 0.5 * ra @ ra / a.sigma ** 2
-            assert negative_log_posterior(x, problem) == pytest.approx(expected, rel=1e-9)
+            assert negative_log_posterior(x, problem)[0] == pytest.approx(expected, rel=1e-9)
 
     def test_obstacle_factor_only_penalizes_collision(self, disc_sdf):
         model = SkillModel(Phi_tilde=[np.hstack([np.zeros((4, 1)), np.eye(4)])] * 2,
@@ -181,9 +183,9 @@ class TestNegativeLogPosterior:
             factors = [ObstacleFactor(indices=range(3), sdf=disc_sdf, eps_repro=0.1,
                                       sigma_repro=0.05)]
             with_obs = negative_log_posterior(prior.stacked_mean,
-                                              ReproductionProblem(prior=prior, factors=factors))
+                                              ReproductionProblem(prior=prior, factors=factors))[0]
             without = negative_log_posterior(prior.stacked_mean,
-                                             ReproductionProblem(prior=prior, factors=[]))
+                                             ReproductionProblem(prior=prior, factors=[]))[0]
             if should_increase:
                 assert with_obs > without
             else:
@@ -205,22 +207,22 @@ class TestObstacleFactorBatch:
         for _ in range(5):
             x = np.column_stack([rng.uniform(0.2, 0.8, 9), rng.uniform(-0.3, 0.3, 9),
                                  rng.normal(size=(9, 2))]).reshape(-1)
-            expected = 0.5 * prior.quad_form(x)
+            expected = 0.5 * prior.quad_form(x)[0]
             active = 0
             for i in range(9):
                 c, _ = hinge_row(x[4 * i:4 * i + 4], disc_sdf, 0.15)
                 expected += 0.5 * c * c / 0.05 ** 2
                 active += c > 0
             assert active > 0
-            assert negative_log_posterior(x, problem) == pytest.approx(expected, rel=1e-12)
+            assert negative_log_posterior(x, problem)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_subset_of_nodes(self, prior, disc_sdf):
         x = np.tile([0.5, 0.1, 0.0, 0.0], 9)  # every node is inside the disc's band
-        base = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[]))
+        base = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[]))[0]
         c, _ = hinge_row(x[:4], disc_sdf, 0.1)
         for nodes in ([4], [0, 8], range(9)):
             factor = ObstacleFactor(indices=nodes, sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
-            got = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[factor]))
+            got = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[factor]))[0]
             assert got == pytest.approx(base + len(factor.indices) * 0.5 * c * c / 0.05 ** 2,
                                         rel=1e-12)
 
@@ -403,6 +405,28 @@ class TestOptimizeMap:
         assert sol.feasible
         assert sol.min_clearance >= 0.1 - 0.01
 
+    def test_each_point_is_linearized_once(self, disc_sdf):
+        # the start and every trial point: a kept step is not evaluated again
+        class Counting:
+            def __init__(self, factor):
+                self.factor, self.indices, self.calls = factor, factor.indices, 0
+
+            def linearize(self, states):
+                self.calls += 1
+                return self.factor.linearize(states)
+
+        rng = np.random.default_rng(11)
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
+                                        GaussianState(mean=np.array([1.5, 0.7, 0.0, 0.0]),
+                                                      cov=0.01 * np.eye(4)))
+        factors = [Counting(StateAnchor(index=0, target=np.array([0.3, 0.05, 0.0, 0.0]),
+                                        sigma=0.01)),
+                   Counting(ObstacleFactor(indices=range(5), sdf=disc_sdf, eps_repro=0.1,
+                                           sigma_repro=0.05))]
+        sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
+        assert len(sol.objective_history) > 2
+        assert [f.calls for f in factors] == [sol.iterations + 1] * 2
+
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(1, 4), n_steps=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
@@ -414,10 +438,10 @@ def test_gradient_matches_central_differences(dim, n_steps, seed):
                            sigma=float(rng.uniform(0.05, 1.0))) for _ in range(2)]
     problem = ReproductionProblem(prior=prior, factors=anchors)
     x = prior.stacked_mean + rng.normal(scale=0.1, size=prior.stacked_mean.size)
-    grad, _ = _gradient_and_gn_blocks(x, problem)
+    _, grad, _ = negative_log_posterior(x, problem)
     h = 1e-5
-    fd = np.array([(negative_log_posterior(x + h * e, problem)
-                    - negative_log_posterior(x - h * e, problem)) / (2 * h)
+    fd = np.array([(negative_log_posterior(x + h * e, problem)[0]
+                    - negative_log_posterior(x - h * e, problem)[0]) / (2 * h)
                    for e in np.eye(x.size)])
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
 

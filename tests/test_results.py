@@ -17,8 +17,10 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
 def test_script_matches_committed_summary(tmp_path, scene, ratio):
     path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
                            if p)
-    subprocess.run([sys.executable, os.path.join(ROOT, "scripts", f"run_{scene}.py"),
-                    "--out", str(tmp_path)], check=True, capture_output=True,
+    # pytest's warning filter does not reach the subprocess: give it the same one
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                    os.path.join(ROOT, "scripts", f"run_{scene}.py"), "--out", str(tmp_path)],
+                   check=True, capture_output=True,
                    env=dict(os.environ, PYTHONPATH=path))
     with open(tmp_path / "summary.json") as fh:
         got = json.load(fh)[ratio]
