@@ -55,7 +55,7 @@ def main() -> int:
     results = {}
     for label, weighted in (("weighted", True), ("unweighted", False)):
         out_dir = os.path.join(args.out, label)
-        checkpoint = os.path.join(out_dir, "checkpoint.json")
+        checkpoint = os.path.join(out_dir, "checkpoint.npz")
         if os.path.exists(checkpoint):  # a rerun starts fresh, not from the last run's learner
             os.remove(checkpoint)
         for k, demo_path in enumerate(demo_files):

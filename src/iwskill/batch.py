@@ -177,11 +177,23 @@ def model_to_dict(model: SkillModel) -> dict:
 
 def model_from_dict(data: dict) -> SkillModel:
     """The model of a `model_to_dict` dict; raises ValueError naming the first
-    step whose matrices do not match the header's dimension D."""
-    d = int(data["D"])
+    step whose matrices do not match the header's dimension D, a D that is not
+    a positive int, a dt that is not positive and finite, or a non-finite
+    Phi_tilde or Q."""
+    d = data["D"]
+    if type(d) is not int or d < 1:
+        raise ValueError(f"D must be a positive int, got {d!r}")
+    dt = float(data["dt"])
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be a positive finite number, got {dt}")
     steps = data["steps"]
-    return SkillModel(Phi_tilde=stack_field(steps, "Phi_tilde", (d, d + 1)),
-                      Q=stack_field(steps, "Q", (d, d)), dt=float(data["dt"]))
+    phi = stack_field(steps, "Phi_tilde", (d, d + 1))
+    q = stack_field(steps, "Q", (d, d))
+    for key, value in (("Phi_tilde", phi), ("Q", q)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"step {np.argmin(np.isfinite(value).all(axis=(1, 2)))}: "
+                             f"{key} must be finite")
+    return SkillModel(Phi_tilde=phi, Q=q, dt=dt)
 
 
 def save_model(path: str, model: SkillModel) -> None:

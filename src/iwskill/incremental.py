@@ -14,7 +14,7 @@ import numpy as np
 
 from .batch import SkillModel, solve_intervals
 from .demos import StateTrajectory
-from .utils import read_json, stack_field, write_json
+from .utils import atomic_write_npz
 
 
 class IncrementalLearner:
@@ -95,32 +95,66 @@ def extract_map(learner: IncrementalLearner) -> SkillModel:
                       dt=learner.dt if learner.dt is not None else 1.0)
 
 
+# The checkpoint format: one npz archive of these arrays, no pickles.
+CHECKPOINT_VERSION = 1
+CHECKPOINT_KEYS = ("version", "alpha", "beta", "demos_seen", "dt", "M", "R", "V", "nu")
+_ZIP_MAGIC = b"PK\x03\x04"
+
+
 def save_checkpoint(path: str, learner: IncrementalLearner) -> None:
-    write_json(path, {
-        "alpha": learner.alpha,
-        "beta": learner.beta,
-        "demos_seen": learner.demos_seen,
-        "dt": learner.dt,
-        "n_steps": learner.n_steps,
-        "dim": learner.dim,
-        "steps": [{"M": m, "R": r, "V": v, "nu": nu} for m, r, v, nu in zip(
-            learner.M.tolist(), learner.R.tolist(), learner.V.tolist(), learner.nu.tolist())],
-    })
+    """The learner's statistics and settings as a versioned npz archive,
+    written atomically to exactly `path`."""
+    atomic_write_npz(path, dict(zip(CHECKPOINT_KEYS, (
+        np.array(CHECKPOINT_VERSION), np.array(learner.alpha), np.array(learner.beta),
+        np.array(learner.demos_seen), np.array(float(learner.dt)),
+        learner.M, learner.R, learner.V, learner.nu))))
+
+
+def _field(data: dict, key: str, shape: tuple) -> np.ndarray:
+    """`data[key]` as floats; a ValueError unless it is a real number array of `shape`."""
+    value = data[key]
+    if value.shape != shape or value.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must be a number array of shape {shape}, "
+                         f"got {value.dtype} {value.shape}")
+    return value.astype(float)
 
 
 def load_checkpoint(path: str) -> IncrementalLearner:
-    """The learner saved at `path`; a ValueError if its steps do not fit its header."""
-    data = read_json(path)
-    learner = IncrementalLearner(int(data["n_steps"]), int(data["dim"]),
-                                 float(data["alpha"]), float(data["beta"]),
-                                 dt=None if data["dt"] is None else float(data["dt"]))
-    learner.demos_seen = int(data["demos_seen"])
-    steps = data["steps"]
-    if len(steps) != learner.n_steps:
-        raise ValueError("checkpoint step count disagrees with its grid")
-    d = learner.dim
-    learner.M = stack_field(steps, "M", (d, d + 1))
-    learner.R = stack_field(steps, "R", (d + 1, d + 1))
-    learner.V = stack_field(steps, "V", (d, d))
-    learner.nu = stack_field(steps, "nu", ())
+    """The learner saved at `path`; a ValueError naming the field when the
+    file is not a checkpoint of this version, lacks a field, or holds a shape
+    or value the learner cannot have."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise ValueError("not an npz checkpoint (a JSON checkpoint of an earlier "
+                             "version cannot be read; assimilate into a new checkpoint)")
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as npz:
+            data = {k: npz[k] for k in CHECKPOINT_KEYS if k in npz.files}
+    missing = [k for k in CHECKPOINT_KEYS if k not in data]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
+    version = _field(data, "version", ())
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"version must be {CHECKPOINT_VERSION}, got {version}")
+    alpha, beta, dt, seen = (float(_field(data, k, ())) for k in ("alpha", "beta", "dt",
+                                                                  "demos_seen"))
+    for key, value in (("alpha", alpha), ("beta", beta), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{key} must be a positive finite number, got {value}")
+    if not (seen >= 0 and seen.is_integer()):
+        raise ValueError(f"demos_seen must be a non-negative integer, got {seen}")
+    m = data["M"]
+    if m.ndim != 3 or 0 in m.shape or m.shape[2] != m.shape[1] + 1:
+        raise ValueError(f"M must be a number array of shape (N, D, D+1) with N, D >= 1, "
+                         f"got {m.shape}")
+    n, d = m.shape[:2]
+    learner = IncrementalLearner(n, d, alpha, beta, dt=dt)
+    learner.demos_seen = int(seen)
+    for key, shape in (("M", m.shape), ("R", (n, d + 1, d + 1)), ("V", (n, d, d)), ("nu", (n,))):
+        value = _field(data, key, shape)
+        if not np.isfinite(value).all():
+            raise ValueError(f"{key} must be finite")
+        setattr(learner, key, value)
+    if not np.all(learner.nu > 0):
+        raise ValueError("nu must be positive")
     return learner

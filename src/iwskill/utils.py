@@ -1,5 +1,5 @@
-"""Small shared helpers: atomic file writes, deterministic JSON dumps and
-CSV tables."""
+"""Small shared helpers: atomic file writes, deterministic JSON dumps, npz
+archives and CSV tables."""
 
 import json
 import os
@@ -8,15 +8,16 @@ import tempfile
 import numpy as np
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write `text` to `path` via a temp file + rename, so readers never see
-    a partially written file and failed writes leave the old content intact."""
+def _atomic_write(path: str, write) -> None:
+    """Fill a temp file next to `path` with `write(binary_file)`, then rename
+    it onto `path`, so readers never see a partially written file and failed
+    writes leave the old content intact."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -24,9 +25,22 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8, atomically."""
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
+
+
+def atomic_write_npz(path: str, arrays: dict) -> None:
+    """Write `arrays` as one uncompressed npz archive to exactly `path`,
+    atomically. Its zip entries carry a fixed timestamp, so equal arrays give
+    equal bytes."""
+    _atomic_write(path, lambda fh: np.savez(fh, **arrays))
+
+
 def write_json(path: str, obj) -> None:
-    """Deterministic JSON: fixed indentation, insertion order preserved."""
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    """Deterministic one-line JSON (CPython's C encoder), insertion order
+    preserved."""
+    atomic_write_text(path, json.dumps(obj) + "\n")
 
 
 def read_json(path: str):

@@ -365,7 +365,7 @@ def test_acceptance_9_cli_determinism(tmp_path):
         assert cli_main(cfg + ["weights"]) == 0
         assert cli_main(cfg + ["learn"]) == 0
         assert cli_main(cfg + ["assimilate", "--checkpoint",
-                               os.path.join(out_dir, "ck.json"),
+                               os.path.join(out_dir, "ck.npz"),
                                "--demo", str(root / "demo_000.json")]) == 0
         # assimilate overwrote model.json; relearn so rollout/reproduce see
         # the batch model both runs

@@ -1,3 +1,4 @@
+import re
 import warnings
 from collections import namedtuple
 
@@ -9,8 +10,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 import iwskill.batch
 from iwskill.batch import (DegenerateWeightsWarning, SingularSystemError, SkillModel,
-                           fit_intervals, learn_batch_weighted, model_from_dict,
-                           model_to_dict)
+                           fit_intervals, learn_batch_weighted, load_model, model_from_dict,
+                           model_to_dict, save_model)
 from iwskill.demos import DemoSet, StateTrajectory
 from iwskill.environment import Environment, WeightParams, weight_trajectory
 
@@ -257,19 +258,54 @@ class TestAssembleAndLearn:
             learn_batch_weighted(ds, [np.ones(5)] * 2, lam=0.0)
 
 
-def test_model_round_trip():
+def small_model():
     rng = np.random.default_rng(14)
     phis, qs = [], []
     for _ in range(3):
         q = rng.normal(size=(2, 2))
         phis.append(rng.normal(size=(2, 3)))
         qs.append(q @ q.T)
-    model = SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.25)
+    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.25)
+
+
+def test_model_round_trip(tmp_path):
+    model = small_model()
     again = model_from_dict(model_to_dict(model))
     assert again.dt == model.dt and again.dim == 2
     for a, b in zip(intervals(model), intervals(again)):
         np.testing.assert_array_equal(a.Phi_tilde, b.Phi_tilde)
         np.testing.assert_array_equal(a.Q, b.Q)
+    # through the file: one line of JSON that holds every float exactly
+    path = str(tmp_path / "model.json")
+    save_model(path, model)
+    with open(path) as fh:
+        assert len(fh.read().splitlines()) == 1
+    again = load_model(path)
+    assert np.array_equal(again.Phi_tilde, model.Phi_tilde)
+    assert np.array_equal(again.Q, model.Q)
+    assert again.dt == model.dt
+
+
+@pytest.mark.parametrize("key,value,reason", [
+    ("dt", float("inf"), "dt must be a positive finite number, got inf"),
+    ("dt", float("nan"), "dt must be a positive finite number, got nan"),
+    ("dt", 0.0, "dt must be a positive finite number, got 0.0"),
+    ("dt", -1, "dt must be a positive finite number, got -1.0"),
+    ("D", float("inf"), "D must be a positive int, got inf"),
+    ("D", 2.0, "D must be a positive int, got 2.0"),
+    ("D", 0, "D must be a positive int, got 0"),
+    ("Phi_tilde", float("nan"), "step 1: Phi_tilde must be finite"),
+    ("Q", float("-inf"), "step 1: Q must be finite"),
+], ids=["dt-inf", "dt-nan", "dt-zero", "dt-negative", "D-inf", "D-float", "D-zero",
+        "Phi-nan", "Q-inf"])
+def test_model_reader_rejects_bad_values(key, value, reason):
+    data = model_to_dict(small_model())
+    if key in data:
+        data[key] = value
+    else:
+        data["steps"][1][key][0][0] = value
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        model_from_dict(data)
 
 
 def reference_fit(inputs, targets, weights, lam):

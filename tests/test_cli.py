@@ -12,6 +12,7 @@ from iwskill.demos import RawDemo, save_raw_demo
 from iwskill.environment import build_sdf, environment_to_dict, load_environment
 from iwskill.synthetic import make_reaching_scene
 from iwskill.utils import write_json
+from test_incremental import rewrite_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,7 @@ class TestAssimilate:
                     "ridge_lambda": 1e-10, "alpha": 1e10, "beta": 1e10,
                     "out_dir": "out"})
         out_inc = str(tmp_path / "inc")
-        checkpoint = os.path.join(out_inc, "ck.json")
+        checkpoint = os.path.join(out_inc, "ck.npz")
         for name in demo_names:
             code = cli_main(["--config", str(tmp_path / "config.json"), "--out", out_inc,
                              "assimilate", "--checkpoint", checkpoint,
@@ -163,7 +164,7 @@ class TestAssimilate:
         root, _ = scene_dir
         out = str(tmp_path / "out")
         os.makedirs(out)
-        checkpoint = os.path.join(out, "ck.json")
+        checkpoint = os.path.join(out, "ck.npz")
         with open(checkpoint, "w") as fh:
             fh.write("{ definitely not json")
         before = open(checkpoint, "rb").read()
@@ -177,22 +178,49 @@ class TestAssimilate:
     def test_wrong_shaped_checkpoint_names_the_file(self, scene_dir, tmp_path, capsys):
         root, _ = scene_dir
         out = str(tmp_path / "out")
-        checkpoint = os.path.join(out, "ck.json")
+        checkpoint = os.path.join(out, "ck.npz")
         base = ["--config", str(root / "config.json"), "--out", out, "assimilate",
                 "--checkpoint", checkpoint]
         assert cli_main(base + ["--demo", str(root / "demo_000.json")]) == 0
-        data = json.load(open(checkpoint))
-        data["steps"][4]["M"] = [row[:-2] for row in data["steps"][4]["M"]]
-        write_json(checkpoint, data)
+        with np.load(checkpoint) as npz:
+            r = npz["R"]
+        rewrite_checkpoint(checkpoint, R=r[:, :-1])
         capsys.readouterr()
         assert cli_main(base + ["--demo", str(root / "demo_001.json")]) == 2
         err = capsys.readouterr().err
-        assert f"corrupt checkpoint {checkpoint}: step 4: M must be" in err
+        assert f"corrupt checkpoint {checkpoint}: R must be a number array of shape" in err
+
+    @pytest.mark.parametrize("content", ["json", "pickle"])
+    def test_unreadable_checkpoint_changes_nothing(self, scene_dir, tmp_path, capsys, content):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        checkpoint = os.path.join(out, "ck.json")
+        base = ["--config", str(root / "config.json"), "--out", out]
+        assert cli_main(base + ["learn"]) == 0
+        if content == "json":  # the checkpoint format of earlier versions
+            write_json(checkpoint, {"alpha": 1e10, "beta": 1e10, "demos_seen": 1, "dt": 0.1,
+                                    "n_steps": 1, "dim": 1, "steps": [
+                                        {"M": [[0.0, 1.0]], "R": [[1.0, 0.0], [0.0, 1.0]],
+                                         "V": [[1.0]], "nu": 2.0}]})
+            reason = "not an npz checkpoint"
+        else:
+            assert cli_main(base + ["assimilate", "--checkpoint", checkpoint,
+                                    "--demo", str(root / "demo_000.json")]) == 0
+            rewrite_checkpoint(checkpoint, nu=np.array([{"nu": 1.0}], dtype=object))
+            reason = "allow_pickle=False"
+        assert cli_main(base + ["learn"]) == 0
+        before = read_all_outputs(out)
+        capsys.readouterr()
+        assert cli_main(base + ["assimilate", "--checkpoint", checkpoint,
+                                "--demo", str(root / "demo_001.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: corrupt checkpoint {checkpoint}: ") and reason in err
+        assert read_all_outputs(out) == before
 
     def test_grid_mismatch_exit_code(self, scene_dir, tmp_path):
         root, _ = scene_dir
         out = str(tmp_path / "out")
-        checkpoint = os.path.join(out, "ck.json")
+        checkpoint = os.path.join(out, "ck.npz")
         assert cli_main(["--config", str(root / "config.json"), "--out", out,
                          "assimilate", "--checkpoint", checkpoint,
                          "--demo", str(root / "demo_000.json")]) == 0
@@ -486,6 +514,23 @@ class TestExitCodes:
                              command, "--model", model_path]) == 2
             assert f"corrupt model {model_path}: step 7: Q must be" in capsys.readouterr().err
 
+    def test_model_with_an_infinite_dt_names_the_file(self, scene_dir, tmp_path, capsys):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        model_path = os.path.join(out, "model.json")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        with open(model_path) as fh:
+            model = json.load(fh)
+        model["dt"] = float("inf")
+        write_json(model_path, model)
+        capsys.readouterr()
+        for command in ("rollout", "reproduce"):
+            assert cli_main(["--config", str(root / "config.json"), "--out", out,
+                             command, "--model", model_path]) == 2
+            assert capsys.readouterr().err == (f"config error: corrupt model {model_path}: "
+                                               "dt must be a positive finite number, got inf\n")
+        assert not os.path.exists(os.path.join(out, "prior.csv"))
+
     def test_non_positive_damping_start_names_its_key(self, scene_dir, tmp_path, capsys):
         # LM would escalate it by x10 forever on a damped system that is indefinite
         assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {"lm_damping_init": -1.0}) == 2
@@ -503,12 +548,12 @@ class TestExitCodes:
         argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
                 "learn" if stage == "dtw" else stage]
         if stage == "assimilate":
-            argv += ["--checkpoint", str(tmp_path / "ck.json"), "--demo", str(tmp_path / names[0])]
+            argv += ["--checkpoint", str(tmp_path / "ck.npz"), "--demo", str(tmp_path / names[0])]
         assert cli_main(argv) == 3
         err = capsys.readouterr().err
         assert err == "numerical failure: interval 0: system not finite (overflow)\n"
         assert not (tmp_path / "out" / "model.json").exists()
-        assert not (tmp_path / "ck.json").exists()
+        assert not (tmp_path / "ck.npz").exists()
 
     @pytest.mark.parametrize("content, reason", [
         ("{ not json", "Expecting property name"),
@@ -536,7 +581,7 @@ class TestExitCodes:
             cfg["reproduction"]["environment"] = str(scene)
             argv += ["reproduce", "--model", os.path.join(out, "model.json")]
         else:
-            argv += ["assimilate", "--checkpoint", str(tmp_path / "ck.json"),
+            argv += ["assimilate", "--checkpoint", str(tmp_path / "ck.npz"),
                      "--demo", str(root / "demo_000.json"), "--env", str(scene)]
         write_json(str(tmp_path / "cfg.json"), cfg)
         capsys.readouterr()

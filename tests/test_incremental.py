@@ -1,3 +1,5 @@
+import os
+import zipfile
 from collections import namedtuple
 
 import numpy as np
@@ -7,9 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from iwskill.demos import StateTrajectory
-from iwskill.incremental import (IncrementalLearner, assimilate_demo, extract_map,
-                                 load_checkpoint, save_checkpoint)
-from iwskill.utils import read_json, write_json
+from iwskill.incremental import (CHECKPOINT_KEYS, IncrementalLearner, assimilate_demo,
+                                 extract_map, load_checkpoint, save_checkpoint)
 from test_batch import Interval, fit_one, intervals
 
 MNIW = namedtuple("MNIW", "M R V nu")
@@ -195,12 +196,35 @@ class TestBatchEquivalence:
             assert rel <= 0.10
 
 
+def rewrite_checkpoint(path, **fields):
+    """Rewrite the npz checkpoint at `path` with `fields` replaced; a field
+    given as None is deleted."""
+    with np.load(path) as npz:
+        data = dict(npz)
+    for key, value in fields.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **data)
+
+
+def saved_learner(tmp_path, name="ck.npz"):
+    """A learner that has seen two demos, saved at `tmp_path / name`."""
+    rng = np.random.default_rng(10)
+    demos, weights = random_demos(rng, k=2)
+    path = str(tmp_path / name)
+    save_checkpoint(path, assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10), demos, weights))
+    return path
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         demos, weights = random_demos(rng, k=3)
         learner = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10, dt=0.1), demos, weights)
-        path = str(tmp_path / "ck.json")
+        path = str(tmp_path / "ck.npz")
         save_checkpoint(path, learner)
         again = load_checkpoint(path)
         assert again.demos_seen == 3 and again.dt == 0.1
@@ -214,23 +238,67 @@ class TestCheckpoint:
         for a, b in zip(intervals(model_a), intervals(model_b)):
             np.testing.assert_array_equal(a.Phi_tilde, b.Phi_tilde)
 
+    def test_bytes_are_pinned(self, tmp_path):
+        # a binary file in out_dir keeps repeated CLI runs byte-identical only
+        # because every zip entry carries the same fixed timestamp
+        path = saved_learner(tmp_path, "a.ckpt.json")
+        learner = load_checkpoint(path)
+        save_checkpoint(str(tmp_path / "b.ckpt.json"), learner)
+        assert sorted(os.listdir(tmp_path)) == ["a.ckpt.json", "b.ckpt.json"]
+        assert (tmp_path / "a.ckpt.json").read_bytes() == (tmp_path / "b.ckpt.json").read_bytes()
+        with zipfile.ZipFile(path) as zf:
+            entries = zf.infolist()
+        assert [e.filename for e in entries] == [f"{k}.npy" for k in CHECKPOINT_KEYS]
+        assert all(e.date_time == (1980, 1, 1, 0, 0, 0) for e in entries)
+
     def test_corrupt_checkpoint(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text("{ not json")
         with pytest.raises(Exception):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("field,row", [("M", [[0.0] * 3] * 4), ("R", [[0.0] * 5] * 4),
-                                           ("V", [[0.0] * 3] * 4), ("nu", [1.0])])
+    @pytest.mark.parametrize("field,row", [("M", np.zeros((4, 3))), ("R", np.zeros((4, 5))),
+                                           ("V", np.zeros((4, 3))), ("nu", np.ones(1))])
     def test_wrong_shaped_step_is_named(self, tmp_path, field, row):
-        rng = np.random.default_rng(10)
-        demos, weights = random_demos(rng, k=2)
-        path = str(tmp_path / "ck.json")
-        save_checkpoint(path, assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10), demos, weights))
-        data = read_json(path)
-        data["steps"][2][field] = row
-        write_json(path, data)
-        with pytest.raises(ValueError, match=f"step 2: {field} must be a number array of shape"):
+        path = saved_learner(tmp_path)
+        rewrite_checkpoint(path, **{field: np.stack([row] * 3)})
+        with pytest.raises(ValueError, match=f"{field} must be a number array of shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,mutate,reason", [
+        ("version", lambda a: np.array(2), "version must be 1, got 2"),
+        ("version", lambda a: None, "missing key 'version'"),
+        ("nu", lambda a: None, "missing key 'nu'"),
+        ("V", lambda a: a[:2], r"V must be a number array of shape \(3, 4, 4\)"),
+        ("nu", lambda a: np.ones((3, 1)), r"nu must be a number array of shape \(3,\)"),
+        ("alpha", lambda a: np.array("1e10"), r"alpha must be a number array of shape \(\)"),
+        ("M", lambda a: np.full_like(a, np.nan), "M must be finite"),
+        ("R", lambda a: a * np.inf, "R must be finite"),
+        ("V", lambda a: np.where(np.eye(4) > 0, a, -np.inf), "V must be finite"),
+        ("nu", lambda a: np.full_like(a, -5.0), "nu must be positive"),
+        ("nu", lambda a: np.array([3.0, 0.0, 3.0]), "nu must be positive"),
+        ("demos_seen", lambda a: np.array(-5), "demos_seen must be a non-negative integer"),
+        ("demos_seen", lambda a: np.array(2.5), "demos_seen must be a non-negative integer"),
+        ("alpha", lambda a: np.array(0.0), "alpha must be a positive finite number"),
+        ("beta", lambda a: np.array(-1e10), "beta must be a positive finite number"),
+        ("dt", lambda a: np.array(np.inf), "dt must be a positive finite number"),
+        ("dt", lambda a: np.array(np.nan), "dt must be a positive finite number"),
+        ("dt", lambda a: np.array(0), "dt must be a positive finite number"),
+    ], ids=["version", "no-version", "no-nu", "V-steps", "nu-2d", "alpha-string", "M-nan",
+            "R-inf", "V-inf", "nu-negative", "nu-zero", "demos-negative", "demos-fraction",
+            "alpha-zero", "beta-negative", "dt-inf", "dt-nan", "dt-zero"])
+    def test_invalid_field_is_named(self, tmp_path, field, mutate, reason):
+        path = saved_learner(tmp_path)
+        with np.load(path) as npz:
+            value = npz[field]
+        rewrite_checkpoint(path, **{field: mutate(value)})
+        with pytest.raises(ValueError, match=reason):
+            load_checkpoint(path)
+
+    def test_pickled_array_is_refused(self, tmp_path):
+        path = saved_learner(tmp_path)
+        rewrite_checkpoint(path, M=np.array([{"M": 0.0}], dtype=object))
+        with pytest.raises(ValueError, match="allow_pickle=False"):
             load_checkpoint(path)
 
 
