@@ -16,8 +16,7 @@ from .environment import (Box, Environment, SdfGridError, SignedDistanceField, S
                           weight_trajectory)
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
-from .prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
-                    sample_trajectories)
+from .prior import GaussianTrajectoryPrior, initial_state_distribution, sample_trajectories
 from .reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                            SingularNormalEquationsError, Solution, StateAnchor,
                            negative_log_posterior, optimize_map)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .demos import DemoSet
-from .utils import read_json, stack_field, write_json
+from .utils import finite_vector, read_json, stack_field, write_json
 
 # Q of an interval whose effective sample size is degenerate.
 Q_MIN = 1e-6
@@ -27,15 +27,44 @@ class DegenerateWeightsWarning(UserWarning):
     """Effective sample size too small for a noise estimate; Q floored."""
 
 
+def start_moments(starts: np.ndarray) -> tuple:
+    """Gaussian (mean (D,), cov (D, D)) over start-state rows (k, D), k >= 1:
+    population moments, regularized by 1e-8 I so one start stays usable."""
+    starts = np.asarray(starts, dtype=float)
+    mean = starts.mean(axis=0)
+    centered = starts - mean
+    return mean, centered.T @ centered / starts.shape[0] + 1e-8 * np.eye(starts.shape[1])
+
+
+def check_start_state(mean, cov, keys: tuple, dim: int | None = None) -> tuple:
+    """(mean, cov) as float arrays, or a ValueError naming `keys[0]` unless
+    mean is a finite vector (of dim entries, when given) and `keys[1]` unless
+    cov is a finite, symmetric, positive semi-definite matrix of its size."""
+    m = finite_vector(mean, keys[0], dim)
+    try:
+        c = np.asarray(cov, dtype=float)
+        ok = (c.shape == (m.size, m.size) and np.isfinite(c).all()
+              and np.allclose(c, c.T, atol=1e-9)
+              and np.linalg.eigvalsh(c).min() >= -1e-12 * np.abs(c).max())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{keys[1]} must be a positive semi-definite matrix, got {cov!r}")
+    return m, c
+
+
 @dataclass(frozen=True)
 class SkillModel:
     """N intervals of learned dynamics on a shared grid of step dt:
     Phi_tilde (N, D, D+1), each [u | Phi], and the symmetric process noise
-    covariances Q (N, D, D)."""
+    covariances Q (N, D, D); plus the Gaussian the dynamics start from,
+    init_mean (D,) and init_cov (D, D), checked by check_start_state."""
 
     Phi_tilde: np.ndarray
     Q: np.ndarray
     dt: float
+    init_mean: np.ndarray
+    init_cov: np.ndarray
 
     def __post_init__(self):
         phi = np.ascontiguousarray(self.Phi_tilde, dtype=float)
@@ -46,8 +75,9 @@ class SkillModel:
                              f"got {phi.shape} and {q.shape}")
         if not np.allclose(q, q.transpose(0, 2, 1), atol=1e-9):
             raise ValueError("Q must be symmetric")
-        object.__setattr__(self, "Phi_tilde", phi)
-        object.__setattr__(self, "Q", q)
+        mean, cov = check_start_state(self.init_mean, self.init_cov, ("init_mean", "init_cov"), d)
+        for key, value in zip(("Phi_tilde", "Q", "init_mean", "init_cov"), (phi, q, mean, cov)):
+            object.__setattr__(self, key, value)
 
     @property
     def n_steps(self) -> int:
@@ -153,7 +183,8 @@ def fit_intervals(inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
 def learn_batch_weighted(demos: DemoSet, weights: list, lam: float | None = None) -> SkillModel:
     """Batch estimation given per-demo node weights, one (N+1,) array per
     demo; interval i weighs each demo's transition by its input-node
-    weight w(x_i)."""
+    weight w(x_i). The model starts from the moments of the demos' start
+    states."""
     states = np.stack([traj.states for traj in demos.demos])  # (K, N+1, D)
     node_weights = np.asarray(weights, dtype=float)
     if node_weights.shape != states.shape[:2]:
@@ -163,13 +194,15 @@ def learn_batch_weighted(demos: DemoSet, weights: list, lam: float | None = None
     inputs[:, 1:] = states[:, :-1].transpose(1, 2, 0)
     phi, q = fit_intervals(inputs, states[:, 1:].transpose(1, 2, 0),
                            node_weights[:, :-1].T, lam)
-    return SkillModel(Phi_tilde=phi, Q=q, dt=demos.dt)
+    return SkillModel(phi, q, demos.dt, *start_moments(states[:, 0]))
 
 
 def model_to_dict(model: SkillModel) -> dict:
     return {
         "dt": model.dt,
         "D": model.dim,
+        "init_mean": model.init_mean.tolist(),
+        "init_cov": model.init_cov.tolist(),
         "steps": [{"Phi_tilde": p, "Q": q}
                   for p, q in zip(model.Phi_tilde.tolist(), model.Q.tolist())],
     }
@@ -178,8 +211,13 @@ def model_to_dict(model: SkillModel) -> dict:
 def model_from_dict(data: dict) -> SkillModel:
     """The model of a `model_to_dict` dict; raises ValueError naming the first
     step whose matrices do not match the header's dimension D, a D that is not
-    a positive int, a dt that is not positive and finite, or a non-finite
-    Phi_tilde or Q."""
+    a positive int, a dt that is not positive and finite, a non-finite
+    Phi_tilde or Q, or start moments that are missing or that SkillModel
+    refuses."""
+    missing = [key for key in ("init_mean", "init_cov") if key not in data]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}: the model was written without its "
+                         f"start moments; re-run learn or assimilate")
     d = data["D"]
     if type(d) is not int or d < 1:
         raise ValueError(f"D must be a positive int, got {d!r}")
@@ -193,7 +231,7 @@ def model_from_dict(data: dict) -> SkillModel:
         if not np.isfinite(value).all():
             raise ValueError(f"step {np.argmin(np.isfinite(value).all(axis=(1, 2)))}: "
                              f"{key} must be finite")
-    return SkillModel(Phi_tilde=phi, Q=q, dt=dt)
+    return SkillModel(phi, q, dt, data["init_mean"], data["init_cov"])
 
 
 def save_model(path: str, model: SkillModel) -> None:

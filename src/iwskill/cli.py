@@ -20,8 +20,7 @@ from .environment import (NO_OBSTACLE_DISTANCE, SdfGridError, build_sdf, load_en
                           scene_bounds, weight_trajectory)
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
-from .prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
-                    prior_band_csv, sample_trajectories)
+from .prior import GaussianTrajectoryPrior, prior_band_csv, sample_trajectories
 from .reproduction import (ObstacleFactor, ReproductionProblem, SingularNormalEquationsError,
                            StateAnchor, optimize_map, solution_csv, solution_summary)
 from .svg import SvgScene
@@ -75,23 +74,13 @@ def _write_weights(cfg: PipelineConfig, weights: list) -> None:
 
 
 def _load_prior(cfg: PipelineConfig, model_path: str) -> GaussianTrajectoryPrior:
-    """The model's trajectory prior, started from `init_state` or else from
-    the configured demos' start states (the demos are read only then)."""
-    try:
-        model = load_model(model_path)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"corrupt model {model_path}: {exc}") from exc
-    if cfg.init_state is not None:
-        mean = np.asarray(cfg.init_state["mean"], dtype=float)
-        cov = np.asarray(cfg.init_state["cov"], dtype=float)
-        if mean.shape != (model.dim,) or cov.shape != (model.dim, model.dim):
-            raise ConfigError("init_state dimensions do not match the model")
-        init = GaussianState(mean=mean, cov=cov)
-    elif not cfg.demos:
-        raise ConfigError("need either init_state or demo files to build the prior")
-    else:
-        init = initial_state_distribution(_load_demo_set(cfg))
-    return GaussianTrajectoryPrior(model, init)
+    """The model's trajectory prior, started from `init_state` if it is set,
+    else from the model's start moments."""
+    model = _read(load_model, "model", model_path)
+    if cfg.init_state is not None and cfg.init_state[0].shape != (model.dim,):
+        raise ConfigError(f"init_state has dimension {cfg.init_state[0].shape[0]}, "
+                          f"the model {model.dim}")
+    return GaussianTrajectoryPrior(model, cfg.init_state)
 
 
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
@@ -128,15 +117,8 @@ def cmd_learn(cfg: PipelineConfig, args) -> int:
 def cmd_assimilate(cfg: PipelineConfig, args) -> int:
     traj = dm.estimate_states(_read(dm.load_raw_demo, "demo", args.demo), cfg.grid_n)
 
-    if os.path.exists(args.checkpoint):
-        try:
-            learner = load_checkpoint(args.checkpoint)
-        except Exception as exc:
-            raise ConfigError(f"corrupt checkpoint {args.checkpoint}: {exc}") from exc
-        if learner.n_steps != traj.n_steps or learner.dim != traj.dim:
-            raise ConfigError(
-                f"checkpoint grid ({learner.n_steps}, {learner.dim}) does not match "
-                f"demo grid ({traj.n_steps}, {traj.dim})")
+    if os.path.exists(args.checkpoint):  # assimilate_demo refuses a demo off its grid
+        learner = _read(load_checkpoint, "checkpoint", args.checkpoint)
     else:
         learner = IncrementalLearner(traj.n_steps, traj.dim, cfg.alpha, cfg.beta, dt=traj.dt)
 
@@ -147,16 +129,14 @@ def cmd_assimilate(cfg: PipelineConfig, args) -> int:
     save_checkpoint(args.checkpoint, learner)
     save_model(os.path.join(cfg.out_dir, "model.json"), extract_map(learner))
     print(f"assimilated demo {args.demo} (weights min {weights.min():.6f}); "
-          f"{learner.demos_seen} demos seen")
+          f"{len(learner.starts)} demos seen")
     return EXIT_OK
 
 
 def _plane(prior: GaussianTrajectoryPrior, states: np.ndarray) -> np.ndarray:
     """Drawing coordinates of (N+1, D) states: their first two dimensions,
     or time vs value for scalar states."""
-    if prior.dim >= 2:
-        return states[:, :2]
-    return np.column_stack([prior.times, states[:, 0]])
+    return states[:, :2] if prior.dim >= 2 else np.column_stack([prior.times, states[:, 0]])
 
 
 def _band_scene(prior: GaussianTrajectoryPrior, env) -> SvgScene:

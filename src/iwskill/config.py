@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .batch import check_start_state
 from .environment import WeightParams
 from .reproduction import OptimizerOptions, StateAnchor
 
@@ -47,7 +48,7 @@ class PipelineConfig:
     seed: int = 0
     out_dir: str = "out"
     rollout_samples: int = 0
-    init_state: dict | None = None     # {"mean": [...], "cov": [[...]]}
+    init_state: tuple | None = None    # (mean (D,), cov (D, D)), from {"mean", "cov"}
     reproduction: ReproductionConfig = field(default_factory=ReproductionConfig)
 
 
@@ -139,15 +140,15 @@ def load_config(path: str) -> PipelineConfig:
         cfg.ridge_lambda = _scalar(raw, "ridge_lambda", float, where)
     cfg.out_dir = resolve(raw.get("out_dir", cfg.out_dir), "out_dir")
     if raw.get("init_state") is not None:
-        cfg.init_state = _typed(raw["init_state"], dict, where + "init_state", "an object")
+        init = _typed(raw["init_state"], dict, where + "init_state", "an object")
         for key in ("mean", "cov"):
-            if key not in cfg.init_state:
+            if key not in init:
                 raise ConfigError(f"{where}init_state.{key} is missing")
-        cov = np.asarray(cfg.init_state["cov"], dtype=float)
-        if (cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not np.isfinite(cov).all()
-                or np.linalg.eigvalsh(cov).min() < -1e-12 * np.abs(cov).max()):
-            raise ConfigError(f"{where}init_state.cov must be a positive semi-definite "
-                              f"matrix, got {cfg.init_state['cov']!r}")
+        try:
+            cfg.init_state = check_start_state(init["mean"], init["cov"], (
+                where + "init_state.mean", where + "init_state.cov"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     repro_raw = _typed(raw.get("reproduction", {}), dict, where + "reproduction", "an object")
     unknown = set(repro_raw) - _REPRO_KEYS

@@ -2,13 +2,12 @@
 state trajectories (positions stacked with spline-estimated velocities)."""
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .utils import write_json
+from .utils import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -217,8 +216,7 @@ def load_raw_demo(path: str) -> RawDemo:
     """Read a raw demo from JSON ({"timestamps": [...], "positions": [[...]]})
     or CSV (column 0 = time, columns 1..P = position; header row optional)."""
     if path.endswith(".json"):
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         return RawDemo(timestamps=np.asarray(data["timestamps"], dtype=float),
                        positions=np.asarray(data["positions"], dtype=float))
     with open(path, newline="") as fh:

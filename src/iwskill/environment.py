@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .utils import read_json
+from .utils import finite_vector, read_json
 
 # Signed distance reported when a scene has no obstacles (>= 1e6 by contract).
 NO_OBSTACLE_DISTANCE = 1.0e9
@@ -52,9 +52,11 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not self.radius > 0:
-            raise ValueError("sphere radius must be positive")
+        object.__setattr__(self, "center", finite_vector(self.center, "sphere center"))
+        radius = self.radius if isinstance(self.radius, (int, float)) else math.nan
+        if not 0 < radius < math.inf:
+            raise ValueError(f"sphere radius must be positive and finite, got {self.radius!r}")
+        object.__setattr__(self, "radius", float(radius))
 
     @property
     def dim(self) -> int:
@@ -74,8 +76,7 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
+        lo, hi = finite_vector(self.lo, "box min"), finite_vector(self.hi, "box max")
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box min must be strictly below max in every dimension")
         object.__setattr__(self, "lo", lo)
@@ -104,11 +105,12 @@ class Environment:
     obstacles: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.dimension not in (2, 3):
-            raise ValueError("environment dimension must be 2 or 3")
-        for obs in self.obstacles:
+        if type(self.dimension) is not int or self.dimension not in (2, 3):
+            raise ValueError(f"dimension must be 2 or 3, got {self.dimension!r}")
+        for i, obs in enumerate(self.obstacles):
             if obs.dim != self.dimension:
-                raise ValueError(f"obstacle dimension {obs.dim} != environment dimension {self.dimension}")
+                raise ValueError(f"obstacles[{i}] has dimension {obs.dim}, the scene "
+                                 f"{self.dimension}")
 
 
 def signed_distance(env: Environment, points) -> np.ndarray:
@@ -245,6 +247,8 @@ def load_environment(path: str) -> Environment:
 
 
 def environment_from_dict(data: dict) -> Environment:
+    """The scene of a JSON dict; a ValueError names `obstacles[i]` when an
+    obstacle is not one of its type."""
     if not isinstance(data, dict):
         raise ValueError(f"the scene must be an object, got {data!r}")
     obstacles = []
@@ -252,13 +256,16 @@ def environment_from_dict(data: dict) -> Environment:
         if not isinstance(spec, dict):
             raise ValueError(f"obstacles[{i}] must be an object, got {spec!r}")
         kind = spec.get("type")
-        if kind == "sphere":
-            obstacles.append(Sphere(center=spec["center"], radius=float(spec["radius"])))
-        elif kind == "box":
-            obstacles.append(Box(lo=spec["min"], hi=spec["max"]))
-        else:
-            raise ValueError(f"unknown obstacle type: {kind!r}")
-    return Environment(dimension=int(data["dimension"]), obstacles=obstacles)
+        try:
+            if kind == "sphere":
+                obstacles.append(Sphere(center=spec.get("center"), radius=spec.get("radius")))
+            elif kind == "box":
+                obstacles.append(Box(lo=spec.get("min"), hi=spec.get("max")))
+            else:
+                raise ValueError(f"unknown obstacle type: {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"obstacles[{i}]: {exc}") from None
+    return Environment(dimension=data.get("dimension"), obstacles=obstacles)
 
 
 def environment_to_dict(env: Environment) -> dict:

@@ -8,18 +8,19 @@ to every interval at once; the MAP dynamics are read off the posterior mode
 at any point, without keeping past demonstrations around.
 """
 
-import warnings
+import zipfile
 
 import numpy as np
 
-from .batch import SkillModel, solve_intervals
+from .batch import SkillModel, solve_intervals, start_moments
 from .demos import StateTrajectory
 from .utils import atomic_write_npz
 
 
 class IncrementalLearner:
     """MNIW statistics stacked over the N intervals, M (N, D, D+1),
-    R (N, D+1, D+1), V (N, D, D) and nu (N,), plus the grid metadata. A fresh
+    R (N, D+1, D+1), V (N, D, D) and nu (N,), the start state of every
+    assimilated demo, starts (k, D), plus the grid metadata. A fresh
     learner holds a zero-mean ridge-style map prior (R = I/alpha) and an
     uninformative noise prior (V = I/beta, nu = 1/beta)."""
 
@@ -29,12 +30,9 @@ class IncrementalLearner:
             raise ValueError("alpha and beta must be positive")
         if n_steps < 1 or dim < 1:
             raise ValueError("need n_steps >= 1 and dim >= 1")
-        self.n_steps = n_steps
-        self.dim = dim
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.n_steps, self.dim, self.alpha, self.beta = n_steps, dim, float(alpha), float(beta)
         self.dt = dt
-        self.demos_seen = 0
+        self.starts = np.empty((0, dim))
         self.M = np.zeros((n_steps, dim, dim + 1))
         self.R = np.tile(np.eye(dim + 1) / alpha, (n_steps, 1, 1))
         self.V = np.tile(np.eye(dim) / beta, (n_steps, 1, 1))
@@ -81,23 +79,24 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
     learner.R = r_new
     learner.M = m_new
     learner.nu = learner.nu + 1.0
-    learner.demos_seen += 1
+    learner.starts = np.concatenate([learner.starts, demo.states[:1]])
     return learner
 
 
 def extract_map(learner: IncrementalLearner) -> SkillModel:
-    """Posterior-mode dynamics: Phi_tilde = M, Q = V / (nu + D + 1)."""
-    if learner.demos_seen == 0:
-        warnings.warn("extracting MAP dynamics before any demonstration; "
-                      "Q is at its prior scale", UserWarning, stacklevel=2)
+    """Posterior-mode dynamics, Phi_tilde = M and Q = V / (nu + D + 1),
+    started from the moments of the assimilated demos' start states; a
+    ValueError before any demonstration."""
+    if len(learner.starts) == 0:
+        raise ValueError("no demonstration assimilated yet: the model has no start state")
     q = learner.V / (learner.nu + learner.dim + 1)[:, None, None]
-    return SkillModel(Phi_tilde=learner.M.copy(), Q=(q + q.transpose(0, 2, 1)) / 2.0,
-                      dt=learner.dt if learner.dt is not None else 1.0)
+    return SkillModel(learner.M.copy(), (q + q.transpose(0, 2, 1)) / 2.0, learner.dt,
+                      *start_moments(learner.starts))
 
 
 # The checkpoint format: one npz archive of these arrays, no pickles.
-CHECKPOINT_VERSION = 1
-CHECKPOINT_KEYS = ("version", "alpha", "beta", "demos_seen", "dt", "M", "R", "V", "nu")
+CHECKPOINT_VERSION = 2
+CHECKPOINT_KEYS = ("version", "alpha", "beta", "dt", "M", "R", "V", "nu", "starts")
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
@@ -106,8 +105,8 @@ def save_checkpoint(path: str, learner: IncrementalLearner) -> None:
     written atomically to exactly `path`."""
     atomic_write_npz(path, dict(zip(CHECKPOINT_KEYS, (
         np.array(CHECKPOINT_VERSION), np.array(learner.alpha), np.array(learner.beta),
-        np.array(learner.demos_seen), np.array(float(learner.dt)),
-        learner.M, learner.R, learner.V, learner.nu))))
+        np.array(float(learner.dt)), learner.M, learner.R, learner.V, learner.nu,
+        learner.starts))))
 
 
 def _field(data: dict, key: str, shape: tuple) -> np.ndarray:
@@ -121,36 +120,36 @@ def _field(data: dict, key: str, shape: tuple) -> np.ndarray:
 
 def load_checkpoint(path: str) -> IncrementalLearner:
     """The learner saved at `path`; a ValueError naming the field when the
-    file is not a checkpoint of this version, lacks a field, or holds a shape
-    or value the learner cannot have."""
+    file is not a readable npz archive or a checkpoint of this version, lacks
+    a field, or holds a shape or value the learner cannot have."""
     with open(path, "rb") as fh:
         if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
             raise ValueError("not an npz checkpoint (a JSON checkpoint of an earlier "
                              "version cannot be read; assimilate into a new checkpoint)")
         fh.seek(0)
-        with np.load(fh, allow_pickle=False) as npz:
-            data = {k: npz[k] for k in CHECKPOINT_KEYS if k in npz.files}
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                data = {k: npz[k] for k in CHECKPOINT_KEYS if k in npz.files}
+        except zipfile.BadZipFile as exc:  # a truncated or damaged archive
+            raise ValueError(f"damaged npz archive ({exc})") from exc
+    if "version" in data and _field(data, "version", ()) != CHECKPOINT_VERSION:
+        raise ValueError(f"version must be {CHECKPOINT_VERSION}, got "
+                         f"{float(data['version']):g} (assimilate into a new checkpoint)")
     missing = [k for k in CHECKPOINT_KEYS if k not in data]
     if missing:
         raise ValueError(f"missing key {missing[0]!r}")
-    version = _field(data, "version", ())
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"version must be {CHECKPOINT_VERSION}, got {version}")
-    alpha, beta, dt, seen = (float(_field(data, k, ())) for k in ("alpha", "beta", "dt",
-                                                                  "demos_seen"))
+    alpha, beta, dt = (float(_field(data, k, ())) for k in ("alpha", "beta", "dt"))
     for key, value in (("alpha", alpha), ("beta", beta), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{key} must be a positive finite number, got {value}")
-    if not (seen >= 0 and seen.is_integer()):
-        raise ValueError(f"demos_seen must be a non-negative integer, got {seen}")
     m = data["M"]
     if m.ndim != 3 or 0 in m.shape or m.shape[2] != m.shape[1] + 1:
         raise ValueError(f"M must be a number array of shape (N, D, D+1) with N, D >= 1, "
                          f"got {m.shape}")
     n, d = m.shape[:2]
     learner = IncrementalLearner(n, d, alpha, beta, dt=dt)
-    learner.demos_seen = int(seen)
-    for key, shape in (("M", m.shape), ("R", (n, d + 1, d + 1)), ("V", (n, d, d)), ("nu", (n,))):
+    for key, shape in (("M", m.shape), ("R", (n, d + 1, d + 1)), ("V", (n, d, d)), ("nu", (n,)),
+                       ("starts", (np.shape(data["starts"])[:1] or (0,)) + (d,))):
         value = _field(data, key, shape)
         if not np.isfinite(value).all():
             raise ValueError(f"{key} must be finite")

@@ -11,7 +11,7 @@ O(n d^3) without materializing the full matrix.
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import block_diag, cho_solve_banded, cholesky_banded
 
 
 @lru_cache(maxsize=16)
@@ -61,11 +61,9 @@ class BlockTridiagCholesky:
 
 def block_tridiag_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Materialize the full symmetric matrix (debugging / small n only)."""
-    n, d, _ = diag.shape
-    A = np.zeros((n * d, n * d))
-    for i in range(n):
-        A[i * d:(i + 1) * d, i * d:(i + 1) * d] = diag[i]
-    for i in range(n - 1):
+    d = diag.shape[1]
+    A = block_diag(*diag)
+    for i in range(len(off)):
         A[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = off[i]
         A[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = off[i].T
     return A

@@ -1,16 +1,14 @@
 """Gaussian trajectory priors induced by the learned stochastic dynamics.
 
-Rolling the per-interval linear-Gaussian dynamics forward from an initial
-state Gaussian gives marginal moments; the joint distribution over the whole
+Rolling the per-interval linear-Gaussian dynamics forward from the model's
+start-state Gaussian gives marginal moments; the joint distribution over the whole
 stacked trajectory is kept in information form, whose precision is exactly
 block tridiagonal thanks to the Markov structure.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .batch import SkillModel
+from .batch import SkillModel, start_moments
 from .demos import DemoSet
 from .linalg import block_tridiag_dense, psd_sqrt
 from .utils import csv_text
@@ -18,73 +16,47 @@ from .utils import csv_text
 _JITTER = 1e-10
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        d = mean.shape[0]
-        if cov.shape != (d, d) or not np.allclose(cov, cov.T, atol=1e-9):
-            raise ValueError("covariance must be a symmetric D x D matrix")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
-def initial_state_distribution(demos: DemoSet) -> GaussianState:
-    """Gaussian over the demonstrations' start states (population moments,
-    regularized by 1e-8 I so single-demo sets stay usable)."""
-    starts = np.stack([traj.states[0] for traj in demos.demos])
-    mean = starts.mean(axis=0)
-    centered = starts - mean
-    cov = centered.T @ centered / starts.shape[0] + 1e-8 * np.eye(demos.dim)
-    return GaussianState(mean=mean, cov=cov)
-
-
-def _moment_arrays(model: SkillModel, init: GaussianState) -> tuple:
-    """Marginal means (N+1, D) and covariances (N+1, D, D) of every node:
-    mu' = Phi mu + u, P' = Phi P Phi^T + Q, propagated interval by interval.
-    Raises FloatingPointError naming the first node whose moments overflow."""
-    if init.mean.shape[0] != model.dim:
-        raise ValueError(f"initial state dimension {init.mean.shape[0]} != model dim {model.dim}")
-    means = np.empty((model.n_steps + 1, model.dim))
-    covs = np.empty((model.n_steps + 1, model.dim, model.dim))
-    means[0], covs[0] = init.mean, init.cov
-    phi_tilde, phi, q = model.Phi_tilde, model.transition, model.Q
-    for i in range(model.n_steps):
-        means[i + 1] = phi_tilde[i] @ np.concatenate(([1.0], means[i]))
-        cov = phi[i] @ covs[i] @ phi[i].T + q[i]
-        covs[i + 1] = (cov + cov.T) / 2.0
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
-    if not finite.all():
-        raise FloatingPointError(f"prior moments overflow at node {np.argmin(finite)} of "
-                                 f"{model.n_steps}: the learned dynamics diverge")
-    return means, covs
+def initial_state_distribution(demos: DemoSet) -> tuple:
+    """(mean, cov) of the demos' start states, as learning stores them."""
+    return start_moments(np.stack([traj.states[0] for traj in demos.demos]))
 
 
 class GaussianTrajectoryPrior:
-    """Joint Gaussian over the stacked trajectory.
+    """Joint Gaussian over the stacked trajectory, started from the model's
+    start moments or from `init`, a (mean, cov) pair.
 
-    Stores marginal moments, their per-component standard deviations `stds`
-    (N+1, D), and the block-tridiagonal precision (diagonal blocks
-    `prec_diag`, sub-diagonal blocks `prec_off`).
+    Stores the marginal moments of every node, `means` (N+1, D) and `covs`
+    (N+1, D, D), their per-component standard deviations `stds` (N+1, D),
+    and the block-tridiagonal precision (diagonal blocks `prec_diag`,
+    sub-diagonal blocks `prec_off`). Raises FloatingPointError naming the
+    first node whose moments overflow.
     """
 
-    def __init__(self, model: SkillModel, init: GaussianState):
-        self.model = model
-        self.init = init
-        self.dt = model.dt
-        self.dim = model.dim
-        self.n_steps = model.n_steps
-        self.means, self.covs = _moment_arrays(model, init)
+    def __init__(self, model: SkillModel, init: tuple | None = None):
+        self.model, self.dt, self.dim, self.n_steps = model, model.dt, model.dim, model.n_steps
+        mean, cov = (np.asarray(a, dtype=float) for a in init or (model.init_mean, model.init_cov))
+        if mean.shape != (self.dim,) or cov.shape != (self.dim, self.dim):
+            raise ValueError(f"start state of shapes {mean.shape} and {cov.shape} does not fit "
+                             f"the model dimension {self.dim}")
+        # mu' = Phi mu + u and P' = Phi P Phi^T + Q, interval by interval
+        self.means = np.empty((self.n_steps + 1, self.dim))
+        self.covs = np.empty((self.n_steps + 1, self.dim, self.dim))
+        self.means[0], self.covs[0] = mean, cov
+        phi_tilde, phi, q = model.Phi_tilde, model.transition, model.Q
+        for i in range(self.n_steps):
+            self.means[i + 1] = phi_tilde[i] @ np.concatenate(([1.0], self.means[i]))
+            cov = phi[i] @ self.covs[i] @ phi[i].T + q[i]
+            self.covs[i + 1] = (cov + cov.T) / 2.0
+        finite = np.isfinite(self.means).all(axis=1) & np.isfinite(self.covs).all(axis=(1, 2))
+        if not finite.all():
+            raise FloatingPointError(f"prior moments overflow at node {np.argmin(finite)} of "
+                                     f"{self.n_steps}: the learned dynamics diverge")
         self.stds = np.sqrt(np.clip(np.diagonal(self.covs, axis1=1, axis2=2), 0.0, None))
         # Information form of the Markov chain: `info` stacks P_0^-1 and each Q_i^-1.
         # Interval i adds Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1)
         # and -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0.
         phi = np.ascontiguousarray(model.transition)
-        covs = np.concatenate([init.cov[None], model.Q])
+        covs = np.concatenate([self.covs[:1], model.Q])
         self.info = np.linalg.inv(covs + _JITTER * np.eye(self.dim))
         q_inv = self.info[1:]
         self.prec_diag = self.info.copy()
@@ -127,7 +99,7 @@ def sample_trajectories(prior: GaussianTrajectoryPrior, n: int, seed: int) -> np
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     d, model = prior.dim, prior.model
-    state = prior.init.mean + rng.standard_normal((n, d)) @ psd_sqrt(prior.init.cov).T
+    state = prior.means[0] + rng.standard_normal((n, d)) @ psd_sqrt(prior.covs[0]).T
     nodes = [state]
     sqrt_q = psd_sqrt(model.Q)
     for i in range(model.n_steps):

@@ -145,15 +145,11 @@ def make_placing_scene(n_raw: int = 60, noise: float = 0.0, seed: int = 1) -> Pl
                         weight_params=WeightParams(epsilon=0.3, sigma_obs=0.01))
 
 
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance from p to the segment [a, b]."""
-    ab = b - a
-    t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
 def max_deviation_from_segment(positions: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return max(point_segment_distance(p, a, b) for p in positions)
+    """Largest distance of the position rows from the segment [a, b]."""
+    ab = b - a
+    t = [np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0) for p in positions]
+    return max(float(np.linalg.norm(p - (a + ti * ab))) for p, ti in zip(positions, t))
 
 
 def path_length(positions: np.ndarray) -> float:

@@ -58,6 +58,18 @@ def csv_text(header: list, values, labels: list | None = None) -> str:
     return "".join([",".join(header) + "\n"] + [line + "\n" for line in lines])
 
 
+def finite_vector(value, what: str, size: int | None = None) -> np.ndarray:
+    """`value` as a float vector, or a ValueError naming `what` unless it is
+    a non-empty list of finite numbers (of `size` entries, when given)."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = np.full(1, np.nan)  # fails the check below
+    if v.ndim != 1 or v.size != (size or v.size or -1) or not np.isfinite(v).all():
+        raise ValueError(f"{what} must be a list of {size or 'D'} finite numbers, got {value!r}")
+    return v
+
+
 def stack_field(rows: list, key: str, shape: tuple) -> np.ndarray:
     """`row[key]` of every row (dicts read from JSON) as one C-contiguous
     float array of shape (len(rows), *shape). A ValueError names the first

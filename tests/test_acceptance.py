@@ -17,8 +17,7 @@ from iwskill.demos import DemoSet, estimate_states, save_raw_demo
 from iwskill.environment import (Environment, Sphere, WeightParams, build_sdf,
                                  environment_to_dict, hinge_cost, weight_trajectory)
 from iwskill.incremental import IncrementalLearner, assimilate_demo, extract_map
-from iwskill.prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
-                           sample_trajectories)
+from iwskill.prior import GaussianTrajectoryPrior, sample_trajectories
 from iwskill.reproduction import (ObstacleFactor, ReproductionProblem, StateAnchor,
                                   optimize_map)
 from iwskill.synthetic import (make_placing_scene, make_reaching_scene,
@@ -173,7 +172,9 @@ def _random_model(rng, dim, n_steps):
         a = rng.normal(scale=0.1, size=(dim, dim))
         phis.append(np.hstack([u[:, None], phi]))
         qs.append(a @ a.T + 2e-3 * np.eye(dim))
-    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.1)
+    a = rng.normal(scale=0.2, size=(dim, dim))
+    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.1,
+                      init_mean=rng.normal(size=dim), init_cov=a @ a.T + 0.01 * np.eye(dim))
 
 
 def test_acceptance_5_prior_correctness():
@@ -182,9 +183,7 @@ def test_acceptance_5_prior_correctness():
     for n_steps in (3, 6, 10):
         dim = int(rng.choice([2, 3]))
         model = _random_model(rng, dim, n_steps)
-        a = rng.normal(scale=0.2, size=(dim, dim))
-        init = GaussianState(mean=rng.normal(size=dim), cov=a @ a.T + 0.01 * np.eye(dim))
-        prior = GaussianTrajectoryPrior(model, init)
+        prior = GaussianTrajectoryPrior(model)
 
         inv = np.linalg.inv(dense_covariance(prior))
         scale = np.max(np.abs(inv))
@@ -196,14 +195,13 @@ def test_acceptance_5_prior_correctness():
 
         n = 100_000
         stacked = sample_trajectories(prior, n, seed=1005)
-        marginals = node_marginals(model, init)
-        for i, g in enumerate(marginals):
+        for i, (mean, cov) in enumerate(node_marginals(model)):
             emp_mean = stacked[:, i, :].mean(axis=0)
-            se_mean = np.sqrt(np.diag(g.cov) / n) + 1e-12
-            assert np.all(np.abs(emp_mean - g.mean) <= 3 * se_mean)
+            se_mean = np.sqrt(np.diag(cov) / n) + 1e-12
+            assert np.all(np.abs(emp_mean - mean) <= 3 * se_mean)
             emp_cov = np.cov(stacked[:, i, :].T)
-            se_cov = np.sqrt((np.outer(np.diag(g.cov), np.diag(g.cov)) + g.cov ** 2) / n) + 1e-12
-            assert np.all(np.abs(emp_cov - g.cov) <= 3 * se_cov)
+            se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n) + 1e-12
+            assert np.all(np.abs(emp_cov - cov) <= 3 * se_cov)
     _report(5, "precision exactly block-tridiagonal; moments match 1e5 Monte-Carlo "
                "rollouts within 3 SE", started, budget=60.0)
 
@@ -216,10 +214,7 @@ def test_acceptance_6_map_inference_oracle():
     for _ in range(6):
         n_steps = int(rng.integers(3, 11))
         dim = 2
-        model = _random_model(rng, dim, n_steps)
-        a = rng.normal(scale=0.2, size=(dim, dim))
-        init = GaussianState(mean=rng.normal(size=dim), cov=a @ a.T + 0.01 * np.eye(dim))
-        prior = GaussianTrajectoryPrior(model, init)
+        prior = GaussianTrajectoryPrior(_random_model(rng, dim, n_steps))
         anchors = [StateAnchor(index=0, target=rng.normal(size=dim), sigma=0.1),
                    StateAnchor(index=n_steps, target=rng.normal(size=dim), sigma=0.05)]
         solution = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
@@ -272,11 +267,11 @@ def test_acceptance_7_reaching_analogue():
                                                for t in demo_set.demos])
     unweighted = learn_batch_weighted(demo_set, [weight_trajectory(t.states, None, scene.weight_params)
                                                  for t in demo_set.demos])
-    init = initial_state_distribution(demo_set)
-    prior_w = GaussianTrajectoryPrior(weighted, init)
-    prior_u = GaussianTrajectoryPrior(unweighted, init)
+    # both models start from the demos' start moments
+    prior_w = GaussianTrajectoryPrior(weighted)
+    prior_u = GaussianTrajectoryPrior(unweighted)
 
-    start = init.mean[:2]
+    start = weighted.init_mean[:2]
     dev_w = max_deviation_from_segment(prior_w.means[:, :2], start, scene.goal)
     dev_u = max_deviation_from_segment(prior_u.means[:, :2], start, scene.goal)
     assert dev_w < 0.5 * dev_u, f"weighted deviation {dev_w:.4f} vs unweighted {dev_u:.4f}"
@@ -301,7 +296,6 @@ def test_acceptance_8_placing_analogue():
     n_steps = 60
     influenced = [estimate_states(d, n_steps) for d in scene.influenced_raw]
     clean = [estimate_states(d, n_steps) for d in scene.clean_raw]
-    all_demos = DemoSet(demos=influenced + clean)
 
     def run(use_weights: bool):
         learner = IncrementalLearner(n_steps, 4, alpha=1e10, beta=1e10, dt=influenced[0].dt)
@@ -313,9 +307,9 @@ def test_acceptance_8_placing_analogue():
             w = (weight_trajectory(traj.states, scene.clean_env, scene.weight_params)
                  if use_weights else np.ones(n_steps + 1))
             assimilate_demo(learner, traj, w)
-        assert learner.demos_seen == 6
+        assert len(learner.starts) == 6
         assert learner.nu[0] == pytest.approx(1e-10 + 6)
-        return GaussianTrajectoryPrior(extract_map(learner), initial_state_distribution(all_demos))
+        return GaussianTrajectoryPrior(extract_map(learner))
 
     prior_w = run(True)
     prior_u = run(False)

@@ -14,6 +14,7 @@ from iwskill.batch import (DegenerateWeightsWarning, SingularSystemError, SkillM
                            model_to_dict, save_model)
 from iwskill.demos import DemoSet, StateTrajectory
 from iwskill.environment import Environment, WeightParams, weight_trajectory
+from iwskill.prior import initial_state_distribution
 
 # One interval's regression problem: augmented inputs (D+1, K), targets
 # (D, K) and the diagonal of the importance weight matrix (K,).
@@ -250,6 +251,15 @@ class TestAssembleAndLearn:
             state = step.Phi_tilde @ np.concatenate([[1.0], state])
             np.testing.assert_allclose(state, base[i + 1], atol=1e-8)
 
+    def test_model_starts_from_the_demos_start_moments(self):
+        # bit for bit the moments a prior built from the demos would start from
+        rng = np.random.default_rng(16)
+        ds = demo_set_from_states([rng.normal(size=(6, 4)) for _ in range(7)])
+        model = learn_batch_weighted(ds, [np.ones(6)] * 7)
+        mean, cov = initial_state_distribution(ds)
+        np.testing.assert_array_equal(model.init_mean, mean)
+        np.testing.assert_array_equal(model.init_cov, cov)
+
     def test_step_error_carries_index(self):
         rng = np.random.default_rng(13)
         states = [rng.normal(size=(5, 4)) for _ in range(2)]  # K=2 < D+1=5
@@ -265,13 +275,17 @@ def small_model():
         q = rng.normal(size=(2, 2))
         phis.append(rng.normal(size=(2, 3)))
         qs.append(q @ q.T)
-    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.25)
+    a = rng.normal(size=(2, 2))
+    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.25,
+                      init_mean=rng.normal(size=2), init_cov=a @ a.T)
 
 
 def test_model_round_trip(tmp_path):
     model = small_model()
     again = model_from_dict(model_to_dict(model))
     assert again.dt == model.dt and again.dim == 2
+    assert np.array_equal(again.init_mean, model.init_mean)
+    assert np.array_equal(again.init_cov, model.init_cov)
     for a, b in zip(intervals(model), intervals(again)):
         np.testing.assert_array_equal(a.Phi_tilde, b.Phi_tilde)
         np.testing.assert_array_equal(a.Q, b.Q)
@@ -284,6 +298,7 @@ def test_model_round_trip(tmp_path):
     assert np.array_equal(again.Phi_tilde, model.Phi_tilde)
     assert np.array_equal(again.Q, model.Q)
     assert again.dt == model.dt
+    assert np.array_equal(again.init_cov, model.init_cov)
 
 
 @pytest.mark.parametrize("key,value,reason", [
@@ -304,6 +319,29 @@ def test_model_reader_rejects_bad_values(key, value, reason):
         data[key] = value
     else:
         data["steps"][1][key][0][0] = value
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize("key,value,reason", [
+    ("init_mean", None, "missing key 'init_mean': the model was written without its start "
+                        "moments; re-run learn or assimilate"),
+    ("init_cov", None, "missing key 'init_cov'"),
+    ("init_mean", [0.0, 0.0, 0.0], "init_mean must be a list of 2 finite numbers"),
+    ("init_mean", [float("nan"), 0.0], "init_mean must be a list of 2 finite numbers"),
+    ("init_cov", [[1.0, 0.0]], "init_cov must be a positive semi-definite matrix"),
+    ("init_cov", [[1.0, 0.0], [0.0, float("inf")]], "init_cov must be a positive semi-definite"),
+    ("init_cov", [[1.0, 0.5], [0.0, 1.0]], "init_cov must be a positive semi-definite matrix"),
+    ("init_cov", [[1.0, 2.0], [2.0, 1.0]], "init_cov must be a positive semi-definite matrix"),
+    ("init_cov", [[{}, 0.0], [0.0, 1.0]], "init_cov must be a positive semi-definite matrix"),
+], ids=["no-mean", "no-cov", "mean-length", "mean-nan", "cov-shape", "cov-inf",
+        "cov-asymmetric", "cov-indefinite", "cov-object"])
+def test_model_reader_rejects_bad_start_moments(key, value, reason):
+    data = model_to_dict(small_model())
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
     with pytest.raises(ValueError, match=re.escape(reason)):
         model_from_dict(data)
 
@@ -409,4 +447,4 @@ class TestStackedFitEqualsPerIntervalLoop:
 ])
 def test_model_stacks_are_validated(phi, q, match):
     with pytest.raises(ValueError, match=match):
-        SkillModel(Phi_tilde=phi, Q=q, dt=0.1)
+        SkillModel(Phi_tilde=phi, Q=q, dt=0.1, init_mean=np.zeros(2), init_cov=np.eye(2))

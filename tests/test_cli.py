@@ -8,10 +8,12 @@ import pytest
 
 from iwskill.batch import load_model
 from iwskill.cli import main as cli_main
-from iwskill.demos import RawDemo, save_raw_demo
+from iwskill.demos import (DemoSet, RawDemo, dtw_align, estimate_states, load_raw_demo,
+                           save_raw_demo)
 from iwskill.environment import build_sdf, environment_to_dict, load_environment
+from iwskill.prior import GaussianTrajectoryPrior, initial_state_distribution, prior_band_csv
 from iwskill.synthetic import make_reaching_scene
-from iwskill.utils import write_json
+from iwskill.utils import read_json, write_json
 from test_incremental import rewrite_checkpoint
 
 
@@ -167,12 +169,12 @@ class TestAssimilate:
         checkpoint = os.path.join(out, "ck.npz")
         with open(checkpoint, "w") as fh:
             fh.write("{ definitely not json")
-        before = open(checkpoint, "rb").read()
+        before = read_all_outputs(out)
         code = cli_main(["--config", str(root / "config.json"), "--out", out,
                          "assimilate", "--checkpoint", checkpoint,
                          "--demo", str(root / "demo_000.json")])
         assert code == 2
-        assert open(checkpoint, "rb").read() == before
+        assert read_all_outputs(out) == before
         assert not os.path.exists(os.path.join(out, "model.json"))
 
     def test_wrong_shaped_checkpoint_names_the_file(self, scene_dir, tmp_path, capsys):
@@ -188,9 +190,10 @@ class TestAssimilate:
         capsys.readouterr()
         assert cli_main(base + ["--demo", str(root / "demo_001.json")]) == 2
         err = capsys.readouterr().err
-        assert f"corrupt checkpoint {checkpoint}: R must be a number array of shape" in err
+        assert f"failed to read checkpoint {checkpoint}: R must be a number array of shape" in err
 
-    @pytest.mark.parametrize("content", ["json", "pickle"])
+    @pytest.mark.parametrize("content", ["json", "pickle", "truncated", "flipped-byte",
+                                         "version-1"])
     def test_unreadable_checkpoint_changes_nothing(self, scene_dir, tmp_path, capsys, content):
         root, _ = scene_dir
         out = str(tmp_path / "out")
@@ -202,22 +205,36 @@ class TestAssimilate:
                                     "n_steps": 1, "dim": 1, "steps": [
                                         {"M": [[0.0, 1.0]], "R": [[1.0, 0.0], [0.0, 1.0]],
                                          "V": [[1.0]], "nu": 2.0}]})
-            reason = "not an npz checkpoint"
         else:
             assert cli_main(base + ["assimilate", "--checkpoint", checkpoint,
                                     "--demo", str(root / "demo_000.json")]) == 0
-            rewrite_checkpoint(checkpoint, nu=np.array([{"nu": 1.0}], dtype=object))
-            reason = "allow_pickle=False"
+            with open(checkpoint, "rb") as fh:
+                raw = fh.read()
+            if content == "pickle":
+                rewrite_checkpoint(checkpoint, nu=np.array([{"nu": 1.0}], dtype=object))
+            elif content == "version-1":  # a demo count in place of the start states
+                rewrite_checkpoint(checkpoint, version=np.array(1), demos_seen=np.array(1),
+                                   starts=None)
+            else:  # a flipped byte in the first array's data fails its CRC
+                with open(checkpoint, "wb") as fh:
+                    fh.write(raw[:len(raw) // 2] if content == "truncated"
+                             else raw[:100] + bytes([raw[100] ^ 0xFF]) + raw[101:])
+        reason = {"json": "not an npz checkpoint", "pickle": "allow_pickle=False",
+                  "truncated": "damaged npz archive (File is not a zip file)",
+                  "flipped-byte": "damaged npz archive (Bad CRC-32",
+                  "version-1": "version must be 2, got 1"}[content]
         assert cli_main(base + ["learn"]) == 0
         before = read_all_outputs(out)
+        assert {"ck.json", "model.json"} <= set(before)
         capsys.readouterr()
         assert cli_main(base + ["assimilate", "--checkpoint", checkpoint,
                                 "--demo", str(root / "demo_001.json")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: corrupt checkpoint {checkpoint}: ") and reason in err
+        assert err.startswith(f"config error: failed to read checkpoint {checkpoint}: ")
+        assert reason in err and err.count("\n") == 1
         assert read_all_outputs(out) == before
 
-    def test_grid_mismatch_exit_code(self, scene_dir, tmp_path):
+    def test_grid_mismatch_exit_code(self, scene_dir, tmp_path, capsys):
         root, _ = scene_dir
         out = str(tmp_path / "out")
         checkpoint = os.path.join(out, "ck.npz")
@@ -225,16 +242,21 @@ class TestAssimilate:
                          "assimilate", "--checkpoint", checkpoint,
                          "--demo", str(root / "demo_000.json")]) == 0
         # now rewrite the config with a different grid
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg["demos"] = [str(root / d) for d in cfg["demos"]]
         cfg["environment"] = str(root / cfg["environment"])
         cfg["grid_n"] = 17
         other = str(tmp_path / "config17.json")
         write_json(other, cfg)
+        before = read_all_outputs(out)
+        capsys.readouterr()
         code = cli_main(["--config", other, "--out", out, "assimilate",
                          "--checkpoint", checkpoint,
                          "--demo", str(root / "demo_001.json")])
         assert code == 2
+        assert capsys.readouterr().err == ("config error: demo grid (17, 4) does not match "
+                                           "learner grid (30, 4)\n")
+        assert read_all_outputs(out) == before
 
 
 class TestRollout:
@@ -255,7 +277,7 @@ class TestRollout:
         write_json(scene, {"dimension": 2, "obstacles": [
             {"type": "sphere", "center": [1.7, 0.5], "radius": 0.2},
             {"type": "box", "min": [2.2, -0.8], "max": [2.6, -0.5]}]})
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=scene,
                    rollout_samples=2)
         cfg["reproduction"].update(environment=scene, starts=[[0.0, 0.5, 3.0, 1.0]])
@@ -276,16 +298,21 @@ class TestRollout:
             assert svg.count('stroke-dasharray') == dashed
 
 
+def write_scalar_model(path, n_steps=5, **keys):
+    """A five-step model of a one-dimensional state, written by hand; `keys`
+    replace top-level keys, and a key given as None is left out."""
+    model = {"dt": 0.1, "D": 1, "init_mean": [0.0], "init_cov": [[0.01]],
+             "steps": [{"Phi_tilde": [[0.1, 0.9]], "Q": [[0.01]]}] * n_steps, **keys}
+    write_json(str(path), {k: v for k, v in model.items() if v is not None})
+
+
 class TestScalarModel:
     """A model with one-dimensional states is drawn as time vs value."""
 
     def test_rollout_and_reproduce_write_svg(self, tmp_path):
-        steps = [{"Phi_tilde": [[0.1, 0.9]], "Q": [[0.01]]} for _ in range(5)]
-        write_json(str(tmp_path / "model.json"), {"dt": 0.1, "D": 1, "steps": steps})
+        write_scalar_model(tmp_path / "model.json")
         write_json(str(tmp_path / "cfg.json"), {
-            "out_dir": "out", "rollout_samples": 2,
-            "init_state": {"mean": [0.0], "cov": [[0.01]]},
-            "reproduction": {"starts": [[0.5]]}})
+            "out_dir": "out", "rollout_samples": 2, "reproduction": {"starts": [[0.5]]}})
         base = ["--config", str(tmp_path / "cfg.json")]
         model = ["--model", str(tmp_path / "model.json")]
         assert cli_main(base + ["rollout"] + model) == 0
@@ -303,18 +330,14 @@ class TestScalarModel:
     ])
     def test_reproduction_input_off_the_model_names_its_key(self, tmp_path, capsys,
                                                             reproduction, message):
-        steps = [{"Phi_tilde": [[0.1, 0.9]], "Q": [[0.01]]} for _ in range(5)]
-        write_json(str(tmp_path / "model.json"), {"dt": 0.1, "D": 1, "steps": steps})
-        write_json(str(tmp_path / "cfg.json"), {
-            "out_dir": "out", "init_state": {"mean": [0.0], "cov": [[0.01]]},
-            "reproduction": reproduction})
+        write_scalar_model(tmp_path / "model.json")
+        write_json(str(tmp_path / "cfg.json"), {"out_dir": "out", "reproduction": reproduction})
         assert cli_main(["--config", str(tmp_path / "cfg.json"), "reproduce",
                          "--model", str(tmp_path / "model.json")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_indefinite_init_cov_is_a_config_error(self, tmp_path, capsys):
-        write_json(str(tmp_path / "model.json"),
-                   {"dt": 0.1, "D": 1, "steps": [{"Phi_tilde": [[0.0, 0.9]], "Q": [[0.01]]}]})
+        write_scalar_model(tmp_path / "model.json", n_steps=1)
         cfg = str(tmp_path / "cfg.json")
         write_json(cfg, {"out_dir": "out", "init_state": {"mean": [0.0], "cov": [[-1.0]]}})
         assert cli_main(["--config", cfg, "rollout", "--model",
@@ -322,13 +345,78 @@ class TestScalarModel:
         assert f"{cfg}: init_state.cov must be a positive semi-definite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "prior.csv").exists()
 
+    @pytest.mark.parametrize("keys, message", [
+        ({"init_cov": None}, "missing key 'init_cov': the model was written without its start "
+                             "moments; re-run learn or assimilate"),
+        ({"init_cov": [[0.01, 0.0]]}, "init_cov must be a positive semi-definite matrix"),
+        ({"init_mean": [float("nan")]}, "init_mean must be a list of 1 finite numbers"),
+    ], ids=["missing", "mis-shaped", "non-finite"])
+    def test_model_without_valid_start_moments_is_refused(self, tmp_path, capsys, keys,
+                                                          message):
+        model = str(tmp_path / "model.json")
+        write_scalar_model(model, **keys)
+        write_json(str(tmp_path / "cfg.json"), {"out_dir": "out"})
+        for command in ("rollout", "reproduce"):
+            assert cli_main(["--config", str(tmp_path / "cfg.json"), command,
+                             "--model", model]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: failed to read model {model}: {message}")
+        assert not (tmp_path / "out").exists()
+
+
+class TestModelOnly:
+    """`rollout` and `reproduce` start from the start moments stored in the
+    model: they read no demo file."""
+
+    @pytest.mark.parametrize("learning", ["learn", "assimilate"])
+    def test_rollout_and_reproduce_read_no_demo(self, scene_dir, tmp_path, monkeypatch,
+                                                learning):
+        root, _ = scene_dir
+        cfg = read_json(root / "config.json")
+        demos = [str(tmp_path / d) for d in cfg["demos"]]
+        for d in cfg["demos"]:
+            (tmp_path / d).write_bytes((root / d).read_bytes())
+        cfg.update(demos=demos, environment=str(root / cfg["environment"]), align="dtw",
+                   rollout_samples=2)
+        cfg_path = str(tmp_path / "cfg.json")
+        write_json(cfg_path, cfg)
+        base = ["--config", cfg_path, "--out", str(tmp_path / "out")]
+        if learning == "learn":
+            assert cli_main(base + ["learn"]) == 0
+        else:  # assimilate never aligns its demos
+            for path in demos:
+                assert cli_main(base + ["assimilate", "--checkpoint", str(tmp_path / "ck.npz"),
+                                        "--demo", path]) == 0
+        model = str(tmp_path / "out" / "model.json")
+
+        def rollout_and_reproduce(stage_out):
+            for command in ("rollout", "reproduce"):
+                assert cli_main(["--config", cfg_path, "--out", stage_out, command,
+                                 "--model", model]) == 0
+            return read_all_outputs(stage_out)
+        with_demos = rollout_and_reproduce(str(tmp_path / "with_demos"))
+        # the prior starts from the moments of the demos' start states as learning saw them
+        raw = [load_raw_demo(path) for path in demos]
+        states = [estimate_states(r, 30) for r in (dtw_align(raw) if learning == "learn" else raw)]
+        prior = GaussianTrajectoryPrior(load_model(model),
+                                        initial_state_distribution(DemoSet(demos=states)))
+        assert with_demos["prior.csv"] == prior_band_csv(prior).encode()
+        for path in demos:
+            os.remove(path)
+
+        def no_demo(*args, **kwargs):
+            raise AssertionError("a demo was read")
+        monkeypatch.setattr("iwskill.demos.load_raw_demo", no_demo)
+        monkeypatch.setattr("iwskill.demos.estimate_states", no_demo)
+        assert rollout_and_reproduce(str(tmp_path / "without_demos")) == with_demos
+
 
 class TestReproduce:
     def test_init_state_skips_demo_alignment(self, scene_dir, tmp_path, monkeypatch):
         root, _ = scene_dir
         out = str(tmp_path / "out")
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         demos = [str(tmp_path / d) for d in cfg["demos"]]
         for d in cfg["demos"]:
             (tmp_path / d).write_bytes((root / d).read_bytes())
@@ -357,28 +445,18 @@ class TestReproduce:
         out = str(tmp_path / "out")
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
         # start exactly at the prior's initial mean, no obstacles, no anchors
-        cfg = json.load(open(root / "config.json"))
+        model = load_model(os.path.join(out, "model.json"))
+        cfg = read_json(root / "config.json")
         cfg["demos"] = [str(root / d) for d in cfg["demos"]]
         cfg["environment"] = str(root / cfg["environment"])
-        from iwskill.demos import DemoSet, estimate_states, load_raw_demo
-        from iwskill.prior import initial_state_distribution
-        ds = DemoSet(demos=[estimate_states(load_raw_demo(str(root / f"demo_{k:03d}.json")), 30)
-                            for k in range(8)])
-        init = initial_state_distribution(ds)
-        cfg["reproduction"] = {"starts": [list(init.mean)], "start_sigma": 1e-3}
+        cfg["reproduction"] = {"starts": [model.init_mean.tolist()], "start_sigma": 1e-3}
         cfg_path = str(tmp_path / "config_mean.json")
         write_json(cfg_path, cfg)
         assert cli_main(["--config", cfg_path, "--out", out, "reproduce",
                          "--model", os.path.join(out, "model.json")]) == 0
         sol = np.loadtxt(os.path.join(out, "solution_000.csv"), delimiter=",", skiprows=1)
-        prior = np.loadtxt(os.path.join(out, "prior.csv"), delimiter=",", skiprows=1) \
-            if os.path.exists(os.path.join(out, "prior.csv")) else None
         # anchor target equals the prior mean start, so the optimum is the mean
-        from iwskill.batch import load_model as lm
-        from iwskill.prior import GaussianTrajectoryPrior
-        model = lm(os.path.join(out, "model.json"))
-        means = GaussianTrajectoryPrior(model, init).means
-        np.testing.assert_allclose(sol[:, 1:], means, atol=1e-6)
+        np.testing.assert_allclose(sol[:, 1:], GaussianTrajectoryPrior(model).means, atol=1e-6)
 
     def test_two_starts_two_solutions(self, scene_dir, tmp_path):
         root, _ = scene_dir
@@ -397,7 +475,7 @@ class TestReproduce:
         displaced = {"dimension": 2,
                      "obstacles": [{"type": "sphere", "center": [1.7, 0.5], "radius": 0.2}]}
         write_json(str(tmp_path / "env_displaced.json"), displaced)
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg["demos"] = [str(root / d) for d in cfg["demos"]]
         cfg["environment"] = str(root / cfg["environment"])
         cfg["reproduction"]["environment"] = os.path.join(str(tmp_path), "env_displaced.json")
@@ -438,7 +516,7 @@ def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, overrides=N
     write_json(str(tmp_path / "env_displaced.json"),
                {"dimension": 2,
                 "obstacles": [{"type": "sphere", "center": [1.7, 0.5], "radius": 0.2}]})
-    cfg = json.load(open(root / "config.json"))
+    cfg = read_json(root / "config.json")
     cfg["demos"] = [str(root / d) for d in cfg["demos"]]
     cfg["environment"] = str(root / cfg["environment"])
     cfg["reproduction"]["environment"] = str(tmp_path / "env_displaced.json")
@@ -489,7 +567,7 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         model_path = os.path.join(out, "model.json")
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
-        model = json.load(open(model_path))
+        model = read_json(model_path)
         model["steps"][10]["Phi_tilde"] = (1e200 * np.asarray(model["steps"][10]["Phi_tilde"])
                                            ).tolist()
         write_json(model_path, model)
@@ -505,14 +583,15 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         model_path = os.path.join(out, "model.json")
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
-        model = json.load(open(model_path))
+        model = read_json(model_path)
         model["steps"][7]["Q"] = model["steps"][7]["Q"][:-1]
         write_json(model_path, model)
         capsys.readouterr()
         for command in ("rollout", "reproduce"):
             assert cli_main(["--config", str(root / "config.json"), "--out", out,
                              command, "--model", model_path]) == 2
-            assert f"corrupt model {model_path}: step 7: Q must be" in capsys.readouterr().err
+            assert f"failed to read model {model_path}: step 7: Q must be" in (
+                capsys.readouterr().err)
 
     def test_model_with_an_infinite_dt_names_the_file(self, scene_dir, tmp_path, capsys):
         root, _ = scene_dir
@@ -527,7 +606,7 @@ class TestExitCodes:
         for command in ("rollout", "reproduce"):
             assert cli_main(["--config", str(root / "config.json"), "--out", out,
                              command, "--model", model_path]) == 2
-            assert capsys.readouterr().err == (f"config error: corrupt model {model_path}: "
+            assert capsys.readouterr().err == (f"config error: failed to read model {model_path}: "
                                                "dt must be a positive finite number, got inf\n")
         assert not os.path.exists(os.path.join(out, "prior.csv"))
 
@@ -561,7 +640,16 @@ class TestExitCodes:
         ("[1, 2]", "the scene must be an object, got [1, 2]"),
         ('"abc"', "the scene must be an object, got 'abc'"),
         ('{"dimension": 2, "obstacles": [1]}', "obstacles[0] must be an object, got 1"),
-    ], ids=["not-json", "cone", "list", "string", "obstacle-not-object"])
+        ('{"dimension": 2, "obstacles": [{"type": "sphere", "center": 0, "radius": 0.2}]}',
+         "obstacles[0]: sphere center must be a list of D finite numbers, got 0"),
+        ('{"dimension": Infinity, "obstacles": []}', "dimension must be 2 or 3, got inf"),
+        ('{"dimension": 2, "obstacles": [{"type": "box", "min": [0, 0], "max": [1, 1]}, '
+         '{"type": "sphere", "center": [1, 0], "radius": Infinity}]}',
+         "obstacles[1]: sphere radius must be positive and finite, got inf"),
+        ('{"dimension": 2, "obstacles": [{"type": "box", "min": [0, NaN], "max": [1, 1]}]}',
+         "obstacles[0]: box min must be a list of D finite numbers, got [0, nan]"),
+    ], ids=["not-json", "cone", "list", "string", "obstacle-not-object", "center-scalar",
+            "dimension-inf", "radius-inf", "box-nan"])
     @pytest.mark.parametrize("route", ["environment", "reproduction.environment",
                                        "assimilate --env"])
     def test_unreadable_scene_names_the_file(self, scene_dir, tmp_path, capsys, content, reason,
@@ -571,7 +659,7 @@ class TestExitCodes:
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
         scene = tmp_path / "scene.json"
         scene.write_text(content)
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None)
         argv = ["--config", str(tmp_path / "cfg.json"), "--out", out]
         if route == "environment":
@@ -602,7 +690,7 @@ class TestExitCodes:
         root, _ = scene_dir
         out = str(tmp_path / "out")
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg["demos"] = [str(root / d) for d in cfg["demos"]]
         cfg["environment"] = str(root / cfg["environment"])
         cfg["init_state"] = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
@@ -634,7 +722,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("index", [8, -1])
     def test_dtw_reference_out_of_range_names_the_key(self, scene_dir, tmp_path, capsys, index):
         root, _ = scene_dir
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None,
                    align="dtw", dtw_reference=index)
         write_json(str(tmp_path / "cfg.json"), cfg)
@@ -658,7 +746,7 @@ class TestExitCodes:
         root, _ = scene_dir
         out = str(tmp_path / "out")
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg.update(demos=[str(root / d) for d in cfg["demos"]],
                    environment=str(tmp_path / "missing.json"))
         write_json(str(tmp_path / "cfg.json"), cfg)
@@ -669,7 +757,7 @@ class TestExitCodes:
         root, _ = scene_dir
         out = str(tmp_path / "out")
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg["demos"] = [str(root / d) for d in cfg["demos"]]
         cfg["environment"] = str(root / cfg["environment"])
         cfg["reproduction"]["starts"] = [[0.0, 0.5, 3.0, 1.0]]
@@ -685,7 +773,7 @@ class TestExitCodes:
 
     def test_numerical_failure_exit(self, scene_dir, tmp_path):
         root, _ = scene_dir
-        cfg = json.load(open(root / "config.json"))
+        cfg = read_json(root / "config.json")
         cfg["demos"] = [str(root / d) for d in cfg["demos"][:2]]  # K=2 < D+1
         cfg["environment"] = str(root / cfg["environment"])
         cfg["ridge_lambda"] = 0.0

@@ -99,6 +99,14 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
      "reproduction.starts[0] must be a list of numbers, got ['a', 0, 0, 0]"),
     ({"reproduction": {"starts": [[0.0, 1.0], 0.5]}},
      "reproduction.starts[1] must be a list of numbers, got 0.5"),
+    ({"init_state": {"mean": [0.0], "cov": [[{"a": 1}]]}},
+     "init_state.cov must be a positive semi-definite matrix, got [[{'a': 1}]]"),
+    ({"init_state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]}},
+     "init_state.cov must be a positive semi-definite matrix, got [[1.0, 0.5], [0.0, 1.0]]"),
+    ({"init_state": {"mean": [0.0, 0.0], "cov": [[1.0]]}},
+     "init_state.cov must be a positive semi-definite matrix, got [[1.0]]"),
+    ({"init_state": {"mean": "origin", "cov": [[1.0]]}},
+     "init_state.mean must be a list of D finite numbers, got 'origin'"),
 ])
 def test_malformed_value_names_its_key(tmp_path, raw, message):
     path = str(tmp_path / "cfg.json")

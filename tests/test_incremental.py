@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from iwskill.batch import start_moments
 from iwskill.demos import StateTrajectory
 from iwskill.incremental import (CHECKPOINT_KEYS, IncrementalLearner, assimilate_demo,
                                  extract_map, load_checkpoint, save_checkpoint)
@@ -44,12 +45,18 @@ class TestInit:
             np.testing.assert_array_equal(step.M, 0.0)
 
     def test_map_before_any_demo(self):
+        # a model needs the moments of at least one start state
         learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10)
-        with pytest.warns(UserWarning, match="before any demonstration"):
-            model = extract_map(learner)
-        for step in intervals(model):
-            np.testing.assert_array_equal(step.Phi_tilde, 0.0)
-            np.testing.assert_allclose(step.Q, (1e-10 / (1e-10 + 5)) * np.eye(4))
+        with pytest.raises(ValueError, match="no demonstration assimilated yet"):
+            extract_map(learner)
+
+    def test_model_starts_from_the_assimilated_demos(self):
+        rng = np.random.default_rng(3)
+        demos, weights = random_demos(rng, k=4)
+        model = extract_map(assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10), demos, weights))
+        mean, cov = start_moments(np.stack([d.states[0] for d in demos]))
+        np.testing.assert_array_equal(model.init_mean, mean)
+        np.testing.assert_array_equal(model.init_cov, cov)
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError):
@@ -227,7 +234,8 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, learner)
         again = load_checkpoint(path)
-        assert again.demos_seen == 3 and again.dt == 0.1
+        assert len(again.starts) == 3 and again.dt == 0.1
+        np.testing.assert_array_equal(again.starts, learner.starts)
         for sa, sb in zip(beliefs(learner), beliefs(again)):
             np.testing.assert_array_equal(sa.M, sb.M)
             np.testing.assert_array_equal(sa.R, sb.R)
@@ -266,7 +274,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field,mutate,reason", [
-        ("version", lambda a: np.array(2), "version must be 1, got 2"),
+        ("version", lambda a: np.array(1), "version must be 2, got 1"),
         ("version", lambda a: None, "missing key 'version'"),
         ("nu", lambda a: None, "missing key 'nu'"),
         ("V", lambda a: a[:2], r"V must be a number array of shape \(3, 4, 4\)"),
@@ -277,15 +285,15 @@ class TestCheckpoint:
         ("V", lambda a: np.where(np.eye(4) > 0, a, -np.inf), "V must be finite"),
         ("nu", lambda a: np.full_like(a, -5.0), "nu must be positive"),
         ("nu", lambda a: np.array([3.0, 0.0, 3.0]), "nu must be positive"),
-        ("demos_seen", lambda a: np.array(-5), "demos_seen must be a non-negative integer"),
-        ("demos_seen", lambda a: np.array(2.5), "demos_seen must be a non-negative integer"),
+        ("starts", lambda a: a[:, :3], r"starts must be a number array of shape \(2, 4\)"),
+        ("starts", lambda a: np.full_like(a, np.nan), "starts must be finite"),
         ("alpha", lambda a: np.array(0.0), "alpha must be a positive finite number"),
         ("beta", lambda a: np.array(-1e10), "beta must be a positive finite number"),
         ("dt", lambda a: np.array(np.inf), "dt must be a positive finite number"),
         ("dt", lambda a: np.array(np.nan), "dt must be a positive finite number"),
         ("dt", lambda a: np.array(0), "dt must be a positive finite number"),
     ], ids=["version", "no-version", "no-nu", "V-steps", "nu-2d", "alpha-string", "M-nan",
-            "R-inf", "V-inf", "nu-negative", "nu-zero", "demos-negative", "demos-fraction",
+            "R-inf", "V-inf", "nu-negative", "nu-zero", "starts-width", "starts-nan",
             "alpha-zero", "beta-negative", "dt-inf", "dt-nan", "dt-zero"])
     def test_invalid_field_is_named(self, tmp_path, field, mutate, reason):
         path = saved_learner(tmp_path)
@@ -293,6 +301,20 @@ class TestCheckpoint:
             value = npz[field]
         rewrite_checkpoint(path, **{field: mutate(value)})
         with pytest.raises(ValueError, match=reason):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte"])
+    def test_damaged_archive_is_a_value_error(self, tmp_path, damage):
+        path = saved_learner(tmp_path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if damage == "truncated":
+            raw = raw[:len(raw) // 2]
+        else:  # inside the first array's data: its CRC no longer matches
+            raw = raw[:100] + bytes([raw[100] ^ 0xFF]) + raw[101:]
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(ValueError, match="damaged npz archive"):
             load_checkpoint(path)
 
     def test_pickled_array_is_refused(self, tmp_path):

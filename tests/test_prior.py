@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from iwskill.batch import SkillModel
 from iwskill.demos import DemoSet, StateTrajectory
 from iwskill.linalg import psd_sqrt
-from iwskill.prior import (GaussianState, GaussianTrajectoryPrior, initial_state_distribution,
-                           prior_band_csv, sample_trajectories)
+from iwskill.prior import (GaussianTrajectoryPrior, initial_state_distribution, prior_band_csv,
+                           sample_trajectories)
 
 
 def random_model(rng, dim=2, n_steps=5, noise=0.05, contraction=0.9):
@@ -18,13 +20,15 @@ def random_model(rng, dim=2, n_steps=5, noise=0.05, contraction=0.9):
         # keep Q comfortably positive definite so inverses stay well behaved
         phis.append(np.hstack([u[:, None], phi]))
         qs.append(a @ a.T + 0.2 * noise ** 2 * np.eye(dim))
-    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.1)
+    return SkillModel(Phi_tilde=np.stack(phis), Q=np.stack(qs), dt=0.1,
+                      init_mean=np.zeros(dim), init_cov=np.eye(dim))
 
 
-def node_marginals(model, init):
-    """The marginal Gaussian of every node, from the prior's moment arrays."""
+def node_marginals(model, init=None):
+    """The marginal Gaussian (mean, cov) of every node, from the prior's
+    moment arrays."""
     prior = GaussianTrajectoryPrior(model, init)
-    return [GaussianState(mean=m, cov=c) for m, c in zip(prior.means, prior.covs)]
+    return list(zip(prior.means, prior.covs))
 
 
 def dense_covariance(prior):
@@ -45,7 +49,7 @@ def reference_moments_and_precision(model, init, jitter=1e-10):
     information-form precision blocks, one (D, D+1) map at a time."""
     steps = [(model.Phi_tilde[i], model.Phi_tilde[i][:, 1:], model.Q[i])
              for i in range(model.n_steps)]
-    means, covs = [init.mean], [init.cov]
+    means, covs = [init[0]], [init[1]]
     for phi_tilde, phi, q in steps:
         means.append(phi_tilde @ np.concatenate([[1.0], means[-1]]))
         cov = phi @ covs[-1] @ phi.T + q
@@ -54,7 +58,7 @@ def reference_moments_and_precision(model, init, jitter=1e-10):
     eye = np.eye(d)
     diag = np.zeros((n + 1, d, d))
     off = np.zeros((n, d, d))
-    diag[0] = np.linalg.inv(init.cov + jitter * eye)
+    diag[0] = np.linalg.inv(init[1] + jitter * eye)
     for i, (_, phi, q) in enumerate(steps):
         q_inv = np.linalg.inv(q + jitter * eye)
         diag[i] += phi.T @ q_inv @ phi
@@ -65,16 +69,16 @@ def reference_moments_and_precision(model, init, jitter=1e-10):
 
 def random_init(rng, dim=2):
     a = rng.normal(scale=0.2, size=(dim, dim))
-    return GaussianState(mean=rng.normal(size=dim), cov=a @ a.T + 0.01 * np.eye(dim))
+    return rng.normal(size=dim), a @ a.T + 0.01 * np.eye(dim)
 
 
 class TestInitialStateDistribution:
     def test_single_demo(self):
         states = np.arange(12.0).reshape(3, 4)
         ds = DemoSet(demos=[StateTrajectory(dt=0.1, states=states)])
-        init = initial_state_distribution(ds)
-        np.testing.assert_array_equal(init.mean, states[0])
-        np.testing.assert_allclose(init.cov, 1e-8 * np.eye(4))
+        mean, cov = initial_state_distribution(ds)
+        np.testing.assert_array_equal(mean, states[0])
+        np.testing.assert_allclose(cov, 1e-8 * np.eye(4))
 
     def test_two_symmetric_starts(self):
         a = 0.7
@@ -82,20 +86,20 @@ class TestInitialStateDistribution:
         s2 = np.zeros((3, 2)); s2[0, 0] = -a
         ds = DemoSet(demos=[StateTrajectory(dt=0.1, states=s1),
                             StateTrajectory(dt=0.1, states=s2)])
-        init = initial_state_distribution(ds)
-        np.testing.assert_allclose(init.mean, 0.0, atol=1e-15)
+        mean, cov = initial_state_distribution(ds)
+        np.testing.assert_allclose(mean, 0.0, atol=1e-15)
         # population variance of the two points, plus the 1e-8 regularizer
-        assert init.cov[0, 0] == pytest.approx(a ** 2 + 1e-8, rel=1e-12)
+        assert cov[0, 0] == pytest.approx(a ** 2 + 1e-8, rel=1e-12)
 
     def test_matches_direct_moments(self):
         rng = np.random.default_rng(0)
         starts = rng.normal(size=(10, 4))
         demos = [StateTrajectory(dt=0.1, states=np.vstack([s, np.zeros((2, 4))]))
                  for s in starts]
-        init = initial_state_distribution(DemoSet(demos=demos))
-        np.testing.assert_allclose(init.mean, starts.mean(axis=0))
+        mean, cov = initial_state_distribution(DemoSet(demos=demos))
+        np.testing.assert_allclose(mean, starts.mean(axis=0))
         centered = starts - starts.mean(axis=0)
-        np.testing.assert_allclose(init.cov, centered.T @ centered / 10 + 1e-8 * np.eye(4),
+        np.testing.assert_allclose(cov, centered.T @ centered / 10 + 1e-8 * np.eye(4),
                                    rtol=1e-12)
 
 
@@ -103,23 +107,22 @@ class TestRollout:
     def test_identity_dynamics_are_constant(self):
         dim = 3
         model = SkillModel(Phi_tilde=[np.hstack([np.zeros((dim, 1)), np.eye(dim)])] * 4,
-                           Q=[np.zeros((dim, dim))] * 4, dt=0.1)
-        init = GaussianState(mean=np.array([1.0, -2.0, 0.5]), cov=0.3 * np.eye(dim))
-        for g in node_marginals(model, init):
-            np.testing.assert_allclose(g.mean, init.mean)
-            np.testing.assert_allclose(g.cov, init.cov)
+                           Q=[np.zeros((dim, dim))] * 4, dt=0.1,
+                           init_mean=[1.0, -2.0, 0.5], init_cov=0.3 * np.eye(dim))
+        for mean, cov in node_marginals(model):
+            np.testing.assert_allclose(mean, model.init_mean)
+            np.testing.assert_allclose(cov, model.init_cov)
 
     def test_scalar_geometric_recursion(self):
-        model = SkillModel(Phi_tilde=[[[1.0, 0.5]]] * 3, Q=np.zeros((3, 1, 1)), dt=1.0)
-        init = GaussianState(mean=np.zeros(1), cov=np.zeros((1, 1)))
-        means = [g.mean[0] for g in node_marginals(model, init)]
+        model = SkillModel(Phi_tilde=[[[1.0, 0.5]]] * 3, Q=np.zeros((3, 1, 1)), dt=1.0,
+                           init_mean=np.zeros(1), init_cov=np.zeros((1, 1)))
+        means = [mean[0] for mean, _ in node_marginals(model)]
         np.testing.assert_allclose(means, [0.0, 1.0, 1.5, 1.75])
 
     def test_dimension_mismatch(self):
         model = random_model(np.random.default_rng(1), dim=2)
-        init = GaussianState(mean=np.zeros(3), cov=np.eye(3))
         with pytest.raises(ValueError, match="dimension"):
-            node_marginals(model, init)
+            node_marginals(model, (np.zeros(3), np.eye(3)))
 
     def test_moments_match_monte_carlo(self):
         rng = np.random.default_rng(2)
@@ -127,15 +130,15 @@ class TestRollout:
         init = random_init(rng, dim=2)
         marginals = node_marginals(model, init)
         n = 200_000
-        samples = init.mean + rng.standard_normal((n, 2)) @ np.linalg.cholesky(init.cov).T
+        samples = init[0] + rng.standard_normal((n, 2)) @ np.linalg.cholesky(init[1]).T
         for i in range(1, model.n_steps + 1):
             noise = rng.standard_normal((n, 2)) @ np.linalg.cholesky(
                 model.Q[i - 1] + 1e-14 * np.eye(2)).T
             samples = samples @ model.transition[i - 1].T + model.bias[i - 1] + noise
-            se_mean = np.sqrt(np.diag(marginals[i].cov) / n)
-            assert np.all(np.abs(samples.mean(axis=0) - marginals[i].mean) <= 4 * se_mean)
+            mean, p = marginals[i]
+            se_mean = np.sqrt(np.diag(p) / n)
+            assert np.all(np.abs(samples.mean(axis=0) - mean) <= 4 * se_mean)
             emp_cov = np.cov(samples.T)
-            p = marginals[i].cov
             se_cov = np.sqrt((np.outer(np.diag(p), np.diag(p)) + p ** 2) / n)
             assert np.all(np.abs(emp_cov - p) <= 4 * se_cov)
 
@@ -147,7 +150,7 @@ class TestJointPrior:
         init = random_init(rng, dim=2)
         prior = GaussianTrajectoryPrior(model, init)
         phi = model.transition[0]
-        p0 = init.cov
+        p0 = init[1]
         expected = np.block([[p0, p0 @ phi.T],
                              [phi @ p0, phi @ p0 @ phi.T + model.Q[0]]])
         np.testing.assert_allclose(dense_covariance(prior), expected, rtol=1e-12)
@@ -159,9 +162,9 @@ class TestJointPrior:
         prior = GaussianTrajectoryPrior(model, init)
         marginals = node_marginals(model, init)
         dense = dense_covariance(prior)
-        for i, g in enumerate(marginals):
-            np.testing.assert_allclose(prior.covs[i], g.cov, atol=1e-10)
-            np.testing.assert_allclose(dense[3 * i:3 * i + 3, 3 * i:3 * i + 3], g.cov,
+        for i, (_, cov) in enumerate(marginals):
+            np.testing.assert_allclose(prior.covs[i], cov, atol=1e-10)
+            np.testing.assert_allclose(dense[3 * i:3 * i + 3, 3 * i:3 * i + 3], cov,
                                        atol=1e-10)
 
     def test_precision_is_block_tridiagonal(self):
@@ -204,10 +207,20 @@ class TestJointPrior:
         model = random_model(rng, dim=2, n_steps=5)
         init = random_init(rng, dim=2)
         base = node_marginals(model, init)
-        noisier = node_marginals(SkillModel(Phi_tilde=model.Phi_tilde,
-                                             Q=model.Q + 0.05 * np.eye(2), dt=model.dt), init)
-        for g_lo, g_hi in zip(base, noisier):
-            assert np.all(np.diag(g_hi.cov) >= np.diag(g_lo.cov) - 1e-12)
+        noisier = node_marginals(replace(model, Q=model.Q + 0.05 * np.eye(2)), init)
+        for (_, cov_lo), (_, cov_hi) in zip(base, noisier):
+            assert np.all(np.diag(cov_hi) >= np.diag(cov_lo) - 1e-12)
+
+    def test_starts_from_the_model_moments_unless_given_a_start(self):
+        rng = np.random.default_rng(16)
+        mean, cov = random_init(rng, dim=2)
+        model = replace(random_model(rng, dim=2, n_steps=4), init_mean=mean, init_cov=cov)
+        own, given = GaussianTrajectoryPrior(model), GaussianTrajectoryPrior(model, (mean, cov))
+        for key in ("means", "covs", "prec_diag", "prec_off"):
+            np.testing.assert_array_equal(getattr(own, key), getattr(given, key))
+        other = GaussianTrajectoryPrior(model, (np.zeros(2), np.eye(2)))
+        np.testing.assert_array_equal(other.means[0], np.zeros(2))
+        np.testing.assert_array_equal(other.covs[0], np.eye(2))
 
     @pytest.mark.parametrize("dim,n_steps", [(1, 1), (2, 5), (4, 60), (6, 200)])
     def test_arrays_equal_per_interval_loops(self, dim, n_steps):
@@ -220,9 +233,9 @@ class TestJointPrior:
         np.testing.assert_array_equal(prior.covs, covs)
         np.testing.assert_array_equal(prior.prec_diag, diag)
         np.testing.assert_array_equal(prior.prec_off, off)
-        for g, m, c in zip(node_marginals(model, init), means, covs):
-            np.testing.assert_array_equal(g.mean, m)
-            np.testing.assert_array_equal(g.cov, c)
+        for (mean, cov), m, c in zip(node_marginals(model, init), means, covs):
+            np.testing.assert_array_equal(mean, m)
+            np.testing.assert_array_equal(cov, c)
 
     def test_overflowing_dynamics_raise(self):
         rng = np.random.default_rng(15)
@@ -231,8 +244,7 @@ class TestJointPrior:
         phi_tilde[3] = 1e200 * phi_tilde[3]
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="overflow at node 4 of 6"):
-            GaussianTrajectoryPrior(SkillModel(Phi_tilde=phi_tilde, Q=model.Q, dt=model.dt),
-                                    random_init(rng, dim=2))
+            GaussianTrajectoryPrior(replace(model, Phi_tilde=phi_tilde), random_init(rng, dim=2))
 
 
 class TestSampling:
@@ -242,9 +254,9 @@ class TestSampling:
         for _ in range(4):
             phi = rng.normal(size=(2, 2)) * 0.4
             phis.append(np.hstack([rng.normal(size=(2, 1)), phi]))
-        model = SkillModel(Phi_tilde=np.stack(phis), Q=np.zeros((4, 2, 2)), dt=0.1)
-        init = GaussianState(mean=np.array([0.3, -0.1]), cov=np.zeros((2, 2)))
-        prior = GaussianTrajectoryPrior(model, init)
+        model = SkillModel(Phi_tilde=np.stack(phis), Q=np.zeros((4, 2, 2)), dt=0.1,
+                           init_mean=[0.3, -0.1], init_cov=np.zeros((2, 2)))
+        prior = GaussianTrajectoryPrior(model)
         samples = sample_trajectories(prior, 5, seed=0)
         assert samples.shape == (5, 5, 2)
         for states in samples:
@@ -272,10 +284,11 @@ class TestSampling:
     @pytest.mark.parametrize("dim,n_steps", [(1, 1), (2, 5), (4, 60)])
     def test_samples_equal_per_interval_loop(self, dim, n_steps):
         rng = np.random.default_rng(dim * 100 + n_steps)
-        prior = GaussianTrajectoryPrior(random_model(rng, dim=dim, n_steps=n_steps),
-                                        random_init(rng, dim=dim))
+        model = random_model(rng, dim=dim, n_steps=n_steps)
+        mean, cov = random_init(rng, dim=dim)
+        prior = GaussianTrajectoryPrior(model, (mean, cov))
         draws = np.random.default_rng(5)
-        state = prior.init.mean + draws.standard_normal((3, dim)) @ psd_sqrt(prior.init.cov).T
+        state = mean + draws.standard_normal((3, dim)) @ psd_sqrt(cov).T
         nodes = [state]
         for i in range(n_steps):
             noise = draws.standard_normal((3, dim)) @ psd_sqrt(prior.model.Q[i]).T

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from iwskill.batch import SkillModel, learn_batch_weighted
 from iwskill.demos import DemoSet, estimate_states
 from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf, weight_trajectory
-from iwskill.prior import GaussianState, GaussianTrajectoryPrior, initial_state_distribution
+from iwskill.prior import GaussianTrajectoryPrior
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                                   SingularNormalEquationsError, Solution, StateAnchor,
                                   negative_log_posterior, optimize_map, solution_csv,
@@ -68,14 +68,14 @@ def test_options_refuse_a_damping_start_that_cannot_escalate(damping):
 
 
 def reaching_prior(seed, grid_n, weighted=True):
-    """Prior of the reaching scene's batch-learned model, started from the
-    demos' start states, and the demos' states (K, N+1, D)."""
+    """Prior of the reaching scene's batch-learned model, which starts from
+    the demos' start states, and the demos' states (K, N+1, D)."""
     scene = make_reaching_scene(seed=seed)
     demo_set = DemoSet(demos=[estimate_states(d, grid_n) for d in scene.raw_demos])
     env = scene.env if weighted else None
     model = learn_batch_weighted(demo_set, [weight_trajectory(t.states, env, scene.weight_params)
                                             for t in demo_set.demos])
-    return (GaussianTrajectoryPrior(model, initial_state_distribution(demo_set)),
+    return (GaussianTrajectoryPrior(model),
             np.stack([t.states for t in demo_set.demos]))
 
 
@@ -174,11 +174,11 @@ class TestNegativeLogPosterior:
 
     def test_obstacle_factor_only_penalizes_collision(self, disc_sdf):
         model = SkillModel(Phi_tilde=[np.hstack([np.zeros((4, 1)), np.eye(4)])] * 2,
-                           Q=[0.01 * np.eye(4)] * 2, dt=0.1)
-        clear = GaussianTrajectoryPrior(model, GaussianState(
-            mean=np.array([1.5, 0.8, 0.0, 0.0]), cov=0.01 * np.eye(4)))
-        colliding = GaussianTrajectoryPrior(model, GaussianState(
-            mean=np.array([0.5, 0.25, 0.0, 0.0]), cov=0.01 * np.eye(4)))
+                           Q=[0.01 * np.eye(4)] * 2, dt=0.1,
+                           init_mean=np.array([1.5, 0.8, 0.0, 0.0]), init_cov=0.01 * np.eye(4))
+        clear = GaussianTrajectoryPrior(model)
+        colliding = GaussianTrajectoryPrior(model, (np.array([0.5, 0.25, 0.0, 0.0]),
+                                                    0.01 * np.eye(4)))
         for prior, should_increase in ((clear, False), (colliding, True)):
             factors = [ObstacleFactor(indices=range(3), sdf=disc_sdf, eps_repro=0.1,
                                       sigma_repro=0.05)]
@@ -197,8 +197,7 @@ class TestObstacleFactorBatch:
     def prior(self):
         rng = np.random.default_rng(12)
         return GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=8, contraction=0.7),
-                                 GaussianState(mean=np.array([0.3, 0.0, 0.1, 0.0]),
-                                               cov=0.05 * np.eye(4)))
+                                 (np.array([0.3, 0.0, 0.1, 0.0]), 0.05 * np.eye(4)))
 
     def test_one_factor_equals_per_node_obstacle_costs(self, prior, disc_sdf):
         rng = np.random.default_rng(13)
@@ -302,9 +301,9 @@ class TestOptimizeMap:
         # information is the prior information plus 1/sigma^2 on each node.
         phi, u, q = 0.8, 0.1, 0.05
         p0 = 0.2
-        model = SkillModel(Phi_tilde=np.array([[[u, phi]]]), Q=np.array([[[q]]]), dt=1.0)
-        prior = GaussianTrajectoryPrior(model, GaussianState(mean=np.array([0.5]),
-                                                       cov=np.array([[p0]])))
+        prior = GaussianTrajectoryPrior(SkillModel(
+            Phi_tilde=np.array([[[u, phi]]]), Q=np.array([[[q]]]), dt=1.0,
+            init_mean=np.array([0.5]), init_cov=np.array([[p0]])))
         t0, t1, s0, s1 = -0.2, 1.4, 0.3, 0.15
         anchors = [StateAnchor(index=0, target=np.array([t0]), sigma=s0),
                    StateAnchor(index=1, target=np.array([t1]), sigma=s1)]
@@ -331,8 +330,7 @@ class TestOptimizeMap:
     def test_objective_history_nonincreasing(self, disc_sdf):
         rng = np.random.default_rng(8)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=6, contraction=0.7),
-                                  GaussianState(mean=np.array([0.2, 0.0, 0.1, 0.0]),
-                                                cov=0.05 * np.eye(4)))
+                                  (np.array([0.2, 0.0, 0.1, 0.0]), 0.05 * np.eye(4)))
         factors = [ObstacleFactor(indices=range(7), sdf=disc_sdf, eps_repro=0.12,
                                   sigma_repro=0.05)]
         factors.append(StateAnchor(index=0, target=np.array([0.1, -0.3, 0.0, 0.0]),
@@ -383,10 +381,9 @@ class TestOptimizeMap:
     def test_infeasible_solution_flagged(self, disc_sdf):
         # anchor a node deep inside the obstacle with huge confidence; the
         # optimizer cannot clear it and must say so
-        model = SkillModel(Phi_tilde=[np.hstack([np.zeros((4, 1)), np.eye(4)])] * 2,
-                           Q=[0.001 * np.eye(4)] * 2, dt=0.1)
-        prior = GaussianTrajectoryPrior(model, GaussianState(
-            mean=np.array([0.5, 0.0, 0.0, 0.0]), cov=1e-6 * np.eye(4)))
+        prior = GaussianTrajectoryPrior(SkillModel(
+            Phi_tilde=[np.hstack([np.zeros((4, 1)), np.eye(4)])] * 2, Q=[0.001 * np.eye(4)] * 2,
+            dt=0.1, init_mean=np.array([0.5, 0.0, 0.0, 0.0]), init_cov=1e-6 * np.eye(4)))
         factors = [StateAnchor(index=i, target=np.array([0.5, 0.0, 0.0, 0.0]),
                                sigma=1e-6) for i in range(3)]
         factors.append(ObstacleFactor(indices=[1], sdf=disc_sdf, eps_repro=0.1, sigma_repro=1.0))
@@ -397,8 +394,7 @@ class TestOptimizeMap:
     def test_clear_solution_feasible(self, disc_sdf):
         rng = np.random.default_rng(11)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
-                                  GaussianState(mean=np.array([1.5, 0.7, 0.0, 0.0]),
-                                                cov=0.01 * np.eye(4)))
+                                  (np.array([1.5, 0.7, 0.0, 0.0]), 0.01 * np.eye(4)))
         factors = [ObstacleFactor(indices=range(5), sdf=disc_sdf, eps_repro=0.1,
                                   sigma_repro=0.05)]
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
@@ -417,8 +413,7 @@ class TestOptimizeMap:
 
         rng = np.random.default_rng(11)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
-                                        GaussianState(mean=np.array([1.5, 0.7, 0.0, 0.0]),
-                                                      cov=0.01 * np.eye(4)))
+                                        (np.array([1.5, 0.7, 0.0, 0.0]), 0.01 * np.eye(4)))
         factors = [Counting(StateAnchor(index=0, target=np.array([0.3, 0.05, 0.0, 0.0]),
                                         sigma=0.01)),
                    Counting(ObstacleFactor(indices=range(5), sdf=disc_sdf, eps_repro=0.1,
