@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .demos import DemoSet
-from .utils import finite_vector, read_json, stack_field, write_json
+from .utils import checked_array, checked_number, read_json, write_json
 
 # Q of an interval whose effective sample size is degenerate.
 Q_MIN = 1e-6
@@ -38,15 +38,15 @@ def start_moments(starts: np.ndarray) -> tuple:
 
 def check_start_state(mean, cov, keys: tuple, dim: int | None = None) -> tuple:
     """(mean, cov) as float arrays, or a ValueError naming `keys[0]` unless
-    mean is a finite vector (of dim entries, when given) and `keys[1]` unless
-    cov is a finite, symmetric, positive semi-definite matrix of its size."""
-    m = finite_vector(mean, keys[0], dim)
+    mean is a finite number array of shape (dim,) (dim None: any length) and
+    `keys[1]` unless cov is a finite, symmetric, positive semi-definite matrix
+    of its size."""
+    m = checked_array(mean, keys[0], (dim,))
     try:
-        c = np.asarray(cov, dtype=float)
-        ok = (c.shape == (m.size, m.size) and np.isfinite(c).all()
-              and np.allclose(c, c.T, atol=1e-9)
+        c = checked_array(cov, keys[1], (m.size, m.size))
+        ok = (np.allclose(c, c.T, atol=1e-9)
               and np.linalg.eigvalsh(c).min() >= -1e-12 * np.abs(c).max())
-    except (TypeError, ValueError):
+    except ValueError:
         ok = False
     if not ok:
         raise ValueError(f"{keys[1]} must be a positive semi-definite matrix, got {cov!r}")
@@ -75,6 +75,8 @@ class SkillModel:
                              f"got {phi.shape} and {q.shape}")
         if not np.allclose(q, q.transpose(0, 2, 1), atol=1e-9):
             raise ValueError("Q must be symmetric")
+        if not 0 < self.dt * n < np.inf:  # the time of the last node
+            raise ValueError(f"dt must be positive with a finite horizon N dt, got {self.dt!r}")
         mean, cov = check_start_state(self.init_mean, self.init_cov, ("init_mean", "init_cov"), d)
         for key, value in zip(("Phi_tilde", "Q", "init_mean", "init_cov"), (phi, q, mean, cov)):
             object.__setattr__(self, key, value)
@@ -208,29 +210,34 @@ def model_to_dict(model: SkillModel) -> dict:
     }
 
 
+def _stack_steps(steps: list, key: str, shape: tuple) -> np.ndarray:
+    """`step[key]` of every step (N >= 1 dicts read from JSON) as one float
+    array (N, *shape); a ValueError names the first step whose entry is not a
+    finite number array of that shape."""
+    try:
+        return checked_array([step[key] for step in steps], key, (None,) + shape)
+    except ValueError:
+        for i, step in enumerate(steps):
+            checked_array(step[key], f"step {i}: {key}", shape)
+        raise
+
+
 def model_from_dict(data: dict) -> SkillModel:
     """The model of a `model_to_dict` dict; raises ValueError naming the first
-    step whose matrices do not match the header's dimension D, a D that is not
-    a positive int, a dt that is not positive and finite, a non-finite
-    Phi_tilde or Q, or start moments that are missing or that SkillModel
+    step whose matrices are not finite number arrays of the header's
+    dimension D, a D that is not a positive int, a dt that is not a positive
+    finite number, or start moments that are missing or that SkillModel
     refuses."""
     missing = [key for key in ("init_mean", "init_cov") if key not in data]
     if missing:
         raise ValueError(f"missing key {missing[0]!r}: the model was written without its "
                          f"start moments; re-run learn or assimilate")
-    d = data["D"]
-    if type(d) is not int or d < 1:
-        raise ValueError(f"D must be a positive int, got {d!r}")
-    dt = float(data["dt"])
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be a positive finite number, got {dt}")
-    steps = data["steps"]
-    phi = stack_field(steps, "Phi_tilde", (d, d + 1))
-    q = stack_field(steps, "Q", (d, d))
-    for key, value in (("Phi_tilde", phi), ("Q", q)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"step {np.argmin(np.isfinite(value).all(axis=(1, 2)))}: "
-                             f"{key} must be finite")
+    if type(data["D"]) is not int:  # written as an int; a whole float is not taken for one
+        raise ValueError(f"D must be an int, got {data['D']!r}")
+    d = checked_number(data["D"], "D", int, positive=True)
+    dt = checked_number(data["dt"], "dt", positive=True)
+    phi = _stack_steps(data["steps"], "Phi_tilde", (d, d + 1))
+    q = _stack_steps(data["steps"], "Q", (d, d))
     return SkillModel(phi, q, dt, data["init_mean"], data["init_cov"])
 
 

@@ -52,7 +52,9 @@ def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
             raise ConfigError(f"dtw_reference must index one of the {len(raw)} demos "
                               f"(0 to {len(raw) - 1}), got {cfg.dtw_reference}")
         raw = dm.dtw_align(raw, cfg.dtw_reference)
-    return dm.DemoSet(demos=[dm.estimate_states(d, cfg.grid_n) for d in raw])
+    # an overflowing demo fails its spline fit: name its file (demo k is aligned demo k)
+    return dm.DemoSet(demos=[_read(lambda _: dm.estimate_states(d, cfg.grid_n), "demo", p)
+                             for d, p in zip(raw, cfg.demos)])
 
 
 def _demo_weights(cfg: PipelineConfig, trajs: list, env_path: str | None,
@@ -115,7 +117,8 @@ def cmd_learn(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_assimilate(cfg: PipelineConfig, args) -> int:
-    traj = dm.estimate_states(_read(dm.load_raw_demo, "demo", args.demo), cfg.grid_n)
+    traj = _read(lambda p: dm.estimate_states(dm.load_raw_demo(p), cfg.grid_n), "demo",
+                 args.demo)
 
     if os.path.exists(args.checkpoint):  # assimilate_demo refuses a demo off its grid
         learner = _read(load_checkpoint, "checkpoint", args.checkpoint)
@@ -210,10 +213,9 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
     for si, start in enumerate(starts):
         factors = list(base_factors)
         if start is not None:
-            target = np.asarray(start, dtype=float)
-            if target.shape != (prior.dim,):
+            if start.shape != (prior.dim,):
                 raise ConfigError(f"reproduction.starts[{si}] must have dimension {prior.dim}")
-            factors.append(StateAnchor(index=0, target=target, sigma=rc.start_sigma))
+            factors.append(StateAnchor(index=0, target=start, sigma=rc.start_sigma))
         solution = optimize_map(ReproductionProblem(prior=prior, factors=factors,
                                                     options=rc.options))
         all_converged &= solution.converged

@@ -5,15 +5,13 @@ config plus its data directory is relocatable.
 """
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from .batch import check_start_state
 from .environment import WeightParams
 from .reproduction import OptimizerOptions, StateAnchor
+from .utils import checked_array, checked_number
 
 
 class ConfigError(Exception):
@@ -54,28 +52,15 @@ class PipelineConfig:
 
 _TOP_KEYS = {f.name for f in fields(PipelineConfig)}
 _REPRO_KEYS = {f.name for f in fields(ReproductionConfig) + fields(OptimizerOptions)} - {"options"}
-
-
-def _scalar(raw: dict, key: str, kind: type, where: str, positive: bool = False):
-    """raw[key] as a `kind` (int or float; a whole number for int), or a ConfigError
-    naming the key; with `positive`, also one if it is not a positive finite number."""
-    try:
-        value = kind(raw[key])
-        if kind is int and isinstance(raw[key], float) and not raw[key].is_integer():
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}{key} must be {'an int' if kind is int else 'a number'}, "
-                          f"got {raw[key]!r}") from None
-    if positive and not 0 < value < math.inf:
-        raise ConfigError(f"{where}{key} must be a positive number, got {raw[key]!r}")
-    return value
+_POSITIVE = {"grid_n", "start_sigma", "sigma_repro", "sdf_resolution", "lm_damping_init"}
 
 
 def _scalars(cls: type, raw: dict, where: str) -> dict:
-    """Every int or float field of dataclass `cls` that `raw` names,
-    converted by the type of the field's default."""
-    return {f.name: _scalar(raw, f.name, type(f.default), where) for f in fields(cls)
-            if f.name in raw and type(f.default) in (int, float)}
+    """Every int or float field of dataclass `cls` that `raw` names, read as
+    a number of the type of the field's default, positive for _POSITIVE."""
+    return {f.name: checked_number(raw[f.name], where + f.name, type(f.default),
+                                   f.name in _POSITIVE)
+            for f in fields(cls) if f.name in raw and type(f.default) in (int, float)}
 
 
 def _typed(value, kind: type, key: str, what: str):
@@ -85,22 +70,17 @@ def _typed(value, kind: type, key: str, what: str):
     return value
 
 
-def _state(value, key: str) -> list:
-    """`value` itself, or a ConfigError naming `key` if it is not a list of numbers."""
-    if not (isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return value
-
-
 def _anchor(raw: dict, where: str, start_sigma: float) -> StateAnchor:
     """One `reproduction.anchors` entry; its `sigma` defaults to start_sigma."""
     raw = {"index": None, "state": None, "sigma": start_sigma, **raw}
-    return StateAnchor(index=_scalar(raw, "index", int, where),
-                       target=np.asarray(_state(raw["state"], where + "state"), float),
-                       sigma=_scalar(raw, "sigma", float, where, positive=True))
+    return StateAnchor(index=checked_number(raw["index"], where + "index", int),
+                       target=checked_array(raw["state"], where + "state", (None,)),
+                       sigma=checked_number(raw["sigma"], where + "sigma", positive=True))
 
 
 def load_config(path: str) -> PipelineConfig:
+    """The config at `path`; a ConfigError names the file, and the key of a
+    value that is not of its documented type."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -108,7 +88,14 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return _parse(raw, path)
+    except ValueError as exc:  # the number readers name the file and the key
+        raise ConfigError(str(exc)) from None
 
+
+def _parse(raw, path: str) -> PipelineConfig:
+    """The config of the JSON value `raw` read from `path`."""
     where = f"{path}: "
     _typed(raw, dict, f"{where}the config", "an object")
     unknown = set(raw) - _TOP_KEYS
@@ -127,43 +114,40 @@ def load_config(path: str) -> PipelineConfig:
     cfg.environment = resolve(raw.get("environment"), "environment", optional=True)
     cfg.align = raw.get("align", cfg.align)
     if raw.get("dtw_reference") is not None:
-        cfg.dtw_reference = _scalar(raw, "dtw_reference", int, where)
+        cfg.dtw_reference = checked_number(raw["dtw_reference"], where + "dtw_reference", int)
     if "weights" in raw:
         block = _typed(raw["weights"], dict, where + "weights", "an object")
+        keys = sorted(f.name for f in fields(WeightParams))
+        if sorted(block) != keys:
+            raise ConfigError(f"{where}weights must have exactly the keys {keys}, "
+                              f"got {sorted(block)}")
+        params = _scalars(WeightParams, block, where + "weights.")
         try:
-            cfg.weights = WeightParams(epsilon=_scalar(block, "epsilon", float, where + "weights."),
-                                       sigma_obs=_scalar(block, "sigma_obs", float,
-                                                         where + "weights."))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad weights block ({exc})") from exc
+            cfg.weights = WeightParams(**params)
+        except ValueError as exc:
+            raise ConfigError(f"{where}weights.{exc}") from None
     if raw.get("ridge_lambda") is not None:
-        cfg.ridge_lambda = _scalar(raw, "ridge_lambda", float, where)
+        cfg.ridge_lambda = checked_number(raw["ridge_lambda"], where + "ridge_lambda")
     cfg.out_dir = resolve(raw.get("out_dir", cfg.out_dir), "out_dir")
     if raw.get("init_state") is not None:
         init = _typed(raw["init_state"], dict, where + "init_state", "an object")
         for key in ("mean", "cov"):
             if key not in init:
                 raise ConfigError(f"{where}init_state.{key} is missing")
-        try:
-            cfg.init_state = check_start_state(init["mean"], init["cov"], (
-                where + "init_state.mean", where + "init_state.cov"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        cfg.init_state = check_start_state(init["mean"], init["cov"], (
+            where + "init_state.mean", where + "init_state.cov"))
 
     repro_raw = _typed(raw.get("reproduction", {}), dict, where + "reproduction", "an object")
     unknown = set(repro_raw) - _REPRO_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown reproduction keys {sorted(unknown)}")
     repro = where + "reproduction."
-    for key in ("start_sigma", "lm_damping_init"):
-        if key in repro_raw:
-            _scalar(repro_raw, key, float, repro, positive=True)
     rc = ReproductionConfig(**_scalars(ReproductionConfig, repro_raw, repro),
                             options=OptimizerOptions(**_scalars(OptimizerOptions, repro_raw,
                                                                 repro)))
     rc.environment = resolve(repro_raw.get("environment"), "reproduction.environment",
                              optional=True)
-    rc.starts = [_state(start, f"{repro}starts[{i}]") for i, start in enumerate(
+    rc.starts = [checked_array(start, f"{repro}starts[{i}]", (None,)) for i, start in enumerate(
         _typed(repro_raw.get("starts", []), list, repro + "starts", "a list of states"))]
     rc.anchors = [_anchor(_typed(a, dict, repro + "anchors", "a list of objects"),
                           f"{repro}anchors[{i}].", rc.start_sigma)
@@ -171,8 +155,6 @@ def load_config(path: str) -> PipelineConfig:
                                                repro + "anchors", "a list of objects"))]
     cfg.reproduction = rc
 
-    if cfg.grid_n < 1:
-        raise ConfigError("grid_n must be >= 1")
     if cfg.align not in ("dtw", "none"):
-        raise ConfigError(f"align must be 'dtw' or 'none', got {cfg.align!r}")
+        raise ConfigError(f"{where}align must be 'dtw' or 'none', got {cfg.align!r}")
     return cfg

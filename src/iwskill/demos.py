@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .utils import read_json, write_json
+from .utils import checked_array, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -20,18 +20,10 @@ class RawDemo:
     positions: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.timestamps, dtype=float)
-        p = np.asarray(self.positions, dtype=float)
-        if p.ndim != 2 or p.shape[1] < 1:
-            raise ValueError("positions must be a (samples, P) array with P >= 1")
-        if t.ndim != 1 or t.shape[0] != p.shape[0]:
-            raise ValueError("timestamps and positions must have matching sample counts")
+        p = checked_array(self.positions, "positions", (None, None))
+        t = checked_array(self.timestamps, "timestamps", p.shape[:1])
         if t.shape[0] < 4:
             raise ValueError(f"too few samples: need >= 4 for a cubic spline, got {t.shape[0]}")
-        bad = ~(np.isfinite(t) & np.isfinite(p).all(axis=1))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"row {i} is not finite: time {t[i]}, position {p[i].tolist()}")
         if np.any(np.diff(t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "timestamps", t)
@@ -132,15 +124,18 @@ def fit_cubic_spline(demo: RawDemo) -> CubicSpline:
 
 def estimate_states(demo: RawDemo, n_steps: int) -> StateTrajectory:
     """Sample the demo spline at n_steps+1 uniform times and stack positions
-    with spline derivatives into full states."""
+    with spline derivatives into full states; a ValueError when the fit or
+    the states overflow."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    spline = fit_cubic_spline(demo)
-    t = np.linspace(demo.timestamps[0], demo.timestamps[-1], n_steps + 1)
-    pos = spline(t)
-    vel = spline.derivative()(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # scipy's check or the one below fails
+        spline = fit_cubic_spline(demo)
+        t = np.linspace(demo.timestamps[0], demo.timestamps[-1], n_steps + 1)
+        states = np.hstack([spline(t), spline.derivative()(t)])
+    if not np.isfinite(states).all():
+        raise ValueError("the spline states are not finite (overflow)")
     dt = (demo.timestamps[-1] - demo.timestamps[0]) / n_steps
-    return StateTrajectory(dt=dt, states=np.hstack([pos, vel]))
+    return StateTrajectory(dt=dt, states=states)
 
 
 # Demo pairs one DTW wavefront advances together: its int8 step stack, 8·(n+1)·(m+1)
@@ -217,8 +212,7 @@ def load_raw_demo(path: str) -> RawDemo:
     or CSV (column 0 = time, columns 1..P = position; header row optional)."""
     if path.endswith(".json"):
         data = read_json(path)
-        return RawDemo(timestamps=np.asarray(data["timestamps"], dtype=float),
-                       positions=np.asarray(data["positions"], dtype=float))
+        return RawDemo(timestamps=data["timestamps"], positions=data["positions"])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .utils import finite_vector, read_json
+from .utils import checked_array, checked_number, read_json
 
 # Signed distance reported when a scene has no obstacles (>= 1e6 by contract).
 NO_OBSTACLE_DISTANCE = 1.0e9
@@ -33,8 +33,9 @@ def _norms(d: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of d (n, dim). The stacked vector-vector
     matmul takes the same dot product np.linalg.norm takes on one vector, so
     each value is bit-identical to a per-row norm; norm(axis=-1) and einsum
-    differ from it by 1 ulp on some rows."""
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    differ from it by 1 ulp on some rows. A norm past the float range is inf."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def _point_rows(p, dim: int) -> np.ndarray:
@@ -52,11 +53,9 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", finite_vector(self.center, "sphere center"))
-        radius = self.radius if isinstance(self.radius, (int, float)) else math.nan
-        if not 0 < radius < math.inf:
-            raise ValueError(f"sphere radius must be positive and finite, got {self.radius!r}")
-        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "center", checked_array(self.center, "sphere center", (None,)))
+        object.__setattr__(self, "radius", checked_number(self.radius, "sphere radius",
+                                                          positive=True))
 
     @property
     def dim(self) -> int:
@@ -76,7 +75,8 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo, hi = finite_vector(self.lo, "box min"), finite_vector(self.hi, "box max")
+        lo = checked_array(self.lo, "box min", (None,))
+        hi = checked_array(self.hi, "box max", (None,))
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box min must be strictly below max in every dimension")
         object.__setattr__(self, "lo", lo)
@@ -105,12 +105,17 @@ class Environment:
     obstacles: list = field(default_factory=list)
 
     def __post_init__(self):
-        if type(self.dimension) is not int or self.dimension not in (2, 3):
+        object.__setattr__(self, "dimension", checked_number(self.dimension, "dimension", int))
+        if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension!r}")
         for i, obs in enumerate(self.obstacles):
             if obs.dim != self.dimension:
                 raise ValueError(f"obstacles[{i}] has dimension {obs.dim}, the scene "
                                  f"{self.dimension}")
+            with np.errstate(over="ignore"):
+                lo, hi = obs.bounds()
+                if not np.isfinite(hi - lo).all():
+                    raise ValueError(f"obstacles[{i}] is wider than the float range")
 
 
 def signed_distance(env: Environment, points) -> np.ndarray:
@@ -135,8 +140,6 @@ class SignedDistanceField:
     """
 
     def __init__(self, origin: np.ndarray, resolution: float, values: np.ndarray):
-        if not resolution > 0:
-            raise ValueError("resolution must be positive")
         self.origin = np.asarray(origin, dtype=float)
         self.resolution = float(resolution)
         self.values = np.asarray(values, dtype=float)
@@ -196,7 +199,8 @@ def build_sdf(env: Environment, lo, hi, resolution: float) -> SignedDistanceFiel
         raise ValueError("resolution must be positive")
     if lo.shape != (env.dimension,) or hi.shape != (env.dimension,) or np.any(lo >= hi):
         raise ValueError("degenerate bounds: need lo < hi matching the environment dimension")
-    counts = (np.ceil((hi - lo) / resolution) + 1).tolist()
+    with np.errstate(over="ignore"):  # an infinite count is refused below
+        counts = (np.ceil((hi - lo) / resolution) + 1).tolist()
     if math.prod(counts) > MAX_SDF_CELLS:
         raise SdfGridError(f"SDF grid {'x'.join(f'{c:.6g}' for c in counts)} at resolution "
                            f"{resolution} exceeds {MAX_SDF_CELLS} cells")
@@ -215,10 +219,11 @@ class WeightParams:
     sigma_obs: float = 0.01
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if not self.sigma_obs > 0:
-            raise ValueError("sigma_obs must be positive")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if not (self.sigma_obs > 0 and 0 < self.sigma_obs * self.sigma_obs < math.inf):
+            raise ValueError(f"sigma_obs must be a positive number whose square is positive "
+                             f"and finite, got {self.sigma_obs!r}")
 
 
 def hinge_cost(d, params: WeightParams):
@@ -239,7 +244,8 @@ def weight_trajectory(states: np.ndarray, env: Environment | None,
     if states.ndim != 2 or states.shape[1] not in (dim, 2 * dim):
         raise ValueError(f"state of length {states.shape[1:]} incompatible with {dim}-D scene")
     c = hinge_cost(signed_distance(env, states[:, :dim]), params)
-    return np.exp(-c * c / (2.0 * params.sigma_obs ** 2))
+    with np.errstate(over="ignore"):  # a cost past the float range weighs 0
+        return np.exp(-c * c / (2.0 * params.sigma_obs ** 2))
 
 
 def load_environment(path: str) -> Environment:

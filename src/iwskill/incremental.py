@@ -14,7 +14,7 @@ import numpy as np
 
 from .batch import SkillModel, solve_intervals, start_moments
 from .demos import StateTrajectory
-from .utils import atomic_write_npz
+from .utils import atomic_write_npz, checked_array, checked_number
 
 
 class IncrementalLearner:
@@ -26,8 +26,10 @@ class IncrementalLearner:
 
     def __init__(self, n_steps: int, dim: int, alpha: float, beta: float,
                  dt: float | None = None):
-        if not (alpha > 0 and beta > 0):
-            raise ValueError("alpha and beta must be positive")
+        # R starts at I/alpha and V at I/beta: both reciprocals must be finite
+        if not all(x > 0 and 1.0 / float(x) < np.inf for x in (alpha, beta)):
+            raise ValueError(f"alpha and beta must be positive with finite reciprocals, "
+                             f"got {alpha!r} and {beta!r}")
         if n_steps < 1 or dim < 1:
             raise ValueError("need n_steps >= 1 and dim >= 1")
         self.n_steps, self.dim, self.alpha, self.beta = n_steps, dim, float(alpha), float(beta)
@@ -109,15 +111,6 @@ def save_checkpoint(path: str, learner: IncrementalLearner) -> None:
         learner.starts))))
 
 
-def _field(data: dict, key: str, shape: tuple) -> np.ndarray:
-    """`data[key]` as floats; a ValueError unless it is a real number array of `shape`."""
-    value = data[key]
-    if value.shape != shape or value.dtype.kind not in "iuf":
-        raise ValueError(f"{key} must be a number array of shape {shape}, "
-                         f"got {value.dtype} {value.shape}")
-    return value.astype(float)
-
-
 def load_checkpoint(path: str) -> IncrementalLearner:
     """The learner saved at `path`; a ValueError naming the field when the
     file is not a readable npz archive or a checkpoint of this version, lacks
@@ -132,28 +125,19 @@ def load_checkpoint(path: str) -> IncrementalLearner:
                 data = {k: npz[k] for k in CHECKPOINT_KEYS if k in npz.files}
         except zipfile.BadZipFile as exc:  # a truncated or damaged archive
             raise ValueError(f"damaged npz archive ({exc})") from exc
-    if "version" in data and _field(data, "version", ()) != CHECKPOINT_VERSION:
+    if "version" in data and checked_array(data["version"], "version", ()) != CHECKPOINT_VERSION:
         raise ValueError(f"version must be {CHECKPOINT_VERSION}, got "
                          f"{float(data['version']):g} (assimilate into a new checkpoint)")
     missing = [k for k in CHECKPOINT_KEYS if k not in data]
     if missing:
         raise ValueError(f"missing key {missing[0]!r}")
-    alpha, beta, dt = (float(_field(data, k, ())) for k in ("alpha", "beta", "dt"))
-    for key, value in (("alpha", alpha), ("beta", beta), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{key} must be a positive finite number, got {value}")
-    m = data["M"]
-    if m.ndim != 3 or 0 in m.shape or m.shape[2] != m.shape[1] + 1:
-        raise ValueError(f"M must be a number array of shape (N, D, D+1) with N, D >= 1, "
-                         f"got {m.shape}")
-    n, d = m.shape[:2]
+    alpha, beta, dt = (checked_number(float(checked_array(data[k], k, ())), k, positive=True)
+                       for k in ("alpha", "beta", "dt"))
+    n, d = checked_array(data["M"], "M", (None, None, None)).shape[:2]
     learner = IncrementalLearner(n, d, alpha, beta, dt=dt)
-    for key, shape in (("M", m.shape), ("R", (n, d + 1, d + 1)), ("V", (n, d, d)), ("nu", (n,)),
-                       ("starts", (np.shape(data["starts"])[:1] or (0,)) + (d,))):
-        value = _field(data, key, shape)
-        if not np.isfinite(value).all():
-            raise ValueError(f"{key} must be finite")
-        setattr(learner, key, value)
+    for key, shape in (("M", (n, d, d + 1)), ("R", (n, d + 1, d + 1)), ("V", (n, d, d)),
+                       ("nu", (n,)), ("starts", (np.shape(data["starts"])[:1] or (0,)) + (d,))):
+        setattr(learner, key, checked_array(data[key], key, shape))
     if not np.all(learner.nu > 0):
         raise ValueError("nu must be positive")
     return learner

@@ -73,6 +73,6 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix, or of each matrix of a stack
     (..., d, d), tolerant of zero or slightly negative eigenvalues from
     roundoff (clipped at zero)."""
-    w, v = np.linalg.eigh((mat + np.swapaxes(mat, -1, -2)) / 2.0)
+    w, v = np.linalg.eigh(mat / 2.0 + np.swapaxes(mat, -1, -2) / 2.0)  # halves: no overflow
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)

@@ -43,10 +43,11 @@ class GaussianTrajectoryPrior:
         self.covs = np.empty((self.n_steps + 1, self.dim, self.dim))
         self.means[0], self.covs[0] = mean, cov
         phi_tilde, phi, q = model.Phi_tilde, model.transition, model.Q
-        for i in range(self.n_steps):
-            self.means[i + 1] = phi_tilde[i] @ np.concatenate(([1.0], self.means[i]))
-            cov = phi[i] @ self.covs[i] @ phi[i].T + q[i]
-            self.covs[i + 1] = (cov + cov.T) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the node
+            for i in range(self.n_steps):
+                self.means[i + 1] = phi_tilde[i] @ np.concatenate(([1.0], self.means[i]))
+                cov = phi[i] @ self.covs[i] @ phi[i].T + q[i]
+                self.covs[i + 1] = (cov + cov.T) / 2.0
         finite = np.isfinite(self.means).all(axis=1) & np.isfinite(self.covs).all(axis=(1, 2))
         if not finite.all():
             raise FloatingPointError(f"prior moments overflow at node {np.argmin(finite)} of "

@@ -218,7 +218,8 @@ def optimize_map(problem: ReproductionProblem) -> Solution:
                     raise SingularNormalEquationsError(
                         f"normal equations not factorizable at damping {damping:.1e}: "
                         f"{exc}") from exc
-        small = np.linalg.norm(step) <= opts.rel_tol * (np.linalg.norm(x) + opts.rel_tol)
+        with np.errstate(over="ignore"):  # a tolerance past the float range is infinite
+            small = np.linalg.norm(step) <= opts.rel_tol * (np.linalg.norm(x) + opts.rel_tol)
         trial = negative_log_posterior(x + step, problem)
         iterations += 1
         if trial[0] < obj:

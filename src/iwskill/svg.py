@@ -39,7 +39,8 @@ class SvgScene:
         half-width along the local path normal."""
         means = np.asarray(means, dtype=float)
         tangents = np.gradient(means, axis=0)
-        norms = np.linalg.norm(tangents, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # an infinite norm leaves a zero-width band
+            norms = np.linalg.norm(tangents, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         normal = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1) / norms
         offset = half_widths[:, None] * normal

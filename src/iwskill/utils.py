@@ -1,8 +1,10 @@
 """Small shared helpers: atomic file writes, deterministic JSON dumps, npz
-archives and CSV tables."""
+archives, CSV tables, and the one check of what a number is in an input file."""
 
 import json
+import math
 import os
+import reprlib
 import tempfile
 
 import numpy as np
@@ -58,28 +60,46 @@ def csv_text(header: list, values, labels: list | None = None) -> str:
     return "".join([",".join(header) + "\n"] + [line + "\n" for line in lines])
 
 
-def finite_vector(value, what: str, size: int | None = None) -> np.ndarray:
-    """`value` as a float vector, or a ValueError naming `what` unless it is
-    a non-empty list of finite numbers (of `size` entries, when given)."""
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        v = np.full(1, np.nan)  # fails the check below
-    if v.ndim != 1 or v.size != (size or v.size or -1) or not np.isfinite(v).all():
-        raise ValueError(f"{what} must be a list of {size or 'D'} finite numbers, got {value!r}")
-    return v
+def checked_number(value, key: str, kind: type = float, positive: bool = False):
+    """`value` as a `kind`, or a ValueError naming `key` unless it is a JSON
+    number of that kind (an int or a whole float for int; an int or float,
+    not a bool, for float) that is finite and, with `positive`, above zero."""
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if kind is int and type(value) is not int:
+        raise ValueError(f"{key} must be an int, got {value!r}")
+    if kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            value = math.inf
+    if positive and not 0 < value < math.inf:
+        raise ValueError(f"{key} must be a positive {'int' if kind is int else 'finite number'}, "
+                         f"got {value!r}")
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
 
 
-def stack_field(rows: list, key: str, shape: tuple) -> np.ndarray:
-    """`row[key]` of every row (dicts read from JSON) as one C-contiguous
-    float array of shape (len(rows), *shape). A ValueError names the first
-    row whose entry is not a number array of that shape."""
+def checked_array(value, key: str, shape: tuple) -> np.ndarray:
+    """`value` (nested lists, or an array) as a float array of `shape`, whose
+    None entries stand for any length >= 1; a ValueError naming `key` unless
+    it parses to a numeric dtype (a string or a None does not) of that shape
+    with only finite entries, the first non-finite one named by its index."""
     try:
-        out = np.array([row[key] for row in rows], dtype=float)
-        if out.shape == (len(rows),) + shape:
-            return out
-    except ValueError:
-        pass
-    bad = next((f"step {i}" for i, row in enumerate(rows)
-                if np.shape(np.array(row[key], dtype=object)) != shape), "steps")
-    raise ValueError(f"{bad}: {key} must be a number array of shape {shape}")
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = np.empty(0, dtype=object)
+    if (a.dtype.kind not in "iuf" or a.ndim != len(shape)
+            or any(n < 1 if s is None else n != s for n, s in zip(a.shape, shape))):
+        size = str(shape).replace("None", "n") + (" with n >= 1" if None in shape else "")
+        raise ValueError(f"{key} must be a number array of shape {size}, "
+                         f"got {reprlib.repr(value)}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        bad = np.argwhere(~np.isfinite(a))[0]
+        where = f" at index {bad.tolist()}" if a.ndim else ""
+        raise ValueError(f"{key} must be finite, got {float(a[tuple(bad)])}{where}")
+    return a

@@ -306,13 +306,17 @@ def test_model_round_trip(tmp_path):
     ("dt", float("nan"), "dt must be a positive finite number, got nan"),
     ("dt", 0.0, "dt must be a positive finite number, got 0.0"),
     ("dt", -1, "dt must be a positive finite number, got -1.0"),
-    ("D", float("inf"), "D must be a positive int, got inf"),
-    ("D", 2.0, "D must be a positive int, got 2.0"),
+    ("D", float("inf"), "D must be an int, got inf"),
+    ("D", 2.0, "D must be an int, got 2.0"),
     ("D", 0, "D must be a positive int, got 0"),
     ("Phi_tilde", float("nan"), "step 1: Phi_tilde must be finite"),
     ("Q", float("-inf"), "step 1: Q must be finite"),
+    ("Q", "0.5", "step 1: Q must be a number array of shape (2, 2), got [['0.5', "),
+    ("Phi_tilde", None, "step 1: Phi_tilde must be a number array of shape (2, 3)"),
+    ("dt", "0.1", "dt must be a number, got '0.1'"),
+    ("dt", 1e308, "dt must be positive with a finite horizon N dt, got 1e+308"),
 ], ids=["dt-inf", "dt-nan", "dt-zero", "dt-negative", "D-inf", "D-float", "D-zero",
-        "Phi-nan", "Q-inf"])
+        "Phi-nan", "Q-inf", "Q-string", "Phi-null", "dt-string", "dt-horizon"])
 def test_model_reader_rejects_bad_values(key, value, reason):
     data = model_to_dict(small_model())
     if key in data:
@@ -327,8 +331,9 @@ def test_model_reader_rejects_bad_values(key, value, reason):
     ("init_mean", None, "missing key 'init_mean': the model was written without its start "
                         "moments; re-run learn or assimilate"),
     ("init_cov", None, "missing key 'init_cov'"),
-    ("init_mean", [0.0, 0.0, 0.0], "init_mean must be a list of 2 finite numbers"),
-    ("init_mean", [float("nan"), 0.0], "init_mean must be a list of 2 finite numbers"),
+    ("init_mean", [0.0, 0.0, 0.0],
+     "init_mean must be a number array of shape (2,), got [0.0, 0.0, 0.0]"),
+    ("init_mean", [float("nan"), 0.0], "init_mean must be finite, got nan at index [0]"),
     ("init_cov", [[1.0, 0.0]], "init_cov must be a positive semi-definite matrix"),
     ("init_cov", [[1.0, 0.0], [0.0, float("inf")]], "init_cov must be a positive semi-definite"),
     ("init_cov", [[1.0, 0.5], [0.0, 1.0]], "init_cov must be a positive semi-definite matrix"),

@@ -349,7 +349,7 @@ class TestScalarModel:
         ({"init_cov": None}, "missing key 'init_cov': the model was written without its start "
                              "moments; re-run learn or assimilate"),
         ({"init_cov": [[0.01, 0.0]]}, "init_cov must be a positive semi-definite matrix"),
-        ({"init_mean": [float("nan")]}, "init_mean must be a list of 1 finite numbers"),
+        ({"init_mean": [float("nan")]}, "init_mean must be finite, got nan at index [0]"),
     ], ids=["missing", "mis-shaped", "non-finite"])
     def test_model_without_valid_start_moments_is_refused(self, tmp_path, capsys, keys,
                                                           message):
@@ -613,7 +613,7 @@ class TestExitCodes:
     def test_non_positive_damping_start_names_its_key(self, scene_dir, tmp_path, capsys):
         # LM would escalate it by x10 forever on a damped system that is indefinite
         assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {"lm_damping_init": -1.0}) == 2
-        assert "reproduction.lm_damping_init must be a positive number, got -1.0" in (
+        assert "reproduction.lm_damping_init must be a positive finite number, got -1.0" in (
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("stage", ["learn", "assimilate", "dtw"])  # dtw: learn, aligned
@@ -641,15 +641,22 @@ class TestExitCodes:
         ('"abc"', "the scene must be an object, got 'abc'"),
         ('{"dimension": 2, "obstacles": [1]}', "obstacles[0] must be an object, got 1"),
         ('{"dimension": 2, "obstacles": [{"type": "sphere", "center": 0, "radius": 0.2}]}',
-         "obstacles[0]: sphere center must be a list of D finite numbers, got 0"),
-        ('{"dimension": Infinity, "obstacles": []}', "dimension must be 2 or 3, got inf"),
+         "obstacles[0]: sphere center must be a number array of shape (n,) with n >= 1, "
+         "got 0"),
+        ('{"dimension": Infinity, "obstacles": []}', "dimension must be an int, got inf"),
+        ('{"dimension": 4.0, "obstacles": []}', "dimension must be 2 or 3, got 4"),
         ('{"dimension": 2, "obstacles": [{"type": "box", "min": [0, 0], "max": [1, 1]}, '
          '{"type": "sphere", "center": [1, 0], "radius": Infinity}]}',
-         "obstacles[1]: sphere radius must be positive and finite, got inf"),
+         "obstacles[1]: sphere radius must be a positive finite number, got inf"),
         ('{"dimension": 2, "obstacles": [{"type": "box", "min": [0, NaN], "max": [1, 1]}]}',
-         "obstacles[0]: box min must be a list of D finite numbers, got [0, nan]"),
+         "obstacles[0]: box min must be finite, got nan at index [1]"),
+        ('{"dimension": 2, "obstacles": [{"type": "sphere", "center": ["1.5", "0.9"], '
+         '"radius": 0.2}]}', "obstacles[0]: sphere center must be a number array of shape (n,) "
+                             "with n >= 1, got ['1.5', '0.9']"),
+        ('{"dimension": 2, "obstacles": [{"type": "sphere", "center": [1.5, 0.9], '
+         '"radius": 1e308}]}', "obstacles[0] is wider than the float range"),
     ], ids=["not-json", "cone", "list", "string", "obstacle-not-object", "center-scalar",
-            "dimension-inf", "radius-inf", "box-nan"])
+            "dimension-inf", "dimension-4", "radius-inf", "box-nan", "center-strings", "radius-huge"])
     @pytest.mark.parametrize("route", ["environment", "reproduction.environment",
                                        "assimilate --env"])
     def test_unreadable_scene_names_the_file(self, scene_dir, tmp_path, capsys, content, reason,
@@ -717,7 +724,9 @@ class TestExitCodes:
         assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
                          str(tmp_path / "out"), "learn"]) == 2
         err = capsys.readouterr().err
-        assert f"failed to read demo {tmp_path / 'demo.csv'}: row 2 is not finite" in err
+        reason = {"0.2,nan,0.1": "positions must be finite, got nan at index [2, 0]",
+                  "nan,0.1,0.1": "timestamps must be finite, got nan at index [2]"}[line]
+        assert f"failed to read demo {tmp_path / 'demo.csv'}: {reason}\n" in err
 
     @pytest.mark.parametrize("index", [8, -1])
     def test_dtw_reference_out_of_range_names_the_key(self, scene_dir, tmp_path, capsys, index):
@@ -781,6 +790,112 @@ class TestExitCodes:
         write_json(cfg_path, cfg)
         assert cli_main(["--config", cfg_path, "--out", str(tmp_path / "out"),
                          "learn"]) == 3
+
+    @pytest.mark.parametrize("stage, path, value, message", [
+        ("reproduce", ("reproduction", "starts", 0, 0), float("nan"),
+         "reproduction.starts[0] must be finite, got nan at index [0]"),
+        ("reproduce", ("reproduction", "anchors", 0, "state", 1), float("nan"),
+         "reproduction.anchors[0].state must be finite, got nan at index [1]"),
+        ("reproduce", ("reproduction", "eps_repro"), float("nan"),
+         "reproduction.eps_repro must be finite, got nan"),
+        ("learn", ("weights", "epsilon"), float("nan"), "weights.epsilon must be finite, got nan"),
+        ("learn", ("ridge_lambda",), float("nan"), "ridge_lambda must be finite, got nan"),
+        ("reproduce", ("reproduction", "tol_clear"), float("nan"),
+         "reproduction.tol_clear must be finite, got nan"),
+        ("reproduce", ("reproduction", "rel_tol"), float("nan"),
+         "reproduction.rel_tol must be finite, got nan"),
+        ("assimilate", ("alpha",), float("inf"), "alpha must be finite, got inf"),
+        ("learn", ("grid_n",), "12", "grid_n must be an int, got '12'"),
+        ("learn", ("grid_n",), 12.5, "grid_n must be an int, got 12.5"),
+        ("assimilate", ("alpha",), "1e3", "alpha must be a number, got '1e3'"),
+        ("reproduce", ("reproduction", "max_iters"), True,
+         "reproduction.max_iters must be an int, got True"),
+        ("learn", ("weights", "sigma_obs"), 1e-320,
+         "weights.sigma_obs must be a positive number whose square is positive and finite, "
+         "got 1e-320"),
+    ], ids=["starts-nan", "anchor-state-nan", "eps_repro-nan", "epsilon-nan", "ridge-nan",
+            "tol_clear-nan", "rel_tol-nan", "alpha-inf", "grid_n-string", "grid_n-fraction",
+            "alpha-string", "max_iters-bool", "sigma_obs-underflow"])
+    def test_non_number_config_value_names_the_file_and_key(self, scene_dir, tmp_path, capsys,
+                                                             stage, path, value, message):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        cfg = read_json(root / "config.json")
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]],
+                   environment=str(root / cfg["environment"]))
+        cfg["reproduction"]["anchors"] = [{"index": 30, "state": [3.0, 1.5, 0.0, 0.0]}]
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        cfg_path = str(tmp_path / "cfg.json")
+        write_json(cfg_path, cfg)
+        argv = ["--config", cfg_path, "--out", out, stage]
+        if stage == "assimilate":
+            argv += ["--checkpoint", str(tmp_path / "ck.npz"), "--demo", cfg["demos"][0]]
+        elif stage == "reproduce":
+            argv += ["--model", os.path.join(out, "model.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {cfg_path}: {message}\n"
+
+    def test_model_with_a_string_entry_names_the_file(self, scene_dir, tmp_path, capsys):
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        model_path = os.path.join(out, "model.json")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        model = read_json(model_path)
+        model["steps"][2]["Q"][1][1] = str(model["steps"][2]["Q"][1][1])
+        write_json(model_path, model)
+        capsys.readouterr()
+        for command in ("rollout", "reproduce"):
+            assert cli_main(["--config", str(root / "config.json"), "--out", out,
+                             command, "--model", model_path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: failed to read model {model_path}: step 2: "
+                                  f"Q must be a number array of shape (4, 4), got [[")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["Phi_tilde", "Q"])
+    @pytest.mark.parametrize("command", ["rollout", "reproduce"])
+    def test_overflowing_model_entry_is_one_line(self, scene_dir, tmp_path, capsys, key,
+                                                  command):
+        # RuntimeWarning is an error here: the moment loop must not warn
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        model_path = os.path.join(out, "model.json")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        model = read_json(model_path)
+        model["steps"][3][key][0][0] = 1e308
+        write_json(model_path, model)
+        capsys.readouterr()
+        assert cli_main(["--config", str(root / "config.json"), "--out", out,
+                         command, "--model", model_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: prior moments overflow at node ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("align", ["none", "dtw"])
+    @pytest.mark.parametrize("stage", ["ingest", "learn", "assimilate"])
+    def test_overflowing_demo_names_its_file(self, scene_dir, tmp_path, capsys, align, stage):
+        root, scene = scene_dir
+        bad = str(tmp_path / "demo_bad.json")
+        positions = scene.raw_demos[1].positions.copy()
+        positions[5] = 1e308
+        save_raw_demo(bad, RawDemo(scene.raw_demos[1].timestamps, positions))
+        cfg = read_json(root / "config.json")
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None, align=align)
+        cfg["demos"][1] = bad
+        write_json(str(tmp_path / "cfg.json"), cfg)
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), stage]
+        if stage == "assimilate":
+            argv += ["--checkpoint", str(tmp_path / "ck.npz"), "--demo", bad]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: failed to read demo {bad}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists() and not (tmp_path / "ck.npz").exists()
 
 
 def test_import_freezes_the_loaded_modules():

@@ -25,16 +25,17 @@ def test_accepted_keys_are_exactly_the_documented_ones(tmp_path):
 
 def test_scalars_take_the_type_of_their_default(tmp_path):
     path = str(tmp_path / "cfg.json")
-    write_json(path, {"grid_n": 12.0, "alpha": 3, "seed": "4", "rollout_samples": 2.0,
-                      "reproduction": {"start_sigma": 1, "max_iters": 7.0, "tol_clear": "0.5",
-                                       "starts": [[0.0, 1.0]]}})
+    write_json(path, {"grid_n": 12.0, "alpha": 3, "seed": 4, "rollout_samples": 2.0,
+                      "reproduction": {"start_sigma": 1, "max_iters": 7.0, "tol_clear": 0.5,
+                                       "starts": [[0, 1.0]]}})
     cfg = load_config(path)
     assert (cfg.grid_n, cfg.alpha, cfg.seed, cfg.rollout_samples) == (12, 3.0, 4, 2)
     assert type(cfg.grid_n) is int and type(cfg.alpha) is float
     rc = cfg.reproduction
     assert (rc.start_sigma, rc.options.max_iters, rc.options.tol_clear) == (1.0, 7, 0.5)
     assert type(rc.start_sigma) is float and type(rc.options.max_iters) is int
-    assert rc.starts == [[0.0, 1.0]] and rc.anchors == [] and rc.environment is None
+    assert [s.tolist() for s in rc.starts] == [[0.0, 1.0]] and rc.starts[0].dtype == float
+    assert rc.anchors == [] and rc.environment is None
     assert (rc.eps_repro, rc.options.abs_tol) == (0.1, 1e-8)  # untouched defaults
 
 
@@ -66,13 +67,13 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
     ({"init_state": {"mean": [0.0], "cov": [[-1.0]]}},
      "init_state.cov must be a positive semi-definite matrix, got [[-1.0]]"),
     ({"reproduction": {"start_sigma": -0.001}},
-     "reproduction.start_sigma must be a positive number, got -0.001"),
+     "reproduction.start_sigma must be a positive finite number, got -0.001"),
     ({"reproduction": {"start_sigma": 0}},
-     "reproduction.start_sigma must be a positive number, got 0"),
+     "reproduction.start_sigma must be a positive finite number, got 0.0"),
     ({"reproduction": {"start_sigma": 1e999}},
-     "reproduction.start_sigma must be a positive number, got inf"),
+     "reproduction.start_sigma must be a positive finite number, got inf"),
     ({"reproduction": {"anchors": [{"index": 3, "state": [0.0], "sigma": 0}]}},
-     "reproduction.anchors[0].sigma must be a positive number, got 0"),
+     "reproduction.anchors[0].sigma must be a positive finite number, got 0.0"),
     ({"reproduction": {"anchors": [{"index": 3, "state": [0.0], "sigma": [0.1]}]}},
      "reproduction.anchors[0].sigma must be a number, got [0.1]"),
     ({"reproduction": {"anchors": [{"index": 3, "state": [0.0]},
@@ -81,24 +82,26 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
     ({"reproduction": {"anchors": [{"state": [0.0]}]}},
      "reproduction.anchors[0].index must be an int, got None"),
     ({"reproduction": {"anchors": [{"index": 3, "state": 0.5}]}},
-     "reproduction.anchors[0].state must be a list of numbers, got 0.5"),
+     "reproduction.anchors[0].state must be a number array of shape (n,) with n >= 1, got 0.5"),
     ({"reproduction": {"anchors": [{"index": 3, "state": [0.0, "x"]}]}},
-     "reproduction.anchors[0].state must be a list of numbers, got [0.0, 'x']"),
+     "reproduction.anchors[0].state must be a number array of shape (n,) with n >= 1, "
+     "got [0.0, 'x']"),
     ({"reproduction": {"start_sigma": -1.0, "anchors": [{"index": 3, "state": [0.0]}]}},
-     "reproduction.start_sigma must be a positive number, got -1.0"),
+     "reproduction.start_sigma must be a positive finite number, got -1.0"),
     ({"reproduction": {"lm_damping_init": -1.0}},
-     "reproduction.lm_damping_init must be a positive number, got -1.0"),
+     "reproduction.lm_damping_init must be a positive finite number, got -1.0"),
     ({"reproduction": {"lm_damping_init": 0}},
-     "reproduction.lm_damping_init must be a positive number, got 0"),
+     "reproduction.lm_damping_init must be a positive finite number, got 0.0"),
     ({"reproduction": {"lm_damping_init": 1e999}},
-     "reproduction.lm_damping_init must be a positive number, got inf"),
+     "reproduction.lm_damping_init must be a positive finite number, got inf"),
     ({"grid_n": 12.7}, "grid_n must be an int, got 12.7"),
     ({"reproduction": {"anchors": [{"index": 2.5, "state": [0.0]}]}},
      "reproduction.anchors[0].index must be an int, got 2.5"),
     ({"reproduction": {"starts": [["a", 0, 0, 0]]}},
-     "reproduction.starts[0] must be a list of numbers, got ['a', 0, 0, 0]"),
+     "reproduction.starts[0] must be a number array of shape (n,) with n >= 1, "
+     "got ['a', 0, 0, 0]"),
     ({"reproduction": {"starts": [[0.0, 1.0], 0.5]}},
-     "reproduction.starts[1] must be a list of numbers, got 0.5"),
+     "reproduction.starts[1] must be a number array of shape (n,) with n >= 1, got 0.5"),
     ({"init_state": {"mean": [0.0], "cov": [[{"a": 1}]]}},
      "init_state.cov must be a positive semi-definite matrix, got [[{'a': 1}]]"),
     ({"init_state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]}},
@@ -106,7 +109,11 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
     ({"init_state": {"mean": [0.0, 0.0], "cov": [[1.0]]}},
      "init_state.cov must be a positive semi-definite matrix, got [[1.0]]"),
     ({"init_state": {"mean": "origin", "cov": [[1.0]]}},
-     "init_state.mean must be a list of D finite numbers, got 'origin'"),
+     "init_state.mean must be a number array of shape (n,) with n >= 1, got 'origin'"),
+    ({"weights": {"epsilon": 0.3, "sigma_ob": 0.001}},
+     "weights must have exactly the keys ['epsilon', 'sigma_obs'], got ['epsilon', 'sigma_ob']"),
+    ({"weights": {"epsilon": 0.3}},
+     "weights must have exactly the keys ['epsilon', 'sigma_obs'], got ['epsilon']"),
 ])
 def test_malformed_value_names_its_key(tmp_path, raw, message):
     path = str(tmp_path / "cfg.json")

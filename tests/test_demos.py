@@ -1,5 +1,6 @@
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from iwskill.cli import main as cli_main
 from iwskill.demos import (DTW_CHUNK, DemoSet, RawDemo, StateTrajectory, _dtw_chunk, dtw_align,
                            estimate_states, fit_cubic_spline, save_raw_demo)
 from iwskill.synthetic import make_reaching_scene
-from iwskill.utils import write_json
+from iwskill.utils import read_json, write_json
 
 
 def line_demo(slope=2.0, intercept=0.0, t=None):
@@ -142,13 +143,21 @@ class TestCubicSpline:
         with pytest.raises(ValueError, match="too few samples"):
             RawDemo(timestamps=np.array([0.0, 1.0, 2.0]), positions=np.zeros((3, 1)))
 
+    def test_one_timestamp_per_sample(self):
+        with pytest.raises(ValueError, match=re.escape("timestamps must be a number array "
+                                                       "of shape (4,), got array(")):
+            RawDemo(timestamps=np.linspace(0.0, 1.0, 5), positions=np.zeros((4, 1)))
+
     @pytest.mark.parametrize("row, column", [(2, 0), (5, 1), (0, 2)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_names_its_row(self, row, column, bad):
         samples = np.column_stack([np.linspace(0.0, 1.0, 7), np.zeros((7, 2))])
         samples[row, column] = bad
-        with pytest.raises(ValueError, match=f"row {row} is not finite"):
+        with pytest.raises(ValueError) as info:
             RawDemo(timestamps=samples[:, 0], positions=samples[:, 1:])
+        assert str(info.value) == (f"timestamps must be finite, got {bad} at index [{row}]"
+                                   if column == 0 else f"positions must be finite, got {bad} "
+                                                       f"at index [{row}, {column - 1}]")
 
     def test_non_increasing_timestamps(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -329,6 +338,27 @@ class TestRawDemoFiles:
         np.testing.assert_array_equal(again.timestamps, demo.timestamps)
         np.testing.assert_array_equal(again.positions, demo.positions)
 
+    @pytest.mark.parametrize("key, index, value, message", [
+        ("positions", (3, 1), "0.5", "positions must be a number array of shape (n, n)"),
+        ("positions", (3, 1), None, "positions must be a number array of shape (n, n)"),
+        ("timestamps", (2,), {}, "timestamps must be a number array of shape (6,)"),
+        ("positions", (3, 1), float("nan"), "positions must be finite, got nan at index [3, 1]"),
+        ("timestamps", (4,), float("inf"), "timestamps must be finite, got inf at index [4]"),
+    ], ids=["string", "null", "object", "nan", "inf"])
+    def test_json_demo_holds_only_finite_numbers(self, tmp_path, key, index, value, message):
+        from iwskill.demos import load_raw_demo
+        path = str(tmp_path / "demo.json")
+        save_raw_demo(path, RawDemo(timestamps=np.linspace(0.0, 1.0, 6),
+                                    positions=np.zeros((6, 2))))
+        data = read_json(path)
+        row = data[key]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = value
+        write_json(path, data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_raw_demo(path)
+
     @pytest.mark.parametrize("header", [True, False])
     def test_csv_with_optional_header(self, tmp_path, header):
         from iwskill.demos import load_raw_demo
@@ -345,11 +375,12 @@ class TestRawDemoFiles:
 
     def test_demo_without_position_column_rejected(self, tmp_path):
         from iwskill.demos import load_raw_demo
-        with pytest.raises(ValueError, match="P >= 1"):
+        no_column = r"positions must be a number array of shape \(n, n\) with n >= 1"
+        with pytest.raises(ValueError, match=no_column):
             RawDemo(timestamps=np.linspace(0.0, 1.0, 5), positions=np.zeros((5, 0)))
         path = tmp_path / "demo.csv"
         path.write_text("t\n" + "".join(f"{t}\n" for t in np.linspace(0.0, 1.0, 5)))
-        with pytest.raises(ValueError, match="P >= 1"):
+        with pytest.raises(ValueError, match=no_column):
             load_raw_demo(str(path))
 
 

@@ -289,8 +289,8 @@ class TestCheckpoint:
         ("starts", lambda a: np.full_like(a, np.nan), "starts must be finite"),
         ("alpha", lambda a: np.array(0.0), "alpha must be a positive finite number"),
         ("beta", lambda a: np.array(-1e10), "beta must be a positive finite number"),
-        ("dt", lambda a: np.array(np.inf), "dt must be a positive finite number"),
-        ("dt", lambda a: np.array(np.nan), "dt must be a positive finite number"),
+        ("dt", lambda a: np.array(np.inf), "dt must be finite, got inf"),
+        ("dt", lambda a: np.array(np.nan), "dt must be finite, got nan"),
         ("dt", lambda a: np.array(0), "dt must be a positive finite number"),
     ], ids=["version", "no-version", "no-nu", "V-steps", "nu-2d", "alpha-string", "M-nan",
             "R-inf", "V-inf", "nu-negative", "nu-zero", "starts-width", "starts-nan",

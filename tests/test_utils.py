@@ -1,0 +1,82 @@
+import math
+
+import numpy as np
+import pytest
+
+from iwskill.utils import checked_array, checked_number
+
+
+@pytest.mark.parametrize("value, kind, positive, expected", [
+    (3, int, False, 3),
+    (-3, int, False, -3),
+    (3, int, True, 3),
+    (12.0, int, True, 12),
+    (-0.0, int, False, 0),
+    (3, float, False, 3.0),
+    (2.5, float, True, 2.5),
+    (1e-320, float, True, 1e-320),
+])
+def test_json_numbers_are_read(value, kind, positive, expected):
+    got = checked_number(value, "k", kind, positive)
+    assert got == expected and type(got) is kind
+
+
+@pytest.mark.parametrize("value, kind, positive, message", [
+    ("12", int, False, "k must be an int, got '12'"),
+    (12.5, int, False, "k must be an int, got 12.5"),
+    (math.inf, int, False, "k must be an int, got inf"),
+    (math.nan, int, False, "k must be an int, got nan"),
+    (0.0, int, True, "k must be a positive int, got 0"),
+    (True, int, False, "k must be an int, got True"),
+    (None, int, False, "k must be an int, got None"),
+    (0, int, True, "k must be a positive int, got 0"),
+    ("1e3", float, False, "k must be a number, got '1e3'"),
+    (False, float, False, "k must be a number, got False"),
+    ([1.0], float, False, "k must be a number, got [1.0]"),
+    (math.nan, float, False, "k must be finite, got nan"),
+    (-math.inf, float, False, "k must be finite, got -inf"),
+    (10 ** 400, float, False, "k must be finite, got inf"),
+    (math.inf, float, True, "k must be a positive finite number, got inf"),
+    (math.nan, float, True, "k must be a positive finite number, got nan"),
+    (0, float, True, "k must be a positive finite number, got 0.0"),
+    ("0.5", float, True, "k must be a number, got '0.5'"),
+    (None, int, True, "k must be an int, got None"),
+])
+def test_anything_else_is_refused_by_name(value, kind, positive, message):
+    with pytest.raises(ValueError) as info:
+        checked_number(value, "k", kind, positive)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, shape, expected", [
+    ([1, 2.5], (None,), [1.0, 2.5]),
+    ([[1, 2], [3, 4]], (2, 2), [[1.0, 2.0], [3.0, 4.0]]),
+    ([[0.5]], (None, 1), [[0.5]]),
+    (np.arange(3), (3,), [0.0, 1.0, 2.0]),
+    (np.array(2.0), (), 2.0),
+])
+def test_number_arrays_are_read_as_floats(value, shape, expected):
+    got = checked_array(value, "k", shape)
+    assert got.dtype == float and got.tolist() == expected
+
+
+@pytest.mark.parametrize("value, shape, message", [
+    (["1.5", "0.9"], (None,), "k must be a number array of shape (n,) with n >= 1, "
+                              "got ['1.5', '0.9']"),
+    ([1.0, "x"], (2,), "k must be a number array of shape (2,), got [1.0, 'x']"),
+    ([], (None,), "k must be a number array of shape (n,) with n >= 1, got []"),
+    ([[1.0], [1.0, 2.0]], (2, None), "k must be a number array of shape (2, n) with n >= 1"),
+    ([None, 1.0], (2,), "k must be a number array of shape (2,), got [None, 1.0]"),
+    ([True, False], (2,), "k must be a number array of shape (2,), got [True, False]"),
+    ([10 ** 30], (1,), "k must be a number array of shape (1,)"),
+    (0.5, (None,), "k must be a number array of shape (n,) with n >= 1, got 0.5"),
+    ([1.0, 2.0], (3,), "k must be a number array of shape (3,), got [1.0, 2.0]"),
+    (np.array("1e10"), (), "k must be a number array of shape (), got array('1e10'"),
+    ([1.0, math.nan], (2,), "k must be finite, got nan at index [1]"),
+    ([[0.0, 1.0], [-math.inf, math.nan]], (2, 2), "k must be finite, got -inf at index [1, 0]"),
+    (np.array(math.inf), (), "k must be finite, got inf"),
+])
+def test_other_arrays_are_refused_by_name(value, shape, message):
+    with pytest.raises(ValueError) as info:
+        checked_array(value, "k", shape)
+    assert str(info.value).startswith(message)
