@@ -11,9 +11,8 @@ from .batch import (SingularSystemError, SkillModel, effective_sample_size, fit_
                     learn_batch_weighted, load_model, save_model)
 from .demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, estimate_states,
                     fit_cubic_spline, load_raw_demo, save_raw_demo)
-from .environment import (Box, Environment, SdfGridError, SignedDistanceField, Sphere, WeightParams,
-                          build_sdf, hinge_cost, load_environment, signed_distance,
-                          weight_trajectory)
+from .environment import (Box, Environment, Sphere, WeightParams, hinge_cost, load_environment,
+                          nearest_obstacle, signed_distance, weight_trajectory)
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
 from .prior import GaussianTrajectoryPrior, initial_state_distribution, sample_trajectories

@@ -16,8 +16,7 @@ import numpy as np
 from . import demos as dm
 from .batch import (SingularSystemError, learn_batch_weighted, load_model, save_model)
 from .config import ConfigError, PipelineConfig, load_config
-from .environment import (NO_OBSTACLE_DISTANCE, SdfGridError, build_sdf, load_environment,
-                          scene_bounds, weight_trajectory)
+from .environment import NO_OBSTACLE_DISTANCE, load_environment, weight_trajectory
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
 from .prior import GaussianTrajectoryPrior, prior_band_csv, sample_trajectories
@@ -65,6 +64,16 @@ def _demo_weights(cfg: PipelineConfig, trajs: list, env_path: str | None,
     return [weight_trajectory(t.states, env, cfg.weights) for t in trajs]
 
 
+def _check_learnable(weights: list, paths: list) -> None:
+    """A ConfigError naming the demo file and the first input node (0..N-1,
+    the nodes learning weighs transitions by) whose weight underflowed to 0."""
+    for w, path in zip(weights, paths):
+        zero = np.flatnonzero(w[:-1] == 0)
+        if zero.size:
+            raise ConfigError(f"demo {path}: the importance weight of node {zero[0]} underflows "
+                              f"to 0; raise weights.sigma_obs or lower weights.epsilon")
+
+
 def _write_weights(cfg: PipelineConfig, weights: list) -> None:
     """`weights.csv` in the output directory, and each demo's minimum and
     mean weight on stdout."""
@@ -108,6 +117,7 @@ def cmd_weights(cfg: PipelineConfig, args) -> int:
 def cmd_learn(cfg: PipelineConfig, args) -> int:
     demo_set = _load_demo_set(cfg)
     weights = _demo_weights(cfg, demo_set.demos, cfg.environment, args.no_weighting)
+    _check_learnable(weights, cfg.demos)
     model = learn_batch_weighted(demo_set, weights, cfg.ridge_lambda)
     save_model(os.path.join(cfg.out_dir, "model.json"), model)
     _write_weights(cfg, weights)
@@ -127,6 +137,7 @@ def cmd_assimilate(cfg: PipelineConfig, args) -> int:
 
     env_path = args.env if args.env is not None else cfg.environment
     [weights] = _demo_weights(cfg, [traj], env_path, args.no_weighting)
+    _check_learnable([weights], [args.demo])
     assimilate_demo(learner, traj, weights)
 
     save_checkpoint(args.checkpoint, learner)
@@ -186,19 +197,7 @@ def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, e
         if not 0 <= a.index <= prior.n_steps:
             raise ConfigError(f"{where}.index must be a node 0..{prior.n_steps}, got {a.index}")
     if env is not None and env.obstacles:
-        lo, hi = scene_bounds(env, rc.sdf_margin)
-        # make sure the prior's reachable area is inside the grid
-        pos = prior.means[:, :env.dimension]
-        spread = 3.0 * prior.stds[:, :env.dimension].max()
-        lo = np.minimum(lo, pos.min(axis=0) - rc.sdf_margin - spread)
-        hi = np.maximum(hi, pos.max(axis=0) + rc.sdf_margin + spread)
-        try:
-            sdf = build_sdf(env, lo, hi, rc.sdf_resolution)
-        except SdfGridError as exc:
-            raise SdfGridError(f"{exc}: raise reproduction.sdf_resolution (the grid spans "
-                               f"the scene and the prior's 3-sigma position spread "
-                               f"{spread:.4g} m)") from exc
-        factors.append(ObstacleFactor(indices=range(prior.n_steps + 1), sdf=sdf,
+        factors.append(ObstacleFactor(indices=range(prior.n_steps + 1), env=env,
                                       eps_repro=rc.eps_repro, sigma_repro=rc.sigma_repro))
     return factors
 
@@ -278,8 +277,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         return _COMMANDS[args.command](cfg, args)
-    except (SingularSystemError, SingularNormalEquationsError, SdfGridError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (SingularSystemError, SingularNormalEquationsError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, KeyError, OSError) as exc:

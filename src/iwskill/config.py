@@ -26,8 +26,6 @@ class ReproductionConfig:
     anchors: list = field(default_factory=list)     # StateAnchor, from {"index", "state", "sigma"}
     eps_repro: float = 0.1
     sigma_repro: float = 0.05
-    sdf_resolution: float = 0.02
-    sdf_margin: float = 0.5
     # read from the same flat keys: max_iters, abs_tol, rel_tol, lm_damping_init, tol_clear
     options: OptimizerOptions = field(default_factory=OptimizerOptions)
 
@@ -52,7 +50,7 @@ class PipelineConfig:
 
 _TOP_KEYS = {f.name for f in fields(PipelineConfig)}
 _REPRO_KEYS = {f.name for f in fields(ReproductionConfig) + fields(OptimizerOptions)} - {"options"}
-_POSITIVE = {"grid_n", "start_sigma", "sigma_repro", "sdf_resolution", "lm_damping_init"}
+_POSITIVE = {"grid_n", "start_sigma", "sigma_repro", "lm_damping_init"}
 
 
 def _scalars(cls: type, raw: dict, where: str) -> dict:

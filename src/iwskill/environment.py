@@ -1,9 +1,12 @@
-"""Obstacle scenes, signed-distance queries, and per-state importance weights.
+"""Obstacle scenes, exact signed distances, and per-state importance weights.
 
-Weights discount demonstration states near obstacles: a hinge cost is active
-inside the influence zone (distance <= epsilon) and is squashed through a
-Gaussian so the weight decays from 1 toward 0 as the state approaches an
-obstacle.
+Scenes are analytic spheres and boxes, so every distance is exact: learning
+weights demonstration states with `signed_distance`, and reproduction's
+obstacle factor takes the nearest obstacle's distance and closed-form
+gradient from `nearest_obstacle`. Weights discount demonstration states near
+obstacles: a hinge cost is active inside the influence zone (distance <=
+epsilon) and is squashed through a Gaussian so the weight decays from 1
+toward 0 as the state approaches an obstacle.
 """
 
 import math
@@ -15,18 +18,6 @@ from .utils import checked_array, checked_number, read_json
 
 # Signed distance reported when a scene has no obstacles (>= 1e6 by contract).
 NO_OBSTACLE_DISTANCE = 1.0e9
-
-# Largest SDF grid build_sdf will allocate (16 MB of float64 values).
-MAX_SDF_CELLS = 2_000_000
-
-
-class SdfGridError(ValueError):
-    """A query outside a SignedDistanceField's grid, or a grid too large to
-    build. `row` is the first offending row of a batched query."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
 
 
 def _norms(d: np.ndarray) -> np.ndarray:
@@ -65,6 +56,14 @@ class Sphere:
         """Signed distance of each point row (n, dim)."""
         return _norms(_point_rows(points, self.dim) - self.center) - self.radius
 
+    def gradient(self, points) -> np.ndarray:
+        """Gradient (n, dim) of `signed_distance`: the unit vector from the
+        centre to each point row; a zero row exactly at the centre, where the
+        distance has no gradient."""
+        offset = _point_rows(points, self.dim) - self.center
+        norm = _norms(offset)[:, None]
+        return np.divide(offset, norm, out=np.zeros_like(offset), where=norm > 0)
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.radius, self.center + self.radius
 
@@ -89,9 +88,28 @@ class Box:
     def signed_distance(self, points) -> np.ndarray:
         """Signed distance of each point row (n, dim): the exact closed form,
         positive outside, negative inside."""
-        rows = _point_rows(points, self.dim)
-        q = np.abs(rows - (self.lo + self.hi) / 2.0) - (self.hi - self.lo) / 2.0
+        q = self._excess(points)[1]
         return _norms(np.maximum(q, 0.0)) + np.minimum(q.max(axis=1), 0.0)
+
+    def gradient(self, points) -> np.ndarray:
+        """Gradient (n, dim) of `signed_distance`. Outside, the row's excess
+        over the half-widths, clipped at zero, normalized and signed per axis
+        by the side of the centre; inside or on the surface, the signed unit
+        axis of the largest excess (the first such axis on a tie, + on the
+        centre plane)."""
+        rel, q = self._excess(points)
+        side = np.where(rel < 0.0, -1.0, 1.0)
+        outside = np.maximum(q, 0.0)
+        norm = _norms(outside)[:, None]
+        axis = np.zeros_like(q)
+        axis[np.arange(q.shape[0]), np.argmax(q, axis=1)] = 1.0
+        return side * np.divide(outside, norm, out=axis, where=norm > 0)
+
+    def _excess(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Each point row's offset from the centre, and the excess of its
+        absolute value over the half-widths (both (n, dim))."""
+        rel = _point_rows(points, self.dim) - (self.lo + self.hi) / 2.0
+        return rel, np.abs(rel) - (self.hi - self.lo) / 2.0
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo.copy(), self.hi.copy()
@@ -131,84 +149,20 @@ def signed_distance(env: Environment, points) -> np.ndarray:
     return out
 
 
-class SignedDistanceField:
-    """Dense grid of signed distances with multilinear interpolation.
-
-    Off-node queries interpolate the surrounding cell; gradients differentiate
-    the interpolant itself (axis differences of the bracketing grid values),
-    so they are the exact spatial derivative of `query` inside each cell.
-    """
-
-    def __init__(self, origin: np.ndarray, resolution: float, values: np.ndarray):
-        self.origin = np.asarray(origin, dtype=float)
-        self.resolution = float(resolution)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != self.origin.shape[0]:
-            raise ValueError("grid rank must match origin dimension")
-        self.dim = self.values.ndim
-        self.upper = self.origin + self.resolution * (np.array(self.values.shape) - 1)
-        # corner offsets of one cell, shape (2**dim, dim)
-        self._corners = np.stack(np.meshgrid(*([np.array([0, 1])] * self.dim), indexing="ij"),
-                                 axis=-1).reshape(-1, self.dim)
-
-    def _interpolate(self, p, gradient: bool) -> np.ndarray:
-        """Multilinear value (n,) or its gradient (n, dim) at point rows
-        (n, dim); SdfGridError names the first row off the grid. Corners are
-        visited in a fixed order and each corner's weight is a left-to-right
-        product, so a batched query is bit-identical to querying its rows one
-        at a time."""
-        rows = _point_rows(p, self.dim)
-        eps = 1e-9 * self.resolution
-        outside = np.any((rows < self.origin - eps) | (rows > self.upper + eps), axis=1)
-        if outside.any():
-            row = int(np.argmax(outside))
-            raise SdfGridError(f"query {rows[row].tolist()} outside SDF bounds "
-                               f"[{self.origin.tolist()}, {self.upper.tolist()}]", row=row)
-        rel = (rows - self.origin) / self.resolution
-        cell = np.clip(np.floor(rel).astype(int), 0, np.array(self.values.shape) - 2)
-        frac = np.clip(rel - cell, 0.0, 1.0)
-        out = np.zeros(frac.shape if gradient else frac.shape[0])
-        for corner in self._corners:
-            v = self.values[tuple((cell + corner).T)]
-            w = np.where(corner == 1, frac, 1.0 - frac)
-            if gradient:
-                sign = np.where(corner == 1, 1.0, -1.0)
-                for k in range(self.dim):
-                    out[:, k] += v * sign[k] * np.prod(np.delete(w, k, axis=1), axis=1)
-            else:
-                out += np.prod(w, axis=1) * v
-        return out / self.resolution if gradient else out
-
-    def query(self, p) -> np.ndarray:
-        """Interpolated distance (n,) of point rows (n, dim). Raises
-        SdfGridError off the grid."""
-        return self._interpolate(p, gradient=False)
-
-    def gradient(self, p) -> np.ndarray:
-        """Gradient (n, dim) of `query` at point rows (n, dim)."""
-        return self._interpolate(p, gradient=True)
-
-
-def build_sdf(env: Environment, lo, hi, resolution: float) -> SignedDistanceField:
-    """Sample `signed_distance` on a uniform grid covering [lo, hi], in one
-    batched call. Grids over MAX_SDF_CELLS are refused (SdfGridError) before
-    anything is allocated."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
-    if lo.shape != (env.dimension,) or hi.shape != (env.dimension,) or np.any(lo >= hi):
-        raise ValueError("degenerate bounds: need lo < hi matching the environment dimension")
-    with np.errstate(over="ignore"):  # an infinite count is refused below
-        counts = (np.ceil((hi - lo) / resolution) + 1).tolist()
-    if math.prod(counts) > MAX_SDF_CELLS:
-        raise SdfGridError(f"SDF grid {'x'.join(f'{c:.6g}' for c in counts)} at resolution "
-                           f"{resolution} exceeds {MAX_SDF_CELLS} cells")
-    shape = tuple(int(c) for c in counts)
-    axes = [lo[k] + resolution * np.arange(shape[k]) for k in range(env.dimension)]
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, env.dimension)
-    values = signed_distance(env, points).reshape(shape)
-    return SignedDistanceField(origin=lo, resolution=resolution, values=values)
+def nearest_obstacle(env: Environment, points) -> tuple[np.ndarray, np.ndarray]:
+    """Signed distance (n,) from each point row (n, dim) to its nearest
+    obstacle, and that obstacle's `gradient` (n, dim) at the row. The one
+    place that chooses an obstacle: a row equidistant from several takes the
+    first of them in scene order. Obstacle-free scenes return the sentinel
+    distance and zero gradients."""
+    rows = _point_rows(points, env.dimension)
+    if not env.obstacles:
+        return np.full(rows.shape[0], NO_OBSTACLE_DISTANCE), np.zeros_like(rows)
+    every = np.arange(rows.shape[0])
+    dist = np.array([obs.signed_distance(rows) for obs in env.obstacles])
+    nearest = np.argmin(dist, axis=0)  # the first minimum
+    grads = np.array([obs.gradient(rows) for obs in env.obstacles])
+    return dist[nearest, every], grads[nearest, every]
 
 
 @dataclass(frozen=True)
@@ -282,9 +236,3 @@ def environment_to_dict(env: Environment) -> dict:
         else:
             obstacles.append({"type": "box", "min": obs.lo.tolist(), "max": obs.hi.tolist()})
     return {"dimension": env.dimension, "obstacles": obstacles}
-
-
-def scene_bounds(env: Environment, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned bounds enclosing all obstacles (at least one) plus a margin."""
-    los, his = zip(*[obs.bounds() for obs in env.obstacles])
-    return np.min(los, axis=0) - margin, np.max(his, axis=0) + margin

@@ -63,8 +63,8 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (demo.n_steps + 1,):
         raise ValueError("need one weight per trajectory node")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be strictly positive")
+    if np.any(weights[:-1] <= 0):
+        raise ValueError("input-node weights (nodes 0..N-1) must be strictly positive")
     w = weights[:-1, None, None]
     x_tilde = np.ones((learner.n_steps, learner.dim + 1))
     x_tilde[:, 1:] = demo.states[:-1]

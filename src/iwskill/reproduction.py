@@ -2,7 +2,9 @@
 
 The posterior combines the trajectory prior with event factors: state
 anchors (new start/goal/via constraints) and an obstacle factor over a set
-of nodes, evaluated with one batched query of a signed distance field.
+of nodes, evaluated with one batched call that gives the exact distance of
+each node's position to its nearest obstacle and the distance's closed-form
+gradient (environment.nearest_obstacle), wherever in space the node lies.
 Each factor linearizes into whitened residual rows that each touch a single
 node, so the negative log posterior is half the prior's Mahalanobis term plus
 half the rows' sum of squares, and the damped Gauss-Newton systems of
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import StateTrajectory
-from .environment import NO_OBSTACLE_DISTANCE, SdfGridError, SignedDistanceField
+from .environment import NO_OBSTACLE_DISTANCE, Environment, nearest_obstacle
 from .linalg import BlockTridiagCholesky
 from .prior import GaussianTrajectoryPrior
 from .utils import csv_text
@@ -56,10 +58,11 @@ class StateAnchor:
 class ObstacleFactor:
     """Hinge collision factor on each node in `indices` (distinct node
     indices): active within `eps_repro` of an obstacle surface, scaled by
-    `sigma_repro`. All its nodes are evaluated with one batched SDF query."""
+    `sigma_repro`. All its nodes are evaluated with one batched call of
+    `nearest_obstacle` on the scene `env`."""
 
     indices: np.ndarray
-    sdf: SignedDistanceField
+    env: Environment
     eps_repro: float
     sigma_repro: float
 
@@ -74,13 +77,13 @@ class ObstacleFactor:
             raise ValueError("sigma_repro must be positive")
 
     def linearize(self, states: np.ndarray) -> tuple:
-        """Whitened rows max(eps_repro - d, 0) / sigma_repro, d the field
+        """Whitened rows max(eps_repro - d, 0) / sigma_repro, d the exact
         distance of each node's position; the nodes; and the rows' Jacobians,
         -grad d / sigma_repro on the positions inside the band, else zero."""
-        d = _clearances(self.sdf, self.indices, states)
+        d, grad = nearest_obstacle(self.env, states[self.indices, :self.env.dimension])
         inside = d <= self.eps_repro
         jac = np.zeros((self.indices.size, states.shape[1]))
-        jac[inside, :self.sdf.dim] = -self.sdf.gradient(states[self.indices[inside], :self.sdf.dim])
+        jac[inside, :self.env.dimension] = -grad[inside]
         return (np.maximum(self.eps_repro - d, 0.0) / self.sigma_repro, self.indices,
                 jac / self.sigma_repro)
 
@@ -128,16 +131,6 @@ class Solution:
         return self.stop != "max_iters"
 
 
-def _clearances(sdf: SignedDistanceField, nodes: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Field distance of the position of each listed node (one batched
-    query); a node off the grid raises SdfGridError naming it."""
-    try:
-        return sdf.query(states[nodes, : sdf.dim])
-    except SdfGridError as exc:
-        raise SdfGridError(f"node {int(nodes[exc.row])} left the SDF grid: {exc}",
-                           row=exc.row) from exc
-
-
 def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> tuple:
     """The objective 0.5 * (prior Mahalanobis term + every factor's sum of
     squared rows), its gradient and Gauss-Newton Hessian blocks, from one
@@ -173,7 +166,7 @@ def _solution(problem, x, objective, iterations, stop, history) -> Solution:
     min_clear, feasible = NO_OBSTACLE_DISTANCE, True
     for f in problem.factors:
         if isinstance(f, ObstacleFactor):
-            dist = _clearances(f.sdf, f.indices, states)
+            dist = nearest_obstacle(f.env, states[f.indices, :f.env.dimension])[0]
             min_clear = min(min_clear, float(dist.min()))
             feasible &= bool(np.all(dist >= f.eps_repro - problem.options.tol_clear))
     return Solution(trajectory=StateTrajectory(dt=problem.prior.dt, states=states),

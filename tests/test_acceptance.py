@@ -14,8 +14,8 @@ import pytest
 from iwskill.batch import SkillModel, effective_sample_size, learn_batch_weighted
 from iwskill.cli import main as cli_main
 from iwskill.demos import DemoSet, estimate_states, save_raw_demo
-from iwskill.environment import (Environment, Sphere, WeightParams, build_sdf,
-                                 environment_to_dict, hinge_cost, weight_trajectory)
+from iwskill.environment import (Environment, Sphere, WeightParams, environment_to_dict,
+                                 hinge_cost, weight_trajectory)
 from iwskill.incremental import IncrementalLearner, assimilate_demo, extract_map
 from iwskill.prior import GaussianTrajectoryPrior, sample_trajectories
 from iwskill.reproduction import (ObstacleFactor, ReproductionProblem, StateAnchor,
@@ -232,18 +232,14 @@ def test_acceptance_6_map_inference_oracle():
     # the one row of an obstacle factor at sigma_repro 1 is the hinge cost
     env = Environment(dimension=2, obstacles=[Sphere(center=np.array([0.5, 0.0]),
                                                      radius=0.2)])
-    sdf = build_sdf(env, [-0.5, -1.0], [1.5, 1.0], resolution=0.02)
     eps = 0.15
-    factor = ObstacleFactor(indices=[0], sdf=sdf, eps_repro=eps, sigma_repro=1.0)
+    factor = ObstacleFactor(indices=[0], env=env, eps_repro=eps, sigma_repro=1.0)
     h = 1e-7
     checked = 0
     while checked < 1000:
         angle = rng.uniform(0, 2 * np.pi)
         radius = 0.2 + rng.uniform(0.15, 0.85) * eps
         pos = np.array([0.5, 0.0]) + radius * np.array([np.cos(angle), np.sin(angle)])
-        frac = (pos - sdf.origin) / sdf.resolution % 1.0
-        if np.any(frac < 0.03) or np.any(frac > 0.97):
-            continue
         state = np.concatenate([pos, rng.normal(size=2)])
         [cost], _, [grad] = factor.linearize(state[None, :])
         if not 0.05 * eps < cost < 0.95 * eps:
@@ -348,8 +344,6 @@ def test_acceptance_9_cli_determinism(tmp_path):
             "start_sigma": 1e-3,
             "eps_repro": 0.05,
             "sigma_repro": 0.05,
-            "sdf_resolution": 0.05,
-            "sdf_margin": 0.4,
         },
     })
 

@@ -1,7 +1,6 @@
 import gc
 import json
 import os
-import re
 
 import numpy as np
 import pytest
@@ -10,9 +9,9 @@ from iwskill.batch import load_model
 from iwskill.cli import main as cli_main
 from iwskill.demos import (DemoSet, RawDemo, dtw_align, estimate_states, load_raw_demo,
                            save_raw_demo)
-from iwskill.environment import build_sdf, environment_to_dict, load_environment
+from iwskill.environment import environment_to_dict, load_environment, signed_distance
 from iwskill.prior import GaussianTrajectoryPrior, initial_state_distribution, prior_band_csv
-from iwskill.synthetic import make_reaching_scene
+from iwskill.synthetic import make_placing_scene, make_reaching_scene
 from iwskill.utils import read_json, write_json
 from test_incremental import rewrite_checkpoint
 
@@ -46,8 +45,6 @@ def scene_dir(tmp_path_factory):
             "start_sigma": 1e-3,
             "eps_repro": 0.1,
             "sigma_repro": 0.05,
-            "sdf_resolution": 0.05,
-            "sdf_margin": 0.4,
         },
     }
     write_json(str(root / "config.json"), config)
@@ -488,11 +485,10 @@ class TestReproduce:
             summary = json.load(fh)
         assert summary["feasible"]
         assert summary["min_clearance"] >= 0.1 - 0.01
-        # verify the clearance claim against an independently built SDF
+        # verify the clearance claim against the exact distances
         sol = np.loadtxt(os.path.join(out, "solution_000.csv"), delimiter=",", skiprows=1)
         env = load_environment(str(tmp_path / "env_displaced.json"))
-        sdf = build_sdf(env, [-1.0, -2.5], [4.0, 3.0], resolution=0.02)
-        assert sdf.query(sol[:, 1:3]).min() >= 0.1 - 0.01 - 0.02  # sdf resolution slack
+        assert signed_distance(env, sol[:, 1:3]).min() >= 0.1 - 0.01
 
     def test_obstacle_free_min_clearance_is_null(self, scene_dir, tmp_path):
         root, _ = scene_dir
@@ -504,6 +500,67 @@ class TestReproduce:
             summary = json.load(fh)
         assert summary["min_clearance"] is None
         assert summary["feasible"] is True
+
+
+    def _solution_clearance(self, out, env_path, dim):
+        """The solution summary, and the exact minimum clearance of the
+        solution path's positions in the scene at `env_path`."""
+        summary = read_json(os.path.join(out, "solution_000.json"))
+        sol = np.loadtxt(os.path.join(out, "solution_000.csv"), delimiter=",", skiprows=1)
+        return summary, signed_distance(load_environment(env_path), sol[:, 1:dim + 1]).min()
+
+    def test_unweighted_placing_prior_reproduces_past_the_box(self, tmp_path):
+        # LM drives this prior's path under the box, far below the scene
+        scene = make_placing_scene()
+        names = []
+        for k, demo in enumerate(scene.influenced_raw + scene.clean_raw):
+            save_raw_demo(str(tmp_path / f"demo_{k}.json"), demo)
+            names.append(f"demo_{k}.json")
+        write_json(str(tmp_path / "env.json"), environment_to_dict(scene.cluttered_env))
+        write_json(str(tmp_path / "cfg.json"), {
+            "demos": names, "environment": "env.json", "grid_n": 60, "align": "none",
+            "reproduction": {"environment": "env.json", "starts": [[0.0, 0.6, 0.0, 0.0]]}})
+        base = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        assert cli_main(base + ["--no-weighting", "learn"]) == 0
+        assert cli_main(base + ["reproduce", "--model", str(tmp_path / "out" / "model.json")]) == 0
+        summary, clearance = self._solution_clearance(str(tmp_path / "out"),
+                                                      str(tmp_path / "env.json"), 2)
+        assert summary["converged"]
+        assert summary["min_clearance"] == pytest.approx(clearance, abs=1e-9)
+        assert summary["feasible"] == (clearance >= 0.1 - 0.01)
+
+    def test_three_d_workspace_reproduces_past_a_sphere(self, tmp_path):
+        # a 3 x 3 x 2 m scene (2.3 M cells on a 0.02 m grid): a floor, a
+        # corner post, and a sphere that the prior's mean path cuts through
+        rng = np.random.default_rng(0)
+        s = np.linspace(0.0, 1.0, 40)
+        names = []
+        for k in range(10):
+            a = np.array([0.3, 0.3, 0.3]) + rng.uniform(-0.1, 0.1, 3)
+            b = np.array([2.6, 2.6, 1.5]) + rng.uniform(-0.1, 0.1, 3)
+            pace = s + rng.uniform(-0.05, 0.05) * np.sin(np.pi * s)
+            bow = rng.uniform(-0.4, 0.4, 3) * np.sin(np.pi * s)[:, None]
+            save_raw_demo(str(tmp_path / f"demo_{k}.json"),
+                          RawDemo(s.copy(), a + pace[:, None] * (b - a) + bow))
+            names.append(f"demo_{k}.json")
+        write_json(str(tmp_path / "scene.json"), {"dimension": 3, "obstacles": [
+            {"type": "box", "min": [0.0, 0.0, -0.1], "max": [3.0, 3.0, 0.0]},
+            {"type": "box", "min": [2.9, 2.9, 0.0], "max": [3.0, 3.0, 1.9]},
+            {"type": "sphere", "center": [1.5, 1.5, 0.8], "radius": 0.3}]})
+        write_json(str(tmp_path / "cfg.json"), {
+            "demos": names, "grid_n": 30, "align": "none",
+            "reproduction": {"environment": "scene.json"}})
+        out, model = str(tmp_path / "out"), str(tmp_path / "out" / "model.json")
+        base = ["--config", str(tmp_path / "cfg.json"), "--out", out]
+        assert cli_main(base + ["learn"]) == 0
+        assert cli_main(base + ["reproduce", "--model", model]) == 0
+        env_path = str(tmp_path / "scene.json")
+        prior = GaussianTrajectoryPrior(load_model(model))
+        assert signed_distance(load_environment(env_path), prior.means[:, :3]).min() < 0
+        summary, clearance = self._solution_clearance(out, env_path, 3)
+        assert summary["converged"] and summary["feasible"]
+        assert summary["min_clearance"] == pytest.approx(clearance, abs=1e-9)
+        assert clearance >= 0.1 - 0.01
 
 
 def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, overrides=None):
@@ -530,26 +587,27 @@ def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, overrides=N
 
 
 class TestExitCodes:
-    def test_off_grid_iterate_is_numerical_failure(self, scene_dir, tmp_path, capsys):
-        # a loose initial state lets a tight start anchor far outside the
-        # small grid pull the path off it
-        code = _reproduce_in_displaced_scene(
-            scene_dir, tmp_path,
-            {"sdf_margin": 0.05, "starts": [[40.0, 40.0, 3.0, 1.0]]},
+    def test_far_iterate_reproduces(self, scene_dir, tmp_path):
+        # a loose initial state lets a tight start anchor far from the disc
+        # pull the path tens of metres away: the obstacle distances are exact
+        # wherever the path goes, so it reproduces
+        far = _reproduce_in_displaced_scene(
+            scene_dir, tmp_path, {"starts": [[40.0, 40.0, 3.0, 1.0]]},
             {"init_state": {"mean": [0.0, 0.5, 3.0, 1.0], "cov": np.eye(4).tolist()}})
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "numerical failure: node " in err
-        assert "left the SDF grid" in err and "outside SDF bounds" in err
+        assert far == 0
+        summary = read_json(tmp_path / "out" / "solution_000.json")
+        sol = np.loadtxt(tmp_path / "out" / "solution_000.csv", delimiter=",", skiprows=1)
+        env = load_environment(str(tmp_path / "env_displaced.json"))
+        assert summary["feasible"] and sol[0, 1:3] == pytest.approx([40.0, 40.0], abs=1e-3)
+        assert summary["min_clearance"] == pytest.approx(signed_distance(env, sol[:, 1:3]).min())
 
-    def test_oversized_sdf_grid_is_numerical_failure(self, scene_dir, tmp_path, capsys):
-        # a 5 mm grid over the scene and the prior's reach (about 10 x 9 m)
-        # is about 2085 x 1741 cells, over the cap
-        code = _reproduce_in_displaced_scene(scene_dir, tmp_path, {"sdf_resolution": 0.005})
-        assert code == 3
-        err = capsys.readouterr().err
-        assert re.search(r"numerical failure: SDF grid \d{4}x\d{4} at resolution 0.005 exceeds", err)
-        assert "reproduction.sdf_resolution" in err and "3-sigma position spread 3.3" in err
+    def test_fine_scene_reproduces_without_grid_keys(self, scene_dir, tmp_path, capsys):
+        # the scene plus the prior's reach spans about 10 x 9 m, which no
+        # longer sizes anything; a grid setting is no longer a key
+        for key, value in (("sdf_resolution", 0.005), ("sdf_margin", 0.05)):
+            assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {key: value}) == 2
+            assert f"unknown reproduction keys ['{key}']" in capsys.readouterr().err
+        assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {}) == 0
 
     def test_unfactorizable_normal_equations_are_numerical_failure(self, scene_dir, tmp_path,
                                                                    capsys):
@@ -615,6 +673,33 @@ class TestExitCodes:
         assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {"lm_damping_init": -1.0}) == 2
         assert "reproduction.lm_damping_init must be a positive finite number, got -1.0" in (
             capsys.readouterr().err)
+
+    def test_underflowing_weights_name_the_demo_node_and_keys(self, scene_dir, tmp_path,
+                                                              capsys):
+        # at sigma_obs 1 mm, exp(-c^2 / (2 sigma_obs^2)) is 0 from 3.9 cm inside the band
+        root, _ = scene_dir
+        cfg = read_json(root / "config.json")
+        cfg["demos"] = [str(root / d) for d in cfg["demos"]]
+        cfg["environment"] = str(root / cfg["environment"])
+        cfg["weights"] = {"epsilon": 0.3, "sigma_obs": 0.001}
+        cfg_path = str(tmp_path / "cfg.json")
+        write_json(cfg_path, cfg)
+        out = str(tmp_path / "out")
+        base = ["--config", cfg_path, "--out", out]
+        assert cli_main(base + ["weights"]) == 0  # the report shows the zeros
+        rows = np.loadtxt(os.path.join(out, "weights.csv"), delimiter=",", skiprows=1)
+        first = rows[rows[:, 2] == 0.0][0]
+        assert first[:2].tolist() == [0, 12]
+        capsys.readouterr()
+        demo = cfg["demos"][0]
+        for argv in (["learn"], ["assimilate", "--checkpoint", str(tmp_path / "ck.npz"),
+                                 "--demo", demo]):
+            assert cli_main(base + argv) == 2
+            assert capsys.readouterr().err == (
+                f"config error: demo {demo}: the importance weight of node 12 underflows "
+                "to 0; raise weights.sigma_obs or lower weights.epsilon\n")
+        assert sorted(os.listdir(out)) == ["weights.csv"]
+        assert not os.path.exists(tmp_path / "ck.npz")
 
     @pytest.mark.parametrize("stage", ["learn", "assimilate", "dtw"])  # dtw: learn, aligned
     def test_overflowing_demos_are_numerical_failure(self, scene_dir, tmp_path, capsys, stage):

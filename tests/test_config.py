@@ -10,8 +10,7 @@ TOP_KEYS = {"demos", "environment", "grid_n", "align", "dtw_reference", "weights
             "ridge_lambda", "alpha", "beta", "seed", "out_dir", "rollout_samples",
             "init_state", "reproduction"}
 REPRO_KEYS = {"environment", "starts", "start_sigma", "anchors", "eps_repro",
-              "sigma_repro", "sdf_resolution", "sdf_margin", "max_iters", "abs_tol",
-              "rel_tol", "lm_damping_init", "tol_clear"}
+              "sigma_repro", "max_iters", "abs_tol", "rel_tol", "lm_damping_init", "tol_clear"}
 
 
 def test_accepted_keys_are_exactly_the_documented_ones(tmp_path):

@@ -1,14 +1,11 @@
-import re
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iwskill.environment import (MAX_SDF_CELLS, Box, Environment, SdfGridError, Sphere,
-                                 WeightParams, build_sdf, environment_from_dict,
-                                 environment_to_dict, hinge_cost, signed_distance,
-                                 weight_trajectory)
+from iwskill.environment import (Box, Environment, Sphere, WeightParams, environment_from_dict,
+                                 environment_to_dict, hinge_cost, nearest_obstacle,
+                                 signed_distance, weight_trajectory)
 
 
 def surface_sample_distance(env, p, n=20000):
@@ -90,55 +87,31 @@ class TestSignedDistance:
             Environment(dimension=2, obstacles=[Sphere(center=np.zeros(3), radius=1.0)])
 
 
+def central_differences(f, p, h=1e-7):
+    """Central finite differences (dim,) of the scalar function f of one
+    point row at p."""
+    fd = np.zeros(p.shape[0])
+    for k in range(p.shape[0]):
+        e = np.zeros(p.shape[0])
+        e[k] = h
+        [fd[k]] = (f((p + e)[None]) - f((p - e)[None])) / (2 * h)
+    return fd
+
+
 class TestSdf:
-    def test_grid_node_exact(self, two_obstacle_env):
-        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.25)
-        node = sdf.origin + sdf.resolution * np.array([[3, 5]])
-        assert sdf.query(node) == pytest.approx(signed_distance(two_obstacle_env, node), abs=1e-12)
-
-    def test_midpoint_between_nodes_averages(self, two_obstacle_env):
-        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.25)
-        a = sdf.origin + sdf.resolution * np.array([2, 4])
-        b = a + np.array([sdf.resolution, 0.0])
-        va, vmid, vb = sdf.query(np.array([a, (a + b) / 2, b]))
-        assert vmid == pytest.approx((va + vb) / 2, abs=1e-12)
-
-    def test_interpolation_error_below_resolution(self, two_obstacle_env):
-        res = 0.05
-        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=res)
-        rng = np.random.default_rng(42)
-        pts = rng.uniform([-2.0, -2.0], [4.0, 3.0], size=(10000, 2))
-        errs = np.abs(sdf.query(pts) - signed_distance(two_obstacle_env, pts))
-        assert errs.max() <= res
+    def test_gradient_matches_finite_differences_of_query(self, two_obstacle_env):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            p = rng.uniform([-1.8, -1.8], [3.8, 2.8])
+            [g] = nearest_obstacle(two_obstacle_env, p[None])[1]
+            fd = central_differences(lambda q: signed_distance(two_obstacle_env, q), p)
+            np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
     def test_out_of_bounds_query(self, two_obstacle_env):
-        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.5)
-        with pytest.raises(ValueError, match="outside SDF bounds"):
-            sdf.query(np.array([[10.0, 0.0]]))
-
-    def test_bad_construction(self, two_obstacle_env):
-        with pytest.raises(ValueError, match="resolution"):
-            build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.0)
-        with pytest.raises(ValueError, match="degenerate"):
-            build_sdf(two_obstacle_env, [0.0, 0.0], [0.0, 1.0], resolution=0.1)
-
-    def test_gradient_matches_finite_differences_of_query(self, two_obstacle_env):
-        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.1)
-        rng = np.random.default_rng(5)
-        h = 1e-7
-        checked = 0
-        while checked < 50:
-            p = rng.uniform([-1.8, -1.8], [3.8, 2.8])
-            frac = (p - sdf.origin) / sdf.resolution % 1.0
-            if np.any(frac < 0.05) or np.any(frac > 0.95):
-                continue  # keep away from cell boundaries where the interpolant kinks
-            [g] = sdf.gradient(p[None])
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = h
-                [fd] = (sdf.query((p + e)[None]) - sdf.query((p - e)[None])) / (2 * h)
-                assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-            checked += 1
+        # far outside the scene's bounds the nearest surface is the sphere's
+        values, grads = nearest_obstacle(two_obstacle_env, np.array([[-10.0, 0.0], [0.0, -1e6]]))
+        np.testing.assert_array_equal(values, [9.0, 1e6 - 1.0])
+        np.testing.assert_array_equal(grads, [[-1.0, 0.0], [0.0, -1.0]])
 
 
 def per_point_distance(env, p):
@@ -155,31 +128,27 @@ def per_point_distance(env, p):
     return best
 
 
-def corner_loop_query(sdf, p):
-    """Oracle: multilinear interpolation of one point, corner by corner."""
-    rel = (p - sdf.origin) / sdf.resolution
-    cell = np.clip(np.floor(rel).astype(int), 0, np.array(sdf.values.shape) - 2)
-    frac = np.clip(rel - cell, 0.0, 1.0)
-    value = 0.0
-    for corner in sdf._corners:
-        weight = np.prod(np.where(corner == 1, frac, 1.0 - frac))
-        value += weight * sdf.values[tuple(cell + corner)]
-    return float(value)
-
-
-def corner_loop_gradient(sdf, p):
-    """Oracle: gradient of the one-point interpolant, corner by corner."""
-    rel = (p - sdf.origin) / sdf.resolution
-    cell = np.clip(np.floor(rel).astype(int), 0, np.array(sdf.values.shape) - 2)
-    frac = np.clip(rel - cell, 0.0, 1.0)
-    grad = np.zeros(sdf.dim)
-    for corner in sdf._corners:
-        v = sdf.values[tuple(cell + corner)]
-        w = np.where(corner == 1, frac, 1.0 - frac)
-        sign = np.where(corner == 1, 1.0, -1.0)
-        for k in range(sdf.dim):
-            grad[k] += v * sign[k] * np.prod(np.delete(w, k))
-    return grad / sdf.resolution
+def per_point_gradient(env, p):
+    """Oracle: the gradient of one point's distance, axis by axis, taken from
+    the first obstacle whose distance is the smallest."""
+    best, grad = None, None
+    for obs in env.obstacles:
+        d = per_point_distance(Environment(dimension=env.dimension, obstacles=[obs]), p)
+        if best is not None and not d < best:
+            continue
+        best, grad = d, np.zeros(env.dimension)
+        if isinstance(obs, Sphere):
+            if np.linalg.norm(p - obs.center) > 0:
+                grad = (p - obs.center) / np.linalg.norm(p - obs.center)
+            continue
+        rel = p - (obs.lo + obs.hi) / 2.0
+        q = np.abs(rel) - (obs.hi - obs.lo) / 2.0
+        if max(q) > 0:
+            grad = np.maximum(q, 0.0) / np.linalg.norm(np.maximum(q, 0.0))
+        else:
+            grad[int(np.argmax(q))] = 1.0
+        grad = np.where(rel < 0, -grad, grad)
+    return grad
 
 
 @st.composite
@@ -203,12 +172,11 @@ class TestBatchedField:
     @given(env=scenes(), seed=st.integers(0, 2 ** 32 - 1))
     def test_grid_values_are_exact_distances(self, env, seed):
         res = 0.1 if env.dimension == 2 else 0.2
-        sdf = build_sdf(env, -1.2 * np.ones(env.dimension), 2.0 * np.ones(env.dimension), res)
-        axes = [sdf.origin[k] + res * np.arange(n) for k, n in enumerate(sdf.values.shape)]
+        axes = [-1.2 + res * np.arange(33 if env.dimension == 2 else 17)] * env.dimension
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, env.dimension)
         expected = np.array([per_point_distance(env, p) for p in nodes])
-        np.testing.assert_array_equal(sdf.values.reshape(-1), expected)
         np.testing.assert_array_equal(signed_distance(env, nodes), expected)
+        np.testing.assert_array_equal(nearest_obstacle(env, nodes)[0], expected)
         # batched weights equal one-row weights
         params = WeightParams(epsilon=0.3, sigma_obs=0.1)
         states = np.random.default_rng(seed).uniform(-1.2, 2.0, (20, 2 * env.dimension))
@@ -218,32 +186,112 @@ class TestBatchedField:
 
     @settings(max_examples=30, deadline=None)
     @given(env=scenes(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_batched_query_and_gradient_match_corner_loop(self, env, seed):
-        res = 0.1 if env.dimension == 2 else 0.2
-        sdf = build_sdf(env, -1.2 * np.ones(env.dimension), 2.0 * np.ones(env.dimension), res)
-        pts = np.random.default_rng(seed).uniform(sdf.origin, sdf.upper, (40, env.dimension))
-        pts[0] = sdf.upper  # the far grid corner is inside
-        values, grads = sdf.query(pts), sdf.gradient(pts)
+    def test_batched_query_and_gradient_match_per_point(self, env, seed):
+        pts = np.random.default_rng(seed).uniform(-1.2, 2.0, (40, env.dimension))
+        pts[0] = 1e3  # far outside the scene
+        values, grads = nearest_obstacle(env, pts)
         assert values.shape == (40,) and grads.shape == (40, env.dimension)
         for p, v, g in zip(pts, values, grads):
-            assert v == corner_loop_query(sdf, p) == sdf.query(p[None])[0]
-            np.testing.assert_array_equal(g, corner_loop_gradient(sdf, p))
-            np.testing.assert_array_equal(g, sdf.gradient(p[None])[0])
+            assert v == per_point_distance(env, p) == nearest_obstacle(env, p[None])[0][0]
+            np.testing.assert_allclose(g, per_point_gradient(env, p), rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(g, nearest_obstacle(env, p[None])[1][0])
 
-    def test_off_grid_row_is_named(self, two_obstacle_env):
-        sdf = build_sdf(two_obstacle_env, [-2.0, -2.0], [4.0, 3.0], resolution=0.5)
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 3.5], [9.0, 9.0]])
-        with pytest.raises(SdfGridError, match=r"query \[0.0, 3.5\] outside SDF bounds") as info:
-            sdf.gradient(pts)
-        assert info.value.row == 2
-        assert isinstance(info.value, ValueError)
+    def test_obstacle_free_scene(self):
+        values, grads = nearest_obstacle(Environment(dimension=3), np.ones((2, 3)))
+        assert np.all(values >= 1e6)
+        np.testing.assert_array_equal(grads, np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("resolution, shape", [(0.01, "2001x2001"), (1e-300, "2e+301x2e+301")])
-    def test_oversized_grid_refused(self, two_obstacle_env, resolution, shape):
-        # [-10, 10]^2 at 0.01 m is twice the cap
-        assert 2001 ** 2 > MAX_SDF_CELLS
-        with pytest.raises(SdfGridError, match=rf"grid {re.escape(shape)} .* exceeds {MAX_SDF_CELLS} cells"):
-            build_sdf(two_obstacle_env, [-10.0, -10.0], [10.0, 10.0], resolution=resolution)
+
+# A point this far from every kink of the distance (a surface, an obstacle's
+# medial planes, a tie between obstacles) is far past the finite-difference
+# step; the distance's curvature, up to 1 / KINK_MARGIN, bounds the
+# differences' error by about 1e-7 / KINK_MARGIN where a box's excess
+# changes sign.
+KINK_MARGIN = 1e-2
+coords = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def points(dim):
+    return st.lists(coords, min_size=dim, max_size=dim).map(np.array)
+
+
+def fd_of(obstacle):
+    """Central differences of one obstacle's signed distance at a point."""
+    return lambda p: central_differences(obstacle.signed_distance, p)
+
+
+class TestGradient:
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), data=st.data(), radius=st.floats(0.05, 1.0))
+    def test_sphere_matches_finite_differences(self, dim, data, radius):
+        sphere = Sphere(center=data.draw(points(dim)), radius=radius)
+        p = data.draw(points(dim))
+        assume(np.linalg.norm(p - sphere.center) > KINK_MARGIN)
+        [g] = sphere.gradient(p[None])
+        assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(g, fd_of(sphere)(p), atol=1e-5)
+
+    def test_sphere_centre_is_a_zero_row(self):
+        sphere = Sphere(center=np.array([0.3, -0.2, 1.0]), radius=0.5)
+        np.testing.assert_array_equal(sphere.gradient(np.array([[0.3, -0.2, 1.0]])), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), data=st.data())
+    def test_box_matches_finite_differences(self, dim, data):
+        lo = data.draw(points(dim))
+        box = Box(lo=lo, hi=lo + data.draw(st.lists(st.floats(0.05, 1.5), min_size=dim,
+                                                   max_size=dim).map(np.array)))
+        p = data.draw(points(dim))
+        [d] = box.signed_distance(p[None])
+        assume(abs(d) > KINK_MARGIN)
+        q = np.sort(np.abs(p - (box.lo + box.hi) / 2.0) - (box.hi - box.lo) / 2.0)
+        assume(d > 0 or q[-1] - q[-2] > KINK_MARGIN)  # inside, off the medial planes
+        [g] = box.gradient(p[None])
+        assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(g, fd_of(box)(p), atol=1e-5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=points(2))
+    def test_two_obstacle_scene_matches_finite_differences(self, p):
+        env = Environment(dimension=2, obstacles=[
+            Sphere(center=np.array([0.0, 0.0]), radius=0.6),
+            Box(lo=np.array([0.8, -0.5]), hi=np.array([1.6, 1.0])),
+        ])
+        d_sphere, d_box = (obs.signed_distance(p[None])[0] for obs in env.obstacles)
+        assume(abs(d_sphere - d_box) > KINK_MARGIN)
+        nearer = env.obstacles[0] if d_sphere < d_box else env.obstacles[1]
+        assume(nearer is env.obstacles[0] or abs(d_box) > KINK_MARGIN)
+        assume(np.linalg.norm(p) > KINK_MARGIN)
+        if nearer is env.obstacles[1] and d_box < 0:
+            q = np.sort(np.abs(p - [1.2, 0.25]) - [0.4, 0.75])
+            assume(q[-1] - q[-2] > KINK_MARGIN)
+        [g] = nearest_obstacle(env, p[None])[1]
+        np.testing.assert_array_equal(g, nearer.gradient(p[None])[0])
+        fd = central_differences(lambda x: signed_distance(env, x), p)
+        np.testing.assert_allclose(g, fd, atol=1e-5)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_tie_takes_the_first_obstacle_in_scene_order(self, order):
+        # every point of the y axis is equidistant from the two spheres
+        pair = [Sphere(center=np.array([-1.0, 0.0]), radius=0.5),
+                Sphere(center=np.array([1.0, 0.0]), radius=0.5)]
+        env = Environment(dimension=2, obstacles=[pair[k] for k in order])
+        rows = np.array([[0.0, 0.0], [0.0, 0.7], [0.0, -3.0]])
+        values, grads = nearest_obstacle(env, rows)
+        first = env.obstacles[0]
+        np.testing.assert_array_equal(values, first.signed_distance(rows))
+        np.testing.assert_array_equal(values, env.obstacles[1].signed_distance(rows))
+        np.testing.assert_array_equal(grads, first.gradient(rows))
+        np.testing.assert_allclose(np.linalg.norm(grads, axis=1), 1.0, rtol=1e-15)
+        again = [nearest_obstacle(env, r[None]) for r in rows]
+        np.testing.assert_array_equal(grads, np.concatenate([g for _, g in again]))
+        # a sphere and a box: the unit vector from the sphere, or the box's
+        # face normal, whichever the scene lists first
+        mixed = [Sphere(center=np.array([0.0, 0.0]), radius=0.5),
+                 Box(lo=np.array([1.5, -1.0]), hi=np.array([2.5, 1.0]))]
+        env = Environment(dimension=2, obstacles=[mixed[k] for k in order])
+        [g] = nearest_obstacle(env, np.array([[1.0, 0.0]]))[1]
+        np.testing.assert_array_equal(g, [1.0, 0.0] if order == (0, 1) else [-1.0, 0.0])
 
 
 class TestThreeD:
@@ -262,29 +310,14 @@ class TestThreeD:
         assert signed_distance(env3, points) == pytest.approx(
             [0.5, -0.3, np.sqrt(0.29) - 0.3, np.sqrt(3 * 0.1 ** 2)])
 
-    def test_sdf_interpolation_and_gradient(self, env3):
-        sdf = build_sdf(env3, [-1.5, -1.5, -1.5], [1.5, 1.0, 1.0], resolution=0.1)
+    def test_gradient_matches_finite_differences(self, env3):
         rng = np.random.default_rng(9)
-        errs = []
-        for _ in range(500):
-            p = rng.uniform([-1.4, -1.4, -1.4], [1.4, 0.9, 0.9])[None]
-            errs.append(abs(sdf.query(p)[0] - signed_distance(env3, p)[0]))
-        assert max(errs) <= 0.1
-        # gradient matches finite differences of the interpolant
-        h = 1e-7
-        checked = 0
-        while checked < 20:
+        for _ in range(20):
             p = rng.uniform([-1.2, -1.2, -1.2], [1.2, 0.7, 0.7])
-            frac = (p - sdf.origin) / sdf.resolution % 1.0
-            if np.any(frac < 0.05) or np.any(frac > 0.95):
-                continue
-            [g] = sdf.gradient(p[None])
-            for k in range(3):
-                e = np.zeros(3)
-                e[k] = h
-                [fd] = (sdf.query((p + e)[None]) - sdf.query((p - e)[None])) / (2 * h)
-                assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-            checked += 1
+            values, [g] = nearest_obstacle(env3, p[None])
+            assert values == signed_distance(env3, p[None])
+            fd = central_differences(lambda q: signed_distance(env3, q), p)
+            np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
     def test_weight_on_full_state(self, env3):
         params = WeightParams(epsilon=0.3, sigma_obs=0.1)

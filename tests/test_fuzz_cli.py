@@ -46,8 +46,6 @@ CONFIG = {
         "anchors": [{"index": GRID_N, "state": [3.0, 1.5, 0.0, 0.0], "sigma": 0.01}],
         "eps_repro": 0.1,
         "sigma_repro": 0.05,
-        "sdf_resolution": 0.05,
-        "sdf_margin": 0.4,
         "max_iters": 50,
         "abs_tol": 1e-8,
         "rel_tol": 1e-8,

@@ -110,6 +110,17 @@ class TestUpdateLaws:
             np.testing.assert_allclose(s.R, expected, rtol=1e-9)
             assert s.nu == pytest.approx(1e-6 + 2.0)
 
+    def test_last_node_weight_is_unused(self):
+        # interval i weighs x_i -> x_{i+1} by w(x_i), as batch learning does,
+        # so node N's weight may be 0
+        demo = StateTrajectory(dt=0.1, states=np.random.default_rng(3).normal(size=(4, 4)))
+        learners = [IncrementalLearner(3, 4, alpha=1e4, beta=1e4) for _ in range(2)]
+        assimilate_demo(learners[0], demo, np.ones(4))
+        assimilate_demo(learners[1], demo, np.array([1.0, 1.0, 1.0, 0.0]))
+        for a, b in zip(beliefs(learners[0]), beliefs(learners[1])):
+            np.testing.assert_array_equal(a.M, b.M)
+            np.testing.assert_array_equal(a.V, b.V)
+
     def test_grid_mismatch_and_bad_weights(self):
         learner = IncrementalLearner(3, 4, alpha=1e4, beta=1e4)
         wrong = StateTrajectory(dt=0.1, states=np.zeros((3, 4)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from iwskill.batch import SkillModel, learn_batch_weighted
 from iwskill.demos import DemoSet, estimate_states
-from iwskill.environment import Environment, SdfGridError, Sphere, build_sdf, weight_trajectory
+from iwskill.environment import Environment, Sphere, weight_trajectory
 from iwskill.prior import GaussianTrajectoryPrior
 from iwskill.reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
                                   SingularNormalEquationsError, Solution, StateAnchor,
@@ -52,10 +52,10 @@ def start_only_closed_form(prior, anchor):
     return np.concatenate(states)
 
 
-def hinge_row(state, sdf, eps_repro):
+def hinge_row(state, env, eps_repro):
     """The one row of an obstacle factor on `state` at sigma_repro 1, and its
     Jacobian row: the hinge max(eps_repro - d, 0) and its gradient."""
-    r, _, jac = ObstacleFactor(indices=[0], sdf=sdf, eps_repro=eps_repro,
+    r, _, jac = ObstacleFactor(indices=[0], env=env, eps_repro=eps_repro,
                                sigma_repro=1.0).linearize(np.asarray(state)[None, :])
     return float(r[0]), jac[0]
 
@@ -90,27 +90,26 @@ def conditional_given_start(prior, x0):
 
 
 @pytest.fixture
-def disc_sdf():
-    env = Environment(dimension=2, obstacles=[Sphere(center=np.array([0.5, 0.0]), radius=0.2)])
-    return build_sdf(env, [-1.0, -1.0], [2.0, 1.0], resolution=0.02)
+def disc_env():
+    return Environment(dimension=2, obstacles=[Sphere(center=np.array([0.5, 0.0]), radius=0.2)])
 
 
 class TestObstacleCost:
-    def test_far_state_is_free(self, disc_sdf):
-        cost, grad = hinge_row(np.array([1.8, 0.8, 0.0, 0.0]), disc_sdf, eps_repro=0.1)
+    def test_far_state_is_free(self, disc_env):
+        cost, grad = hinge_row(np.array([1.8, 0.8, 0.0, 0.0]), disc_env, eps_repro=0.1)
         assert cost == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
-    def test_half_band_cost(self, disc_sdf):
+    def test_half_band_cost(self, disc_env):
         eps = 0.1
         # place the position at distance eps/2 from the surface
         state = np.array([0.5 + 0.2 + eps / 2, 0.0, 0.0, 0.0])
-        cost, grad = hinge_row(state, disc_sdf, eps_repro=eps)
-        assert cost == pytest.approx(eps / 2, abs=2e-3)  # SDF interpolation error
+        cost, grad = hinge_row(state, disc_env, eps_repro=eps)
+        assert cost == pytest.approx(eps / 2, abs=1e-15)  # the exact distance, up to rounding
         assert np.any(grad[:2] != 0.0)
         np.testing.assert_array_equal(grad[2:], 0.0)
 
-    def test_gradient_matches_finite_differences(self, disc_sdf):
+    def test_gradient_matches_finite_differences(self, disc_env):
         eps = 0.15
         rng = np.random.default_rng(0)
         h = 1e-7
@@ -119,25 +118,24 @@ class TestObstacleCost:
             angle = rng.uniform(0, 2 * np.pi)
             radius = 0.2 + rng.uniform(0.2, 0.8) * eps
             pos = np.array([0.5, 0.0]) + radius * np.array([np.cos(angle), np.sin(angle)])
-            frac = (pos - disc_sdf.origin) / disc_sdf.resolution % 1.0
-            if np.any(frac < 0.03) or np.any(frac > 0.97):
-                continue
             state = np.concatenate([pos, rng.normal(size=2)])
-            cost, grad = hinge_row(state, disc_sdf, eps)
+            cost, grad = hinge_row(state, disc_env, eps)
             if not 0.01 * eps < cost < 0.99 * eps:
                 continue  # stay away from the hinge kink
             for k in range(2):
                 e = np.zeros(4)
                 e[k] = h
-                c_hi, _ = hinge_row(state + e, disc_sdf, eps)
-                c_lo, _ = hinge_row(state - e, disc_sdf, eps)
+                c_hi, _ = hinge_row(state + e, disc_env, eps)
+                c_lo, _ = hinge_row(state - e, disc_env, eps)
                 fd = (c_hi - c_lo) / (2 * h)
                 assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
             checked += 1
 
-    def test_out_of_bounds(self, disc_sdf):
-        with pytest.raises(ValueError, match="outside"):
-            hinge_row(np.array([5.0, 5.0, 0.0, 0.0]), disc_sdf, 0.1)
+    def test_out_of_bounds(self, disc_env):
+        # a state far from the scene is evaluated like any other clear state
+        cost, grad = hinge_row(np.array([5.0, 5.0, 0.0, 0.0]), disc_env, 0.1)
+        assert cost == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 class TestNegativeLogPosterior:
@@ -172,7 +170,7 @@ class TestNegativeLogPosterior:
                 expected += 0.5 * ra @ ra / a.sigma ** 2
             assert negative_log_posterior(x, problem)[0] == pytest.approx(expected, rel=1e-9)
 
-    def test_obstacle_factor_only_penalizes_collision(self, disc_sdf):
+    def test_obstacle_factor_only_penalizes_collision(self, disc_env):
         model = SkillModel(Phi_tilde=[np.hstack([np.zeros((4, 1)), np.eye(4)])] * 2,
                            Q=[0.01 * np.eye(4)] * 2, dt=0.1,
                            init_mean=np.array([1.5, 0.8, 0.0, 0.0]), init_cov=0.01 * np.eye(4))
@@ -180,7 +178,7 @@ class TestNegativeLogPosterior:
         colliding = GaussianTrajectoryPrior(model, (np.array([0.5, 0.25, 0.0, 0.0]),
                                                     0.01 * np.eye(4)))
         for prior, should_increase in ((clear, False), (colliding, True)):
-            factors = [ObstacleFactor(indices=range(3), sdf=disc_sdf, eps_repro=0.1,
+            factors = [ObstacleFactor(indices=range(3), env=disc_env, eps_repro=0.1,
                                       sigma_repro=0.05)]
             with_obs = negative_log_posterior(prior.stacked_mean,
                                               ReproductionProblem(prior=prior, factors=factors))[0]
@@ -199,9 +197,9 @@ class TestObstacleFactorBatch:
         return GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=8, contraction=0.7),
                                  (np.array([0.3, 0.0, 0.1, 0.0]), 0.05 * np.eye(4)))
 
-    def test_one_factor_equals_per_node_obstacle_costs(self, prior, disc_sdf):
+    def test_one_factor_equals_per_node_obstacle_costs(self, prior, disc_env):
         rng = np.random.default_rng(13)
-        factor = ObstacleFactor(indices=range(9), sdf=disc_sdf, eps_repro=0.15, sigma_repro=0.05)
+        factor = ObstacleFactor(indices=range(9), env=disc_env, eps_repro=0.15, sigma_repro=0.05)
         problem = ReproductionProblem(prior=prior, factors=[factor])
         for _ in range(5):
             x = np.column_stack([rng.uniform(0.2, 0.8, 9), rng.uniform(-0.3, 0.3, 9),
@@ -209,35 +207,28 @@ class TestObstacleFactorBatch:
             expected = 0.5 * prior.quad_form(x)[0]
             active = 0
             for i in range(9):
-                c, _ = hinge_row(x[4 * i:4 * i + 4], disc_sdf, 0.15)
+                c, _ = hinge_row(x[4 * i:4 * i + 4], disc_env, 0.15)
                 expected += 0.5 * c * c / 0.05 ** 2
                 active += c > 0
             assert active > 0
             assert negative_log_posterior(x, problem)[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_subset_of_nodes(self, prior, disc_sdf):
+    def test_subset_of_nodes(self, prior, disc_env):
         x = np.tile([0.5, 0.1, 0.0, 0.0], 9)  # every node is inside the disc's band
         base = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[]))[0]
-        c, _ = hinge_row(x[:4], disc_sdf, 0.1)
+        c, _ = hinge_row(x[:4], disc_env, 0.1)
         for nodes in ([4], [0, 8], range(9)):
-            factor = ObstacleFactor(indices=nodes, sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
+            factor = ObstacleFactor(indices=nodes, env=disc_env, eps_repro=0.1, sigma_repro=0.05)
             got = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[factor]))[0]
             assert got == pytest.approx(base + len(factor.indices) * 0.5 * c * c / 0.05 ** 2,
                                         rel=1e-12)
 
-    def test_off_grid_node_is_named(self, prior, disc_sdf):
-        factor = ObstacleFactor(indices=range(9), sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
-        x = np.tile([0.5, 0.6, 0.0, 0.0], 9)
-        x[4 * 6] = 7.0
-        with pytest.raises(SdfGridError, match=r"node 6 left the SDF grid: query \[7.0, 0.6\]"):
-            negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[factor]))
-
-    def test_index_validation(self, prior, disc_sdf):
+    def test_index_validation(self, prior, disc_env):
         with pytest.raises(ValueError, match="distinct"):
-            ObstacleFactor(indices=[1, 2, 1], sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)
+            ObstacleFactor(indices=[1, 2, 1], env=disc_env, eps_repro=0.1, sigma_repro=0.05)
         with pytest.raises(ValueError, match="factor index 9 outside"):
             ReproductionProblem(prior=prior, factors=[ObstacleFactor(
-                indices=range(10), sdf=disc_sdf, eps_repro=0.1, sigma_repro=0.05)])
+                indices=range(10), env=disc_env, eps_repro=0.1, sigma_repro=0.05)])
 
 
 class TestOptimizeMap:
@@ -327,11 +318,11 @@ class TestOptimizeMap:
         scale = 1.0 + float(np.linalg.norm(target))
         assert np.linalg.norm(sol.trajectory.states[3] - target) <= 10 * sigma * scale
 
-    def test_objective_history_nonincreasing(self, disc_sdf):
+    def test_objective_history_nonincreasing(self, disc_env):
         rng = np.random.default_rng(8)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=6, contraction=0.7),
                                   (np.array([0.2, 0.0, 0.1, 0.0]), 0.05 * np.eye(4)))
-        factors = [ObstacleFactor(indices=range(7), sdf=disc_sdf, eps_repro=0.12,
+        factors = [ObstacleFactor(indices=range(7), env=disc_env, eps_repro=0.12,
                                   sigma_repro=0.05)]
         factors.append(StateAnchor(index=0, target=np.array([0.1, -0.3, 0.0, 0.0]),
                                    sigma=1e-3))
@@ -378,7 +369,7 @@ class TestOptimizeMap:
                                 factors=[StateAnchor(index=7, target=np.zeros(2),
                                                      sigma=0.1)])
 
-    def test_infeasible_solution_flagged(self, disc_sdf):
+    def test_infeasible_solution_flagged(self, disc_env):
         # anchor a node deep inside the obstacle with huge confidence; the
         # optimizer cannot clear it and must say so
         prior = GaussianTrajectoryPrior(SkillModel(
@@ -386,22 +377,22 @@ class TestOptimizeMap:
             dt=0.1, init_mean=np.array([0.5, 0.0, 0.0, 0.0]), init_cov=1e-6 * np.eye(4)))
         factors = [StateAnchor(index=i, target=np.array([0.5, 0.0, 0.0, 0.0]),
                                sigma=1e-6) for i in range(3)]
-        factors.append(ObstacleFactor(indices=[1], sdf=disc_sdf, eps_repro=0.1, sigma_repro=1.0))
+        factors.append(ObstacleFactor(indices=[1], env=disc_env, eps_repro=0.1, sigma_repro=1.0))
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
         assert not sol.feasible
         assert sol.min_clearance < 0.0
 
-    def test_clear_solution_feasible(self, disc_sdf):
+    def test_clear_solution_feasible(self, disc_env):
         rng = np.random.default_rng(11)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
                                   (np.array([1.5, 0.7, 0.0, 0.0]), 0.01 * np.eye(4)))
-        factors = [ObstacleFactor(indices=range(5), sdf=disc_sdf, eps_repro=0.1,
+        factors = [ObstacleFactor(indices=range(5), env=disc_env, eps_repro=0.1,
                                   sigma_repro=0.05)]
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
         assert sol.feasible
         assert sol.min_clearance >= 0.1 - 0.01
 
-    def test_each_point_is_linearized_once(self, disc_sdf):
+    def test_each_point_is_linearized_once(self, disc_env):
         # the start and every trial point: a kept step is not evaluated again
         class Counting:
             def __init__(self, factor):
@@ -416,7 +407,7 @@ class TestOptimizeMap:
                                         (np.array([1.5, 0.7, 0.0, 0.0]), 0.01 * np.eye(4)))
         factors = [Counting(StateAnchor(index=0, target=np.array([0.3, 0.05, 0.0, 0.0]),
                                         sigma=0.01)),
-                   Counting(ObstacleFactor(indices=range(5), sdf=disc_sdf, eps_repro=0.1,
+                   Counting(ObstacleFactor(indices=range(5), env=disc_env, eps_repro=0.1,
                                            sigma_repro=0.05))]
         sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
         assert len(sol.objective_history) > 2
