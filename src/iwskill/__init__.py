@@ -16,8 +16,7 @@ from .environment import (Box, Environment, Sphere, WeightParams, hinge_cost, lo
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
 from .prior import GaussianTrajectoryPrior, initial_state_distribution, sample_trajectories
-from .reproduction import (ObstacleFactor, OptimizerOptions, ReproductionProblem,
-                           SingularNormalEquationsError, Solution, StateAnchor,
-                           negative_log_posterior, optimize_map)
+from .reproduction import (ObstacleFactor, ReproductionProblem, SingularNormalEquationsError,
+                           Solution, StateAnchor, negative_log_posterior, optimize_map)
 
 __version__ = "0.1.0"

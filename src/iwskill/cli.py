@@ -216,7 +216,7 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
                 raise ConfigError(f"reproduction.starts[{si}] must have dimension {prior.dim}")
             factors.append(StateAnchor(index=0, target=start, sigma=rc.start_sigma))
         solution = optimize_map(ReproductionProblem(prior=prior, factors=factors,
-                                                    options=rc.options))
+                                                    max_iters=rc.max_iters))
         all_converged &= solution.converged
         stem = os.path.join(cfg.out_dir, f"solution_{si:03d}")
         atomic_write_text(stem + ".csv", solution_csv(solution))

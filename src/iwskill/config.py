@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 
 from .batch import check_start_state
 from .environment import WeightParams
-from .reproduction import OptimizerOptions, StateAnchor
+from .reproduction import LM_MAX_ITERS, StateAnchor
 from .utils import checked_array, checked_number
 
 
@@ -26,8 +26,7 @@ class ReproductionConfig:
     anchors: list = field(default_factory=list)     # StateAnchor, from {"index", "state", "sigma"}
     eps_repro: float = 0.1
     sigma_repro: float = 0.05
-    # read from the same flat keys: max_iters, abs_tol, rel_tol, lm_damping_init, tol_clear
-    options: OptimizerOptions = field(default_factory=OptimizerOptions)
+    max_iters: int = LM_MAX_ITERS
 
 
 @dataclass
@@ -49,8 +48,8 @@ class PipelineConfig:
 
 
 _TOP_KEYS = {f.name for f in fields(PipelineConfig)}
-_REPRO_KEYS = {f.name for f in fields(ReproductionConfig) + fields(OptimizerOptions)} - {"options"}
-_POSITIVE = {"grid_n", "start_sigma", "sigma_repro", "lm_damping_init"}
+_REPRO_KEYS = {f.name for f in fields(ReproductionConfig)}
+_POSITIVE = {"grid_n", "start_sigma", "sigma_repro", "max_iters"}
 
 
 def _scalars(cls: type, raw: dict, where: str) -> dict:
@@ -140,9 +139,9 @@ def _parse(raw, path: str) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown reproduction keys {sorted(unknown)}")
     repro = where + "reproduction."
-    rc = ReproductionConfig(**_scalars(ReproductionConfig, repro_raw, repro),
-                            options=OptimizerOptions(**_scalars(OptimizerOptions, repro_raw,
-                                                                repro)))
+    rc = ReproductionConfig(**_scalars(ReproductionConfig, repro_raw, repro))
+    if rc.eps_repro < 0:
+        raise ConfigError(f"{repro}eps_repro must be >= 0, got {rc.eps_repro!r}")
     rc.environment = resolve(repro_raw.get("environment"), "reproduction.environment",
                              optional=True)
     rc.starts = [checked_array(start, f"{repro}starts[{i}]", (None,)) for i, start in enumerate(

@@ -27,7 +27,12 @@ class SingularNormalEquationsError(RuntimeError):
     """Damping escalation failed to make the normal equations factorizable."""
 
 
+LM_MAX_ITERS = 200  # default LM iteration budget
+LM_DAMPING_INIT = 1e-4  # first damping
 LM_DAMPING_MAX = 1e12  # damping past this ends LM (a failed factorization raises)
+LM_GRADIENT_TOL = 1e-8  # gradient norm that ends LM
+LM_STEP_TOL = 1e-8  # relative step length that ends LM
+CLEARANCE_SLACK = 0.01  # distance (m) below eps_repro that still counts as feasible
 
 
 @dataclass(frozen=True)
@@ -89,23 +94,10 @@ class ObstacleFactor:
 
 
 @dataclass(frozen=True)
-class OptimizerOptions:
-    max_iters: int = 200
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-    lm_damping_init: float = 1e-4
-    tol_clear: float = 0.01
-
-    def __post_init__(self):  # x10 escalation of a damping <= 0 never passes LM_DAMPING_MAX
-        if not 0 < self.lm_damping_init < np.inf:
-            raise ValueError(f"lm_damping_init must be positive, got {self.lm_damping_init}")
-
-
-@dataclass(frozen=True)
 class ReproductionProblem:
     prior: GaussianTrajectoryPrior
     factors: list
-    options: OptimizerOptions = field(default_factory=OptimizerOptions)
+    max_iters: int = LM_MAX_ITERS
 
     def __post_init__(self):
         n = self.prior.n_steps
@@ -168,7 +160,7 @@ def _solution(problem, x, objective, iterations, stop, history) -> Solution:
         if isinstance(f, ObstacleFactor):
             dist = nearest_obstacle(f.env, states[f.indices, :f.env.dimension])[0]
             min_clear = min(min_clear, float(dist.min()))
-            feasible &= bool(np.all(dist >= f.eps_repro - problem.options.tol_clear))
+            feasible &= bool(np.all(dist >= f.eps_repro - CLEARANCE_SLACK))
     return Solution(trajectory=StateTrajectory(dt=problem.prior.dt, states=states),
                     objective=objective, iterations=iterations, stop=stop,
                     feasible=feasible, min_clearance=min_clear, objective_history=history)
@@ -186,18 +178,18 @@ def optimize_map(problem: ReproductionProblem) -> Solution:
     SingularNormalEquationsError; so do a gradient or Gauss-Newton blocks
     that are not finite at the start or at a kept step, at once (a trial
     point with a non-finite objective is rejected). Each point is evaluated
-    once. `stop`: "gradient" (norm below abs_tol), "step" (no longer than
-    rel_tol * (||x|| + rel_tol); kept if it lowers the objective), "damping"
-    (mu past LM_DAMPING_MAX after a rejection) or "max_iters" (the best
-    iterate, not converged).
+    once. mu starts at LM_DAMPING_INIT. `stop`: "gradient" (norm below
+    LM_GRADIENT_TOL), "step" (no longer than LM_STEP_TOL * (||x|| +
+    LM_STEP_TOL); kept if it lowers the objective), "damping" (mu past
+    LM_DAMPING_MAX after a rejection) or "max_iters" (`problem.max_iters`
+    steps tried; the best iterate, not converged).
     """
-    opts = problem.options
     x = problem.prior.stacked_mean.copy()
     obj, grad, h_diag = _finite(negative_log_posterior(x, problem))
     history, stop, iterations = [obj], "max_iters", 0
-    damping, growth = opts.lm_damping_init, 2.0
-    while iterations < opts.max_iters:
-        if np.linalg.norm(grad) < opts.abs_tol:
+    damping, growth = LM_DAMPING_INIT, 2.0
+    while iterations < problem.max_iters:
+        if np.linalg.norm(grad) < LM_GRADIENT_TOL:
             stop = "gradient"
             break
         while True:
@@ -211,8 +203,7 @@ def optimize_map(problem: ReproductionProblem) -> Solution:
                     raise SingularNormalEquationsError(
                         f"normal equations not factorizable at damping {damping:.1e}: "
                         f"{exc}") from exc
-        with np.errstate(over="ignore"):  # a tolerance past the float range is infinite
-            small = np.linalg.norm(step) <= opts.rel_tol * (np.linalg.norm(x) + opts.rel_tol)
+        small = np.linalg.norm(step) <= LM_STEP_TOL * (np.linalg.norm(x) + LM_STEP_TOL)
         trial = negative_log_posterior(x + step, problem)
         iterations += 1
         if trial[0] < obj:

@@ -87,7 +87,8 @@ def checked_array(value, key: str, shape: tuple) -> np.ndarray:
     """`value` (nested lists, or an array) as a float array of `shape`, whose
     None entries stand for any length >= 1; a ValueError naming `key` unless
     it parses to a numeric dtype (a string or a None does not) of that shape
-    with only finite entries, the first non-finite one named by its index."""
+    with only finite entries and, in a list, no bool; the first bool or
+    non-finite entry is named by its index."""
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged list
@@ -98,6 +99,13 @@ def checked_array(value, key: str, shape: tuple) -> np.ndarray:
         raise ValueError(f"{key} must be a number array of shape {size}, "
                          f"got {reprlib.repr(value)}")
     a = a.astype(float, copy=False)
+    if isinstance(value, list):  # numpy reads a bool among numbers as 1 or 0
+        for index in np.argwhere((a == 0) | (a == 1)).tolist():
+            entry = value
+            for i in index:
+                entry = entry[i]
+            if type(entry) is bool:
+                raise ValueError(f"{key} must be a number array, got {entry} at index {index}")
     if not np.isfinite(a).all():
         bad = np.argwhere(~np.isfinite(a))[0]
         where = f" at index {bad.tolist()}" if a.ndim else ""

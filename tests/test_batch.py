@@ -315,8 +315,9 @@ def test_model_round_trip(tmp_path):
     ("Phi_tilde", None, "step 1: Phi_tilde must be a number array of shape (2, 3)"),
     ("dt", "0.1", "dt must be a number, got '0.1'"),
     ("dt", 1e308, "dt must be positive with a finite horizon N dt, got 1e+308"),
+    ("Phi_tilde", True, "step 1: Phi_tilde must be a number array, got True at index [0, 0]"),
 ], ids=["dt-inf", "dt-nan", "dt-zero", "dt-negative", "D-inf", "D-float", "D-zero",
-        "Phi-nan", "Q-inf", "Q-string", "Phi-null", "dt-string", "dt-horizon"])
+        "Phi-nan", "Q-inf", "Q-string", "Phi-null", "dt-string", "dt-horizon", "Phi-bool"])
 def test_model_reader_rejects_bad_values(key, value, reason):
     data = model_to_dict(small_model())
     if key in data:

@@ -668,11 +668,11 @@ class TestExitCodes:
                                                "dt must be a positive finite number, got inf\n")
         assert not os.path.exists(os.path.join(out, "prior.csv"))
 
-    def test_non_positive_damping_start_names_its_key(self, scene_dir, tmp_path, capsys):
-        # LM would escalate it by x10 forever on a damped system that is indefinite
-        assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {"lm_damping_init": -1.0}) == 2
-        assert "reproduction.lm_damping_init must be a positive finite number, got -1.0" in (
-            capsys.readouterr().err)
+    def test_non_positive_max_iters_names_its_key(self, scene_dir, tmp_path, capsys):
+        # LM would stop before its first step and report the start as not converged
+        assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {"max_iters": 0}) == 2
+        assert capsys.readouterr().err == (f"config error: {tmp_path / 'cfg.json'}: reproduction."
+                                           "max_iters must be a positive int, got 0\n")
 
     def test_underflowing_weights_name_the_demo_node_and_keys(self, scene_dir, tmp_path,
                                                               capsys):
@@ -855,8 +855,7 @@ class TestExitCodes:
         cfg["demos"] = [str(root / d) for d in cfg["demos"]]
         cfg["environment"] = str(root / cfg["environment"])
         cfg["reproduction"]["starts"] = [[0.0, 0.5, 3.0, 1.0]]
-        cfg["reproduction"]["max_iters"] = 1
-        cfg["reproduction"]["lm_damping_init"] = 1e8  # tiny first step cannot converge
+        cfg["reproduction"]["max_iters"] = 1  # one step does not reach the minimum
         cfg_path = str(tmp_path / "cfg.json")
         write_json(cfg_path, cfg)
         code = cli_main(["--config", cfg_path, "--out", out, "reproduce",
@@ -885,10 +884,6 @@ class TestExitCodes:
          "reproduction.eps_repro must be finite, got nan"),
         ("learn", ("weights", "epsilon"), float("nan"), "weights.epsilon must be finite, got nan"),
         ("learn", ("ridge_lambda",), float("nan"), "ridge_lambda must be finite, got nan"),
-        ("reproduce", ("reproduction", "tol_clear"), float("nan"),
-         "reproduction.tol_clear must be finite, got nan"),
-        ("reproduce", ("reproduction", "rel_tol"), float("nan"),
-         "reproduction.rel_tol must be finite, got nan"),
         ("assimilate", ("alpha",), float("inf"), "alpha must be finite, got inf"),
         ("learn", ("grid_n",), "12", "grid_n must be an int, got '12'"),
         ("learn", ("grid_n",), 12.5, "grid_n must be an int, got 12.5"),
@@ -899,7 +894,7 @@ class TestExitCodes:
          "weights.sigma_obs must be a positive number whose square is positive and finite, "
          "got 1e-320"),
     ], ids=["starts-nan", "anchor-state-nan", "eps_repro-nan", "epsilon-nan", "ridge-nan",
-            "tol_clear-nan", "rel_tol-nan", "alpha-inf", "grid_n-string", "grid_n-fraction",
+            "alpha-inf", "grid_n-string", "grid_n-fraction",
             "alpha-string", "max_iters-bool", "sigma_obs-underflow"])
     def test_non_number_config_value_names_the_file_and_key(self, scene_dir, tmp_path, capsys,
                                                              stage, path, value, message):

@@ -1,16 +1,19 @@
 import json
+import os
 import re
+from dataclasses import fields
 
 import pytest
 
 from iwskill.config import ConfigError, load_config
 from iwskill.utils import write_json
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 TOP_KEYS = {"demos", "environment", "grid_n", "align", "dtw_reference", "weights",
             "ridge_lambda", "alpha", "beta", "seed", "out_dir", "rollout_samples",
             "init_state", "reproduction"}
 REPRO_KEYS = {"environment", "starts", "start_sigma", "anchors", "eps_repro",
-              "sigma_repro", "max_iters", "abs_tol", "rel_tol", "lm_damping_init", "tol_clear"}
+              "sigma_repro", "max_iters"}
 
 
 def test_accepted_keys_are_exactly_the_documented_ones(tmp_path):
@@ -22,20 +25,47 @@ def test_accepted_keys_are_exactly_the_documented_ones(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["abs_tol", "rel_tol", "lm_damping_init", "tol_clear"])
+def test_removed_solver_settings_are_refused_by_name(tmp_path, key):
+    # the LM numerics are constants of reproduction.py; old configs name them
+    path = str(tmp_path / "cfg.json")
+    write_json(path, {"reproduction": {"max_iters": 50, key: 0.01}})
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown reproduction keys "
+                                                    f"['{key}']")):
+        load_config(path)
+
+
+def test_readme_documents_exactly_the_accepted_keys():
+    from iwskill.config import _REPRO_KEYS, _TOP_KEYS
+    from iwskill.environment import WeightParams
+    with open(README) as fh:
+        text = fh.read()
+    tables = {}
+    for head, body in re.findall(r"^\| (.*?) \| default \| meaning \|\n\|---\|---\|---\|\n"
+                                 r"((?:\|.*\n)+)", text, re.M):
+        tables[head] = {key: default for keys, default in
+                        re.findall(r"^\| (.*?) \| (.*?) \|", body, re.M)
+                        for key in re.findall(r"`(\w+)`", keys)}
+    assert set(tables) == {"key", "`reproduction` key"}
+    assert set(tables["key"]) == _TOP_KEYS
+    assert set(tables["`reproduction` key"]) == _REPRO_KEYS
+    weights = json.loads(tables["key"]["weights"].strip("`"))
+    assert set(weights) == {f.name for f in fields(WeightParams)}
+
+
 def test_scalars_take_the_type_of_their_default(tmp_path):
     path = str(tmp_path / "cfg.json")
     write_json(path, {"grid_n": 12.0, "alpha": 3, "seed": 4, "rollout_samples": 2.0,
-                      "reproduction": {"start_sigma": 1, "max_iters": 7.0, "tol_clear": 0.5,
-                                       "starts": [[0, 1.0]]}})
+                      "reproduction": {"start_sigma": 1, "max_iters": 7.0, "starts": [[0, 1.0]]}})
     cfg = load_config(path)
     assert (cfg.grid_n, cfg.alpha, cfg.seed, cfg.rollout_samples) == (12, 3.0, 4, 2)
     assert type(cfg.grid_n) is int and type(cfg.alpha) is float
     rc = cfg.reproduction
-    assert (rc.start_sigma, rc.options.max_iters, rc.options.tol_clear) == (1.0, 7, 0.5)
-    assert type(rc.start_sigma) is float and type(rc.options.max_iters) is int
+    assert (rc.start_sigma, rc.max_iters) == (1.0, 7)
+    assert type(rc.start_sigma) is float and type(rc.max_iters) is int
     assert [s.tolist() for s in rc.starts] == [[0.0, 1.0]] and rc.starts[0].dtype == float
     assert rc.anchors == [] and rc.environment is None
-    assert (rc.eps_repro, rc.options.abs_tol) == (0.1, 1e-8)  # untouched defaults
+    assert (rc.eps_repro, rc.sigma_repro) == (0.1, 0.05)  # untouched defaults
 
 
 @pytest.mark.parametrize("raw,message", [
@@ -87,12 +117,10 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
      "got [0.0, 'x']"),
     ({"reproduction": {"start_sigma": -1.0, "anchors": [{"index": 3, "state": [0.0]}]}},
      "reproduction.start_sigma must be a positive finite number, got -1.0"),
-    ({"reproduction": {"lm_damping_init": -1.0}},
-     "reproduction.lm_damping_init must be a positive finite number, got -1.0"),
-    ({"reproduction": {"lm_damping_init": 0}},
-     "reproduction.lm_damping_init must be a positive finite number, got 0.0"),
-    ({"reproduction": {"lm_damping_init": 1e999}},
-     "reproduction.lm_damping_init must be a positive finite number, got inf"),
+    ({"reproduction": {"max_iters": 0}}, "reproduction.max_iters must be a positive int, got 0"),
+    ({"reproduction": {"max_iters": -5}},
+     "reproduction.max_iters must be a positive int, got -5"),
+    ({"reproduction": {"eps_repro": -1}}, "reproduction.eps_repro must be >= 0, got -1.0"),
     ({"grid_n": 12.7}, "grid_n must be an int, got 12.7"),
     ({"reproduction": {"anchors": [{"index": 2.5, "state": [0.0]}]}},
      "reproduction.anchors[0].index must be an int, got 2.5"),
@@ -113,6 +141,10 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
      "weights must have exactly the keys ['epsilon', 'sigma_obs'], got ['epsilon', 'sigma_ob']"),
     ({"weights": {"epsilon": 0.3}},
      "weights must have exactly the keys ['epsilon', 'sigma_obs'], got ['epsilon']"),
+    ({"reproduction": {"starts": [[True, 0.5, 0, 0]]}},
+     "reproduction.starts[0] must be a number array, got True at index [0]"),
+    ({"reproduction": {"anchors": [{"index": 3, "state": [0, False, 1, 1]}]}},
+     "reproduction.anchors[0].state must be a number array, got False at index [1]"),
 ])
 def test_malformed_value_names_its_key(tmp_path, raw, message):
     path = str(tmp_path / "cfg.json")

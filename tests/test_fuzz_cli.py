@@ -1,5 +1,5 @@
-"""Property: one malformed value in the config, the scene or `model.json`
-(or one deleted key) ends the stage that reads the file with exit 0, 2, 3
+"""Property: one malformed value in the config, the scene, `model.json` or a
+demo (or one deleted key) ends the stage that reads the file with exit 0, 2, 3
 or 4, at most one stderr line and no RuntimeWarning; on exit 0 every
 artifact is finite."""
 
@@ -26,7 +26,10 @@ from iwskill.utils import write_json
 
 GRID_N = 20
 DIM = 4
-SCENE = environment_to_dict(make_reaching_scene(n_raw=40).env)
+REACHING = make_reaching_scene(n_raw=40)
+SCENE = environment_to_dict(REACHING.env)
+DEMO = {"timestamps": REACHING.raw_demos[0].timestamps.tolist(),
+        "positions": REACHING.raw_demos[0].positions.tolist()}
 CONFIG = {
     "demos": [f"demo_{k:03d}.json" for k in range(8)],
     "environment": "env.json",
@@ -47,21 +50,21 @@ CONFIG = {
         "eps_repro": 0.1,
         "sigma_repro": 0.05,
         "max_iters": 50,
-        "abs_tol": 1e-8,
-        "rel_tol": 1e-8,
-        "lm_damping_init": 1e-4,
-        "tol_clear": 0.01,
     },
 }
 # the layout `learn` writes; the values come from the learned model
 MODEL_LAYOUT = {"dt": 0, "D": 0, "init_mean": [0] * DIM, "init_cov": [[0] * DIM] * DIM,
                 "steps": [{"Phi_tilde": [[0] * (DIM + 1)] * DIM, "Q": [[0] * DIM] * DIM}]
                 * GRID_N}
-FILES = {"config.json": CONFIG, "env.json": SCENE, "model.json": MODEL_LAYOUT}
+FILES = {"config.json": CONFIG, "env.json": SCENE, "model.json": MODEL_LAYOUT,
+         "demo_000.json": DEMO}
 # every stage that reads the file
 STAGES = {"config.json": ("ingest", "weights", "learn", "assimilate", "rollout", "reproduce"),
           "env.json": ("weights", "learn", "assimilate", "rollout", "reproduce"),
-          "model.json": ("rollout", "reproduce")}
+          "model.json": ("rollout", "reproduce"),
+          "demo_000.json": ("ingest", "weights", "learn", "assimilate")}
+# the files of a work directory: FILES and the demos left unchanged
+INPUTS = sorted(set(FILES) | set(CONFIG["demos"]))
 DELETE = "<delete the key>"
 VALUES = [None, math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, "1.5", True, [], {},
           DELETE]
@@ -89,7 +92,7 @@ def mutations(draw):
 def base(tmp_path_factory):
     """The demos, the scene, the config and a model learned from them."""
     root = tmp_path_factory.mktemp("fuzz")
-    for name, demo in zip(CONFIG["demos"], make_reaching_scene(n_raw=40).raw_demos):
+    for name, demo in zip(CONFIG["demos"], REACHING.raw_demos):
         save_raw_demo(str(root / name), demo)
     write_json(str(root / "env.json"), SCENE)
     write_json(str(root / "config.json"), CONFIG)
@@ -102,8 +105,6 @@ def _mutated(base, work: str, name: str, path: tuple, value) -> None:
     `path` replaced by `value`, or deleted."""
     with open(base / name) as fh:
         doc = json.load(fh)
-    if name == "config.json":
-        doc["demos"] = [str(base / d) for d in doc["demos"]]
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -138,13 +139,13 @@ def _assert_finite(paths: list) -> None:
 @example(case=("config.json", ("weights", "sigma_obs"), "learn"), value=1e308)
 @example(case=("model.json", ("steps", 3, "Phi_tilde", 0, 0), "rollout"), value=1e308)
 @example(case=("model.json", ("steps", 3, "Q", 0, 0), "reproduce"), value=1e308)
-@example(case=("config.json", ("reproduction", "tol_clear"), "reproduce"), value=math.nan)
+@example(case=("config.json", ("reproduction", "eps_repro"), "reproduce"), value=math.nan)
 @example(case=("env.json", ("obstacles", 0, "center", 0), "reproduce"), value=1e308)
 def test_one_bad_value_fails_cleanly(base, case, value):
     name, path, stage = case
     work = tempfile.mkdtemp(dir=base)
     try:
-        for other in FILES:
+        for other in INPUTS:
             if other == name:
                 _mutated(base, work, name, path, value)
             else:
@@ -152,7 +153,7 @@ def test_one_bad_value_fails_cleanly(base, case, value):
         checkpoint, out = os.path.join(work, "ck.npz"), os.path.join(work, "out")
         argv = ["--config", os.path.join(work, "config.json"), "--out", out, stage]
         if stage == "assimilate":
-            argv += ["--checkpoint", checkpoint, "--demo", str(base / CONFIG["demos"][0])]
+            argv += ["--checkpoint", checkpoint, "--demo", os.path.join(work, "demo_000.json")]
         elif stage in ("rollout", "reproduce"):
             argv += ["--model", os.path.join(work, "model.json")]
         stdout, stderr = io.StringIO(), io.StringIO()

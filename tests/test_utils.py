@@ -75,6 +75,9 @@ def test_number_arrays_are_read_as_floats(value, shape, expected):
     ([1.0, math.nan], (2,), "k must be finite, got nan at index [1]"),
     ([[0.0, 1.0], [-math.inf, math.nan]], (2, 2), "k must be finite, got -inf at index [1, 0]"),
     (np.array(math.inf), (), "k must be finite, got inf"),
+    ([True, 0.5], (2,), "k must be a number array, got True at index [0]"),
+    ([[0.0, 1.0], [1, False]], (2, 2), "k must be a number array, got False at index [1, 1]"),
+    ([2, True], (2,), "k must be a number array, got True at index [1]"),
 ])
 def test_other_arrays_are_refused_by_name(value, shape, message):
     with pytest.raises(ValueError) as info:
