@@ -29,28 +29,16 @@ class DegenerateWeightsWarning(UserWarning):
 
 def start_moments(starts: np.ndarray) -> tuple:
     """Gaussian (mean (D,), cov (D, D)) over start-state rows (k, D), k >= 1:
-    population moments, regularized by 1e-8 I so one start stays usable."""
+    population moments, regularized by 1e-8 I so one start stays usable.
+    Raises FloatingPointError when the moments overflow."""
     starts = np.asarray(starts, dtype=float)
-    mean = starts.mean(axis=0)
-    centered = starts - mean
-    return mean, centered.T @ centered / starts.shape[0] + 1e-8 * np.eye(starts.shape[1])
-
-
-def check_start_state(mean, cov, keys: tuple, dim: int | None = None) -> tuple:
-    """(mean, cov) as float arrays, or a ValueError naming `keys[0]` unless
-    mean is a finite number array of shape (dim,) (dim None: any length) and
-    `keys[1]` unless cov is a finite, symmetric, positive semi-definite matrix
-    of its size."""
-    m = checked_array(mean, keys[0], (dim,))
-    try:
-        c = checked_array(cov, keys[1], (m.size, m.size))
-        ok = (np.allclose(c, c.T, atol=1e-9)
-              and np.linalg.eigvalsh(c).min() >= -1e-12 * np.abs(c).max())
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{keys[1]} must be a positive semi-definite matrix, got {cov!r}")
-    return m, c
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        mean = starts.mean(axis=0)
+        centered = starts - mean
+        cov = centered.T @ centered / starts.shape[0] + 1e-8 * np.eye(starts.shape[1])
+    if not np.isfinite(cov).all():
+        raise FloatingPointError("start-state moments overflow")
+    return mean, cov
 
 
 @dataclass(frozen=True)
@@ -58,7 +46,8 @@ class SkillModel:
     """N intervals of learned dynamics on a shared grid of step dt:
     Phi_tilde (N, D, D+1), each [u | Phi], and the symmetric process noise
     covariances Q (N, D, D); plus the Gaussian the dynamics start from,
-    init_mean (D,) and init_cov (D, D), checked by check_start_state."""
+    init_mean (D,) and init_cov (D, D), a finite, symmetric, positive
+    semi-definite matrix."""
 
     Phi_tilde: np.ndarray
     Q: np.ndarray
@@ -77,7 +66,15 @@ class SkillModel:
             raise ValueError("Q must be symmetric")
         if not 0 < self.dt * n < np.inf:  # the time of the last node
             raise ValueError(f"dt must be positive with a finite horizon N dt, got {self.dt!r}")
-        mean, cov = check_start_state(self.init_mean, self.init_cov, ("init_mean", "init_cov"), d)
+        mean = checked_array(self.init_mean, "init_mean", (d,))
+        try:
+            cov = checked_array(self.init_cov, "init_cov", (d, d))
+            if not (np.allclose(cov, cov.T, atol=1e-9)
+                    and np.linalg.eigvalsh(cov).min() >= -1e-12 * np.abs(cov).max()):
+                raise ValueError
+        except ValueError:  # one line: an array's repr would take several
+            raise ValueError(f"init_cov must be a positive semi-definite matrix of shape "
+                             f"({d}, {d})") from None
         for key, value in zip(("Phi_tilde", "Q", "init_mean", "init_cov"), (phi, q, mean, cov)):
             object.__setattr__(self, key, value)
 

@@ -10,6 +10,7 @@ import argparse
 import gc
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -47,10 +48,7 @@ def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
         raise ConfigError("no demo files configured")
     raw = [_read(dm.load_raw_demo, "demo", p) for p in cfg.demos]
     if cfg.align == "dtw":
-        if cfg.dtw_reference is not None and not 0 <= cfg.dtw_reference < len(raw):
-            raise ConfigError(f"dtw_reference must index one of the {len(raw)} demos "
-                              f"(0 to {len(raw) - 1}), got {cfg.dtw_reference}")
-        raw = dm.dtw_align(raw, cfg.dtw_reference)
+        raw = dm.dtw_align(raw)
     # an overflowing demo fails its spline fit: name its file (demo k is aligned demo k)
     return dm.DemoSet(demos=[_read(lambda _: dm.estimate_states(d, cfg.grid_n), "demo", p)
                              for d, p in zip(raw, cfg.demos)])
@@ -84,16 +82,6 @@ def _write_weights(cfg: PipelineConfig, weights: list) -> None:
         print(f"demo {k}: min weight {w.min():.6f}, mean weight {w.mean():.6f}")
 
 
-def _load_prior(cfg: PipelineConfig, model_path: str) -> GaussianTrajectoryPrior:
-    """The model's trajectory prior, started from `init_state` if it is set,
-    else from the model's start moments."""
-    model = _read(load_model, "model", model_path)
-    if cfg.init_state is not None and cfg.init_state[0].shape != (model.dim,):
-        raise ConfigError(f"init_state has dimension {cfg.init_state[0].shape[0]}, "
-                          f"the model {model.dim}")
-    return GaussianTrajectoryPrior(model, cfg.init_state)
-
-
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
     demo_set = _load_demo_set(cfg)
     for k, traj in enumerate(demo_set.demos):
@@ -118,7 +106,7 @@ def cmd_learn(cfg: PipelineConfig, args) -> int:
     demo_set = _load_demo_set(cfg)
     weights = _demo_weights(cfg, demo_set.demos, cfg.environment, args.no_weighting)
     _check_learnable(weights, cfg.demos)
-    model = learn_batch_weighted(demo_set, weights, cfg.ridge_lambda)
+    model = learn_batch_weighted(demo_set, weights)
     save_model(os.path.join(cfg.out_dir, "model.json"), model)
     _write_weights(cfg, weights)
     print(f"learned {model.n_steps}-step model (D={model.dim}) -> "
@@ -140,8 +128,9 @@ def cmd_assimilate(cfg: PipelineConfig, args) -> int:
     _check_learnable([weights], [args.demo])
     assimilate_demo(learner, traj, weights)
 
+    model = extract_map(learner)  # before any write: a failure leaves both files as they were
     save_checkpoint(args.checkpoint, learner)
-    save_model(os.path.join(cfg.out_dir, "model.json"), extract_map(learner))
+    save_model(os.path.join(cfg.out_dir, "model.json"), model)
     print(f"assimilated demo {args.demo} (weights min {weights.min():.6f}); "
           f"{len(learner.starts)} demos seen")
     return EXIT_OK
@@ -164,7 +153,7 @@ def _band_scene(prior: GaussianTrajectoryPrior, env) -> SvgScene:
 
 
 def cmd_rollout(cfg: PipelineConfig, args) -> int:
-    prior = _load_prior(cfg, args.model)
+    prior = GaussianTrajectoryPrior(_read(load_model, "model", args.model))
     atomic_write_text(os.path.join(cfg.out_dir, "prior.csv"), prior_band_csv(prior))
     samples = []
     if cfg.rollout_samples > 0:
@@ -203,7 +192,7 @@ def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, e
 
 
 def cmd_reproduce(cfg: PipelineConfig, args) -> int:
-    prior = _load_prior(cfg, args.model)
+    prior = GaussianTrajectoryPrior(_read(load_model, "model", args.model))
     rc = cfg.reproduction
     starts = rc.starts if rc.starts else [None]
     env = _read(load_environment, "scene", rc.environment) if rc.environment else None
@@ -270,6 +259,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    default_format = warnings.formatwarning  # a warning is one line without a source path
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -284,6 +275,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

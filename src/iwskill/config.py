@@ -8,7 +8,6 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
-from .batch import check_start_state
 from .environment import WeightParams
 from .reproduction import LM_MAX_ITERS, StateAnchor
 from .utils import checked_array, checked_number
@@ -35,15 +34,12 @@ class PipelineConfig:
     environment: str | None = None
     grid_n: int = 50
     align: str = "dtw"                # "dtw" or "none" (demos already aligned)
-    dtw_reference: int | None = None
     weights: WeightParams = field(default_factory=WeightParams)
-    ridge_lambda: float | None = None
     alpha: float = 1e10
     beta: float = 1e10
     seed: int = 0
     out_dir: str = "out"
     rollout_samples: int = 0
-    init_state: tuple | None = None    # (mean (D,), cov (D, D)), from {"mean", "cov"}
     reproduction: ReproductionConfig = field(default_factory=ReproductionConfig)
 
 
@@ -110,8 +106,6 @@ def _parse(raw, path: str) -> PipelineConfig:
                  for p in _typed(raw.get("demos", []), list, where + "demos", "a list of paths")]
     cfg.environment = resolve(raw.get("environment"), "environment", optional=True)
     cfg.align = raw.get("align", cfg.align)
-    if raw.get("dtw_reference") is not None:
-        cfg.dtw_reference = checked_number(raw["dtw_reference"], where + "dtw_reference", int)
     if "weights" in raw:
         block = _typed(raw["weights"], dict, where + "weights", "an object")
         keys = sorted(f.name for f in fields(WeightParams))
@@ -123,16 +117,7 @@ def _parse(raw, path: str) -> PipelineConfig:
             cfg.weights = WeightParams(**params)
         except ValueError as exc:
             raise ConfigError(f"{where}weights.{exc}") from None
-    if raw.get("ridge_lambda") is not None:
-        cfg.ridge_lambda = checked_number(raw["ridge_lambda"], where + "ridge_lambda")
     cfg.out_dir = resolve(raw.get("out_dir", cfg.out_dir), "out_dir")
-    if raw.get("init_state") is not None:
-        init = _typed(raw["init_state"], dict, where + "init_state", "an object")
-        for key in ("mean", "cov"):
-            if key not in init:
-                raise ConfigError(f"{where}init_state.{key} is missing")
-        cfg.init_state = check_start_state(init["mean"], init["cov"], (
-            where + "init_state.mean", where + "init_state.cov"))
 
     repro_raw = _typed(raw.get("reproduction", {}), dict, where + "reproduction", "an object")
     unknown = set(repro_raw) - _REPRO_KEYS

@@ -42,7 +42,7 @@ class StateTrajectory:
     """N+1 states on a uniform dt grid.
 
     Demonstration trajectories stack positions with velocities (D = 2P); the
-    position/velocity views assume that split. Reproduction solutions reuse
+    `positions` view assumes that split. Reproduction solutions reuse
     the container for whatever state dimension the model carries.
     """
 
@@ -68,10 +68,6 @@ class StateTrajectory:
     @property
     def positions(self) -> np.ndarray:
         return self.states[:, : self.dim // 2]
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return self.states[:, self.dim // 2:]
 
     @property
     def times(self) -> np.ndarray:

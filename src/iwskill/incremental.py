@@ -12,7 +12,7 @@ import zipfile
 
 import numpy as np
 
-from .batch import SkillModel, solve_intervals, start_moments
+from .batch import SingularSystemError, SkillModel, solve_intervals, start_moments
 from .demos import StateTrajectory
 from .utils import atomic_write_npz, checked_array, checked_number
 
@@ -74,10 +74,16 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
         r_new = r_prev + w * (x_tilde[:, :, None] * x_tilde[:, None, :])
         cross = w * (x_out[:, :, None] * x_tilde[:, None, :]) + m_prev @ r_prev
     m_new = solve_intervals(r_new, cross, "MNIW column statistics R not positive definite")
-    resid = x_out - (m_new @ x_tilde[:, :, None])[:, :, 0]
-    drift = m_new - m_prev
-    learner.V = (learner.V + w * (resid[:, :, None] * resid[:, None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        resid = x_out - (m_new @ x_tilde[:, :, None])[:, :, 0]
+        drift = m_new - m_prev
+        v_new = (learner.V + w * (resid[:, :, None] * resid[:, None, :])
                  + drift @ r_prev @ drift.transpose(0, 2, 1))
+    finite = np.isfinite(v_new).all(axis=(1, 2))
+    if not finite.all():
+        raise SingularSystemError(f"interval {np.argmin(finite)}: MNIW scale V not finite "
+                                  f"(overflow)")
+    learner.V = v_new
     learner.R = r_new
     learner.M = m_new
     learner.nu = learner.nu + 1.0
@@ -140,4 +146,11 @@ def load_checkpoint(path: str) -> IncrementalLearner:
         setattr(learner, key, checked_array(data[key], key, shape))
     if not np.all(learner.nu > 0):
         raise ValueError("nu must be positive")
+    for key in ("R", "V"):  # start at I/alpha and I/beta, and only gain PSD terms
+        a = getattr(learner, key)
+        try:  # V is symmetric only to roundoff; every reader of it symmetrizes
+            np.linalg.cholesky(a / 2 + a.transpose(0, 2, 1) / 2)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"{key} must be symmetric positive definite in every "
+                             f"interval") from None
     return learner

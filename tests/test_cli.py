@@ -1,11 +1,13 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from iwskill.batch import load_model
+from iwskill.batch import DegenerateWeightsWarning, load_model
 from iwskill.cli import main as cli_main
 from iwskill.demos import (DemoSet, RawDemo, dtw_align, estimate_states, load_raw_demo,
                            save_raw_demo)
@@ -35,7 +37,6 @@ def scene_dir(tmp_path_factory):
         "grid_n": 30,
         "align": "none",
         "weights": {"epsilon": 0.3, "sigma_obs": 0.01},
-        "ridge_lambda": 1e-10,
         "alpha": 1e10,
         "beta": 1e10,
         "seed": 0,
@@ -140,8 +141,7 @@ class TestAssimilate:
             demo_names.append(name)
         write_json(str(tmp_path / "config.json"),
                    {"demos": demo_names, "grid_n": 12, "align": "none",
-                    "ridge_lambda": 1e-10, "alpha": 1e10, "beta": 1e10,
-                    "out_dir": "out"})
+                    "alpha": 1e10, "beta": 1e10, "out_dir": "out"})
         out_inc = str(tmp_path / "inc")
         checkpoint = os.path.join(out_inc, "ck.npz")
         for name in demo_names:
@@ -150,7 +150,7 @@ class TestAssimilate:
                              "--demo", str(tmp_path / name)])
             assert code == 0
         out_batch = str(tmp_path / "batch")
-        # ridge_lambda in the shared config equals 1/alpha
+        # learn's near-zero ridge, like the learner's 1/alpha, is negligible here
         assert cli_main(["--config", str(tmp_path / "config.json"), "--out", out_batch,
                          "learn"]) == 0
         inc = load_model(os.path.join(out_inc, "model.json"))
@@ -229,6 +229,34 @@ class TestAssimilate:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: failed to read checkpoint {checkpoint}: ")
         assert reason in err and err.count("\n") == 1
+        assert read_all_outputs(out) == before
+
+    @pytest.mark.parametrize("key, index, value, code, reason", [
+        ("M", (0, 0, 0), 1e200, 3, "numerical failure: interval 0: MNIW scale V not finite "
+                                   "(overflow)"),
+        ("starts", (0, 0), 1e200, 3, "numerical failure: start-state moments overflow"),
+        ("V", (0, 0, 0), -1e308, 2, "config error: failed to read checkpoint {}: V must be "
+                                    "symmetric positive definite in every interval"),
+    ], ids=["M-drift-overflow", "starts-overflow", "V-indefinite"])
+    def test_checkpoint_entry_that_breaks_the_learner(self, scene_dir, tmp_path, capsys, key,
+                                                      index, value, code, reason):
+        # each once ended in RuntimeWarnings, a multi-line message, or an
+        # indefinite Q in a model written with exit 0
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        checkpoint = os.path.join(out, "ck.npz")
+        base = ["--config", str(root / "config.json"), "--out", out, "assimilate",
+                "--checkpoint", checkpoint]
+        for k in range(3):
+            assert cli_main(base + ["--demo", str(root / f"demo_{k:03d}.json")]) == 0
+        with np.load(checkpoint) as npz:
+            array = npz[key].copy()
+        array[index] = value
+        rewrite_checkpoint(checkpoint, **{key: array})
+        before = read_all_outputs(out)
+        capsys.readouterr()
+        assert cli_main(base + ["--demo", str(root / "demo_003.json")]) == code
+        assert capsys.readouterr().err == reason.format(checkpoint) + "\n"
         assert read_all_outputs(out) == before
 
     def test_grid_mismatch_exit_code(self, scene_dir, tmp_path, capsys):
@@ -333,21 +361,13 @@ class TestScalarModel:
                          "--model", str(tmp_path / "model.json")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    def test_indefinite_init_cov_is_a_config_error(self, tmp_path, capsys):
-        write_scalar_model(tmp_path / "model.json", n_steps=1)
-        cfg = str(tmp_path / "cfg.json")
-        write_json(cfg, {"out_dir": "out", "init_state": {"mean": [0.0], "cov": [[-1.0]]}})
-        assert cli_main(["--config", cfg, "rollout", "--model",
-                         str(tmp_path / "model.json")]) == 2
-        assert f"{cfg}: init_state.cov must be a positive semi-definite" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "prior.csv").exists()
-
     @pytest.mark.parametrize("keys, message", [
         ({"init_cov": None}, "missing key 'init_cov': the model was written without its start "
                              "moments; re-run learn or assimilate"),
         ({"init_cov": [[0.01, 0.0]]}, "init_cov must be a positive semi-definite matrix"),
+        ({"init_cov": [[-1.0]]}, "init_cov must be a positive semi-definite matrix"),
         ({"init_mean": [float("nan")]}, "init_mean must be finite, got nan at index [0]"),
-    ], ids=["missing", "mis-shaped", "non-finite"])
+    ], ids=["missing", "mis-shaped", "indefinite", "non-finite"])
     def test_model_without_valid_start_moments_is_refused(self, tmp_path, capsys, keys,
                                                           message):
         model = str(tmp_path / "model.json")
@@ -409,34 +429,6 @@ class TestModelOnly:
 
 
 class TestReproduce:
-    def test_init_state_skips_demo_alignment(self, scene_dir, tmp_path, monkeypatch):
-        root, _ = scene_dir
-        out = str(tmp_path / "out")
-        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
-        cfg = read_json(root / "config.json")
-        demos = [str(tmp_path / d) for d in cfg["demos"]]
-        for d in cfg["demos"]:
-            (tmp_path / d).write_bytes((root / d).read_bytes())
-        cfg.update(demos=demos, environment=None, align="dtw",
-                   init_state={"mean": [0.0, 0.5, 3.0, 1.0], "cov": (1e-4 * np.eye(4)).tolist()})
-        cfg["reproduction"] = {"starts": [[0.0, 0.5, 3.0, 1.0]]}
-        write_json(str(tmp_path / "cfg.json"), cfg)
-
-        def no_alignment(*args, **kwargs):
-            raise AssertionError("demos aligned although init_state is set")
-        monkeypatch.setattr("iwskill.demos.dtw_align", no_alignment)
-
-        def rollout_and_reproduce(stage_out):
-            for command in ("rollout", "reproduce"):
-                assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", stage_out,
-                                 command, "--model", os.path.join(out, "model.json")]) == 0
-            return read_all_outputs(stage_out)
-        with_demos = rollout_and_reproduce(str(tmp_path / "with_demos"))
-        assert "prior.csv" in with_demos and "solution_000.csv" in with_demos
-        for path in demos:  # never read: deleting them changes nothing
-            os.remove(path)
-        assert rollout_and_reproduce(str(tmp_path / "without_demos")) == with_demos
-
     def test_mean_start_returns_prior_mean(self, scene_dir, tmp_path):
         root, _ = scene_dir
         out = str(tmp_path / "out")
@@ -563,13 +555,17 @@ class TestReproduce:
         assert clearance >= 0.1 - 0.01
 
 
-def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, overrides=None):
+def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, init_cov=None):
     """Learn, then reproduce past one displaced disc with the given
-    reproduction (and top-level config) settings; returns the exit code."""
-    overrides = overrides or {}
+    reproduction settings (and `init_cov` in place of the learned model's);
+    returns the exit code."""
     root, _ = scene_dir
     out = str(tmp_path / "out")
     assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+    if init_cov is not None:
+        model = read_json(os.path.join(out, "model.json"))
+        model["init_cov"] = init_cov
+        write_json(os.path.join(out, "model.json"), model)
     write_json(str(tmp_path / "env_displaced.json"),
                {"dimension": 2,
                 "obstacles": [{"type": "sphere", "center": [1.7, 0.5], "radius": 0.2}]})
@@ -578,7 +574,6 @@ def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, overrides=N
     cfg["environment"] = str(root / cfg["environment"])
     cfg["reproduction"]["environment"] = str(tmp_path / "env_displaced.json")
     cfg["reproduction"]["starts"] = [[0.0, 0.5, 3.0, 1.0]]
-    cfg.update(overrides)
     cfg["reproduction"].update(reproduction)
     cfg_path = str(tmp_path / "cfg.json")
     write_json(cfg_path, cfg)
@@ -588,12 +583,11 @@ def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, overrides=N
 
 class TestExitCodes:
     def test_far_iterate_reproduces(self, scene_dir, tmp_path):
-        # a loose initial state lets a tight start anchor far from the disc
+        # a loose start covariance lets a tight start anchor far from the disc
         # pull the path tens of metres away: the obstacle distances are exact
         # wherever the path goes, so it reproduces
         far = _reproduce_in_displaced_scene(
-            scene_dir, tmp_path, {"starts": [[40.0, 40.0, 3.0, 1.0]]},
-            {"init_state": {"mean": [0.0, 0.5, 3.0, 1.0], "cov": np.eye(4).tolist()}})
+            scene_dir, tmp_path, {"starts": [[40.0, 40.0, 3.0, 1.0]]}, np.eye(4).tolist())
         assert far == 0
         summary = read_json(tmp_path / "out" / "solution_000.json")
         sol = np.loadtxt(tmp_path / "out" / "solution_000.csv", delimiter=",", skiprows=1)
@@ -778,18 +772,10 @@ class TestExitCodes:
     def test_missing_config(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "nope.json"), "learn"]) == 2
 
-    def test_model_dimension_mismatch(self, scene_dir, tmp_path):
-        root, _ = scene_dir
-        out = str(tmp_path / "out")
-        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
-        cfg = read_json(root / "config.json")
-        cfg["demos"] = [str(root / d) for d in cfg["demos"]]
-        cfg["environment"] = str(root / cfg["environment"])
-        cfg["init_state"] = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
-        cfg_path = str(tmp_path / "cfg.json")
-        write_json(cfg_path, cfg)
-        assert cli_main(["--config", cfg_path, "--out", out, "rollout",
-                         "--model", os.path.join(out, "model.json")]) == 2
+    def test_model_dimension_mismatch(self, scene_dir, tmp_path, capsys):
+        assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {"starts": [[0.0, 0.0]]}) == 2
+        assert capsys.readouterr().err.endswith(
+            "config error: reproduction.starts[0] must have dimension 4\n")
 
     def test_demo_without_position_column(self, tmp_path, capsys):
         (tmp_path / "demo.csv").write_text(
@@ -813,22 +799,27 @@ class TestExitCodes:
                   "nan,0.1,0.1": "timestamps must be finite, got nan at index [2]"}[line]
         assert f"failed to read demo {tmp_path / 'demo.csv'}: {reason}\n" in err
 
-    @pytest.mark.parametrize("index", [8, -1])
-    def test_dtw_reference_out_of_range_names_the_key(self, scene_dir, tmp_path, capsys, index):
-        root, _ = scene_dir
-        cfg = read_json(root / "config.json")
-        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None,
-                   align="dtw", dtw_reference=index)
-        write_json(str(tmp_path / "cfg.json"), cfg)
-        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
-                         str(tmp_path / "out"), "learn"]) == 2
-        err = capsys.readouterr().err
-        assert "config error: dtw_reference must index one of the 8 demos" in err
-        assert f"got {index}" in err
-
     def test_unknown_config_key(self, tmp_path):
         write_json(str(tmp_path / "bad.json"), {"grid": 10})
         assert cli_main(["--config", str(tmp_path / "bad.json"), "learn"]) == 2
+
+    @pytest.mark.parametrize("key, value, stage", [
+        ("init_state", {"mean": [0.0, 0.5, 3.0, 1.0], "cov": np.eye(4).tolist()}, "rollout"),
+        ("ridge_lambda", 1e-10, "learn"), ("dtw_reference", 0, "learn")],
+        ids=["init_state", "ridge_lambda", "dtw_reference"])
+    def test_deleted_key_is_unknown(self, scene_dir, tmp_path, capsys, key, value, stage):
+        # the prior starts from the model, learn fits with the scale-aware
+        # ridge, and DTW aligns to the longest demo: no key selects otherwise
+        root, _ = scene_dir
+        cfg = read_json(root / "config.json")
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None, align="dtw")
+        cfg[key] = value
+        write_json(str(tmp_path / "cfg.json"), cfg)
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), stage]
+        assert cli_main(argv + ["--model", str(tmp_path / "model.json")] * (stage != "learn")) == 2
+        assert capsys.readouterr().err == (f"config error: {tmp_path / 'cfg.json'}: "
+                                           f"unknown config keys ['{key}']\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_demo_file(self, tmp_path, capsys):
         write_json(str(tmp_path / "cfg.json"), {"demos": ["missing.json"]})
@@ -864,17 +855,6 @@ class TestExitCodes:
         with open(os.path.join(out, "solution_000.json")) as fh:
             assert json.load(fh)["converged"] is False
 
-    def test_numerical_failure_exit(self, scene_dir, tmp_path):
-        root, _ = scene_dir
-        cfg = read_json(root / "config.json")
-        cfg["demos"] = [str(root / d) for d in cfg["demos"][:2]]  # K=2 < D+1
-        cfg["environment"] = str(root / cfg["environment"])
-        cfg["ridge_lambda"] = 0.0
-        cfg_path = str(tmp_path / "cfg.json")
-        write_json(cfg_path, cfg)
-        assert cli_main(["--config", cfg_path, "--out", str(tmp_path / "out"),
-                         "learn"]) == 3
-
     @pytest.mark.parametrize("stage, path, value, message", [
         ("reproduce", ("reproduction", "starts", 0, 0), float("nan"),
          "reproduction.starts[0] must be finite, got nan at index [0]"),
@@ -883,7 +863,6 @@ class TestExitCodes:
         ("reproduce", ("reproduction", "eps_repro"), float("nan"),
          "reproduction.eps_repro must be finite, got nan"),
         ("learn", ("weights", "epsilon"), float("nan"), "weights.epsilon must be finite, got nan"),
-        ("learn", ("ridge_lambda",), float("nan"), "ridge_lambda must be finite, got nan"),
         ("assimilate", ("alpha",), float("inf"), "alpha must be finite, got inf"),
         ("learn", ("grid_n",), "12", "grid_n must be an int, got '12'"),
         ("learn", ("grid_n",), 12.5, "grid_n must be an int, got 12.5"),
@@ -893,7 +872,7 @@ class TestExitCodes:
         ("learn", ("weights", "sigma_obs"), 1e-320,
          "weights.sigma_obs must be a positive number whose square is positive and finite, "
          "got 1e-320"),
-    ], ids=["starts-nan", "anchor-state-nan", "eps_repro-nan", "epsilon-nan", "ridge-nan",
+    ], ids=["starts-nan", "anchor-state-nan", "eps_repro-nan", "epsilon-nan",
             "alpha-inf", "grid_n-string", "grid_n-fraction",
             "alpha-string", "max_iters-bool", "sigma_obs-underflow"])
     def test_non_number_config_value_names_the_file_and_key(self, scene_dir, tmp_path, capsys,
@@ -976,6 +955,29 @@ class TestExitCodes:
         assert err.startswith(f"config error: failed to read demo {bad}: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists() and not (tmp_path / "ck.npz").exists()
+
+
+def test_degenerate_weights_warning_is_one_line(tmp_path):
+    # on noisy weighted placing demos, half of the intervals lose their noise
+    # estimate; the warning stays a Python warning, printed as one line
+    scene = make_placing_scene(noise=0.01, seed=0)
+    names = []
+    for k, demo in enumerate(scene.influenced_raw + scene.clean_raw):
+        save_raw_demo(str(tmp_path / f"demo_{k}.json"), demo)
+        names.append(f"demo_{k}.json")
+    write_json(str(tmp_path / "env.json"), environment_to_dict(scene.cluttered_env))
+    write_json(str(tmp_path / "cfg.json"), {"demos": names, "environment": "env.json",
+                                            "grid_n": 60, "align": "none"})
+    argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), "learn"]
+    with pytest.warns(DegenerateWeightsWarning, match="effective sample size degenerate"):
+        assert cli_main(argv) == 0
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "iwskill.cli"] + argv, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0
+    assert run.stderr.startswith("warning: effective sample size degenerate at ")
+    assert run.stderr.count("\n") == 1
 
 
 def test_import_freezes_the_loaded_modules():

@@ -1,5 +1,4 @@
 
-import json
 import re
 import tracemalloc
 
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwskill.batch import learn_batch_weighted, save_model
-from iwskill.cli import main as cli_main
+from iwskill.batch import learn_batch_weighted
 from iwskill.demos import (DTW_CHUNK, DemoSet, RawDemo, StateTrajectory, _dtw_chunk, dtw_align,
                            estimate_states, fit_cubic_spline, save_raw_demo)
 from iwskill.synthetic import make_reaching_scene
@@ -169,13 +167,13 @@ class TestEstimateStates:
         t = np.linspace(0.0, 1.0, 5)
         demo = RawDemo(timestamps=t, positions=np.full((5, 2), 3.7))
         traj = estimate_states(demo, 10)
-        np.testing.assert_allclose(traj.velocities, 0.0, atol=1e-12)
+        np.testing.assert_allclose(traj.states[:, traj.dim // 2:], 0.0, atol=1e-12)
         np.testing.assert_allclose(traj.positions, 3.7)
 
     @pytest.mark.parametrize("n_steps", [1, 7, 20])
     def test_linear_demo_velocity_is_slope(self, n_steps):
         traj = estimate_states(line_demo(slope=-1.25, intercept=4.0), n_steps)
-        np.testing.assert_allclose(traj.velocities, -1.25, atol=1e-10)
+        np.testing.assert_allclose(traj.states[:, traj.dim // 2:], -1.25, atol=1e-10)
         assert traj.dt == pytest.approx(3.0 / n_steps)
 
     def test_cubic_velocities_against_analytic(self):
@@ -184,7 +182,7 @@ class TestEstimateStates:
         traj = estimate_states(demo, 50)
         nodes = np.linspace(0.0, 2.0, 51)
         interior = slice(5, -5)
-        np.testing.assert_allclose(traj.velocities[interior, 0],
+        np.testing.assert_allclose(traj.states[interior, traj.dim // 2],
                                    3 * nodes[interior] ** 2, rtol=0.05)
 
     def test_resampling_consistency(self):
@@ -308,24 +306,18 @@ class TestBatchedDtw:
             tracemalloc.stop()
         assert peak < 7 * (n + 1) ** 2 + 8 * n * n
 
-    def test_cli_reference_shorter_than_the_others(self, tmp_path):
-        scene = make_reaching_scene(n_raw=40)
-        raw = list(scene.raw_demos)
+    def test_reference_shorter_than_the_others(self):
+        # every demo lands on the reference's 20 samples, so the learned
+        # model's dt is the reference's duration over the grid
+        raw = list(make_reaching_scene(n_raw=40).raw_demos)
         raw[3] = RawDemo(timestamps=raw[3].timestamps[::2], positions=raw[3].positions[::2])
-        names = []
-        for k, demo in enumerate(raw):
-            names.append(f"demo_{k:03d}.json")
-            save_raw_demo(str(tmp_path / names[-1]), demo)
-        write_json(str(tmp_path / "cfg.json"), {"demos": names, "grid_n": 25, "align": "dtw",
-                                                "dtw_reference": 3, "out_dir": "out"})
-        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--no-weighting", "learn"]) == 0
-        ds = DemoSet(demos=[estimate_states(d, 25) for d in dtw_align(raw, 3)])
-        save_model(str(tmp_path / "expected.json"),
-                   learn_batch_weighted(ds, [np.ones(26)] * len(raw)))
-        assert (tmp_path / "out" / "model.json").read_bytes() == \
-            (tmp_path / "expected.json").read_bytes()
-        assert json.loads((tmp_path / "out" / "model.json").read_text())["dt"] == \
-            pytest.approx((raw[3].timestamps[-1] - raw[3].timestamps[0]) / 25)
+        aligned = dtw_align(raw, 3)
+        for got, want in zip(aligned, reference_dtw_align(raw, 3)):
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.timestamps.tobytes() == raw[3].timestamps.tobytes()
+        model = learn_batch_weighted(DemoSet(demos=[estimate_states(d, 25) for d in aligned]),
+                                     [np.ones(26)] * len(raw))
+        assert model.dt == pytest.approx((raw[3].timestamps[-1] - raw[3].timestamps[0]) / 25)
 
 
 class TestRawDemoFiles:

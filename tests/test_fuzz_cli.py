@@ -1,7 +1,7 @@
-"""Property: one malformed value in the config, the scene, `model.json` or a
-demo (or one deleted key) ends the stage that reads the file with exit 0, 2, 3
-or 4, at most one stderr line and no RuntimeWarning; on exit 0 every
-artifact is finite."""
+"""Property: one malformed value in the config, the scene, `model.json`, a
+demo or the learner checkpoint (or one deleted key) ends the stage that reads
+the file with exit 0, 2, 3 or 4, at most one stderr line and no
+RuntimeWarning; on exit 0 every artifact is finite."""
 
 import contextlib
 import io
@@ -36,7 +36,6 @@ CONFIG = {
     "grid_n": GRID_N,
     "align": "none",
     "weights": {"epsilon": 0.3, "sigma_obs": 0.05},
-    "ridge_lambda": 1e-10,
     "alpha": 1e10,
     "beta": 1e10,
     "seed": 0,
@@ -68,6 +67,10 @@ INPUTS = sorted(set(FILES) | set(CONFIG["demos"]))
 DELETE = "<delete the key>"
 VALUES = [None, math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, "1.5", True, [], {},
           DELETE]
+# the arrays of a checkpoint, each mutated in one entry, and the values put there
+CHECKPOINT_ARRAYS = ("M", "R", "V", "nu", "starts", "alpha", "beta", "dt")
+CHECKPOINT_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 1e-320, -1.0, 0.0,
+                     DELETE]
 
 
 def _paths(doc, prefix=()):
@@ -115,6 +118,31 @@ def _mutated(base, work: str, name: str, path: tuple, value) -> None:
     write_json(os.path.join(work, name), doc)
 
 
+@pytest.fixture(scope="module")
+def checkpoint(base):
+    """A learner checkpoint that has assimilated the first three demos."""
+    path = str(base / "ck.npz")
+    for name in CONFIG["demos"][:3]:
+        assert cli_main(["--config", str(base / "config.json"), "--out", str(base / "ck_out"),
+                         "assimilate", "--checkpoint", path, "--demo", str(base / name)]) == 0
+    return path
+
+
+def _run(argv: list) -> int:
+    """The exit code of the CLI on `argv`, once checked: 0, 2, 3 or 4, one
+    stderr line on 2 or 3 and none otherwise, and no RuntimeWarning."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli_main(argv)
+    assert code in (0, 2, 3, 4)
+    assert len(stderr.getvalue().splitlines()) == (1 if code in (2, 3) else 0), (
+        stderr.getvalue())
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
+
+
 def _assert_finite(paths: list) -> None:
     """Every number in each CSV, JSON, SVG or npz file of `paths` is finite."""
     for path in paths:
@@ -156,17 +184,33 @@ def test_one_bad_value_fails_cleanly(base, case, value):
             argv += ["--checkpoint", checkpoint, "--demo", os.path.join(work, "demo_000.json")]
         elif stage in ("rollout", "reproduce"):
             argv += ["--model", os.path.join(work, "model.json")]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            code = cli_main(argv)
-        assert code in (0, 2, 3, 4)
-        assert len(stderr.getvalue().splitlines()) == (1 if code in (2, 3) else 0), (
-            stderr.getvalue())
-        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-        if code == 0:
+        if _run(argv) == 0:
             _assert_finite([os.path.join(out, f) for f in sorted(os.listdir(out))]
                            + [checkpoint] * (stage == "assimilate"))
+    finally:
+        shutil.rmtree(work)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(key=st.sampled_from(CHECKPOINT_ARRAYS), entry=st.integers(0, 10 ** 6),
+       value=st.sampled_from(CHECKPOINT_VALUES))
+@example(key="M", entry=0, value=1e200)       # V's drift term overflows
+@example(key="starts", entry=0, value=1e200)  # the start moments overflow
+@example(key="V", entry=0, value=-1e308)      # an indefinite V made an indefinite Q
+@example(key="V", entry=1, value=1e308)       # far from symmetric
+def test_one_bad_checkpoint_entry_fails_cleanly(base, checkpoint, key, entry, value):
+    with np.load(checkpoint) as npz:
+        arrays = {k: npz[k].copy() for k in npz.files}
+    if value is DELETE:
+        del arrays[key]
+    else:
+        arrays[key].flat[entry % arrays[key].size] = value
+    work = tempfile.mkdtemp(dir=base)
+    try:
+        mutated, out = os.path.join(work, "ck.npz"), os.path.join(work, "out")
+        np.savez(mutated, **arrays)
+        if _run(["--config", str(base / "config.json"), "--out", out, "assimilate",
+                 "--checkpoint", mutated, "--demo", str(base / CONFIG["demos"][3])]) == 0:
+            _assert_finite([os.path.join(out, "model.json"), mutated])
     finally:
         shutil.rmtree(work)

@@ -303,9 +303,13 @@ class TestCheckpoint:
         ("dt", lambda a: np.array(np.inf), "dt must be finite, got inf"),
         ("dt", lambda a: np.array(np.nan), "dt must be finite, got nan"),
         ("dt", lambda a: np.array(0), "dt must be a positive finite number"),
+        ("R", lambda a: -a, "R must be symmetric positive definite in every interval"),
+        ("V", lambda a: a + np.triu(np.full((4, 4), 1e300), 1),
+         "V must be symmetric positive definite in every interval"),
     ], ids=["version", "no-version", "no-nu", "V-steps", "nu-2d", "alpha-string", "M-nan",
             "R-inf", "V-inf", "nu-negative", "nu-zero", "starts-width", "starts-nan",
-            "alpha-zero", "beta-negative", "dt-inf", "dt-nan", "dt-zero"])
+            "alpha-zero", "beta-negative", "dt-inf", "dt-nan", "dt-zero", "R-negative",
+            "V-asymmetric"])
     def test_invalid_field_is_named(self, tmp_path, field, mutate, reason):
         path = saved_learner(tmp_path)
         with np.load(path) as npz:
