@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .demos import DemoSet
 from .utils import checked_array, checked_number, read_json, write_json
@@ -95,27 +94,36 @@ class SkillModel:
         return self.Phi_tilde[:, :, 1:]
 
 
+def _solve_stack(a: np.ndarray, b: np.ndarray, rank_tol: float) -> np.ndarray:
+    """x with x[i] a[i] = b[i], C-contiguous; a LinAlgError when some a[i] is
+    not positive definite, has a Cholesky pivot at most rank_tol times its
+    largest, or is exactly singular to LU."""
+    pivots = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)
+    if np.any(pivots.min(axis=1) <= rank_tol * pivots.max(axis=1)):
+        raise np.linalg.LinAlgError("rank-deficient pivot")
+    return np.ascontiguousarray(np.linalg.solve(a, b.transpose(0, 2, 1)).transpose(0, 2, 1))
+
+
 def solve_intervals(a: np.ndarray, b: np.ndarray, what: str,
                     rank_tol: float = 0.0) -> np.ndarray:
-    """x[i] with x[i] a[i] = b[i] for SPD a (N, n, n) and b (N, m, n), by one
-    Cholesky factor per interval. Raises SingularSystemError naming the first
-    interval whose system is not finite, or the interval and `what` when a[i]
-    is not positive definite or its smallest Cholesky pivot is at most
-    rank_tol times its largest."""
+    """x[i] with x[i] a[i] = b[i] for SPD a (N, n, n) and b (N, m, n), all
+    intervals in one stacked Cholesky test and one stacked LU solve. Raises
+    SingularSystemError naming the first interval whose system is not
+    finite, or the interval and `what` when a[i] is not positive definite,
+    its smallest Cholesky pivot is at most rank_tol times its largest, or it
+    is exactly singular."""
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
     if not finite.all():
         raise SingularSystemError(f"interval {np.argmin(finite)}: system not finite (overflow)")
-    x = np.empty(b.shape)
-    for i in range(a.shape[0]):
-        try:
-            factor = cho_factor(a[i])
-            pivots = np.diag(factor[0])
-            if pivots.min() <= rank_tol * pivots.max():
-                raise np.linalg.LinAlgError("rank-deficient pivot")
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"interval {i}: {what}") from exc
-        x[i] = cho_solve(factor, b[i].T).T
-    return x
+    try:
+        return _solve_stack(a, b, rank_tol)
+    except np.linalg.LinAlgError:
+        for i in range(a.shape[0]):  # the same calls, one interval at a time, to name it
+            try:
+                _solve_stack(a[i:i + 1], b[i:i + 1], rank_tol)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"interval {i}: {what}") from exc
+        raise
 
 
 def effective_sample_size(weights: np.ndarray) -> np.ndarray:

@@ -49,9 +49,10 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
 
     Per interval, in order: R gains the weighted input outer product; M
     blends the new weighted cross term with the previous evidence through a
-    solve against the new R (a Cholesky solve, never an inverse, since early
-    R are nearly singular by construction); V absorbs the weighted residual
-    around the new M plus a drift term for the mean change; nu gains one.
+    solve against the new R (one LAPACK call for all intervals, never an
+    inverse, since early R are nearly singular by construction); V absorbs
+    the weighted residual around the new M plus a symmetrized drift term for
+    the mean change, so it stays exactly symmetric; nu gains one.
     """
     if demo.n_steps != learner.n_steps or demo.dim != learner.dim:
         raise ValueError(f"demo grid ({demo.n_steps}, {demo.dim}) does not match "
@@ -77,8 +78,9 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
     with np.errstate(over="ignore", invalid="ignore"):  # named below
         resid = x_out - (m_new @ x_tilde[:, :, None])[:, :, 0]
         drift = m_new - m_prev
+        t = drift @ r_prev @ drift.transpose(0, 2, 1)
         v_new = (learner.V + w * (resid[:, :, None] * resid[:, None, :])
-                 + drift @ r_prev @ drift.transpose(0, 2, 1))
+                 + (t + t.transpose(0, 2, 1)) / 2)
     finite = np.isfinite(v_new).all(axis=(1, 2))
     if not finite.all():
         raise SingularSystemError(f"interval {np.argmin(finite)}: MNIW scale V not finite "
@@ -148,7 +150,7 @@ def load_checkpoint(path: str) -> IncrementalLearner:
         raise ValueError("nu must be positive")
     for key in ("R", "V"):  # start at I/alpha and I/beta, and only gain PSD terms
         a = getattr(learner, key)
-        try:  # V is symmetric only to roundoff; every reader of it symmetrizes
+        try:  # the symmetric part: older learners left V asymmetric at roundoff
             np.linalg.cholesky(a / 2 + a.transpose(0, 2, 1) / 2)
         except np.linalg.LinAlgError:
             raise ValueError(f"{key} must be symmetric positive definite in every "

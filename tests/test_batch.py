@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 import iwskill.batch
 from iwskill.batch import (DegenerateWeightsWarning, SingularSystemError, SkillModel,
@@ -268,6 +267,37 @@ class TestAssembleAndLearn:
             learn_batch_weighted(ds, [np.ones(5)] * 2, lam=0.0)
 
 
+def interval_stack(rng, n=200, d=2, k=6):
+    """A well-posed fit_intervals problem (inputs, targets, weights) over n
+    intervals."""
+    inputs = np.concatenate([np.ones((n, 1, k)), rng.normal(size=(n, d, k))], axis=1)
+    return inputs, rng.normal(size=(n, d, k)), rng.uniform(0.1, 1.0, size=(n, k))
+
+
+class TestIntervalStack:
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_stacks_are_c_contiguous(self, n):
+        rng = np.random.default_rng(18)
+        phi, q = fit_intervals(*interval_stack(rng, n=n))
+        assert phi.flags.c_contiguous and q.flags.c_contiguous
+
+    def test_rank_deficient_gram_names_its_interval(self):
+        rng = np.random.default_rng(19)
+        inputs, targets, weights = interval_stack(rng)
+        inputs[137, 1:] = inputs[137, 1:, :1]  # every demo at one state: a rank-1 gram
+        with pytest.raises(SingularSystemError, match="^interval 137: normal equations "
+                                                      "singular .lam=0.0."):
+            fit_intervals(inputs, targets, weights, 0.0)
+
+    def test_non_finite_system_names_its_interval(self):
+        rng = np.random.default_rng(20)
+        inputs, targets, weights = interval_stack(rng)
+        targets[137, 0, 3] = np.inf
+        with pytest.raises(SingularSystemError,
+                           match="^interval 137: system not finite .overflow.$"):
+            fit_intervals(inputs, targets, weights)
+
+
 def small_model():
     rng = np.random.default_rng(14)
     phis, qs = [], []
@@ -355,7 +385,8 @@ def test_model_reader_rejects_bad_start_moments(key, value, reason):
 def reference_fit(inputs, targets, weights, lam):
     """Per-interval reference loop: each interval's weighted ridge map and
     noise covariance by the formulas of the former single-interval
-    estimator, with its default ridge and its 1e-6 * I floor. Returns the
+    estimator, with its default ridge and its 1e-6 * I floor, and the map
+    solved by the same LAPACK calls on one interval at a time. Returns the
     stacks and the degenerate intervals, or raises SingularSystemError
     naming the first singular interval."""
     phis, qs, degenerate = [], [], []
@@ -369,13 +400,12 @@ def reference_fit(inputs, targets, weights, lam):
         gram = (x * w) @ x.T + lam_i * np.eye(x.shape[0])
         cross = (y * w) @ x.T
         try:
-            factor = cho_factor(gram)
-            pivots = np.diag(factor[0])
+            pivots = np.diag(np.linalg.cholesky(gram))
             if lam_i == 0 and pivots.min() <= 1e-13 * pivots.max():
                 raise np.linalg.LinAlgError("rank-deficient pivot")
+            phi = np.linalg.solve(gram, cross.T).T
         except np.linalg.LinAlgError:
             raise SingularSystemError(f"interval {i}:") from None
-        phi = cho_solve(factor, cross.T).T
         residuals = y - phi @ x
         s1 = float(np.sum(w))
         s2 = float(np.sum(w * w))

@@ -67,81 +67,99 @@ def test_scalars_take_the_type_of_their_default(tmp_path):
     assert (rc.eps_repro, rc.sigma_repro) == (0.1, 0.05)  # untouched defaults
 
 
-@pytest.mark.parametrize("raw,message", [
-    ({"grid_n": None}, "grid_n must be an int, got None"),
-    ({"grid_n": "abc"}, "grid_n must be an int, got 'abc'"),
-    ({"alpha": None}, "alpha must be a number, got None"),
-    ({"grid_n": 1e999}, "grid_n must be an int, got inf"),
-    # the rows of a deleted key keep their slots, so the other rows keep their ids
-    ({"ridge_lambda": "small"}, "unknown config keys ['ridge_lambda']"),
-    ({"dtw_reference": "first"}, "unknown config keys ['dtw_reference']"),
-    ({"reproduction": {"max_iters": None}}, "reproduction.max_iters must be an int, got None"),
-    ({"reproduction": {"sigma_repro": None}}, "reproduction.sigma_repro must be a number"),
-    ({"weights": {"epsilon": None, "sigma_obs": 0.01}}, "weights.epsilon must be a number"),
-    ({"weights": {"epsilon": 0.3, "sigma_obs": None}}, "weights.sigma_obs must be a number"),
-    ({"weights": None}, "weights must be an object, got None"),
-    ({"weights": [0.3, 0.01]}, "weights must be an object"),
-    ({"reproduction": None}, "reproduction must be an object, got None"),
-    ({"reproduction": [1.0]}, "reproduction must be an object"),
-    ({"demos": "demo_000.json"}, "demos must be a list of paths, got 'demo_000.json'"),
-    ({"demos": [3]}, "demos must be a path, got 3"),
-    ({"environment": 5}, "environment must be a path, got 5"),
-    ({"out_dir": None}, "out_dir must be a path, got None"),
-    ({"init_state": [0.0]}, "unknown config keys ['init_state']"),
-    ({"reproduction": {"environment": ["env.json"]}}, "reproduction.environment must be a path"),
-    ({"reproduction": {"starts": 5}}, "reproduction.starts must be a list of states"),
-    ({"reproduction": {"anchors": [[0, 1.0]]}}, "reproduction.anchors must be a list of objects"),
-    ({"init_state": {"cov": [[0.01]]}}, "unknown config keys ['init_state']"),
-    ({"init_state": {"mean": [0.0]}}, "unknown config keys ['init_state']"),
-    ({"init_state": {"mean": [0.0], "cov": [[-1.0]]}}, "unknown config keys ['init_state']"),
-    ({"reproduction": {"start_sigma": -0.001}},
+# One row per malformed value: (label, config, message). The test id is
+# "label-message", so a row can be deleted without renaming any other; the
+# labels raw0-raw49 are the positions the rows held when ids were positional.
+MALFORMED_VALUES = [
+    ("raw0", {"grid_n": None}, "grid_n must be an int, got None"),
+    ("raw1", {"grid_n": "abc"}, "grid_n must be an int, got 'abc'"),
+    ("raw2", {"alpha": None}, "alpha must be a number, got None"),
+    ("raw3", {"grid_n": 1e999}, "grid_n must be an int, got inf"),
+    ("raw4", {"ridge_lambda": "small"}, "unknown config keys ['ridge_lambda']"),
+    ("raw5", {"dtw_reference": "first"}, "unknown config keys ['dtw_reference']"),
+    ("raw6", {"reproduction": {"max_iters": None}},
+     "reproduction.max_iters must be an int, got None"),
+    ("raw7", {"reproduction": {"sigma_repro": None}}, "reproduction.sigma_repro must be a number"),
+    ("raw8", {"weights": {"epsilon": None, "sigma_obs": 0.01}},
+     "weights.epsilon must be a number"),
+    ("raw9", {"weights": {"epsilon": 0.3, "sigma_obs": None}},
+     "weights.sigma_obs must be a number"),
+    ("raw10", {"weights": None}, "weights must be an object, got None"),
+    ("raw11", {"weights": [0.3, 0.01]}, "weights must be an object"),
+    ("raw12", {"reproduction": None}, "reproduction must be an object, got None"),
+    ("raw13", {"reproduction": [1.0]}, "reproduction must be an object"),
+    ("raw14", {"demos": "demo_000.json"}, "demos must be a list of paths, got 'demo_000.json'"),
+    ("raw15", {"demos": [3]}, "demos must be a path, got 3"),
+    ("raw16", {"environment": 5}, "environment must be a path, got 5"),
+    ("raw17", {"out_dir": None}, "out_dir must be a path, got None"),
+    ("raw18", {"init_state": [0.0]}, "unknown config keys ['init_state']"),
+    ("raw19", {"reproduction": {"environment": ["env.json"]}},
+     "reproduction.environment must be a path"),
+    ("raw20", {"reproduction": {"starts": 5}}, "reproduction.starts must be a list of states"),
+    ("raw21", {"reproduction": {"anchors": [[0, 1.0]]}},
+     "reproduction.anchors must be a list of objects"),
+    ("raw22", {"init_state": {"cov": [[0.01]]}}, "unknown config keys ['init_state']"),
+    ("raw23", {"init_state": {"mean": [0.0]}}, "unknown config keys ['init_state']"),
+    ("raw24", {"init_state": {"mean": [0.0], "cov": [[-1.0]]}},
+     "unknown config keys ['init_state']"),
+    ("raw25", {"reproduction": {"start_sigma": -0.001}},
      "reproduction.start_sigma must be a positive finite number, got -0.001"),
-    ({"reproduction": {"start_sigma": 0}},
+    ("raw26", {"reproduction": {"start_sigma": 0}},
      "reproduction.start_sigma must be a positive finite number, got 0.0"),
-    ({"reproduction": {"start_sigma": 1e999}},
+    ("raw27", {"reproduction": {"start_sigma": 1e999}},
      "reproduction.start_sigma must be a positive finite number, got inf"),
-    ({"reproduction": {"anchors": [{"index": 3, "state": [0.0], "sigma": 0}]}},
+    ("raw28", {"reproduction": {"anchors": [{"index": 3, "state": [0.0], "sigma": 0}]}},
      "reproduction.anchors[0].sigma must be a positive finite number, got 0.0"),
-    ({"reproduction": {"anchors": [{"index": 3, "state": [0.0], "sigma": [0.1]}]}},
+    ("raw29", {"reproduction": {"anchors": [{"index": 3, "state": [0.0], "sigma": [0.1]}]}},
      "reproduction.anchors[0].sigma must be a number, got [0.1]"),
-    ({"reproduction": {"anchors": [{"index": 3, "state": [0.0]},
+    ("raw30", {"reproduction": {"anchors": [{"index": 3, "state": [0.0]},
                                    {"index": [1], "state": [0.0]}]}},
      "reproduction.anchors[1].index must be an int, got [1]"),
-    ({"reproduction": {"anchors": [{"state": [0.0]}]}},
+    ("raw31", {"reproduction": {"anchors": [{"state": [0.0]}]}},
      "reproduction.anchors[0].index must be an int, got None"),
-    ({"reproduction": {"anchors": [{"index": 3, "state": 0.5}]}},
+    ("raw32", {"reproduction": {"anchors": [{"index": 3, "state": 0.5}]}},
      "reproduction.anchors[0].state must be a number array of shape (n,) with n >= 1, got 0.5"),
-    ({"reproduction": {"anchors": [{"index": 3, "state": [0.0, "x"]}]}},
+    ("raw33", {"reproduction": {"anchors": [{"index": 3, "state": [0.0, "x"]}]}},
      "reproduction.anchors[0].state must be a number array of shape (n,) with n >= 1, "
      "got [0.0, 'x']"),
-    ({"reproduction": {"start_sigma": -1.0, "anchors": [{"index": 3, "state": [0.0]}]}},
+    ("raw34", {"reproduction": {"start_sigma": -1.0, "anchors": [{"index": 3, "state": [0.0]}]}},
      "reproduction.start_sigma must be a positive finite number, got -1.0"),
-    ({"reproduction": {"max_iters": 0}}, "reproduction.max_iters must be a positive int, got 0"),
-    ({"reproduction": {"max_iters": -5}},
+    ("raw35", {"reproduction": {"max_iters": 0}},
+     "reproduction.max_iters must be a positive int, got 0"),
+    ("raw36", {"reproduction": {"max_iters": -5}},
      "reproduction.max_iters must be a positive int, got -5"),
-    ({"reproduction": {"eps_repro": -1}}, "reproduction.eps_repro must be >= 0, got -1.0"),
-    ({"grid_n": 12.7}, "grid_n must be an int, got 12.7"),
-    ({"reproduction": {"anchors": [{"index": 2.5, "state": [0.0]}]}},
+    ("raw37", {"reproduction": {"eps_repro": -1}},
+     "reproduction.eps_repro must be >= 0, got -1.0"),
+    ("raw38", {"grid_n": 12.7}, "grid_n must be an int, got 12.7"),
+    ("raw39", {"reproduction": {"anchors": [{"index": 2.5, "state": [0.0]}]}},
      "reproduction.anchors[0].index must be an int, got 2.5"),
-    ({"reproduction": {"starts": [["a", 0, 0, 0]]}},
+    ("raw40", {"reproduction": {"starts": [["a", 0, 0, 0]]}},
      "reproduction.starts[0] must be a number array of shape (n,) with n >= 1, "
      "got ['a', 0, 0, 0]"),
-    ({"reproduction": {"starts": [[0.0, 1.0], 0.5]}},
+    ("raw41", {"reproduction": {"starts": [[0.0, 1.0], 0.5]}},
      "reproduction.starts[1] must be a number array of shape (n,) with n >= 1, got 0.5"),
-    ({"init_state": {"mean": [0.0], "cov": [[{"a": 1}]]}}, "unknown config keys ['init_state']"),
-    ({"init_state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]}},
+    ("raw42", {"init_state": {"mean": [0.0], "cov": [[{"a": 1}]]}},
      "unknown config keys ['init_state']"),
-    ({"init_state": {"mean": [0.0, 0.0], "cov": [[1.0]]}}, "unknown config keys ['init_state']"),
-    ({"init_state": {"mean": "origin", "cov": [[1.0]]}}, "unknown config keys ['init_state']"),
-    ({"weights": {"epsilon": 0.3, "sigma_ob": 0.001}},
+    ("raw43", {"init_state": {"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]}},
+     "unknown config keys ['init_state']"),
+    ("raw44", {"init_state": {"mean": [0.0, 0.0], "cov": [[1.0]]}},
+     "unknown config keys ['init_state']"),
+    ("raw45", {"init_state": {"mean": "origin", "cov": [[1.0]]}},
+     "unknown config keys ['init_state']"),
+    ("raw46", {"weights": {"epsilon": 0.3, "sigma_ob": 0.001}},
      "weights must have exactly the keys ['epsilon', 'sigma_obs'], got ['epsilon', 'sigma_ob']"),
-    ({"weights": {"epsilon": 0.3}},
+    ("raw47", {"weights": {"epsilon": 0.3}},
      "weights must have exactly the keys ['epsilon', 'sigma_obs'], got ['epsilon']"),
-    ({"reproduction": {"starts": [[True, 0.5, 0, 0]]}},
+    ("raw48", {"reproduction": {"starts": [[True, 0.5, 0, 0]]}},
      "reproduction.starts[0] must be a number array, got True at index [0]"),
-    ({"reproduction": {"anchors": [{"index": 3, "state": [0, False, 1, 1]}]}},
+    ("raw49", {"reproduction": {"anchors": [{"index": 3, "state": [0, False, 1, 1]}]}},
      "reproduction.anchors[0].state must be a number array, got False at index [1]"),
-])
+]
+
+
+@pytest.mark.parametrize("raw,message", [
+    pytest.param(raw, message, id=f"{label}-{message}")
+    for label, raw, message in MALFORMED_VALUES])
 def test_malformed_value_names_its_key(tmp_path, raw, message):
     path = str(tmp_path / "cfg.json")
     with open(path, "w") as fh:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
-from iwskill.batch import start_moments
+from iwskill.batch import SingularSystemError, start_moments
 from iwskill.demos import StateTrajectory
 from iwskill.incremental import (CHECKPOINT_KEYS, IncrementalLearner, assimilate_demo,
                                  extract_map, load_checkpoint, save_checkpoint)
@@ -193,6 +192,14 @@ class TestBatchEquivalence:
                 np.linalg.cholesky(s.R)
                 np.linalg.cholesky(s.V)
 
+    def test_v_stays_exactly_symmetric(self):
+        rng = np.random.default_rng(11)
+        demos, weights = random_demos(rng, k=8, n_steps=5, dim=3)
+        learner = IncrementalLearner(5, 3, 1e10, 1e10)
+        for demo, w in zip(demos, weights):
+            assimilate_demo(learner, demo, w)
+            np.testing.assert_array_equal(learner.V, learner.V.transpose(0, 2, 1))
+
     def test_q_approaches_batch_with_many_unit_weight_demos(self):
         # recursive V and the batch residual normalizer agree only in the
         # large-K limit: (K-1) vs (K+D+1) scaling, so K=50 at D=2 keeps the
@@ -341,15 +348,18 @@ class TestCheckpoint:
 
 def reference_update(stats, w, x_in, x_out):
     """One interval's weighted conjugate update, by the formulas of the former
-    per-interval MNIW state: R, then M through a Cholesky solve against the
-    new R, then V with the residual and drift terms, then nu."""
+    per-interval MNIW state: R, then M through a solve against the new R
+    (C-contiguous, as the stack holds it), then V with the residual and
+    symmetrized drift terms, then nu."""
     x_tilde = np.concatenate([[1.0], x_in])
     r_new = stats.R + w * np.outer(x_tilde, x_tilde)
-    factor = cho_factor(r_new)
-    m_new = cho_solve(factor, (w * np.outer(x_out, x_tilde) + stats.M @ stats.R).T).T
+    np.linalg.cholesky(r_new)  # the positive-definite test
+    cross = w * np.outer(x_out, x_tilde) + stats.M @ stats.R
+    m_new = np.ascontiguousarray(np.linalg.solve(r_new, cross.T).T)
     resid = x_out - m_new @ x_tilde
     drift = m_new - stats.M
-    v_new = stats.V + w * np.outer(resid, resid) + drift @ stats.R @ drift.T
+    t = drift @ stats.R @ drift.T
+    v_new = stats.V + w * np.outer(resid, resid) + (t + t.T) / 2
     return MNIW(m_new, r_new, v_new, stats.nu + 1.0)
 
 
@@ -373,3 +383,26 @@ class TestStackedUpdateEqualsPerIntervalLoop:
                     np.testing.assert_array_equal(a, b)
         for a in (learner.M, learner.R, learner.V):
             assert a.flags.c_contiguous
+
+
+class TestIntervalStack:
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_statistics_stay_c_contiguous(self, n):
+        rng = np.random.default_rng(12)
+        learner = IncrementalLearner(n, 2, 1e6, 1e6)
+        for _ in range(2):
+            assimilate_demo(learner, StateTrajectory(dt=0.1, states=rng.normal(size=(n + 1, 2))),
+                            rng.uniform(0.1, 1.0, size=n + 1))
+        for a in (learner.M, learner.R, learner.V):
+            assert a.flags.c_contiguous
+
+    def test_indefinite_r_names_its_interval(self):
+        # one bad interval deep in a 200-interval stack: the stacked factor
+        # fails, and the per-interval pass names the interval
+        rng = np.random.default_rng(13)
+        learner = IncrementalLearner(200, 2, 1.0, 1.0)
+        learner.R[137] = -np.eye(3)
+        demo = StateTrajectory(dt=0.1, states=rng.normal(size=(201, 2)))
+        with pytest.raises(SingularSystemError, match="^interval 137: MNIW column statistics R "
+                                                      "not positive definite$"):
+            assimilate_demo(learner, demo, np.ones(201))
