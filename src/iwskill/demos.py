@@ -134,8 +134,8 @@ def estimate_states(demo: RawDemo, n_steps: int) -> StateTrajectory:
     return StateTrajectory(dt=dt, states=states)
 
 
-# Demo pairs one DTW wavefront advances together: its int8 step stack, 8·(n+1)·(m+1)
-# bytes, stays below the n·m·(16 + 8P) bytes of a dense single-pair DTW's floats.
+# Demo pairs one DTW wavefront advances together: its int8 step stack, 8·n·m bytes,
+# stays below the n·m·(16 + 8P) bytes of a dense single-pair DTW's floats.
 DTW_CHUNK = 8
 
 
@@ -143,31 +143,48 @@ DTW_CHUNK = 8
 def _dtw_chunk(a: np.ndarray, bs: list) -> list:
     """Optimal forward (i, j) index paths, each (2, length), from `a` (n, P)
     to each of `bs`, steps {(1,0),(0,1),(1,1)} over Euclidean distances, by one
-    anti-diagonal wavefront over all pairs. Accumulated cell (r, c) needs only
-    diagonals r+c-1 and r+c-2 (two rolling arrays indexed by r), so padding
-    shorter demos never reaches a pair's own cells. Each cell keeps its step
-    as int8, the first minimum of (diagonal, up, left): ties prefer the diagonal."""
-    n, ms, kc = len(a), [len(b) for b in bs], len(bs)
+    anti-diagonal wavefront over all kc pairs. Node-major data (`a` tiled to
+    (P, n, kc), the reversed, right-aligned demos as (P, m, kc)) makes each
+    operand of a diagonal step one contiguous (L cells, kc) block. Cell (r, c)
+    needs only diagonals r+c-1 and r+c-2 (two rolling (n+1, kc) arrays indexed
+    by r), so padding shorter demos never reaches a pair's own cells. Squared
+    differences add in coordinate order, bit-equal to `np.linalg.norm` for
+    P <= 7; from P = 8 numpy's norm sums pairwise and may differ in the last
+    bit. Each cell keeps its step as int8, the first minimum of (diagonal 0,
+    up 1, left 2): ties prefer the diagonal. The (n·m, kc) step stack holds
+    each diagonal's cells as consecutive rows: cell (r, c) is row start[r+c] + r."""
+    n, ms, kc, dim = len(a), [len(b) for b in bs], len(bs), a.shape[1]
     m = max(ms)
-    rev = np.stack([np.pad(b[::-1], ((m - len(b), 0), (0, 0))) for b in bs])  # right-aligned
-    steps = np.zeros((kc, (n + 1) * (m + 1)), dtype=np.int8)
-    prev2, prev1 = np.full((2, kc, n + 1), np.inf)
-    prev2[:, 0] = 0.0
+    ref = np.repeat(a.T[:, :, None], kc, axis=2)
+    rev = np.stack([np.pad(b[::-1].T, ((0, 0), (m - len(b), 0))) for b in bs], axis=2)
+    steps, start, row = np.empty((n * m, kc), dtype=np.int8), [0] * (n + m + 1), 0
+    prev2, prev1 = np.full((2, n + 1, kc), np.inf)
+    prev2[0] = 0.0
+    sq = np.empty((n, kc))
     for s in range(2, n + m + 1):
         lo, hi = max(1, s - m), min(n, s - 1)
-        diag, up, left = prev2[:, lo - 1:hi], prev1[:, lo - 1:hi], prev1[:, lo:hi + 1]
-        dist = np.linalg.norm(a[lo - 1:hi] - rev[:, m - s + lo:m - s + hi + 1], axis=-1)
+        size, start[s] = hi - lo + 1, row - lo
+        dist, x = np.zeros((size, kc)), sq[:size]
+        for p in range(dim):
+            np.subtract(ref[p, lo - 1:hi], rev[p, m - s + lo:m - s + hi + 1], out=x)
+            x *= x
+            dist += x
+        np.sqrt(dist, out=dist)
+        diag, up, left = prev2[lo - 1:hi], prev1[lo - 1:hi], prev1[lo:hi + 1]
         best = np.minimum(diag, up)
-        steps[:, lo * m + s:hi * m + s + 1:m] = np.where(left < best, 2, up < diag)
-        prev2[:, 0] = np.inf                      # only diagonal 0 holds acc[0, 0] = 0
-        prev2[:, lo:hi + 1] = dist + np.minimum(best, left)
-        prev1, prev2 = prev2, prev1
-    paths = []
+        step = steps[row:row + size]
+        np.less(up, diag, out=step.view(bool))
+        np.copyto(step, 2, where=left < best)
+        np.minimum(best, left, out=best)
+        prev2[0] = np.inf                         # only diagonal 0 holds acc[0, 0] = 0
+        np.add(dist, best, out=prev2[lo:hi + 1])
+        prev1, prev2, row = prev2, prev1, row + size
+    moves, paths = memoryview(steps.reshape(-1)), []
     for k, mk in enumerate(ms):
-        moves, i, j = memoryview(steps[k]), n - 1, mk - 1
+        i, j = n - 1, mk - 1
         path = [(i, j)]
         while i > 0 or j > 0:
-            move = 2 if i == 0 else 1 if j == 0 else moves[(i + 1) * (m + 1) + j + 1]
+            move = 2 if i == 0 else 1 if j == 0 else moves[(start[i + j + 2] + i + 1) * kc + k]
             i, j = i - (move != 2), j - (move != 1)
             path.append((i, j))
         paths.append(np.array(path[::-1]).T)
@@ -210,14 +227,15 @@ def load_raw_demo(path: str) -> RawDemo:
         data = read_json(path)
         return RawDemo(timestamps=data["timestamps"], positions=data["positions"])
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [row for row in csv.reader(fh) if row]
+    if rows:
+        try:
+            float(rows[0][0])
+        except ValueError:
+            rows = rows[1:]
     if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    try:
-        float(rows[0][0])
-    except ValueError:
-        rows = rows[1:]
-    arr = np.asarray([[float(v) for v in row] for row in rows if row])
+        raise ValueError("no samples")
+    arr = np.asarray([[float(v) for v in row] for row in rows])
     return RawDemo(timestamps=arr[:, 0], positions=arr[:, 1:])
 
 

@@ -786,6 +786,15 @@ class TestExitCodes:
         assert "failed to read demo" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out" / "model.json")
 
+    @pytest.mark.parametrize("text", ["t,x,y\n", "\n\n"], ids=["header", "blank"])
+    def test_demo_without_samples_names_the_file(self, tmp_path, capsys, text):
+        (tmp_path / "demo.csv").write_text(text)
+        write_json(str(tmp_path / "cfg.json"), {"demos": ["demo.csv"], "align": "none"})
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
+                         str(tmp_path / "out"), "learn"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: failed to read demo {tmp_path / 'demo.csv'}: no samples\n")
+
     @pytest.mark.parametrize("line", ["0.2,nan,0.1", "nan,0.1,0.1"])
     def test_non_finite_demo_names_the_file_and_row(self, tmp_path, capsys, line):
         rows = [f"{0.1 * i},{0.1 * i},0.0" for i in range(8)]

@@ -289,6 +289,45 @@ class TestBatchedDtw:
         for got, want in zip(dtw_align(demos, 2), reference_dtw_align(demos, 2)):
             assert got.positions.tobytes() == want.positions.tobytes()
 
+    @pytest.mark.parametrize("dim", [3, 7])
+    def test_ragged_chunks_beyond_the_property_sizes(self, dim):
+        # more demos than one chunk, 30-60 samples, a reference shorter than
+        # some of the others; P = 7 is the JACO2's joint count
+        rng = np.random.default_rng(dim)
+        lengths = rng.integers(30, 61, size=DTW_CHUNK + 2)
+        lengths[4] = 40
+        demos = [RawDemo(timestamps=np.arange(length, dtype=float),
+                         positions=np.cumsum(rng.normal(size=(length, dim)), axis=0))
+                 for length in lengths]
+        assert lengths.max() > 40
+        for got, want in zip(dtw_align(demos, 4), reference_dtw_align(demos, 4)):
+            assert got.positions.tobytes() == want.positions.tobytes()
+        paths = _dtw_chunk(demos[4].positions, [demo.positions for demo in demos])
+        for path, demo in zip(paths, demos):
+            _, want = reference_dtw_path(demos[4].positions, demo.positions)
+            assert [tuple(ij) for ij in path.T.tolist()] == want
+
+    def test_cost_matches_reference_beyond_seven_coordinates(self):
+        # from P = 8 numpy's norm sums pairwise, so distances may differ in
+        # the last bit and only the cost is compared
+        rng = np.random.default_rng(9)
+        a, b = (np.cumsum(rng.normal(size=(length, 9)), axis=0) for length in (45, 38))
+        cost, _ = dtw_path(a, b)
+        assert cost == pytest.approx(reference_dtw_path(a, b)[0], rel=1e-12)
+
+    def test_overflowing_distances_give_the_reference_paths(self):
+        # every squared difference overflows, so every distance is inf; the
+        # kernel raises no RuntimeWarning (an error under the test settings)
+        rng = np.random.default_rng(3)
+        a = 1e200 * rng.normal(size=(12, 2))
+        bs = [1e200 * rng.normal(size=(length, 2)) for length in (9, 12, 15)]
+        paths = _dtw_chunk(a, bs)
+        for path, b in zip(paths, bs):
+            with np.errstate(over="ignore"):
+                cost, want = reference_dtw_path(a, b)
+            assert cost == np.inf
+            assert [tuple(ij) for ij in path.T.tolist()] == want
+
     def test_working_memory_is_the_int8_step_stack(self):
         # 8 demos x 400 samples: 7 pairs share one chunk, whose int8 step
         # stack is 7 (n+1)(m+1) bytes. Beyond it the kernel holds O(K n)
@@ -364,6 +403,25 @@ class TestRawDemoFiles:
         assert demo.dim == 2 and len(demo) == 5
         np.testing.assert_allclose(demo.timestamps, t)
         np.testing.assert_allclose(demo.positions[:, 1], -0.2 * np.arange(5))
+
+    @pytest.mark.parametrize("text", ["", "t,x,y\n", "\n\n\n", "\nt,x,y\n\n"],
+                             ids=["empty", "header", "blank", "blank-header-blank"])
+    def test_csv_without_samples_rejected(self, tmp_path, text):
+        from iwskill.demos import load_raw_demo
+        path = tmp_path / "demo.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^no samples$"):
+            load_raw_demo(str(path))
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_csv_leading_blank_line_is_skipped(self, tmp_path, header):
+        from iwskill.demos import load_raw_demo
+        path = tmp_path / "demo.csv"
+        rows = "".join(f"{i},{i},{i}\n" for i in range(5))
+        path.write_text("\n" + ("t,x,y\n\n" if header else "") + rows)
+        demo = load_raw_demo(str(path))
+        np.testing.assert_array_equal(demo.timestamps, np.arange(5.0))
+        np.testing.assert_array_equal(demo.positions, np.repeat(np.arange(5.0)[:, None], 2, 1))
 
     def test_demo_without_position_column_rejected(self, tmp_path):
         from iwskill.demos import load_raw_demo
