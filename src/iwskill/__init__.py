@@ -9,8 +9,8 @@ on start/goal anchors and obstacle factors by MAP inference.
 
 from .batch import (SingularSystemError, SkillModel, effective_sample_size, fit_intervals,
                     learn_batch_weighted, load_model, save_model)
-from .demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, estimate_states,
-                    fit_cubic_spline, load_raw_demo, save_raw_demo)
+from .demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, estimate_states, load_raw_demo,
+                    save_raw_demo)
 from .environment import (Box, Environment, Sphere, WeightParams, hinge_cost, load_environment,
                           nearest_obstacle, signed_distance, weight_trajectory)
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,

@@ -5,7 +5,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .utils import checked_array, read_json, write_json
 
@@ -109,29 +109,49 @@ class DemoSet:
         return self.demos[0].dt
 
 
-def fit_cubic_spline(demo: RawDemo) -> CubicSpline:
-    """Natural cubic spline through the demo samples, one curve per dimension.
-
-    The returned spline evaluates positions, and its `.derivative()` gives
-    instantaneous velocities, anywhere inside [t_first, t_last].
-    """
-    return CubicSpline(demo.timestamps, demo.positions, bc_type="natural", axis=0)
-
-
 def estimate_states(demo: RawDemo, n_steps: int) -> StateTrajectory:
-    """Sample the demo spline at n_steps+1 uniform times and stack positions
-    with spline derivatives into full states; a ValueError when the fit or
-    the states overflow."""
+    """Sample the demo's natural cubic spline at n_steps+1 uniform times and
+    stack positions with spline derivatives into full states; a ValueError
+    when the knot slopes or the states overflow.
+
+    The arithmetic is scipy's `CubicSpline(bc_type="natural")` and its
+    `.derivative()`, operation for operation, so the states are bit-equal to
+    scipy's: the knot slopes s from the same LAPACK tridiagonal solve (gtsv),
+    the same Hermite coefficients, and PPoly's power sums, added left to
+    right from 0.0 (which turns a -0.0 into 0.0). Each column is fit on its
+    own, so demos sharing timestamps can be fit as one wide demo."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):  # scipy's check or the one below fails
-        spline = fit_cubic_spline(demo)
-        t = np.linspace(demo.timestamps[0], demo.timestamps[-1], n_steps + 1)
-        states = np.hstack([spline(t), spline.derivative()(t)])
-    if not np.isfinite(states).all():
+    t, y = demo.timestamps, demo.positions
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below fails instead
+        dx = np.diff(t)
+        dxr = dx[:, None]
+        slope = np.diff(y, axis=0) / dxr
+        band = np.zeros((3, len(t)))
+        band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        band[0, 2:] = dx[:-1]
+        band[2, :-2] = dx[1:]
+        band[1, 0], band[0, 1] = 2 * dx[0], dx[0]      # natural ends: zero curvature
+        band[1, -1], band[2, -2] = 2 * dx[-1], dx[-1]
+        b = np.empty_like(y)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        # scipy's end rows for a zero second derivative with its zero terms: the last
+        # row's turns a -0.0 into 0.0, and either is NaN when dx² overflows
+        b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+        b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+        s = solve_banded((1, 1), band, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        tau = (s[:-1] + s[1:] - 2 * slope) / dxr
+        c0, c1, c2, c3 = tau / dxr, (slope - s[:-1]) / dxr - tau, s[:-1], y[:-1]
+        tq = np.linspace(t[0], t[-1], n_steps + 1)
+        i = np.clip(np.searchsorted(t, tq, "right") - 1, 0, len(t) - 2)
+        h = (tq - t[i])[:, None]
+        c0, c1, c2, c3 = c0[i], c1[i], c2[i], c3[i]
+        states = np.hstack([0.0 + c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h),
+                            0.0 + c2 + (2.0 * c1) * h + (3.0 * c0) * (h * h)])
+    if not (np.isfinite(s).all() and np.isfinite(states).all()):
         raise ValueError("the spline states are not finite (overflow)")
-    dt = (demo.timestamps[-1] - demo.timestamps[0]) / n_steps
-    return StateTrajectory(dt=dt, states=states)
+    return StateTrajectory(dt=(t[-1] - t[0]) / n_steps, states=states)
 
 
 # Demo pairs one DTW wavefront advances together: its int8 step stack, 8·n·m bytes,
@@ -226,7 +246,7 @@ def load_raw_demo(path: str) -> RawDemo:
     if path.endswith(".json"):
         data = read_json(path)
         return RawDemo(timestamps=data["timestamps"], positions=data["positions"])
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not a header
         rows = [row for row in csv.reader(fh) if row]
     if rows:
         try:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from iwskill.batch import DegenerateWeightsWarning, load_model
+from iwskill import cli
 from iwskill.cli import main as cli_main
 from iwskill.demos import (DemoSet, RawDemo, dtw_align, estimate_states, load_raw_demo,
                            save_raw_demo)
@@ -123,6 +124,20 @@ class TestIngest:
                            "dt": pytest.approx(1.0 / 30)}
         assert os.path.exists(os.path.join(out, "trajectory_007.json"))
 
+
+    def test_dtw_aligned_demos_fit_as_one_equal_each_fit_alone(self, scene_dir, tmp_path):
+        # `ingest` fits the aligned demos' shared timestamps once, over all columns
+        root, _ = scene_dir
+        cfg = read_json(root / "config.json")
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]], align="dtw")
+        write_json(str(tmp_path / "cfg.json"), cfg)
+        out = str(tmp_path / "out")
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", out, "ingest"]) == 0
+        aligned = dtw_align([load_raw_demo(p) for p in cfg["demos"]])
+        for k, demo in enumerate(aligned):
+            alone = estimate_states(demo, cfg["grid_n"])
+            written = read_json(os.path.join(out, f"trajectory_{k:03d}.json"))
+            assert written == {"dt": alone.dt, "states": alone.states.tolist()}
 
 class TestAssimilate:
     def test_incremental_matches_batch_learn(self, tmp_path):
@@ -966,6 +981,28 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists() and not (tmp_path / "ck.npz").exists()
 
 
+    @pytest.mark.parametrize("align", ["none", "dtw"])
+    @pytest.mark.parametrize("stage", ["ingest", "learn", "assimilate"])
+    def test_alternating_overflow_names_its_file(self, scene_dir, tmp_path, capsys, align, stage):
+        # +-1e308 samples overflow the spline slopes; with DTW the stacked fit
+        # fails, and fitting each demo alone names the file
+        root, scene = scene_dir
+        bad = str(tmp_path / "demo_bad.json")
+        demo = scene.raw_demos[2]
+        sign = np.where(np.arange(len(demo))[:, None] % 2 == 0, 1.0, -1.0)
+        save_raw_demo(bad, RawDemo(demo.timestamps, 1e308 * sign * np.ones_like(demo.positions)))
+        cfg = read_json(root / "config.json")
+        cfg.update(demos=[str(root / d) for d in cfg["demos"]], environment=None, align=align)
+        cfg["demos"][2] = bad
+        write_json(str(tmp_path / "cfg.json"), cfg)
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), stage]
+        if stage == "assimilate":
+            argv += ["--checkpoint", str(tmp_path / "ck.npz"), "--demo", bad]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (f"config error: failed to read demo {bad}: the spline "
+                                           "states are not finite (overflow)\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "ck.npz").exists()
+
 def test_degenerate_weights_warning_is_one_line(tmp_path):
     # on noisy weighted placing demos, half of the intervals lose their noise
     # estimate; the warning stays a Python warning, printed as one line
@@ -993,3 +1030,44 @@ def test_import_freezes_the_loaded_modules():
     """Full collections in a process that calls `main` repeatedly skip numpy,
     scipy and the iwskill modules, which live as long as the process."""
     assert gc.get_freeze_count() > 10_000
+
+
+def test_import_leaves_out_the_heavy_scipy_packages():
+    """A fresh process that imports the CLI (each stage is one) loads only
+    scipy's LAPACK bindings, not the packages that made up most of the
+    import time."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = ("import sys, iwskill.cli, iwskill; print(sorted(m for m in sys.modules if m in "
+             "('scipy.interpolate', 'scipy.special', 'scipy.optimize', 'scipy.linalg')))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert run.stdout == "['scipy.linalg']\n"
+
+
+def test_parser_is_built_once_and_no_flag_leaks_into_the_next_call(scene_dir, tmp_path,
+                                                                   monkeypatch):
+    root, _ = scene_dir
+    seen = []
+    for command in ("learn", "assimilate"):
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            lambda cfg, args: seen.append((vars(args), cfg.seed, cfg.out_dir)) or 0)
+    base = ["--config", str(root / "config.json")]
+    assimilate = ["assimilate", "--checkpoint", "ck.npz", "--demo", "d.json"]
+    assert cli_main(base + ["--no-weighting", "--seed", "5", "--out", "o", "learn"]) == 0
+    assert cli_main(base + ["learn"]) == 0
+    assert cli_main(base + ["--no-weighting"] + assimilate + ["--env", "e.json"]) == 0
+    assert cli_main(base + assimilate) == 0
+    config, out = str(root / "config.json"), str(root / "out")
+    assert seen == [
+        ({"config": config, "seed": 5, "out": "o", "no_weighting": True, "command": "learn"},
+         5, "o"),
+        ({"config": config, "seed": None, "out": None, "no_weighting": False,
+          "command": "learn"}, 0, out),
+        ({"config": config, "seed": None, "out": None, "no_weighting": True,
+          "command": "assimilate", "checkpoint": "ck.npz", "demo": "d.json", "env": "e.json"},
+         0, out),
+        ({"config": config, "seed": None, "out": None, "no_weighting": False,
+          "command": "assimilate", "checkpoint": "ck.npz", "demo": "d.json", "env": None},
+         0, out)]
+    assert cli.build_parser() is cli.build_parser()

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from iwskill.batch import learn_batch_weighted
 from iwskill.demos import (DTW_CHUNK, DemoSet, RawDemo, StateTrajectory, _dtw_chunk, dtw_align,
-                           estimate_states, fit_cubic_spline, save_raw_demo)
+                           estimate_states, save_raw_demo)
 from iwskill.synthetic import make_reaching_scene
 from iwskill.utils import read_json, write_json
 
@@ -116,26 +117,25 @@ def demo_sets(draw):
 
 class TestCubicSpline:
     def test_linear_data_reproduced_exactly(self):
-        demo = line_demo(slope=2.0)
-        spline = fit_cubic_spline(demo)
+        states = estimate_states(line_demo(slope=2.0), 49).states
         t = np.linspace(0.0, 3.0, 50)
-        np.testing.assert_allclose(spline(t)[:, 0], 2.0 * t, atol=1e-12)
-        np.testing.assert_allclose(spline.derivative()(t)[:, 0], 2.0, atol=1e-12)
+        np.testing.assert_allclose(states[:, 0], 2.0 * t, atol=1e-12)
+        np.testing.assert_allclose(states[:, 1], 2.0, atol=1e-12)
 
     def test_cubic_derivative_central_interval(self):
         # 4 samples of t^3: boundary conditions distort the ends, so check
-        # the middle of the central interval against the analytic 3 t^2
+        # the middle of the central interval (node 1 of 2) against 3 t^2
         t = np.array([0.0, 1.0, 2.0, 3.0])
         demo = RawDemo(timestamps=t, positions=(t ** 3)[:, None])
-        deriv = fit_cubic_spline(demo).derivative()
-        assert abs(deriv(1.5)[0] - 3 * 1.5 ** 2) <= 0.05 * 3 * 1.5 ** 2
+        velocity = estimate_states(demo, 2).states[1, 1]
+        assert abs(velocity - 3 * 1.5 ** 2) <= 0.05 * 3 * 1.5 ** 2
 
     def test_cubic_derivative_interior_knots_dense(self):
+        # 12 steps put the nodes on the 13 knots
         t = np.linspace(0.0, 3.0, 13)
         demo = RawDemo(timestamps=t, positions=(t ** 3)[:, None])
-        deriv = fit_cubic_spline(demo).derivative()
-        interior = t[2:-2]
-        np.testing.assert_allclose(deriv(interior)[:, 0], 3 * interior ** 2, rtol=0.05)
+        velocity = estimate_states(demo, 12).states[2:-2, 1]
+        np.testing.assert_allclose(velocity, 3 * t[2:-2] ** 2, rtol=0.05)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="too few samples"):
@@ -197,6 +197,51 @@ class TestEstimateStates:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             estimate_states(line_demo(), 0)
+
+
+@st.composite
+def shared_time_demos(draw):
+    """1-9 demos on one set of 4-60 uneven timestamps at a time scale of
+    1e-3 to 1e3 s, with 1-7 coordinates at a scale of 1e-6 to 1e6 (real,
+    integer-valued with many zeros, or all -0.0), and a grid of 1-400 steps."""
+    n, dim, k = draw(st.integers(4, 60)), draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = 10.0 ** draw(st.integers(-3, 3)) * np.cumsum(rng.uniform(0.01, 1.0, n))
+    scale, kind = 10.0 ** draw(st.integers(-6, 6)), draw(st.sampled_from(["real", "int", "-0"]))
+    if kind == "real":
+        positions = scale * rng.normal(size=(k, n, dim))
+    elif kind == "int":
+        positions = scale * rng.integers(-1, 2, size=(k, n, dim)).astype(float)
+    else:
+        positions = np.full((k, n, dim), -0.0)
+    return [RawDemo(timestamps=t, positions=p) for p in positions], draw(st.integers(1, 400))
+
+
+class TestSplineOracle:
+    """`estimate_states` against scipy's natural `CubicSpline`, the code it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_time_demos())
+    def test_bit_equal_to_scipy(self, case):
+        demos, n_steps = case
+        for demo in demos[:2]:
+            spline = CubicSpline(demo.timestamps, demo.positions, bc_type="natural", axis=0)
+            t = np.linspace(demo.timestamps[0], demo.timestamps[-1], n_steps + 1)
+            want = np.hstack([spline(t), spline.derivative()(t)])
+            assert estimate_states(demo, n_steps).states.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_time_demos())
+    def test_wide_demo_is_each_demo_fit_alone(self, case):
+        # the stacked fit the CLI makes of DTW-aligned demos
+        demos, n_steps = case
+        k, dim = len(demos), demos[0].dim
+        wide = estimate_states(RawDemo(timestamps=demos[0].timestamps,
+                                       positions=np.hstack([d.positions for d in demos])), n_steps)
+        split = wide.states.reshape(-1, 2, k, dim).transpose(2, 0, 1, 3).reshape(k, -1, 2 * dim)
+        for demo, states in zip(demos, split):
+            alone = estimate_states(demo, n_steps)
+            assert states.tobytes() == alone.states.tobytes() and wide.dt == alone.dt
 
 
 class TestDtw:
@@ -403,6 +448,16 @@ class TestRawDemoFiles:
         assert demo.dim == 2 and len(demo) == 5
         np.testing.assert_allclose(demo.timestamps, t)
         np.testing.assert_allclose(demo.positions[:, 1], -0.2 * np.arange(5))
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_csv_byte_order_mark_is_not_a_header(self, tmp_path, header):
+        from iwskill.demos import load_raw_demo
+        path = tmp_path / "demo.csv"
+        rows = "".join(f"{i},{i},{i}\n" for i in range(5))
+        path.write_bytes(b"\xef\xbb\xbf" + (("t,x,y\n" if header else "") + rows).encode())
+        demo = load_raw_demo(str(path))
+        np.testing.assert_array_equal(demo.timestamps, np.arange(5.0))
+        np.testing.assert_array_equal(demo.positions, np.repeat(np.arange(5.0)[:, None], 2, 1))
 
     @pytest.mark.parametrize("text", ["", "t,x,y\n", "\n\n\n", "\nt,x,y\n\n"],
                              ids=["empty", "header", "blank", "blank-header-blank"])
