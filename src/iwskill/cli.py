@@ -186,7 +186,8 @@ def cmd_rollout(cfg: PipelineConfig, args) -> int:
 
 def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, env) -> list:
     """Configured anchors, then one obstacle factor over every node when the
-    reproduction scene has obstacles."""
+    reproduction scene has obstacles. Checks the anchors and the starts
+    against the model first, so a bad one fails before any solve."""
     rc = cfg.reproduction
     factors = list(rc.anchors)
     for i, a in enumerate(factors):
@@ -195,6 +196,9 @@ def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, e
             raise ConfigError(f"{where}.state must have dimension {prior.dim}")
         if not 0 <= a.index <= prior.n_steps:
             raise ConfigError(f"{where}.index must be a node 0..{prior.n_steps}, got {a.index}")
+    for i, start in enumerate(rc.starts):
+        if start.shape != (prior.dim,):
+            raise ConfigError(f"reproduction.starts[{i}] must have dimension {prior.dim}")
     if env is not None and env.obstacles:
         factors.append(ObstacleFactor(indices=range(prior.n_steps + 1), env=env,
                                       eps_repro=rc.eps_repro, sigma_repro=rc.sigma_repro))
@@ -211,8 +215,6 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
     for si, start in enumerate(starts):
         factors = list(base_factors)
         if start is not None:
-            if start.shape != (prior.dim,):
-                raise ConfigError(f"reproduction.starts[{si}] must have dimension {prior.dim}")
             factors.append(StateAnchor(index=0, target=start, sigma=rc.start_sigma))
         solution = optimize_map(ReproductionProblem(prior=prior, factors=factors,
                                                     max_iters=rc.max_iters))

@@ -4,29 +4,18 @@ A symmetric block-tridiagonal matrix over n blocks of size d is stored as
     diag: (n, d, d)   diagonal blocks
     off:  (n-1, d, d) sub-diagonal blocks, off[i] = block (i+1, i)
 The upper triangle is implied by symmetry. As a banded matrix its lower
-bandwidth is 2d - 1, so LAPACK's banded Cholesky factors and solves it in
-O(n d^3) without materializing the full matrix.
+bandwidth is 2d - 1, so LAPACK's banded Cholesky (dpbtrf, then dpbtrs for
+the solves) factors and solves it in O(n d^3) without materializing the
+full matrix.
 """
 
-from functools import lru_cache
-
 import numpy as np
-from scipy.linalg import block_diag, cho_solve_banded, cholesky_banded
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import block_diag, get_lapack_funcs
 
-
-@lru_cache(maxsize=16)
-def _band_index(n: int, d: int) -> tuple:
-    """(rows, cols, band_rows, band_cols) placing diag[:, rows, cols], the
-    diagonal blocks' lower triangles, in the (2d, n*d) lower band that holds
-    A[i, j] at band[i - j, j]; then the same four for off[:, rows, cols].
-    Shared by every caller with this (n, d), so read-only."""
-    r, c = np.tril_indices(d)
-    ro, co = np.indices((d, d)).reshape(2, -1)
-    starts = np.arange(n)[:, None] * d
-    index = (r, c, r - c, starts + c, ro, co, d + ro - co, starts[:-1] + co)
-    for a in index:
-        a.flags.writeable = False
-    return index
+# Called directly: scipy's cholesky_banded and cho_solve_banded wrappers add
+# their checks and batching around the same two routines.
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0),))
 
 
 class BlockTridiagCholesky:
@@ -36,27 +25,30 @@ class BlockTridiagCholesky:
     definite or holds a NaN or an infinity.
     """
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray | None):
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
         n, d, _ = diag.shape
-        r, c, band_r, band_c, ro, co, off_r, off_c = _band_index(n, d)
-        band = np.zeros((2 * d, n * d), order="F")
-        band[band_r, band_c] = diag[:, r, c]
-        if n > 1:
-            band[off_r, off_c] = off[:, ro, co]
+        # Block column i of A on and below the diagonal: diag[i], off[i] (none for
+        # the last) and d zero rows. Band column i*d + c, which holds A[r, i*d + c]
+        # at row r - i*d - c, reads cols[i, c:c + 2d, c], a walk down its diagonal.
+        cols = np.zeros((n, 3 * d, d))
+        cols[:, :d] = diag
+        cols[:-1, d:2 * d] = off
+        s0, s1, s2 = cols.strides
+        walk = as_strided(cols, (n, d, 2 * d), (s0, s1 + s2, s1))
+        band = np.ascontiguousarray(walk).reshape(n * d, 2 * d).T  # (2d, n*d), Fortran order
         what = f"block-tridiagonal matrix ({n} blocks of size {d})"
         if not np.isfinite(band).all():
             raise np.linalg.LinAlgError(f"{what} has a NaN or infinite entry")
-        try:
-            self.band = cholesky_banded(band, overwrite_ab=True, lower=True,
-                                        check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"{what} not positive definite: {exc}") from exc
+        self.band, info = _PBTRF(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{what} not positive definite: "
+                                        f"{info}-th leading minor not positive definite")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for b of shape (n*d,) or (n*d, m)."""
         if not np.isfinite(b).all():
             raise np.linalg.LinAlgError("right-hand side has a NaN or infinite entry")
-        return cho_solve_banded((self.band, True), b, check_finite=False)
+        return _PBTRS(self.band, b, lower=1)[0]
 
 
 def block_tridiag_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -38,16 +38,25 @@ class GaussianTrajectoryPrior:
         if mean.shape != (self.dim,) or cov.shape != (self.dim, self.dim):
             raise ValueError(f"start state of shapes {mean.shape} and {cov.shape} does not fit "
                              f"the model dimension {self.dim}")
-        # mu' = Phi mu + u and P' = Phi P Phi^T + Q, interval by interval
-        self.means = np.empty((self.n_steps + 1, self.dim))
+        # mu' = Phi mu + u and P' = Phi P Phi^T + Q, interval by interval, into
+        # preallocated buffers: row i of `aug` is [1; mu_i], `left` holds Phi P
+        # and `pred` Phi P Phi^T + Q, symmetrized into the next covariance
+        aug = np.ones((self.n_steps + 1, self.dim + 1))
         self.covs = np.empty((self.n_steps + 1, self.dim, self.dim))
-        self.means[0], self.covs[0] = mean, cov
-        phi_tilde, phi, q = model.Phi_tilde, model.transition, model.Q
+        aug[0, 1:], self.covs[0] = mean, cov
+        phi = np.ascontiguousarray(model.transition)
+        left, pred = np.empty((self.dim, self.dim)), np.empty((self.dim, self.dim))
+        steps = zip(model.Phi_tilde, phi, phi.transpose(0, 2, 1), model.Q,
+                    aug[:-1], aug[1:, 1:], self.covs[:-1], self.covs[1:])
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the node
-            for i in range(self.n_steps):
-                self.means[i + 1] = phi_tilde[i] @ np.concatenate(([1.0], self.means[i]))
-                cov = phi[i] @ self.covs[i] @ phi[i].T + q[i]
-                self.covs[i + 1] = (cov + cov.T) / 2.0
+            for phi_tilde, phi_i, phi_i_t, q, mu, mu_next, p, p_next in steps:
+                np.matmul(phi_tilde, mu, out=mu_next)
+                np.matmul(phi_i, p, out=left)
+                np.matmul(left, phi_i_t, out=pred)
+                pred += q
+                np.add(pred, pred.T, out=p_next)
+                p_next /= 2.0
+        self.means = np.ascontiguousarray(aug[:, 1:])
         finite = np.isfinite(self.means).all(axis=1) & np.isfinite(self.covs).all(axis=(1, 2))
         if not finite.all():
             raise FloatingPointError(f"prior moments overflow at node {np.argmin(finite)} of "
@@ -56,7 +65,6 @@ class GaussianTrajectoryPrior:
         # Information form of the Markov chain: `info` stacks P_0^-1 and each Q_i^-1.
         # Interval i adds Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1)
         # and -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0.
-        phi = np.ascontiguousarray(model.transition)
         covs = np.concatenate([self.covs[:1], model.Q])
         self.info = np.linalg.inv(covs + _JITTER * np.eye(self.dim))
         q_inv = self.info[1:]

@@ -21,7 +21,7 @@ class SvgScene:
 
     def _add(self, shape: tuple, extent) -> None:
         self._shapes.append(shape)
-        self._points.extend(np.asarray(extent, dtype=float)[:, :2])
+        self._points.append(np.asarray(extent, dtype=float)[:, :2])
 
     def polyline(self, pts, color: str = "#1f77b4", width: float = 2.0,
                  opacity: float = 1.0, dashed: bool = False) -> None:
@@ -48,9 +48,9 @@ class SvgScene:
         self._add(("polygon", pts), pts)
 
     def render(self) -> str:
-        if not self._points:
+        pts = np.concatenate([np.empty((0, 2)), *self._points])
+        if not len(pts):
             raise ValueError("nothing to render")
-        pts = np.asarray(self._points)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)
         margin = 0.05 * float(span.max())
@@ -59,11 +59,12 @@ class SvgScene:
         scale = 640 / span[0]
         height_px = span[1] * scale
 
-        def xy(p):  # world to pixels; world +y is up
-            return (p[0] - lo[0]) * scale, (hi[1] - p[1]) * scale
+        def px(p):  # world points (k, 2) to pixels x0, y0, x1, y1, ...; world +y is up
+            return np.column_stack([(p[:, 0] - lo[0]) * scale,
+                                    (hi[1] - p[:, 1]) * scale]).ravel().tolist()
 
-        def coords(pts):
-            return " ".join("%.2f,%.2f" % xy(q) for q in pts)
+        def coords(p):
+            return " ".join(["%.2f,%.2f"] * len(p)) % tuple(px(p))
 
         out = io.StringIO()
         out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="640" '
@@ -79,11 +80,13 @@ class SvgScene:
                 out.write(f'<polygon points="{coords(data[0])}" fill="#aec7e8" opacity="0.5" '
                           f'stroke="none"/>\n')
             elif kind == "circle":
-                (cx, cy), r = xy(data[0]), data[1] * scale
+                center, radius = data
+                (cx, cy), r = px(center[None]), radius * scale
                 out.write(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="#d62728" '
                           f'opacity="0.9"/>\n')
             else:
-                (x, y), (w, h) = xy([data[0][0], data[1][1]]), (data[1] - data[0]) * scale
+                low, high = data  # the top-left corner is (low x, high y)
+                (x, y), (w, h) = px(np.array([[low[0], high[1]]])), (high - low) * scale
                 out.write(f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
                           f'fill="#d62728" opacity="0.9"/>\n')
         out.write("</svg>\n")

@@ -54,10 +54,11 @@ def csv_text(header: list, values, labels: list | None = None) -> str:
     """CSV text: the header line, then one line per row of the (rows, cols)
     float table `values`, each written as repr(float), which round-trips.
     `labels`, one string per row, are written before the row's values."""
-    lines = [",".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist()]
+    values = np.asarray(values, dtype=float)
+    rows, line = values.tolist(), ",".join(["%r"] * values.shape[1]) + "\n"
     if labels is not None:
-        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
-    return "".join([",".join(header) + "\n"] + [line + "\n" for line in lines])
+        line, rows = "%s," + line, [(label, *row) for label, row in zip(labels, rows)]
+    return ",".join(header) + "\n" + "".join([line % tuple(row) for row in rows])
 
 
 def checked_number(value, key: str, kind: type = float, positive: bool = False):

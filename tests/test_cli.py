@@ -374,7 +374,9 @@ class TestScalarModel:
         write_json(str(tmp_path / "cfg.json"), {"out_dir": "out", "reproduction": reproduction})
         assert cli_main(["--config", str(tmp_path / "cfg.json"), "reproduce",
                          "--model", str(tmp_path / "model.json")]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        # refused before the first solve: not even a good start 0 is written
+        assert not list(tmp_path.glob("**/solution_*"))
 
     @pytest.mark.parametrize("keys, message", [
         ({"init_cov": None}, "missing key 'init_cov': the model was written without its start "

@@ -375,9 +375,10 @@ class TestBatchedDtw:
 
     def test_working_memory_is_the_int8_step_stack(self):
         # 8 demos x 400 samples: 7 pairs share one chunk, whose int8 step
-        # stack is 7 (n+1)(m+1) bytes. Beyond it the kernel holds O(K n)
-        # floats, well under one float64 n x m matrix; a float cost or
-        # distance matrix per pair (the per-pair loop held several) fails.
+        # stack is 7 n m bytes (the bound below allows 7 (n+1)^2). Beyond it
+        # the kernel holds O(K n) floats, well under one float64 n x m
+        # matrix; a float cost or distance matrix per pair (the per-pair loop
+        # held several) fails.
         rng = np.random.default_rng(0)
         n = 400
         demos = [RawDemo(timestamps=np.arange(n, dtype=float),

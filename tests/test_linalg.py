@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from iwskill.linalg import BlockTridiagCholesky, block_tridiag_dense
 
@@ -54,13 +55,47 @@ class TestSolve:
         assert np.abs(residual).max() <= 1e-13 * cond * max(1.0, np.abs(b).max())
 
 
+def lower_band(dense, d):
+    """The (2d, N) lower band of a dense matrix, A[i, j] at band[i - j, j],
+    read off its diagonals: the layout scipy's banded routines take."""
+    band = np.zeros((2 * d, len(dense)))
+    for k in range(min(2 * d, len(dense))):
+        band[k, :len(dense) - k] = np.diagonal(dense, -k)
+    return band
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestScipyOracle:
+    """LAPACK's dpbtrf and dpbtrs are called directly; scipy's wrappers of
+    the same two routines, fed a band read off the dense matrix, must give
+    the same bits."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_factor_and_solves_bit_equal(self, d):
+        rng = np.random.default_rng(d)
+        diag, off = random_spd_system(rng, 200, d)
+        dense = block_tridiag_dense(diag, off)
+        for n in range(1, 201):  # the leading n blocks: a principal submatrix, so SPD
+            chol = BlockTridiagCholesky(diag[:n], off[:n - 1])
+            factor = cholesky_banded(lower_band(dense[:n * d, :n * d], d), lower=True)
+            assert same_bits(chol.band, factor), n
+            for b in (rng.normal(size=n * d), rng.normal(size=(n * d, 3))):
+                assert same_bits(chol.solve(b), cho_solve_banded((factor, True), b)), (n, b.shape)
+
+
 class TestFailures:
     @pytest.mark.parametrize("block", [0, 3, 6])
     def test_indefinite_block(self, block):
         diag, off = random_spd_system(np.random.default_rng(block), 7, 3)
         diag[block, 1, 1] = -1.0
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        with pytest.raises(np.linalg.LinAlgError) as info:
             BlockTridiagCholesky(diag, off)
+        minor = 3 * block + 2  # the negative pivot's row, counted from 1
+        assert str(info.value) == (f"block-tridiagonal matrix (7 blocks of size 3) not positive "
+                                   f"definite: {minor}-th leading minor not positive definite")
 
     @pytest.mark.parametrize("where", ["diag", "off"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

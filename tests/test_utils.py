@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iwskill.utils import checked_array, checked_number
+from iwskill.utils import checked_array, checked_number, csv_text
 
 
 @pytest.mark.parametrize("value, kind, positive, expected", [
@@ -83,3 +83,15 @@ def test_other_arrays_are_refused_by_name(value, shape, message):
     with pytest.raises(ValueError) as info:
         checked_array(value, "k", shape)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_csv_rows_are_the_reprs_of_their_floats(labelled):
+    rows = [[-0.0, 1e-300, 1e300], [3.0, -2.0, 0.1], [5e-324, 1.5e16, 123456789.0]]
+    labels = [f"{k},x" for k in range(3)] if labelled else None
+    lines = [",".join(map(repr, row)) for row in rows]
+    if labelled:
+        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
+    assert csv_text(["a", "b", "c"], np.array(rows), labels) == \
+        "a,b,c\n" + "".join(line + "\n" for line in lines)
+    assert "-0.0,1e-300,1e+300" in csv_text(["a", "b", "c"], rows, labels)
