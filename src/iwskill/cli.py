@@ -65,14 +65,17 @@ def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
 
 
 def _demo_weights(cfg: PipelineConfig, trajs: list, env_path: str | None,
-                  no_weighting: bool) -> list:
-    """Per-node weights of each trajectory against the scene at `env_path`;
-    all ones with `--no-weighting` or without a scene."""
+                  no_weighting: bool) -> np.ndarray:
+    """Per-node weights (K, N+1) of the K trajectories against the scene at
+    `env_path`, all nodes in one call; all ones with `--no-weighting` or
+    without a scene."""
     env = None if no_weighting or env_path is None else _read(load_environment, "scene", env_path)
-    return [weight_trajectory(t.states, env, cfg.weights) for t in trajs]
+    states = np.stack([t.states for t in trajs])
+    return weight_trajectory(states.reshape(-1, states.shape[2]), env,
+                             cfg.weights).reshape(states.shape[:2])
 
 
-def _check_learnable(weights: list, paths: list) -> None:
+def _check_learnable(weights: np.ndarray, paths: list) -> None:
     """A ConfigError naming the demo file and the first input node (0..N-1,
     the nodes learning weighs transitions by) whose weight underflowed to 0."""
     for w, path in zip(weights, paths):
@@ -82,11 +85,11 @@ def _check_learnable(weights: list, paths: list) -> None:
                               f"to 0; raise weights.sigma_obs or lower weights.epsilon")
 
 
-def _write_weights(cfg: PipelineConfig, weights: list) -> None:
+def _write_weights(cfg: PipelineConfig, weights: np.ndarray) -> None:
     """`weights.csv` in the output directory, and each demo's minimum and
     mean weight on stdout."""
     atomic_write_text(os.path.join(cfg.out_dir, "weights.csv"), csv_text(
-        ["demo", "node", "weight"], np.concatenate(weights)[:, None],
+        ["demo", "node", "weight"], weights.reshape(-1, 1),
         [f"{k},{i}" for k, w in enumerate(weights) for i in range(len(w))]))
     for k, w in enumerate(weights):
         print(f"demo {k}: min weight {w.min():.6f}, mean weight {w.mean():.6f}")
@@ -134,9 +137,9 @@ def cmd_assimilate(cfg: PipelineConfig, args) -> int:
         learner = IncrementalLearner(traj.n_steps, traj.dim, cfg.alpha, cfg.beta, dt=traj.dt)
 
     env_path = args.env if args.env is not None else cfg.environment
-    [weights] = _demo_weights(cfg, [traj], env_path, args.no_weighting)
-    _check_learnable([weights], [args.demo])
-    assimilate_demo(learner, traj, weights)
+    weights = _demo_weights(cfg, [traj], env_path, args.no_weighting)
+    _check_learnable(weights, [args.demo])
+    assimilate_demo(learner, traj, weights[0])
 
     model = extract_map(learner)  # before any write: a failure leaves both files as they were
     save_checkpoint(args.checkpoint, learner)

@@ -211,21 +211,18 @@ def _dtw_chunk(a: np.ndarray, bs: list) -> list:
     return paths
 
 
-def dtw_align(demos: list, reference_index: int | None = None) -> list:
-    """Warp every demo onto the reference demo's time axis (default: the
-    longest demo). Each reference sample receives the average, summed in path
-    order, of the demo samples its optimal warping path matches to it."""
+def dtw_align(demos: list) -> list:
+    """Warp every demo onto the reference demo's time axis: the longest demo,
+    the first of them on ties. Each reference sample receives the average,
+    summed in path order, of the demo samples its optimal warping path
+    matches to it."""
     if len(demos) == 0:
         raise ValueError("empty demonstration set")
     dims = {d.dim for d in demos}
     if len(dims) != 1:
         raise ValueError(f"demonstrations disagree on position dimension: {sorted(dims)}")
-    if reference_index is None:
-        reference_index = int(np.argmax([len(d) for d in demos]))
-    if not 0 <= reference_index < len(demos):
-        raise ValueError(f"reference index {reference_index} out of range")
-    ref = demos[reference_index]
-    others = demos[:reference_index] + demos[reference_index + 1:]
+    r = int(np.argmax([len(d) for d in demos]))
+    ref, others = demos[r], demos[:r] + demos[r + 1:]
     n, aligned = len(ref), []
     for c in range(0, len(others), DTW_CHUNK):
         chunk = others[c:c + DTW_CHUNK]
@@ -236,7 +233,7 @@ def dtw_align(demos: list, reference_index: int | None = None) -> list:
         means = sums / np.bincount(rows, minlength=len(sums))[:, None]
         aligned += [RawDemo(timestamps=ref.timestamps.copy(), positions=p)
                     for p in means.reshape(len(chunk), n, ref.dim)]
-    aligned.insert(reference_index, ref)
+    aligned.insert(r, ref)
     return aligned
 
 

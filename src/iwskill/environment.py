@@ -1,9 +1,9 @@
 """Obstacle scenes, exact signed distances, and per-state importance weights.
 
-Scenes are analytic spheres and boxes, so every distance is exact: learning
-weights demonstration states with `signed_distance`, and reproduction's
-obstacle factor takes the nearest obstacle's distance and closed-form
-gradient from `nearest_obstacle`. Weights discount demonstration states near
+Scenes are analytic spheres and boxes, so every distance is exact. Learning
+weights demonstration states, and reproduction's obstacle factor penalizes
+trajectory nodes, by the distance `nearest_obstacle` gives, with the nearest
+obstacle's closed-form gradient. Weights discount demonstration states near
 obstacles: a hinge cost is active inside the influence zone (distance <=
 epsilon) and is squashed through a Gaussian so the weight decays from 1
 toward 0 as the state approaches an obstacle.
@@ -52,17 +52,14 @@ class Sphere:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def signed_distance(self, points) -> np.ndarray:
-        """Signed distance of each point row (n, dim)."""
-        return _norms(_point_rows(points, self.dim) - self.center) - self.radius
-
-    def gradient(self, points) -> np.ndarray:
-        """Gradient (n, dim) of `signed_distance`: the unit vector from the
-        centre to each point row; a zero row exactly at the centre, where the
-        distance has no gradient."""
-        offset = _point_rows(points, self.dim) - self.center
-        norm = _norms(offset)[:, None]
-        return np.divide(offset, norm, out=np.zeros_like(offset), where=norm > 0)
+    def distance(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Signed distance (n,) of each point row (n, dim), and its gradient
+        (n, dim): the unit vector from the centre; a zero row exactly at the
+        centre, where the distance has no gradient."""
+        offset = rows - self.center
+        norm = _norms(offset)
+        grad = np.divide(offset, norm[:, None], out=np.zeros_like(offset), where=norm[:, None] > 0)
+        return norm - self.radius, grad
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.radius, self.center + self.radius
@@ -85,31 +82,21 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def signed_distance(self, points) -> np.ndarray:
-        """Signed distance of each point row (n, dim): the exact closed form,
-        positive outside, negative inside."""
-        q = self._excess(points)[1]
-        return _norms(np.maximum(q, 0.0)) + np.minimum(q.max(axis=1), 0.0)
-
-    def gradient(self, points) -> np.ndarray:
-        """Gradient (n, dim) of `signed_distance`. Outside, the row's excess
-        over the half-widths, clipped at zero, normalized and signed per axis
-        by the side of the centre; inside or on the surface, the signed unit
-        axis of the largest excess (the first such axis on a tie, + on the
-        centre plane)."""
-        rel, q = self._excess(points)
-        side = np.where(rel < 0.0, -1.0, 1.0)
+    def distance(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Signed distance (n,) of each point row (n, dim), the exact closed
+        form, positive outside and negative inside; and its gradient (n, dim).
+        Outside, the row's excess over the half-widths, clipped at zero,
+        normalized and signed per axis by the side of the centre; inside or on
+        the surface, the signed unit axis of the largest excess (the first
+        such axis on a tie, + on the centre plane)."""
+        rel = rows - (self.lo + self.hi) / 2.0
+        q = np.abs(rel) - (self.hi - self.lo) / 2.0
         outside = np.maximum(q, 0.0)
-        norm = _norms(outside)[:, None]
+        norm = _norms(outside)
         axis = np.zeros_like(q)
         axis[np.arange(q.shape[0]), np.argmax(q, axis=1)] = 1.0
-        return side * np.divide(outside, norm, out=axis, where=norm > 0)
-
-    def _excess(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Each point row's offset from the centre, and the excess of its
-        absolute value over the half-widths (both (n, dim))."""
-        rel = _point_rows(points, self.dim) - (self.lo + self.hi) / 2.0
-        return rel, np.abs(rel) - (self.hi - self.lo) / 2.0
+        grad = np.divide(outside, norm[:, None], out=axis, where=norm[:, None] > 0)
+        return norm + np.minimum(q.max(axis=1), 0.0), np.where(rel < 0.0, -1.0, 1.0) * grad
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo.copy(), self.hi.copy()
@@ -138,30 +125,22 @@ class Environment:
 
 def signed_distance(env: Environment, points) -> np.ndarray:
     """Exact signed distance from each point row (n, dim) to the nearest
-    obstacle surface (negative inside). Obstacle-free scenes return a large
-    sentinel."""
-    rows = _point_rows(points, env.dimension)
-    if not env.obstacles:
-        return np.full(rows.shape[0], NO_OBSTACLE_DISTANCE)
-    out = env.obstacles[0].signed_distance(rows)
-    for obs in env.obstacles[1:]:
-        np.minimum(out, obs.signed_distance(rows), out=out)
-    return out
+    obstacle surface (negative inside): the first output of
+    `nearest_obstacle`."""
+    return nearest_obstacle(env, points)[0]
 
 
 def nearest_obstacle(env: Environment, points) -> tuple[np.ndarray, np.ndarray]:
     """Signed distance (n,) from each point row (n, dim) to its nearest
-    obstacle, and that obstacle's `gradient` (n, dim) at the row. The one
-    place that chooses an obstacle: a row equidistant from several takes the
-    first of them in scene order. Obstacle-free scenes return the sentinel
-    distance and zero gradients."""
+    obstacle, and that obstacle's gradient (n, dim) at the row. The one place
+    that chooses an obstacle: a row equidistant from several takes the first
+    of them in scene order. Obstacle-free scenes return the sentinel distance
+    and zero gradients."""
     rows = _point_rows(points, env.dimension)
     if not env.obstacles:
         return np.full(rows.shape[0], NO_OBSTACLE_DISTANCE), np.zeros_like(rows)
-    every = np.arange(rows.shape[0])
-    dist = np.array([obs.signed_distance(rows) for obs in env.obstacles])
-    nearest = np.argmin(dist, axis=0)  # the first minimum
-    grads = np.array([obs.gradient(rows) for obs in env.obstacles])
+    dist, grads = map(np.array, zip(*(obs.distance(rows) for obs in env.obstacles)))
+    nearest, every = np.argmin(dist, axis=0), np.arange(rows.shape[0])  # the first minimum
     return dist[nearest, every], grads[nearest, every]
 
 

@@ -11,7 +11,7 @@ full matrix.
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import block_diag, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 # Called directly: scipy's cholesky_banded and cho_solve_banded wrappers add
 # their checks and batching around the same two routines.
@@ -49,16 +49,6 @@ class BlockTridiagCholesky:
         if not np.isfinite(b).all():
             raise np.linalg.LinAlgError("right-hand side has a NaN or infinite entry")
         return _PBTRS(self.band, b, lower=1)[0]
-
-
-def block_tridiag_dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Materialize the full symmetric matrix (debugging / small n only)."""
-    d = diag.shape[1]
-    A = block_diag(*diag)
-    for i in range(len(off)):
-        A[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = off[i]
-        A[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = off[i].T
-    return A
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:

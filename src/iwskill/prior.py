@@ -10,7 +10,7 @@ import numpy as np
 
 from .batch import SkillModel, start_moments
 from .demos import DemoSet
-from .linalg import block_tridiag_dense, psd_sqrt
+from .linalg import psd_sqrt
 from .utils import csv_text
 
 _JITTER = 1e-10
@@ -98,7 +98,13 @@ class GaussianTrajectoryPrior:
         return float(np.einsum("ni,nij,nj->", e, self.info, e)), w.reshape(-1)
 
     def dense_precision(self) -> np.ndarray:
-        return block_tridiag_dense(self.prec_diag, self.prec_off)
+        """The full symmetric precision matrix, for small problems and checks."""
+        n, d = self.prec_diag.shape[:2]
+        dense, i = np.zeros((n, d, n, d)), np.arange(n)
+        dense[i, :, i] = self.prec_diag
+        dense[i[1:], :, i[:-1]] = self.prec_off
+        dense[i[:-1], :, i[1:]] = self.prec_off.transpose(0, 2, 1)
+        return dense.reshape(n * d, n * d)
 
 
 def sample_trajectories(prior: GaussianTrajectoryPrior, n: int, seed: int) -> np.ndarray:

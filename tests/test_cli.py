@@ -12,7 +12,8 @@ from iwskill import cli
 from iwskill.cli import main as cli_main
 from iwskill.demos import (DemoSet, RawDemo, dtw_align, estimate_states, load_raw_demo,
                            save_raw_demo)
-from iwskill.environment import environment_to_dict, load_environment, signed_distance
+from iwskill.environment import (WeightParams, environment_to_dict, load_environment,
+                                 signed_distance, weight_trajectory)
 from iwskill.prior import GaussianTrajectoryPrior, initial_state_distribution, prior_band_csv
 from iwskill.synthetic import make_placing_scene, make_reaching_scene
 from iwskill.utils import read_json, write_json
@@ -101,6 +102,30 @@ class TestLearn:
             assert cli_main(["--config", str(root / "config.json"), "--out", out,
                              "--seed", "7", "learn"]) == 0
         assert read_all_outputs(out_a) == read_all_outputs(out_b)
+
+    @pytest.mark.parametrize("obstacle", ["disc", "box"])
+    def test_weights_csv_equals_one_weight_call_per_demo(self, obstacle, tmp_path):
+        # `learn` weighs the nodes of all demos in one call
+        if obstacle == "disc":
+            scene = make_reaching_scene(n_raw=40)
+            raw, env = scene.raw_demos, scene.env
+        else:
+            scene = make_placing_scene(n_raw=40)
+            raw, env = scene.influenced_raw + scene.clean_raw, scene.cluttered_env
+        for k, demo in enumerate(raw):
+            save_raw_demo(str(tmp_path / f"demo_{k}.json"), demo)
+        write_json(str(tmp_path / "env.json"), environment_to_dict(env))
+        write_json(str(tmp_path / "cfg.json"), {
+            "demos": [f"demo_{k}.json" for k in range(len(raw))], "environment": "env.json",
+            "grid_n": 60, "align": "none", "weights": {"epsilon": 0.3, "sigma_obs": 0.05}})
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", str(out), "learn"]) == 0
+        params = WeightParams(epsilon=0.3, sigma_obs=0.05)
+        alone = [weight_trajectory(estimate_states(d, 60).states, env, params) for d in raw]
+        assert min(w.min() for w in alone) < 0.5  # the scene's obstacle weighs some nodes down
+        expected = "demo,node,weight\n" + "".join(
+            f"{k},{i},{float(v)!r}\n" for k, w in enumerate(alone) for i, v in enumerate(w))
+        assert (out / "weights.csv").read_text() == expected
 
     def test_model_round_trip_identical(self, scene_dir, tmp_path):
         root, _ = scene_dir

@@ -82,6 +82,11 @@ def reference_dtw_path(a, b):
     return float(acc[-1, -1]), path
 
 
+def longest(demos):
+    """Index of the longest demo, the first of them on ties."""
+    return max(range(len(demos)), key=lambda k: (len(demos[k]), -k))
+
+
 def reference_dtw_align(demos, reference_index):
     """The per-pair alignment loop the batched kernel replaced."""
     ref = demos[reference_index]
@@ -104,7 +109,7 @@ def reference_dtw_align(demos, reference_index):
 def demo_sets(draw):
     """1-5 demos of ragged length and dimension 1-3, with real or
     integer-valued positions (integers force ties), and a reference index
-    drawn over all demos, so it is often not the longest."""
+    for the kernel drawn over all demos, so it is often not the longest."""
     k, dim = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     values = st.integers(-2, 2).map(float) if draw(st.booleans()) else st.floats(-5, 5)
     demos = []
@@ -247,7 +252,7 @@ class TestSplineOracle:
 class TestDtw:
     def test_identity_alignment(self):
         demo = line_demo()
-        out = dtw_align([demo, demo], reference_index=0)
+        out = dtw_align([demo, demo])
         np.testing.assert_allclose(out[1].positions, demo.positions)
         cost, _ = dtw_path(demo.positions, demo.positions)
         assert cost == 0.0
@@ -290,6 +295,9 @@ class TestDtw:
         long = line_demo(t=np.linspace(0.0, 3.0, 9))
         out = dtw_align([short, long])
         assert all(len(d) == 9 for d in out)
+        twin = line_demo(t=np.linspace(0.0, 3.0, 9), slope=-1.0)
+        out = dtw_align([short, long, twin])  # a tie: the first longest is the reference
+        assert out[1] is long and out[2] is not twin
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=4, max_size=7),
@@ -318,7 +326,7 @@ class TestBatchedDtw:
     @given(demo_sets())
     def test_bit_equal_to_per_pair_loop(self, case):
         demos, ref = case
-        for got, want in zip(dtw_align(demos, ref), reference_dtw_align(demos, ref)):
+        for got, want in zip(dtw_align(demos), reference_dtw_align(demos, longest(demos))):
             assert got.positions.tobytes() == want.positions.tobytes()
             assert got.timestamps.tobytes() == want.timestamps.tobytes()
         paths = _dtw_chunk(demos[ref].positions, [demo.positions for demo in demos])
@@ -331,13 +339,14 @@ class TestBatchedDtw:
         demos = [RawDemo(timestamps=np.arange(6 + k % 4, dtype=float),
                          positions=rng.normal(size=(6 + k % 4, 2)))
                  for k in range(DTW_CHUNK + 3)]
-        for got, want in zip(dtw_align(demos, 2), reference_dtw_align(demos, 2)):
+        for got, want in zip(dtw_align(demos), reference_dtw_align(demos, longest(demos))):
             assert got.positions.tobytes() == want.positions.tobytes()
 
     @pytest.mark.parametrize("dim", [3, 7])
     def test_ragged_chunks_beyond_the_property_sizes(self, dim):
-        # more demos than one chunk, 30-60 samples, a reference shorter than
-        # some of the others; P = 7 is the JACO2's joint count
+        # more demos than one chunk, 30-60 samples, and for the kernel a
+        # reference shorter than some of the others; P = 7 is the JACO2's
+        # joint count
         rng = np.random.default_rng(dim)
         lengths = rng.integers(30, 61, size=DTW_CHUNK + 2)
         lengths[4] = 40
@@ -345,7 +354,7 @@ class TestBatchedDtw:
                          positions=np.cumsum(rng.normal(size=(length, dim)), axis=0))
                  for length in lengths]
         assert lengths.max() > 40
-        for got, want in zip(dtw_align(demos, 4), reference_dtw_align(demos, 4)):
+        for got, want in zip(dtw_align(demos), reference_dtw_align(demos, longest(demos))):
             assert got.positions.tobytes() == want.positions.tobytes()
         paths = _dtw_chunk(demos[4].positions, [demo.positions for demo in demos])
         for path, demo in zip(paths, demos):
@@ -391,12 +400,13 @@ class TestBatchedDtw:
             tracemalloc.stop()
         assert peak < 7 * (n + 1) ** 2 + 8 * n * n
 
-    def test_reference_shorter_than_the_others(self):
-        # every demo lands on the reference's 20 samples, so the learned
-        # model's dt is the reference's duration over the grid
-        raw = list(make_reaching_scene(n_raw=40).raw_demos)
-        raw[3] = RawDemo(timestamps=raw[3].timestamps[::2], positions=raw[3].positions[::2])
-        aligned = dtw_align(raw, 3)
+    def test_a_later_longest_demo_is_the_reference(self):
+        # demo 3 alone keeps its 40 samples, so every demo lands on them and
+        # the learned model's dt is demo 3's duration over the grid
+        full = make_reaching_scene(n_raw=40).raw_demos
+        raw = [RawDemo(timestamps=d.timestamps[::2], positions=d.positions[::2]) for d in full]
+        raw[3] = full[3]
+        aligned = dtw_align(raw)
         for got, want in zip(aligned, reference_dtw_align(raw, 3)):
             assert got.positions.tobytes() == want.positions.tobytes()
             assert got.timestamps.tobytes() == raw[3].timestamps.tobytes()

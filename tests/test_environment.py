@@ -167,6 +167,31 @@ def scenes(draw):
     return Environment(dimension=dim, obstacles=obstacles)
 
 
+def mirrored(obs):
+    """The obstacle mirrored across the plane x_0 = 0. Negation is exact, so
+    a row on that plane is exactly as far from the mirror image as from
+    `obs`, and the two gradients differ in the sign of axis 0."""
+    flip = np.ones(obs.dim)
+    flip[0] = -1.0
+    if isinstance(obs, Sphere):
+        return Sphere(center=flip * obs.center, radius=obs.radius)
+    lo, hi = flip * obs.lo, flip * obs.hi
+    return Box(lo=np.minimum(lo, hi), hi=np.maximum(lo, hi))
+
+
+def special_rows(obs):
+    """A sphere's centre; a box's centre, a point on its top face of the last
+    axis, one outside on its centre planes of the other axes, and its lo
+    corner."""
+    if isinstance(obs, Sphere):
+        return obs.center[None]
+    centre = (obs.lo + obs.hi) / 2.0
+    face, plane = centre.copy(), centre.copy()
+    face[-1] = obs.hi[-1]
+    plane[-1] += 3.0
+    return np.stack([centre, face, plane, obs.lo])
+
+
 class TestBatchedField:
     @settings(max_examples=30, deadline=None)
     @given(env=scenes(), seed=st.integers(0, 2 ** 32 - 1))
@@ -184,17 +209,29 @@ class TestBatchedField:
         np.testing.assert_array_equal(w, [weight_trajectory(x[None], env, params)[0]
                                           for x in states])
 
-    @settings(max_examples=30, deadline=None)
-    @given(env=scenes(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_batched_query_and_gradient_match_per_point(self, env, seed):
+    @settings(max_examples=40, deadline=None)
+    @given(env=scenes(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_query_and_gradient_match_per_point(self, env, data, seed):
+        # a mirror image of one obstacle, anywhere in the scene order, ties
+        # every row on the plane x_0 = 0 between the two
+        obstacles = list(env.obstacles)
+        obstacles.insert(data.draw(st.integers(0, len(obstacles))),
+                         mirrored(data.draw(st.sampled_from(obstacles))))
+        env = Environment(dimension=env.dimension, obstacles=obstacles)
         pts = np.random.default_rng(seed).uniform(-1.2, 2.0, (40, env.dimension))
         pts[0] = 1e3  # far outside the scene
+        pts[1:5, 0] = 0.0  # on the mirror plane
+        pts = np.concatenate([pts] + [special_rows(obs) for obs in obstacles])
         values, grads = nearest_obstacle(env, pts)
-        assert values.shape == (40,) and grads.shape == (40, env.dimension)
+        assert values.shape == (len(pts),) and grads.shape == pts.shape
+        # bit for bit, signed zeros included
+        assert values.tobytes() == np.array([per_point_distance(env, p) for p in pts]).tobytes()
+        assert grads.tobytes() == np.array([per_point_gradient(env, p) for p in pts]).tobytes()
+        assert signed_distance(env, pts).tobytes() == values.tobytes()
         for p, v, g in zip(pts, values, grads):
-            assert v == per_point_distance(env, p) == nearest_obstacle(env, p[None])[0][0]
-            np.testing.assert_allclose(g, per_point_gradient(env, p), rtol=0, atol=1e-15)
-            np.testing.assert_array_equal(g, nearest_obstacle(env, p[None])[1][0])
+            [one], [grad_one] = nearest_obstacle(env, p[None])
+            assert v == one
+            np.testing.assert_array_equal(g, grad_one)
 
     def test_obstacle_free_scene(self):
         values, grads = nearest_obstacle(Environment(dimension=3), np.ones((2, 3)))
@@ -217,7 +254,7 @@ def points(dim):
 
 def fd_of(obstacle):
     """Central differences of one obstacle's signed distance at a point."""
-    return lambda p: central_differences(obstacle.signed_distance, p)
+    return lambda p: central_differences(lambda rows: obstacle.distance(rows)[0], p)
 
 
 class TestGradient:
@@ -227,13 +264,15 @@ class TestGradient:
         sphere = Sphere(center=data.draw(points(dim)), radius=radius)
         p = data.draw(points(dim))
         assume(np.linalg.norm(p - sphere.center) > KINK_MARGIN)
-        [g] = sphere.gradient(p[None])
+        [g] = sphere.distance(p[None])[1]
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(g, fd_of(sphere)(p), atol=1e-5)
 
     def test_sphere_centre_is_a_zero_row(self):
         sphere = Sphere(center=np.array([0.3, -0.2, 1.0]), radius=0.5)
-        np.testing.assert_array_equal(sphere.gradient(np.array([[0.3, -0.2, 1.0]])), 0.0)
+        d, g = sphere.distance(np.array([[0.3, -0.2, 1.0]]))
+        np.testing.assert_array_equal(d, [-0.5])
+        np.testing.assert_array_equal(g, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.sampled_from([2, 3]), data=st.data())
@@ -242,11 +281,10 @@ class TestGradient:
         box = Box(lo=lo, hi=lo + data.draw(st.lists(st.floats(0.05, 1.5), min_size=dim,
                                                    max_size=dim).map(np.array)))
         p = data.draw(points(dim))
-        [d] = box.signed_distance(p[None])
+        [d], [g] = box.distance(p[None])
         assume(abs(d) > KINK_MARGIN)
         q = np.sort(np.abs(p - (box.lo + box.hi) / 2.0) - (box.hi - box.lo) / 2.0)
         assume(d > 0 or q[-1] - q[-2] > KINK_MARGIN)  # inside, off the medial planes
-        [g] = box.gradient(p[None])
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(g, fd_of(box)(p), atol=1e-5)
 
@@ -257,7 +295,7 @@ class TestGradient:
             Sphere(center=np.array([0.0, 0.0]), radius=0.6),
             Box(lo=np.array([0.8, -0.5]), hi=np.array([1.6, 1.0])),
         ])
-        d_sphere, d_box = (obs.signed_distance(p[None])[0] for obs in env.obstacles)
+        d_sphere, d_box = (obs.distance(p[None])[0][0] for obs in env.obstacles)
         assume(abs(d_sphere - d_box) > KINK_MARGIN)
         nearer = env.obstacles[0] if d_sphere < d_box else env.obstacles[1]
         assume(nearer is env.obstacles[0] or abs(d_box) > KINK_MARGIN)
@@ -266,7 +304,7 @@ class TestGradient:
             q = np.sort(np.abs(p - [1.2, 0.25]) - [0.4, 0.75])
             assume(q[-1] - q[-2] > KINK_MARGIN)
         [g] = nearest_obstacle(env, p[None])[1]
-        np.testing.assert_array_equal(g, nearer.gradient(p[None])[0])
+        np.testing.assert_array_equal(g, nearer.distance(p[None])[1][0])
         fd = central_differences(lambda x: signed_distance(env, x), p)
         np.testing.assert_allclose(g, fd, atol=1e-5)
 
@@ -278,10 +316,10 @@ class TestGradient:
         env = Environment(dimension=2, obstacles=[pair[k] for k in order])
         rows = np.array([[0.0, 0.0], [0.0, 0.7], [0.0, -3.0]])
         values, grads = nearest_obstacle(env, rows)
-        first = env.obstacles[0]
-        np.testing.assert_array_equal(values, first.signed_distance(rows))
-        np.testing.assert_array_equal(values, env.obstacles[1].signed_distance(rows))
-        np.testing.assert_array_equal(grads, first.gradient(rows))
+        (first, first_grads), (second, _) = (obs.distance(rows) for obs in env.obstacles)
+        np.testing.assert_array_equal(values, first)
+        np.testing.assert_array_equal(values, second)
+        np.testing.assert_array_equal(grads, first_grads)
         np.testing.assert_allclose(np.linalg.norm(grads, axis=1), 1.0, rtol=1e-15)
         again = [nearest_obstacle(env, r[None]) for r in rows]
         np.testing.assert_array_equal(grads, np.concatenate([g for _, g in again]))

@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import block_diag, cho_solve_banded, cholesky_banded
 
-from iwskill.linalg import BlockTridiagCholesky, block_tridiag_dense
+from iwskill.linalg import BlockTridiagCholesky
+
+
+def block_tridiag_dense(diag, off):
+    """Oracle: the full symmetric matrix of the blocks, off[i] at block
+    (i+1, i) and its transpose at (i, i+1)."""
+    d = diag.shape[1]
+    dense = block_diag(*diag)
+    for i, block in enumerate(off):
+        dense[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = block
+        dense[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = block.T
+    return dense
 
 
 def random_spd_system(rng, n, d):
