@@ -11,6 +11,7 @@ import gc
 import os
 import sys
 import warnings
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -68,9 +69,12 @@ def _demo_weights(cfg: PipelineConfig, trajs: list, env_path: str | None,
                   no_weighting: bool) -> np.ndarray:
     """Per-node weights (K, N+1) of the K trajectories against the scene at
     `env_path`, all nodes in one call; all ones with `--no-weighting` or
-    without a scene."""
+    without a scene. A scene must have the demos' position dimension D/2."""
     env = None if no_weighting or env_path is None else _read(load_environment, "scene", env_path)
     states = np.stack([t.states for t in trajs])
+    if env is not None and 2 * env.dimension != states.shape[2]:
+        raise ConfigError(f"scene {env_path} has dimension {env.dimension}, not the demos' "
+                          f"position dimension D/2 = {states.shape[2] / 2:g}")
     return weight_trajectory(states.reshape(-1, states.shape[2]), env,
                              cfg.weights).reshape(states.shape[:2])
 
@@ -187,40 +191,23 @@ def cmd_rollout(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def _reproduction_factors(cfg: PipelineConfig, prior: GaussianTrajectoryPrior, env) -> list:
-    """Configured anchors, then one obstacle factor over every node when the
-    reproduction scene has obstacles. Checks the anchors and the starts
-    against the model first, so a bad one fails before any solve."""
-    rc = cfg.reproduction
-    factors = list(rc.anchors)
-    for i, a in enumerate(factors):
-        where = f"reproduction.anchors[{i}]"
-        if a.target.shape != (prior.dim,):
-            raise ConfigError(f"{where}.state must have dimension {prior.dim}")
-        if not 0 <= a.index <= prior.n_steps:
-            raise ConfigError(f"{where}.index must be a node 0..{prior.n_steps}, got {a.index}")
-    for i, start in enumerate(rc.starts):
-        if start.shape != (prior.dim,):
-            raise ConfigError(f"reproduction.starts[{i}] must have dimension {prior.dim}")
-    if env is not None and env.obstacles:
-        factors.append(ObstacleFactor(indices=range(prior.n_steps + 1), env=env,
-                                      eps_repro=rc.eps_repro, sigma_repro=rc.sigma_repro))
-    return factors
-
-
 def cmd_reproduce(cfg: PipelineConfig, args) -> int:
     prior = GaussianTrajectoryPrior(_read(load_model, "model", args.model))
     rc = cfg.reproduction
-    starts = rc.starts if rc.starts else [None]
     env = _read(load_environment, "scene", rc.environment) if rc.environment else None
-    base_factors = _reproduction_factors(cfg, prior, env)
+    try:  # every input is checked against the model before the first solve
+        problem = ReproductionProblem(
+            prior=prior, anchors=rc.anchors, max_iters=rc.max_iters,
+            obstacle=ObstacleFactor(env, rc.eps_repro, rc.sigma_repro) if env else None)
+    except ValueError as exc:
+        raise ConfigError(f"reproduction.{exc}") from None
+    for i, start in enumerate(rc.starts):
+        if start.shape != (prior.dim,):
+            raise ConfigError(f"reproduction.starts[{i}] must have dimension {prior.dim}")
     all_converged = True
-    for si, start in enumerate(starts):
-        factors = list(base_factors)
-        if start is not None:
-            factors.append(StateAnchor(index=0, target=start, sigma=rc.start_sigma))
-        solution = optimize_map(ReproductionProblem(prior=prior, factors=factors,
-                                                    max_iters=rc.max_iters))
+    for si, start in enumerate(rc.starts or [None]):
+        anchors = [] if start is None else [StateAnchor(0, start, rc.start_sigma)]
+        solution = optimize_map(replace(problem, anchors=rc.anchors + anchors))
         all_converged &= solution.converged
         stem = os.path.join(cfg.out_dir, f"solution_{si:03d}")
         atomic_write_text(stem + ".csv", solution_csv(solution))

@@ -1,8 +1,8 @@
 """MAP trajectory reproduction: condition the learned prior on scene factors.
 
 The posterior combines the trajectory prior with event factors: state
-anchors (new start/goal/via constraints) and an obstacle factor over a set
-of nodes, evaluated with one batched call that gives the exact distance of
+anchors (new start/goal/via constraints) and one obstacle factor over every
+node, evaluated with one batched call that gives the exact distance of
 each node's position to its nearest obstacle and the distance's closed-form
 gradient (environment.nearest_obstacle), wherever in space the node lies.
 Each factor linearizes into whitened residual rows that each touch a single
@@ -49,7 +49,6 @@ class StateAnchor:
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"anchor sigma must be a positive number, got {self.sigma!r}")
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
-        object.__setattr__(self, "indices", np.array([self.index]))
 
     def linearize(self, states: np.ndarray) -> tuple:
         """Whitened rows (x_index - target) / sigma, their node `index` and
@@ -61,21 +60,15 @@ class StateAnchor:
 
 @dataclass(frozen=True)
 class ObstacleFactor:
-    """Hinge collision factor on each node in `indices` (distinct node
-    indices): active within `eps_repro` of an obstacle surface, scaled by
-    `sigma_repro`. All its nodes are evaluated with one batched call of
-    `nearest_obstacle` on the scene `env`."""
+    """Hinge collision factor on every node: active within `eps_repro` of an
+    obstacle surface, scaled by `sigma_repro`. All nodes are evaluated with
+    one batched call of `nearest_obstacle` on the scene `env`."""
 
-    indices: np.ndarray
     env: Environment
     eps_repro: float
     sigma_repro: float
 
     def __post_init__(self):
-        indices = np.array(self.indices, dtype=int).reshape(-1)
-        if np.unique(indices).size != indices.size:
-            raise ValueError("obstacle factor node indices must be distinct")
-        object.__setattr__(self, "indices", indices)
         if self.eps_repro < 0:
             raise ValueError("eps_repro must be >= 0")
         if not self.sigma_repro > 0:
@@ -83,27 +76,37 @@ class ObstacleFactor:
 
     def linearize(self, states: np.ndarray) -> tuple:
         """Whitened rows max(eps_repro - d, 0) / sigma_repro, d the exact
-        distance of each node's position; the nodes; and the rows' Jacobians,
+        distance of each node's position; every node; and the rows' Jacobians,
         -grad d / sigma_repro on the positions inside the band, else zero."""
-        d, grad = nearest_obstacle(self.env, states[self.indices, :self.env.dimension])
+        d, grad = nearest_obstacle(self.env, states[:, :self.env.dimension])
         inside = d <= self.eps_repro
-        jac = np.zeros((self.indices.size, states.shape[1]))
+        jac = np.zeros_like(states)
         jac[inside, :self.env.dimension] = -grad[inside]
-        return (np.maximum(self.eps_repro - d, 0.0) / self.sigma_repro, self.indices,
-                jac / self.sigma_repro)
+        return (np.maximum(self.eps_repro - d, 0.0) / self.sigma_repro,
+                np.arange(states.shape[0]), jac / self.sigma_repro)
 
 
 @dataclass(frozen=True)
 class ReproductionProblem:
+    """The prior conditioned on state anchors and, given a scene, one obstacle
+    factor. The one check of these inputs against the prior: an anchor's
+    state dimension and node, and the scene's dimension D/2."""
+
     prior: GaussianTrajectoryPrior
-    factors: list
+    anchors: list = field(default_factory=list)
+    obstacle: ObstacleFactor | None = None
     max_iters: int = LM_MAX_ITERS
 
     def __post_init__(self):
-        n = self.prior.n_steps
-        bad = [i for f in self.factors for i in f.indices if not 0 <= i <= n]
-        if bad:
-            raise ValueError(f"factor index {bad[0]} outside 0..{n}")
+        d, n = self.prior.dim, self.prior.n_steps
+        for i, a in enumerate(self.anchors):
+            if a.target.shape != (d,):
+                raise ValueError(f"anchors[{i}].state must have dimension {d}")
+            if not 0 <= a.index <= n:
+                raise ValueError(f"anchors[{i}].index must be a node 0..{n}, got {a.index}")
+        if self.obstacle is not None and 2 * self.obstacle.env.dimension != d:
+            raise ValueError(f"environment has dimension {self.obstacle.env.dimension}, not "
+                             f"the model's position dimension D/2 = {d / 2:g}")
 
 
 @dataclass
@@ -136,7 +139,7 @@ def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> tuple
         quad, grad = prior.quad_form(x)
         grad, h_diag = grad.reshape(-1, prior.dim), prior.prec_diag.copy()
         squares = 0
-        for f in problem.factors:
+        for f in filter(None, [problem.obstacle, *problem.anchors]):
             r, nodes, jac = f.linearize(x.reshape(-1, prior.dim))
             squares += float(r @ r)
             np.add.at(grad, nodes, r[:, None] * jac)
@@ -155,12 +158,12 @@ def _finite(evaluation: tuple) -> tuple:
 
 def _solution(problem, x, objective, iterations, stop, history) -> Solution:
     states = x.reshape(-1, problem.prior.dim)
-    min_clear, feasible = NO_OBSTACLE_DISTANCE, True
-    for f in problem.factors:
-        if isinstance(f, ObstacleFactor):
-            dist = nearest_obstacle(f.env, states[f.indices, :f.env.dimension])[0]
-            min_clear = min(min_clear, float(dist.min()))
-            feasible &= bool(np.all(dist >= f.eps_repro - CLEARANCE_SLACK))
+    min_clear, feasible, obstacle = NO_OBSTACLE_DISTANCE, True, problem.obstacle
+    if obstacle is not None:
+        dist = nearest_obstacle(obstacle.env, states[:, :obstacle.env.dimension])[0]
+        # capped at the sentinel: a distance that overflows to inf reads as no obstacle
+        min_clear = min(min_clear, float(dist.min()))
+        feasible = bool(np.all(dist >= obstacle.eps_repro - CLEARANCE_SLACK))
     return Solution(trajectory=StateTrajectory(dt=problem.prior.dt, states=states),
                     objective=objective, iterations=iterations, stop=stop,
                     feasible=feasible, min_clearance=min_clear, objective_history=history)

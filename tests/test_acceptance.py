@@ -217,7 +217,7 @@ def test_acceptance_6_map_inference_oracle():
         prior = GaussianTrajectoryPrior(_random_model(rng, dim, n_steps))
         anchors = [StateAnchor(index=0, target=rng.normal(size=dim), sigma=0.1),
                    StateAnchor(index=n_steps, target=rng.normal(size=dim), sigma=0.05)]
-        solution = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
+        solution = optimize_map(ReproductionProblem(prior=prior, anchors=anchors))
         lam = prior.dense_precision()
         rhs = lam @ prior.stacked_mean
         for f in anchors:
@@ -233,7 +233,7 @@ def test_acceptance_6_map_inference_oracle():
     env = Environment(dimension=2, obstacles=[Sphere(center=np.array([0.5, 0.0]),
                                                      radius=0.2)])
     eps = 0.15
-    factor = ObstacleFactor(indices=[0], env=env, eps_repro=eps, sigma_repro=1.0)
+    factor = ObstacleFactor(env=env, eps_repro=eps, sigma_repro=1.0)
     h = 1e-7
     checked = 0
     while checked < 1000:
@@ -277,7 +277,7 @@ def test_acceptance_7_reaching_analogue():
     lengths = {}
     for name, prior in (("weighted", prior_w), ("unweighted", prior_u)):
         anchor = StateAnchor(index=0, target=new_start, sigma=1e-3)
-        solution = optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
+        solution = optimize_map(ReproductionProblem(prior=prior, anchors=[anchor]))
         assert solution.converged
         assert solution.feasible and solution.min_clearance >= 1e6  # no obstacles
         lengths[name] = path_length(solution.trajectory.positions)

@@ -819,6 +819,63 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith(
             "config error: reproduction.starts[0] must have dimension 4\n")
 
+    @pytest.mark.parametrize("columns, scene_dim", [(1, 2), (2, 3)],
+                             ids=["1-D-demos-2-D-scene", "2-D-demos-3-D-scene"])
+    def test_scene_off_the_position_dimension_is_refused(self, scene_dir, tmp_path, capsys,
+                                                          columns, scene_dim):
+        # every learning stage, with the scene of the config or of --env, and
+        # reproduce with a model learned from the same demos: one line, exit
+        # 2, nothing written
+        _, scene = scene_dir
+        demos = []
+        for k, demo in enumerate(scene.raw_demos[:4]):
+            demos.append(str(tmp_path / f"demo_{k}.json"))
+            save_raw_demo(demos[-1], RawDemo(demo.timestamps, demo.positions[:, :columns]))
+        env = str(tmp_path / "env.json")
+        write_json(env, {"dimension": scene_dim, "obstacles": [
+            {"type": "sphere", "center": [0.5] * scene_dim, "radius": 0.2}]})
+        base = {"demos": demos, "grid_n": 20, "align": "none", "out_dir": "out"}
+        write_json(str(tmp_path / "learn.json"), dict(base, environment=env))
+        write_json(str(tmp_path / "bare.json"), base)
+        write_json(str(tmp_path / "repro.json"),
+                   dict(base, reproduction={"environment": env, "starts": [[0.0] * 2 * columns]}))
+        ck = str(tmp_path / "ck.npz")
+        learning = (("learn.json", ["weights"]), ("learn.json", ["learn"]),
+                    ("learn.json", ["assimilate", "--checkpoint", ck, "--demo", demos[0]]),
+                    ("bare.json", ["assimilate", "--checkpoint", ck, "--demo", demos[0],
+                                   "--env", env]))
+        for config, argv in learning:
+            assert cli_main(["--config", str(tmp_path / config)] + argv) == 2
+            assert capsys.readouterr() == ("", f"config error: scene {env} has dimension "
+                                               f"{scene_dim}, not the demos' position dimension "
+                                               f"D/2 = {columns}\n")
+        assert not (tmp_path / "out").exists() and not os.path.exists(ck)
+        model = str(tmp_path / "model" / "model.json")
+        assert cli_main(["--config", str(tmp_path / "bare.json"), "--out",
+                         str(tmp_path / "model"), "learn"]) == 0
+        capsys.readouterr()
+        assert cli_main(["--config", str(tmp_path / "repro.json"), "reproduce",
+                         "--model", model]) == 2
+        assert capsys.readouterr() == ("", f"config error: reproduction.environment has "
+                                           f"dimension {scene_dim}, not the model's position "
+                                           f"dimension D/2 = {columns}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_clearance_is_null(self, scene_dir, tmp_path, capsys):
+        # the only obstacle is centred at 1e308: every distance overflows to
+        # inf, which reads as no obstacle, not as an infinite clearance
+        assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {}) == 0
+        write_json(str(tmp_path / "env_displaced.json"), {"dimension": 2, "obstacles": [
+            {"type": "sphere", "center": [1e308, 0.0], "radius": 0.2}]})
+        capsys.readouterr()
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
+                         str(tmp_path / "far"), "reproduce",
+                         "--model", str(tmp_path / "out" / "model.json")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("feasible=True, min clearance n/a\n")
+        with open(tmp_path / "far" / "solution_000.json") as fh:
+            assert '"min_clearance": null' in fh.read()
+
     def test_demo_without_position_column(self, tmp_path, capsys):
         (tmp_path / "demo.csv").write_text(
             "t\n" + "".join(f"{t}\n" for t in np.linspace(0.0, 1.0, 8)))

@@ -55,7 +55,7 @@ def start_only_closed_form(prior, anchor):
 def hinge_row(state, env, eps_repro):
     """The one row of an obstacle factor on `state` at sigma_repro 1, and its
     Jacobian row: the hinge max(eps_repro - d, 0) and its gradient."""
-    r, _, jac = ObstacleFactor(indices=[0], env=env, eps_repro=eps_repro,
+    r, _, jac = ObstacleFactor(env=env, eps_repro=eps_repro,
                                sigma_repro=1.0).linearize(np.asarray(state)[None, :])
     return float(r[0]), jac[0]
 
@@ -135,7 +135,7 @@ class TestNegativeLogPosterior:
     def test_prior_mean_no_factors(self):
         rng = np.random.default_rng(1)
         prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
-        problem = ReproductionProblem(prior=prior, factors=[])
+        problem = ReproductionProblem(prior=prior)
         objective, _, _ = negative_log_posterior(prior.stacked_mean, problem)
         assert objective == pytest.approx(0.0, abs=1e-12)
 
@@ -143,7 +143,7 @@ class TestNegativeLogPosterior:
         rng = np.random.default_rng(2)
         prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
         anchor = StateAnchor(index=2, target=prior.means[2].copy(), sigma=0.1)
-        problem = ReproductionProblem(prior=prior, factors=[anchor])
+        problem = ReproductionProblem(prior=prior, anchors=[anchor])
         objective, _, _ = negative_log_posterior(prior.stacked_mean, problem)
         assert objective == pytest.approx(0.0, abs=1e-12)
 
@@ -152,7 +152,7 @@ class TestNegativeLogPosterior:
         prior = GaussianTrajectoryPrior(random_model(rng, n_steps=4), random_init(rng))
         anchors = [StateAnchor(index=0, target=rng.normal(size=2), sigma=0.3),
                    StateAnchor(index=4, target=rng.normal(size=2), sigma=0.05)]
-        problem = ReproductionProblem(prior=prior, factors=anchors)
+        problem = ReproductionProblem(prior=prior, anchors=anchors)
         lam = prior.dense_precision()
         for _ in range(5):
             x = rng.normal(size=10)
@@ -171,12 +171,11 @@ class TestNegativeLogPosterior:
         colliding = GaussianTrajectoryPrior(model, (np.array([0.5, 0.25, 0.0, 0.0]),
                                                     0.01 * np.eye(4)))
         for prior, should_increase in ((clear, False), (colliding, True)):
-            factors = [ObstacleFactor(indices=range(3), env=disc_env, eps_repro=0.1,
-                                      sigma_repro=0.05)]
-            with_obs = negative_log_posterior(prior.stacked_mean,
-                                              ReproductionProblem(prior=prior, factors=factors))[0]
+            obstacle = ObstacleFactor(env=disc_env, eps_repro=0.1, sigma_repro=0.05)
+            problem = ReproductionProblem(prior=prior, obstacle=obstacle)
+            with_obs = negative_log_posterior(prior.stacked_mean, problem)[0]
             without = negative_log_posterior(prior.stacked_mean,
-                                             ReproductionProblem(prior=prior, factors=[]))[0]
+                                             ReproductionProblem(prior=prior))[0]
             if should_increase:
                 assert with_obs > without
             else:
@@ -192,8 +191,8 @@ class TestObstacleFactorBatch:
 
     def test_one_factor_equals_per_node_obstacle_costs(self, prior, disc_env):
         rng = np.random.default_rng(13)
-        factor = ObstacleFactor(indices=range(9), env=disc_env, eps_repro=0.15, sigma_repro=0.05)
-        problem = ReproductionProblem(prior=prior, factors=[factor])
+        factor = ObstacleFactor(env=disc_env, eps_repro=0.15, sigma_repro=0.05)
+        problem = ReproductionProblem(prior=prior, obstacle=factor)
         for _ in range(5):
             x = np.column_stack([rng.uniform(0.2, 0.8, 9), rng.uniform(-0.3, 0.3, 9),
                                  rng.normal(size=(9, 2))]).reshape(-1)
@@ -206,29 +205,47 @@ class TestObstacleFactorBatch:
             assert active > 0
             assert negative_log_posterior(x, problem)[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_subset_of_nodes(self, prior, disc_env):
+    def test_every_node(self, prior, disc_env):
         x = np.tile([0.5, 0.1, 0.0, 0.0], 9)  # every node is inside the disc's band
-        base = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[]))[0]
+        base = negative_log_posterior(x, ReproductionProblem(prior=prior))[0]
         c, _ = hinge_row(x[:4], disc_env, 0.1)
-        for nodes in ([4], [0, 8], range(9)):
-            factor = ObstacleFactor(indices=nodes, env=disc_env, eps_repro=0.1, sigma_repro=0.05)
-            got = negative_log_posterior(x, ReproductionProblem(prior=prior, factors=[factor]))[0]
-            assert got == pytest.approx(base + len(factor.indices) * 0.5 * c * c / 0.05 ** 2,
-                                        rel=1e-12)
+        factor = ObstacleFactor(env=disc_env, eps_repro=0.1, sigma_repro=0.05)
+        got = negative_log_posterior(x, ReproductionProblem(prior=prior, obstacle=factor))[0]
+        assert got == pytest.approx(base + 9 * 0.5 * c * c / 0.05 ** 2, rel=1e-12)
 
-    def test_index_validation(self, prior, disc_env):
-        with pytest.raises(ValueError, match="distinct"):
-            ObstacleFactor(indices=[1, 2, 1], env=disc_env, eps_repro=0.1, sigma_repro=0.05)
-        with pytest.raises(ValueError, match="factor index 9 outside"):
-            ReproductionProblem(prior=prior, factors=[ObstacleFactor(
-                indices=range(10), env=disc_env, eps_repro=0.1, sigma_repro=0.05)])
+    def test_index_validation(self, prior):
+        with pytest.raises(ValueError, match=r"anchors\[0\]\.index must be a node 0\.\.8, got 9"):
+            ReproductionProblem(prior=prior, anchors=[StateAnchor(index=9, target=np.zeros(4),
+                                                                  sigma=0.1)])
+
+    @pytest.mark.parametrize("anchor, scene, message", [
+        ((0, np.zeros(3)), 2, r"anchors\[1\]\.state must have dimension 4"),
+        ((8, np.zeros(4)), 3, "environment has dimension 3, not the model's position "
+                              "dimension D/2 = 2"),
+    ], ids=["anchor-dimension", "scene-dimension"])
+    def test_inputs_off_the_prior_are_refused(self, prior, anchor, scene, message):
+        env = Environment(dimension=scene, obstacles=[Sphere(center=np.full(scene, 0.5),
+                                                             radius=0.2)])
+        anchors = [StateAnchor(index=0, target=np.zeros(4), sigma=0.1),
+                   StateAnchor(index=anchor[0], target=anchor[1], sigma=0.1)]
+        with pytest.raises(ValueError, match=message):
+            ReproductionProblem(prior=prior, anchors=anchors,
+                                obstacle=ObstacleFactor(env=env, eps_repro=0.1, sigma_repro=0.05))
+
+    def test_scene_of_a_one_dimensional_state_is_refused(self, disc_env):
+        rng = np.random.default_rng(14)
+        prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=3), random_init(rng, 2))
+        with pytest.raises(ValueError, match="environment has dimension 2, not the model's "
+                                             "position dimension D/2 = 1"):
+            ReproductionProblem(prior=prior, obstacle=ObstacleFactor(
+                env=disc_env, eps_repro=0.1, sigma_repro=0.05))
 
 
 class TestOptimizeMap:
     def test_no_factors_returns_mean_immediately(self):
         rng = np.random.default_rng(4)
         prior = GaussianTrajectoryPrior(random_model(rng), random_init(rng))
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=[]))
+        sol = optimize_map(ReproductionProblem(prior=prior))
         assert sol.converged and sol.iterations == 0 and sol.stop == "gradient"
         np.testing.assert_allclose(sol.trajectory.states.reshape(-1), prior.stacked_mean,
                                    atol=1e-12)
@@ -241,7 +258,7 @@ class TestOptimizeMap:
                                       random_init(rng, dim=2))
             anchors = [StateAnchor(index=0, target=rng.normal(size=2), sigma=0.1),
                        StateAnchor(index=n, target=rng.normal(size=2), sigma=0.2)]
-            sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
+            sol = optimize_map(ReproductionProblem(prior=prior, anchors=anchors))
             expected = dense_map_oracle(prior, anchors)
             assert sol.converged
             np.testing.assert_allclose(sol.trajectory.states.reshape(-1), expected, atol=1e-6)
@@ -256,7 +273,7 @@ class TestOptimizeMap:
         mix = np.random.default_rng(seed).dirichlet(np.ones(states.shape[0]))
         anchors = [StateAnchor(index=0, target=mix @ states[:, 0], sigma=1e-3),
                    StateAnchor(index=grid_n, target=mix @ states[:, -1], sigma=1e-3)]
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
+        sol = optimize_map(ReproductionProblem(prior=prior, anchors=anchors))
         assert sol.stop == "step" and sol.iterations <= 3
         np.testing.assert_allclose(sol.trajectory.states.reshape(-1),
                                    dense_map_oracle(prior, anchors), rtol=0, atol=1e-6)
@@ -276,7 +293,7 @@ class TestOptimizeMap:
                                   random_init(rng, dim=2))
         new_start = prior.means[0] + np.array([0.3, -0.2])
         anchor = StateAnchor(index=0, target=new_start, sigma=1e-7)
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
+        sol = optimize_map(ReproductionProblem(prior=prior, anchors=[anchor]))
         expected = conditional_given_start(prior, new_start)
         np.testing.assert_allclose(sol.trajectory.states.reshape(-1), expected, atol=1e-5)
 
@@ -291,7 +308,7 @@ class TestOptimizeMap:
         t0, t1, s0, s1 = -0.2, 1.4, 0.3, 0.15
         anchors = [StateAnchor(index=0, target=np.array([t0]), sigma=s0),
                    StateAnchor(index=1, target=np.array([t1]), sigma=s1)]
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors))
+        sol = optimize_map(ReproductionProblem(prior=prior, anchors=anchors))
         lam_prior = np.array([[1 / p0 + phi ** 2 / q, -phi / q], [-phi / q, 1 / q]])
         mu = np.array([0.5, phi * 0.5 + u])
         lam_post = lam_prior + np.diag([1 / s0 ** 2, 1 / s1 ** 2])
@@ -307,7 +324,7 @@ class TestOptimizeMap:
                                   random_init(rng, dim=2))
         target = prior.means[3] + np.array([0.5, 0.4])
         anchor = StateAnchor(index=3, target=target, sigma=sigma)
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
+        sol = optimize_map(ReproductionProblem(prior=prior, anchors=[anchor]))
         scale = 1.0 + float(np.linalg.norm(target))
         assert np.linalg.norm(sol.trajectory.states[3] - target) <= 10 * sigma * scale
 
@@ -315,11 +332,9 @@ class TestOptimizeMap:
         rng = np.random.default_rng(8)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=6, contraction=0.7),
                                   (np.array([0.2, 0.0, 0.1, 0.0]), 0.05 * np.eye(4)))
-        factors = [ObstacleFactor(indices=range(7), env=disc_env, eps_repro=0.12,
-                                  sigma_repro=0.05)]
-        factors.append(StateAnchor(index=0, target=np.array([0.1, -0.3, 0.0, 0.0]),
-                                   sigma=1e-3))
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
+        obstacle = ObstacleFactor(env=disc_env, eps_repro=0.12, sigma_repro=0.05)
+        anchor = StateAnchor(index=0, target=np.array([0.1, -0.3, 0.0, 0.0]), sigma=1e-3)
+        sol = optimize_map(ReproductionProblem(prior=prior, anchors=[anchor], obstacle=obstacle))
         assert len(sol.objective_history) >= 2
         assert np.all(np.diff(sol.objective_history) <= 0)
 
@@ -329,7 +344,7 @@ class TestOptimizeMap:
                                   random_init(rng, dim=2))
         anchors = [StateAnchor(index=5, target=rng.normal(size=2) + 5.0,
                                sigma=1e-6)]
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=anchors, max_iters=1))
+        sol = optimize_map(ReproductionProblem(prior=prior, anchors=anchors, max_iters=1))
         assert not sol.converged and sol.stop == "max_iters"
         assert sol.iterations == 1
 
@@ -340,7 +355,7 @@ class TestOptimizeMap:
         anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=0.1)
         with pytest.raises(SingularNormalEquationsError,
                            match="at damping 1.0e\\+13: .*not positive definite"):
-            optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
+            optimize_map(ReproductionProblem(prior=prior, anchors=[anchor]))
 
     def test_overflowing_anchor_information_raises(self):
         # sigma 1e-160 is a valid anchor, but its information 1e320
@@ -351,14 +366,14 @@ class TestOptimizeMap:
         anchor = StateAnchor(index=0, target=prior.means[0] + 1.0, sigma=1e-160)
         with pytest.raises(SingularNormalEquationsError,
                            match="at damping 0: NaN or infinite gradient or Gauss-Newton"):
-            optimize_map(ReproductionProblem(prior=prior, factors=[anchor]))
+            optimize_map(ReproductionProblem(prior=prior, anchors=[anchor]))
 
     def test_factor_index_validation(self):
         rng = np.random.default_rng(10)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=2, n_steps=3), random_init(rng, 2))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="must be a node 0..3, got 7"):
             ReproductionProblem(prior=prior,
-                                factors=[StateAnchor(index=7, target=np.zeros(2),
+                                anchors=[StateAnchor(index=7, target=np.zeros(2),
                                                      sigma=0.1)])
 
     def test_infeasible_solution_flagged(self, disc_env):
@@ -367,10 +382,10 @@ class TestOptimizeMap:
         prior = GaussianTrajectoryPrior(SkillModel(
             Phi_tilde=[np.hstack([np.zeros((4, 1)), np.eye(4)])] * 2, Q=[0.001 * np.eye(4)] * 2,
             dt=0.1, init_mean=np.array([0.5, 0.0, 0.0, 0.0]), init_cov=1e-6 * np.eye(4)))
-        factors = [StateAnchor(index=i, target=np.array([0.5, 0.0, 0.0, 0.0]),
+        anchors = [StateAnchor(index=i, target=np.array([0.5, 0.0, 0.0, 0.0]),
                                sigma=1e-6) for i in range(3)]
-        factors.append(ObstacleFactor(indices=[1], env=disc_env, eps_repro=0.1, sigma_repro=1.0))
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
+        obstacle = ObstacleFactor(env=disc_env, eps_repro=0.1, sigma_repro=1.0)
+        sol = optimize_map(ReproductionProblem(prior=prior, anchors=anchors, obstacle=obstacle))
         assert not sol.feasible
         assert sol.min_clearance < 0.0
 
@@ -378,9 +393,8 @@ class TestOptimizeMap:
         rng = np.random.default_rng(11)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
                                   (np.array([1.5, 0.7, 0.0, 0.0]), 0.01 * np.eye(4)))
-        factors = [ObstacleFactor(indices=range(5), env=disc_env, eps_repro=0.1,
-                                  sigma_repro=0.05)]
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
+        obstacle = ObstacleFactor(env=disc_env, eps_repro=0.1, sigma_repro=0.05)
+        sol = optimize_map(ReproductionProblem(prior=prior, obstacle=obstacle))
         assert sol.feasible
         assert sol.min_clearance >= 0.1 - 0.01
 
@@ -388,7 +402,10 @@ class TestOptimizeMap:
         # the start and every trial point: a kept step is not evaluated again
         class Counting:
             def __init__(self, factor):
-                self.factor, self.indices, self.calls = factor, factor.indices, 0
+                self.factor, self.calls = factor, 0
+
+            def __getattr__(self, name):  # the fields the problem checks
+                return getattr(self.factor, name)
 
             def linearize(self, states):
                 self.calls += 1
@@ -397,13 +414,12 @@ class TestOptimizeMap:
         rng = np.random.default_rng(11)
         prior = GaussianTrajectoryPrior(random_model(rng, dim=4, n_steps=4, contraction=0.5),
                                         (np.array([1.5, 0.7, 0.0, 0.0]), 0.01 * np.eye(4)))
-        factors = [Counting(StateAnchor(index=0, target=np.array([0.3, 0.05, 0.0, 0.0]),
-                                        sigma=0.01)),
-                   Counting(ObstacleFactor(indices=range(5), env=disc_env, eps_repro=0.1,
-                                           sigma_repro=0.05))]
-        sol = optimize_map(ReproductionProblem(prior=prior, factors=factors))
+        anchor = Counting(StateAnchor(index=0, target=np.array([0.3, 0.05, 0.0, 0.0]),
+                                      sigma=0.01))
+        obstacle = Counting(ObstacleFactor(env=disc_env, eps_repro=0.1, sigma_repro=0.05))
+        sol = optimize_map(ReproductionProblem(prior=prior, anchors=[anchor], obstacle=obstacle))
         assert len(sol.objective_history) > 2
-        assert [f.calls for f in factors] == [sol.iterations + 1] * 2
+        assert [anchor.calls, obstacle.calls] == [sol.iterations + 1] * 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,7 +430,7 @@ def test_gradient_matches_central_differences(dim, n_steps, seed):
                                     random_init(rng, dim))
     anchors = [StateAnchor(index=int(rng.integers(0, n_steps + 1)), target=rng.normal(size=dim),
                            sigma=float(rng.uniform(0.05, 1.0))) for _ in range(2)]
-    problem = ReproductionProblem(prior=prior, factors=anchors)
+    problem = ReproductionProblem(prior=prior, anchors=anchors)
     x = prior.stacked_mean + rng.normal(scale=0.1, size=prior.stacked_mean.size)
     _, grad, _ = negative_log_posterior(x, problem)
     h = 1e-5
