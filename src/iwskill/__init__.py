@@ -12,7 +12,7 @@ from .batch import (SingularSystemError, SkillModel, effective_sample_size, fit_
 from .demos import (DemoSet, RawDemo, StateTrajectory, dtw_align, estimate_states, load_raw_demo,
                     save_raw_demo)
 from .environment import (Box, Environment, Sphere, WeightParams, hinge_cost, load_environment,
-                          nearest_obstacle, signed_distance, weight_trajectory)
+                          nearest_obstacle, weight_trajectory)
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
 from .prior import GaussianTrajectoryPrior, initial_state_distribution, sample_trajectories

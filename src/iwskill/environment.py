@@ -123,13 +123,6 @@ class Environment:
                     raise ValueError(f"obstacles[{i}] is wider than the float range")
 
 
-def signed_distance(env: Environment, points) -> np.ndarray:
-    """Exact signed distance from each point row (n, dim) to the nearest
-    obstacle surface (negative inside): the first output of
-    `nearest_obstacle`."""
-    return nearest_obstacle(env, points)[0]
-
-
 def nearest_obstacle(env: Environment, points) -> tuple[np.ndarray, np.ndarray]:
     """Signed distance (n,) from each point row (n, dim) to its nearest
     obstacle, and that obstacle's gradient (n, dim) at the row. The one place
@@ -165,18 +158,14 @@ def hinge_cost(d, params: WeightParams):
     return np.maximum(params.epsilon - d, 0.0)
 
 
-def weight_trajectory(states: np.ndarray, env: Environment | None,
+def weight_trajectory(positions: np.ndarray, env: Environment | None,
                       params: WeightParams) -> np.ndarray:
-    """Importance weights exp(-c(x)^2 / (2 sigma_obs^2)) in (0, 1] of node
-    rows (n, D), D = dim or 2 dim, against the exact distances of their
-    position components to the obstacles of scene `env`; all ones for `env`
-    None."""
+    """Importance weights exp(-c(x)^2 / (2 sigma_obs^2)) in (0, 1] of position
+    rows (n, dim), against their exact distances to the obstacles of scene
+    `env`; all ones for `env` None."""
     if env is None:
-        return np.ones(states.shape[0])
-    dim = env.dimension
-    if states.ndim != 2 or states.shape[1] not in (dim, 2 * dim):
-        raise ValueError(f"state of length {states.shape[1:]} incompatible with {dim}-D scene")
-    c = hinge_cost(signed_distance(env, states[:, :dim]), params)
+        return np.ones(len(positions))
+    c = hinge_cost(nearest_obstacle(env, positions)[0], params)
     with np.errstate(over="ignore"):  # a cost past the float range weighs 0
         return np.exp(-c * c / (2.0 * params.sigma_obs ** 2))
 

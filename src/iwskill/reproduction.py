@@ -50,13 +50,6 @@ class StateAnchor:
             raise ValueError(f"anchor sigma must be a positive number, got {self.sigma!r}")
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
 
-    def linearize(self, states: np.ndarray) -> tuple:
-        """Whitened rows (x_index - target) / sigma, their node `index` and
-        their Jacobian I / sigma."""
-        d = self.target.shape[0]
-        return ((states[self.index] - self.target) / self.sigma, np.full(d, self.index),
-                np.eye(d) / self.sigma)
-
 
 @dataclass(frozen=True)
 class ObstacleFactor:
@@ -75,15 +68,15 @@ class ObstacleFactor:
             raise ValueError("sigma_repro must be positive")
 
     def linearize(self, states: np.ndarray) -> tuple:
-        """Whitened rows max(eps_repro - d, 0) / sigma_repro, d the exact
-        distance of each node's position; every node; and the rows' Jacobians,
-        -grad d / sigma_repro on the positions inside the band, else zero."""
+        """One whitened row per node (N+1,), max(eps_repro - d, 0) /
+        sigma_repro, d the exact distance of the node's position; and each
+        row's Jacobian (N+1, D), -grad d / sigma_repro on the positions inside
+        the band, else zero."""
         d, grad = nearest_obstacle(self.env, states[:, :self.env.dimension])
         inside = d <= self.eps_repro
         jac = np.zeros_like(states)
         jac[inside, :self.env.dimension] = -grad[inside]
-        return (np.maximum(self.eps_repro - d, 0.0) / self.sigma_repro,
-                np.arange(states.shape[0]), jac / self.sigma_repro)
+        return np.maximum(self.eps_repro - d, 0.0) / self.sigma_repro, jac / self.sigma_repro
 
 
 @dataclass(frozen=True)
@@ -128,22 +121,27 @@ class Solution:
 
 def negative_log_posterior(x: np.ndarray, problem: ReproductionProblem) -> tuple:
     """The objective 0.5 * (prior Mahalanobis term + every factor's sum of
-    squared rows), its gradient and Gauss-Newton Hessian blocks, from one
-    linearization per factor. The prior adds its gradient and precision; a row
-    r with Jacobian row j on node i adds j r to the gradient and j j^T to
-    block (i, i), so the system stays block tridiagonal. Overflow is unwarned:
+    squared rows), its gradient and Gauss-Newton Hessian blocks. The prior
+    adds its gradient and precision; a row r with Jacobian row j on node i
+    adds j r to the gradient and j j^T to block (i, i), in place, obstacle
+    rows first, so the system stays block tridiagonal. Overflow is unwarned:
     it leaves an infinite or NaN value (see _finite)."""
     prior = problem.prior
-    x = np.asarray(x, dtype=float).reshape(-1)
+    states = np.asarray(x, dtype=float).reshape(-1, prior.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        quad, grad = prior.quad_form(x)
+        quad, grad = prior.quad_form(states)
         grad, h_diag = grad.reshape(-1, prior.dim), prior.prec_diag.copy()
         squares = 0
-        for f in filter(None, [problem.obstacle, *problem.anchors]):
-            r, nodes, jac = f.linearize(x.reshape(-1, prior.dim))
+        if problem.obstacle is not None:
+            r, jac = problem.obstacle.linearize(states)
             squares += float(r @ r)
-            np.add.at(grad, nodes, r[:, None] * jac)
-            np.add.at(h_diag, nodes, jac[:, :, None] * jac[:, None, :])
+            grad += r[:, None] * jac
+            h_diag += jac[:, :, None] * jac[:, None, :]
+        for a in problem.anchors:
+            r, w = (states[a.index] - a.target) / a.sigma, 1.0 / a.sigma  # Jacobian I * w
+            squares += float(r @ r)
+            grad[a.index] += r * w
+            h_diag[a.index] += np.eye(prior.dim) * (w * w)
         return 0.5 * (quad + squares), grad.reshape(-1), h_diag
 
 

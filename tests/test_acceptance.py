@@ -241,7 +241,7 @@ def test_acceptance_6_map_inference_oracle():
         radius = 0.2 + rng.uniform(0.15, 0.85) * eps
         pos = np.array([0.5, 0.0]) + radius * np.array([np.cos(angle), np.sin(angle)])
         state = np.concatenate([pos, rng.normal(size=2)])
-        [cost], _, [grad] = factor.linearize(state[None, :])
+        [cost], [grad] = factor.linearize(state[None, :])
         if not 0.05 * eps < cost < 0.95 * eps:
             continue  # keep clear of the hinge kink
         for kdim in range(2):
@@ -259,9 +259,9 @@ def test_acceptance_7_reaching_analogue():
     started = time.monotonic()
     scene = make_reaching_scene()
     demo_set = DemoSet(demos=[estimate_states(d, 60) for d in scene.raw_demos])
-    weighted = learn_batch_weighted(demo_set, [weight_trajectory(t.states, scene.env, scene.weight_params)
+    weighted = learn_batch_weighted(demo_set, [weight_trajectory(t.positions, scene.env, scene.weight_params)
                                                for t in demo_set.demos])
-    unweighted = learn_batch_weighted(demo_set, [weight_trajectory(t.states, None, scene.weight_params)
+    unweighted = learn_batch_weighted(demo_set, [weight_trajectory(t.positions, None, scene.weight_params)
                                                  for t in demo_set.demos])
     # both models start from the demos' start moments
     prior_w = GaussianTrajectoryPrior(weighted)
@@ -296,11 +296,11 @@ def test_acceptance_8_placing_analogue():
     def run(use_weights: bool):
         learner = IncrementalLearner(n_steps, 4, alpha=1e10, beta=1e10, dt=influenced[0].dt)
         for traj in influenced:
-            w = (weight_trajectory(traj.states, scene.cluttered_env, scene.weight_params)
+            w = (weight_trajectory(traj.positions, scene.cluttered_env, scene.weight_params)
                  if use_weights else np.ones(n_steps + 1))
             assimilate_demo(learner, traj, w)
         for traj in clean:
-            w = (weight_trajectory(traj.states, scene.clean_env, scene.weight_params)
+            w = (weight_trajectory(traj.positions, scene.clean_env, scene.weight_params)
                  if use_weights else np.ones(n_steps + 1))
             assimilate_demo(learner, traj, w)
         assert len(learner.starts) == 6

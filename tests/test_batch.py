@@ -243,7 +243,7 @@ class TestAssembleAndLearn:
         base = rng.normal(size=(8, 4))
         ds = demo_set_from_states([base.copy() for _ in range(4)])
         env = Environment(dimension=2, obstacles=[])
-        model = learn_batch_weighted(ds, [weight_trajectory(t.states, env, WeightParams())
+        model = learn_batch_weighted(ds, [weight_trajectory(t.positions, env, WeightParams())
                                          for t in ds.demos])
         state = base[0].copy()
         for i, step in enumerate(intervals(model)):
@@ -288,6 +288,15 @@ class TestIntervalStack:
         with pytest.raises(SingularSystemError, match="^interval 137: normal equations "
                                                       "singular .lam=0.0."):
             fit_intervals(inputs, targets, weights, 0.0)
+
+    def test_bad_shape_and_negative_ridge_are_refused(self):
+        inputs, targets, weights = interval_stack(np.random.default_rng(21), n=3)
+        with pytest.raises(ValueError, match=re.escape(
+                "need inputs (N, D+1, K), targets (N, D, K) and strictly positive weights "
+                "(N, K); got (3, 3, 6), (3, 2, 6) and (3, 5)")):
+            fit_intervals(inputs, targets, weights[:, :5])
+        with pytest.raises(ValueError, match="^ridge coefficient must be >= 0$"):
+            fit_intervals(inputs, targets, weights, -1e-3)
 
     def test_non_finite_system_names_its_interval(self):
         rng = np.random.default_rng(20)

@@ -13,7 +13,7 @@ from iwskill.cli import main as cli_main
 from iwskill.demos import (DemoSet, RawDemo, dtw_align, estimate_states, load_raw_demo,
                            save_raw_demo)
 from iwskill.environment import (WeightParams, environment_to_dict, load_environment,
-                                 signed_distance, weight_trajectory)
+                                 nearest_obstacle, weight_trajectory)
 from iwskill.prior import GaussianTrajectoryPrior, initial_state_distribution, prior_band_csv
 from iwskill.synthetic import make_placing_scene, make_reaching_scene
 from iwskill.utils import read_json, write_json
@@ -121,7 +121,7 @@ class TestLearn:
         out = tmp_path / "out"
         assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", str(out), "learn"]) == 0
         params = WeightParams(epsilon=0.3, sigma_obs=0.05)
-        alone = [weight_trajectory(estimate_states(d, 60).states, env, params) for d in raw]
+        alone = [weight_trajectory(estimate_states(d, 60).positions, env, params) for d in raw]
         assert min(w.min() for w in alone) < 0.5  # the scene's obstacle weighs some nodes down
         expected = "demo,node,weight\n" + "".join(
             f"{k},{i},{float(v)!r}\n" for k, w in enumerate(alone) for i, v in enumerate(w))
@@ -323,6 +323,35 @@ class TestAssimilate:
                                            "learner grid (30, 4)\n")
         assert read_all_outputs(out) == before
 
+    @pytest.mark.parametrize("alpha, beta", [(1e10, 1e10), (1.0, 1.0), (1e10, 1.0)])
+    def test_alpha_beta_off_the_checkpoint_are_refused(self, scene_dir, tmp_path, capsys,
+                                                        alpha, beta):
+        # the checkpoint keeps the pair it was created with (1e10, 1e10)
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        checkpoint = os.path.join(out, "ck.npz")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out,
+                         "assimilate", "--checkpoint", checkpoint,
+                         "--demo", str(root / "demo_000.json")]) == 0
+        cfg = read_json(root / "config.json")
+        cfg["demos"] = [str(root / d) for d in cfg["demos"]]
+        cfg["environment"] = str(root / cfg["environment"])
+        cfg["alpha"], cfg["beta"] = alpha, beta
+        other = str(tmp_path / "config_alpha_beta.json")
+        write_json(other, cfg)
+        before = read_all_outputs(out)
+        capsys.readouterr()
+        code = cli_main(["--config", other, "--out", out, "assimilate",
+                         "--checkpoint", checkpoint, "--demo", str(root / "demo_001.json")])
+        if (alpha, beta) == (1e10, 1e10):
+            assert code == 0
+            return
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: checkpoint {checkpoint} holds (alpha, beta) = "
+            f"(10000000000.0, 10000000000.0), the config ({alpha!r}, {beta!r})\n")
+        assert read_all_outputs(out) == before
+
 
 class TestRollout:
     def test_rollout_outputs(self, scene_dir, tmp_path):
@@ -522,7 +551,7 @@ class TestReproduce:
         # verify the clearance claim against the exact distances
         sol = np.loadtxt(os.path.join(out, "solution_000.csv"), delimiter=",", skiprows=1)
         env = load_environment(str(tmp_path / "env_displaced.json"))
-        assert signed_distance(env, sol[:, 1:3]).min() >= 0.1 - 0.01
+        assert nearest_obstacle(env, sol[:, 1:3])[0].min() >= 0.1 - 0.01
 
     def test_obstacle_free_min_clearance_is_null(self, scene_dir, tmp_path):
         root, _ = scene_dir
@@ -541,7 +570,7 @@ class TestReproduce:
         solution path's positions in the scene at `env_path`."""
         summary = read_json(os.path.join(out, "solution_000.json"))
         sol = np.loadtxt(os.path.join(out, "solution_000.csv"), delimiter=",", skiprows=1)
-        return summary, signed_distance(load_environment(env_path), sol[:, 1:dim + 1]).min()
+        return summary, nearest_obstacle(load_environment(env_path), sol[:, 1:dim + 1])[0].min()
 
     def test_unweighted_placing_prior_reproduces_past_the_box(self, tmp_path):
         # LM drives this prior's path under the box, far below the scene
@@ -590,7 +619,7 @@ class TestReproduce:
         assert cli_main(base + ["reproduce", "--model", model]) == 0
         env_path = str(tmp_path / "scene.json")
         prior = GaussianTrajectoryPrior(load_model(model))
-        assert signed_distance(load_environment(env_path), prior.means[:, :3]).min() < 0
+        assert nearest_obstacle(load_environment(env_path), prior.means[:, :3])[0].min() < 0
         summary, clearance = self._solution_clearance(out, env_path, 3)
         assert summary["converged"] and summary["feasible"]
         assert summary["min_clearance"] == pytest.approx(clearance, abs=1e-9)
@@ -624,6 +653,12 @@ def _reproduce_in_displaced_scene(scene_dir, tmp_path, reproduction, init_cov=No
 
 
 class TestExitCodes:
+    def test_learn_without_demos_is_a_config_error(self, tmp_path, capsys):
+        write_json(str(tmp_path / "cfg.json"), {"demos": [], "out_dir": "out"})
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "learn"]) == 2
+        assert capsys.readouterr().err == "config error: no demo files configured\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_far_iterate_reproduces(self, scene_dir, tmp_path):
         # a loose start covariance lets a tight start anchor far from the disc
         # pull the path tens of metres away: the obstacle distances are exact
@@ -635,7 +670,7 @@ class TestExitCodes:
         sol = np.loadtxt(tmp_path / "out" / "solution_000.csv", delimiter=",", skiprows=1)
         env = load_environment(str(tmp_path / "env_displaced.json"))
         assert summary["feasible"] and sol[0, 1:3] == pytest.approx([40.0, 40.0], abs=1e-3)
-        assert summary["min_clearance"] == pytest.approx(signed_distance(env, sol[:, 1:3]).min())
+        assert summary["min_clearance"] == pytest.approx(nearest_obstacle(env, sol[:, 1:3])[0].min())
 
     def test_fine_scene_reproduces_without_grid_keys(self, scene_dir, tmp_path, capsys):
         # the scene plus the prior's reach spans about 10 x 9 m, which no

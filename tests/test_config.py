@@ -182,3 +182,11 @@ def test_config_must_be_an_object(tmp_path):
     write_json(path, [{"grid_n": 10}])
     with pytest.raises(ConfigError, match="the config must be an object"):
         load_config(path)
+
+
+def test_invalid_json_names_the_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("not json")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == f"{path}: invalid JSON (Expecting value: line 1 column 1 (char 0))"

@@ -507,6 +507,14 @@ class TestDemoSet:
         with pytest.raises(ValueError, match="grid mismatch"):
             DemoSet(demos=[a, b])
 
+    def test_empty_set_and_dt_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^a DemoSet needs at least one demonstration$"):
+            DemoSet(demos=[])
+        a = StateTrajectory(dt=0.1, states=np.zeros((3, 2)))
+        b = StateTrajectory(dt=0.2, states=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"^demo 1 dt mismatch: 0\.2 vs 0\.1$"):
+            DemoSet(demos=[a, b])
+
     def test_ingest_produces_shared_grid(self):
         rng = np.random.default_rng(0)
         demos = []

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from iwskill.environment import (Box, Environment, Sphere, WeightParams, environment_from_dict,
                                  environment_to_dict, hinge_cost, nearest_obstacle,
-                                 signed_distance, weight_trajectory)
+                                 weight_trajectory)
 
 
 def surface_sample_distance(env, p, n=20000):
@@ -46,36 +46,36 @@ def two_obstacle_env():
 class TestSignedDistance:
     def test_sphere_center_depth(self):
         env = Environment(dimension=2, obstacles=[Sphere(center=np.array([0.3, -0.2]), radius=0.75)])
-        assert signed_distance(env, np.array([[0.3, -0.2]])) == pytest.approx([-0.75])
+        assert nearest_obstacle(env, np.array([[0.3, -0.2]]))[0] == pytest.approx([-0.75])
 
     def test_unit_sphere_outside(self):
         env = Environment(dimension=2, obstacles=[Sphere(center=np.zeros(2), radius=1.0)])
-        assert signed_distance(env, np.array([[2.0, 0.0]])) == pytest.approx([1.0])
+        assert nearest_obstacle(env, np.array([[2.0, 0.0]]))[0] == pytest.approx([1.0])
 
     def test_no_obstacles_sentinel(self):
         env = Environment(dimension=2, obstacles=[])
-        assert signed_distance(env, np.zeros((1, 2)))[0] >= 1e6
+        assert nearest_obstacle(env, np.zeros((1, 2)))[0][0] >= 1e6
 
     def test_dimension_mismatch(self):
         env = Environment(dimension=2, obstacles=[])
         with pytest.raises(ValueError, match="dimension"):
-            signed_distance(env, np.zeros((1, 3)))
+            nearest_obstacle(env, np.zeros((1, 3)))
         with pytest.raises(ValueError, match=r"need \(n, 2\) rows"):
-            signed_distance(env, np.zeros(2))  # one point is one row, not a vector
+            nearest_obstacle(env, np.zeros(2))  # one point is one row, not a vector
 
     def test_min_over_obstacles_vs_surface_sampling(self, two_obstacle_env):
         rng = np.random.default_rng(7)
         for _ in range(40):
             p = rng.uniform([-2.0, -2.0], [4.0, 3.0])
             expected = surface_sample_distance(two_obstacle_env, p)
-            assert signed_distance(two_obstacle_env, p[None])[0] == pytest.approx(expected,
-                                                                                  abs=1e-3)
+            [d] = nearest_obstacle(two_obstacle_env, p[None])[0]
+            assert d == pytest.approx(expected, abs=1e-3)
 
     def test_box_interior_and_faces(self):
         env = Environment(dimension=2, obstacles=[Box(lo=np.array([0.0, 0.0]), hi=np.array([2.0, 1.0]))])
         # interior, above the top face, and the corner region (Euclidean
         # distance to the corner)
-        assert signed_distance(env, np.array([[1.0, 0.5], [1.0, 2.0], [3.0, 2.0]])) == \
+        assert nearest_obstacle(env, np.array([[1.0, 0.5], [1.0, 2.0], [3.0, 2.0]]))[0] == \
             pytest.approx([-0.5, 1.0, np.sqrt(2.0)])
 
     def test_invariants_of_primitives(self):
@@ -104,7 +104,7 @@ class TestSdf:
         for _ in range(50):
             p = rng.uniform([-1.8, -1.8], [3.8, 2.8])
             [g] = nearest_obstacle(two_obstacle_env, p[None])[1]
-            fd = central_differences(lambda q: signed_distance(two_obstacle_env, q), p)
+            fd = central_differences(lambda q: nearest_obstacle(two_obstacle_env, q)[0], p)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
     def test_out_of_bounds_query(self, two_obstacle_env):
@@ -200,14 +200,13 @@ class TestBatchedField:
         axes = [-1.2 + res * np.arange(33 if env.dimension == 2 else 17)] * env.dimension
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, env.dimension)
         expected = np.array([per_point_distance(env, p) for p in nodes])
-        np.testing.assert_array_equal(signed_distance(env, nodes), expected)
         np.testing.assert_array_equal(nearest_obstacle(env, nodes)[0], expected)
         # batched weights equal one-row weights
         params = WeightParams(epsilon=0.3, sigma_obs=0.1)
-        states = np.random.default_rng(seed).uniform(-1.2, 2.0, (20, 2 * env.dimension))
-        w = weight_trajectory(states, env, params)
+        positions = np.random.default_rng(seed).uniform(-1.2, 2.0, (20, env.dimension))
+        w = weight_trajectory(positions, env, params)
         np.testing.assert_array_equal(w, [weight_trajectory(x[None], env, params)[0]
-                                          for x in states])
+                                          for x in positions])
 
     @settings(max_examples=40, deadline=None)
     @given(env=scenes(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
@@ -227,7 +226,6 @@ class TestBatchedField:
         # bit for bit, signed zeros included
         assert values.tobytes() == np.array([per_point_distance(env, p) for p in pts]).tobytes()
         assert grads.tobytes() == np.array([per_point_gradient(env, p) for p in pts]).tobytes()
-        assert signed_distance(env, pts).tobytes() == values.tobytes()
         for p, v, g in zip(pts, values, grads):
             [one], [grad_one] = nearest_obstacle(env, p[None])
             assert v == one
@@ -305,7 +303,7 @@ class TestGradient:
             assume(q[-1] - q[-2] > KINK_MARGIN)
         [g] = nearest_obstacle(env, p[None])[1]
         np.testing.assert_array_equal(g, nearer.distance(p[None])[1][0])
-        fd = central_differences(lambda x: signed_distance(env, x), p)
+        fd = central_differences(lambda x: nearest_obstacle(env, x)[0], p)
         np.testing.assert_allclose(g, fd, atol=1e-5)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -345,7 +343,7 @@ class TestThreeD:
         # nearest obstacle; near the box's upper corner the box wins, at the
         # distance to the corner
         points = np.array([[0.5, 0.0, 1.0], [0.5, 0.0, 0.2], [0.0, 0.0, 0.0], [-0.4, -0.3, -0.1]])
-        assert signed_distance(env3, points) == pytest.approx(
+        assert nearest_obstacle(env3, points)[0] == pytest.approx(
             [0.5, -0.3, np.sqrt(0.29) - 0.3, np.sqrt(3 * 0.1 ** 2)])
 
     def test_gradient_matches_finite_differences(self, env3):
@@ -353,15 +351,15 @@ class TestThreeD:
         for _ in range(20):
             p = rng.uniform([-1.2, -1.2, -1.2], [1.2, 0.7, 0.7])
             values, [g] = nearest_obstacle(env3, p[None])
-            assert values == signed_distance(env3, p[None])
-            fd = central_differences(lambda q: signed_distance(env3, q), p)
+            fd = central_differences(lambda q: nearest_obstacle(env3, q)[0], p)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
-    def test_weight_on_full_state(self, env3):
+    def test_weight_of_a_position_row(self, env3):
         params = WeightParams(epsilon=0.3, sigma_obs=0.1)
-        state = np.array([0.5, 0.0, 0.7, 1.0, 0.0, 0.0])  # d = 0.2, c = 0.1
+        position = np.array([0.5, 0.0, 0.7])  # d = 0.2, c = 0.1
         expected = np.exp(-0.1 ** 2 / (2 * 0.1 ** 2))
-        assert weight_trajectory(state[None], env3, params) == pytest.approx([expected], rel=1e-12)
+        assert weight_trajectory(position[None], env3, params) == pytest.approx([expected],
+                                                                               rel=1e-12)
 
 
 class TestWeights:
@@ -391,15 +389,6 @@ class TestWeights:
         x = np.array([2.0, 0.0])  # d = 1
         assert weight_trajectory(x[None], env, params) == pytest.approx([np.exp(-2.0)], abs=1e-12)
 
-    def test_weight_uses_position_components_only(self):
-        env = Environment(dimension=2, obstacles=[Sphere(center=np.zeros(2), radius=1.0)])
-        params = WeightParams(epsilon=0.3, sigma_obs=0.01)
-        near = np.array([1.1, 0.0])
-        state_fast = np.concatenate([near, [99.0, -99.0]])
-        state_slow = np.concatenate([near, [0.0, 0.0]])
-        w_fast, w_slow = weight_trajectory(np.array([state_fast, state_slow]), env, params)
-        assert w_fast == w_slow
-
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0))
     def test_weight_monotone_in_distance(self, d1, d2):
@@ -416,23 +405,24 @@ class TestWeights:
             assert abs(hinge_cost(0.7 - h, params) - hinge_cost(0.7 + h, params)) <= h + 1e-15
 
     def test_weight_trajectory_obstacle_free(self):
-        states = np.random.default_rng(0).normal(size=(6, 4))
+        positions = np.random.default_rng(0).normal(size=(6, 2))
         env = Environment(dimension=2, obstacles=[])
-        w = weight_trajectory(states, env, WeightParams())
+        w = weight_trajectory(positions, env, WeightParams())
         np.testing.assert_array_equal(w, np.ones(6))
-        np.testing.assert_array_equal(weight_trajectory(states, None, WeightParams()), np.ones(6))
+        np.testing.assert_array_equal(weight_trajectory(positions, None, WeightParams()),
+                                      np.ones(6))
 
     def test_weight_trajectory_dips_near_obstacle(self):
         env = Environment(dimension=2, obstacles=[Sphere(center=np.array([0.5, 0.0]), radius=0.1)])
         params = WeightParams(epsilon=0.3, sigma_obs=0.1)
         xs = np.linspace(0.0, 1.0, 21)
-        states = np.stack([xs, np.zeros_like(xs), np.ones_like(xs), np.zeros_like(xs)], axis=1)
-        w = weight_trajectory(states, env, params)
-        direct = np.array([weight_trajectory(s[None], env, params)[0] for s in states])
+        positions = np.stack([xs, np.zeros_like(xs)], axis=1)
+        w = weight_trajectory(positions, env, params)
+        direct = np.array([weight_trajectory(p[None], env, params)[0] for p in positions])
         np.testing.assert_allclose(w, direct)
         assert w.min() < 1.0
         # monotone in the nodewise distance
-        d = signed_distance(env, states[:, :2])
+        d = nearest_obstacle(env, positions)[0]
         order = np.argsort(d)
         assert np.all(np.diff(w[order]) >= -1e-15)
 

@@ -63,6 +63,17 @@ class TestInit:
         with pytest.raises(ValueError):
             IncrementalLearner(2, 4, alpha=1e10, beta=-1.0)
 
+    @pytest.mark.parametrize("n_steps, dim", [(0, 4), (2, 0)])
+    def test_empty_grid_is_refused(self, n_steps, dim):
+        with pytest.raises(ValueError, match="^need n_steps >= 1 and dim >= 1$"):
+            IncrementalLearner(n_steps, dim, alpha=1e10, beta=1e10)
+
+    def test_weight_of_the_wrong_shape_is_refused(self):
+        learner = IncrementalLearner(2, 1, alpha=1e10, beta=1e10)
+        demo = StateTrajectory(dt=1.0, states=[[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="^need one weight per trajectory node$"):
+            assimilate_demo(learner, demo, np.ones(2))
+
 
 class TestUpdateLaws:
     def test_scalar_hand_evaluation(self):

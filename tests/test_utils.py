@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from iwskill.utils import checked_array, checked_number, csv_text
+from iwskill.utils import (_atomic_write, atomic_write_text, checked_array, checked_number,
+                           csv_text)
 
 
 @pytest.mark.parametrize("value, kind, positive, expected", [
@@ -95,3 +97,18 @@ def test_csv_rows_are_the_reprs_of_their_floats(labelled):
     assert csv_text(["a", "b", "c"], np.array(rows), labels) == \
         "a,b,c\n" + "".join(line + "\n" for line in lines)
     assert "-0.0,1e-300,1e+300" in csv_text(["a", "b", "c"], rows, labels)
+
+
+def test_failed_write_keeps_the_old_content_and_leaves_no_temp_file(tmp_path):
+    path = str(tmp_path / "out.txt")
+    atomic_write_text(path, "old\n")
+
+    def write(fh):
+        fh.write(b"half of the new")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="^disk full$"):
+        _atomic_write(path, write)
+    with open(path) as fh:
+        assert fh.read() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]  # no .tmp_* file is left behind
