@@ -6,13 +6,14 @@ augmented inputs [1; x_i], giving one (Phi_tilde, Q) pair per interval. The
 N pairs are kept as two stacked arrays and fit in one pass.
 """
 
+import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .demos import DemoSet
-from .utils import checked_array, checked_number, read_json, write_json
+from .utils import atomic_write_text, checked_array, checked_number, read_json
 
 # Q of an interval whose effective sample size is degenerate.
 Q_MIN = 1e-6
@@ -44,7 +45,8 @@ def start_moments(starts: np.ndarray) -> tuple:
 class SkillModel:
     """N intervals of learned dynamics on a shared grid of step dt:
     Phi_tilde (N, D, D+1), each [u | Phi], and the symmetric process noise
-    covariances Q (N, D, D); plus the Gaussian the dynamics start from,
+    covariances Q (N, D, D), all finite (a FloatingPointError names the first
+    interval that is not); plus the Gaussian the dynamics start from,
     init_mean (D,) and init_cov (D, D), a finite, symmetric, positive
     semi-definite matrix."""
 
@@ -61,6 +63,11 @@ class SkillModel:
         if n == 0 or phi.shape != (n, d, d + 1) or q.shape != (n, d, d):
             raise ValueError(f"need Phi_tilde (N, D, D+1) and Q (N, D, D) with N >= 1, "
                              f"got {phi.shape} and {q.shape}")
+        finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            key = "Q" if np.isfinite(phi[i]).all() else "Phi_tilde"
+            raise FloatingPointError(f"interval {i}: {key} not finite (overflow)")
         if not np.allclose(q, q.transpose(0, 2, 1), atol=1e-9):
             raise ValueError("Q must be symmetric")
         if not 0 < self.dt * n < np.inf:  # the time of the last node
@@ -171,11 +178,12 @@ def fit_intervals(inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
                           f"cannot determine a {d}x{d + 1} map",
                           rank_tol=1e-13 if lam == 0 else 0.0)
 
-    residuals = y - phi @ x
     z = effective_sample_size(w)
     degenerate = z <= 1e-12
-    q = (residuals * w[:, None, :]) @ residuals.transpose(0, 2, 1) \
-        / np.where(degenerate, 1.0, z)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # SkillModel names an overflow
+        residuals = y - phi @ x
+        q = (residuals * w[:, None, :]) @ residuals.transpose(0, 2, 1) \
+            / np.where(degenerate, 1.0, z)[:, None, None]
     q = (q + q.transpose(0, 2, 1)) / 2.0
     if degenerate.any():
         first = int(np.argmax(degenerate))
@@ -204,17 +212,6 @@ def learn_batch_weighted(demos: DemoSet, weights: list, lam: float | None = None
     return SkillModel(phi, q, demos.dt, *start_moments(states[:, 0]))
 
 
-def model_to_dict(model: SkillModel) -> dict:
-    return {
-        "dt": model.dt,
-        "D": model.dim,
-        "init_mean": model.init_mean.tolist(),
-        "init_cov": model.init_cov.tolist(),
-        "steps": [{"Phi_tilde": p, "Q": q}
-                  for p, q in zip(model.Phi_tilde.tolist(), model.Q.tolist())],
-    }
-
-
 def _stack_steps(steps: list, key: str, shape: tuple) -> np.ndarray:
     """`step[key]` of every step (N >= 1 dicts read from JSON) as one float
     array (N, *shape); a ValueError names the first step whose entry is not a
@@ -228,7 +225,7 @@ def _stack_steps(steps: list, key: str, shape: tuple) -> np.ndarray:
 
 
 def model_from_dict(data: dict) -> SkillModel:
-    """The model of a `model_to_dict` dict; raises ValueError naming the first
+    """The model of the dict `save_model` writes; raises ValueError naming the first
     step whose matrices are not finite number arrays of the header's
     dimension D, a D that is not a positive int, a dt that is not a positive
     finite number, or start moments that are missing or that SkillModel
@@ -246,8 +243,22 @@ def model_from_dict(data: dict) -> SkillModel:
     return SkillModel(phi, q, dt, data["init_mean"], data["init_cov"])
 
 
+def _matrix_template(rows: int, cols: int) -> str:
+    return "[" + ", ".join(["[" + ", ".join(["%r"] * cols) + "]"] * rows) + "]"
+
+
 def save_model(path: str, model: SkillModel) -> None:
-    write_json(path, model_to_dict(model))
+    """Write `model` as the one-line JSON `json.dumps` gives its dict of dt, D,
+    init_mean, init_cov and steps, each step {"Phi_tilde": [...], "Q": [...]}
+    as nested lists. The steps are one `%` over a template of the model's
+    shape; each entry is its float's repr, as in `json.dumps`."""
+    n, d = model.n_steps, model.dim
+    step = '{"Phi_tilde": ' + _matrix_template(d, d + 1) + ', "Q": ' + _matrix_template(d, d) + "}"
+    values = np.concatenate([model.Phi_tilde.reshape(n, -1), model.Q.reshape(n, -1)], axis=1)
+    header = json.dumps({"dt": model.dt, "D": d, "init_mean": model.init_mean.tolist(),
+                         "init_cov": model.init_cov.tolist()})
+    steps = ", ".join([step] * n) % tuple(values.ravel().tolist())
+    atomic_write_text(path, header[:-1] + ', "steps": [' + steps + "]}\n")
 
 
 def load_model(path: str) -> SkillModel:

@@ -93,9 +93,10 @@ def _check_learnable(weights: np.ndarray, paths: list) -> None:
 def _write_weights(cfg: PipelineConfig, weights: np.ndarray) -> None:
     """`weights.csv` in the output directory, and each demo's minimum and
     mean weight on stdout."""
+    nodes = [f",{i}" for i in range(weights.shape[1])]  # each row's label is "demo,node"
     atomic_write_text(os.path.join(cfg.out_dir, "weights.csv"), csv_text(
         ["demo", "node", "weight"], weights.reshape(-1, 1),
-        [f"{k},{i}" for k, w in enumerate(weights) for i in range(len(w))]))
+        [demo + node for demo in map(str, range(len(weights))) for node in nodes]))
     for k, w in enumerate(weights):
         print(f"demo {k}: min weight {w.min():.6f}, mean weight {w.mean():.6f}")
 

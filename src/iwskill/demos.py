@@ -176,16 +176,21 @@ def _dtw_chunk(a: np.ndarray, bs: list) -> list:
     n, ms, kc, dim = len(a), [len(b) for b in bs], len(bs), a.shape[1]
     m = max(ms)
     ref = np.repeat(a.T[:, :, None], kc, axis=2)
-    rev = np.stack([np.pad(b[::-1].T, ((0, 0), (m - len(b), 0))) for b in bs], axis=2)
+    rev = np.zeros((dim, m, kc))
+    for k, b in enumerate(bs):
+        rev[:, m - len(b):, k] = b[::-1].T
     steps, start, row = np.empty((n * m, kc), dtype=np.int8), [0] * (n + m + 1), 0
+    up_steps = steps.view(bool)
     prev2, prev1 = np.full((2, n + 1, kc), np.inf)
     prev2[0] = 0.0
-    sq = np.empty((n, kc))
+    dist_buf, sq = np.empty((2, n, kc))
     for s in range(2, n + m + 1):
         lo, hi = max(1, s - m), min(n, s - 1)
         size, start[s] = hi - lo + 1, row - lo
-        dist, x = np.zeros((size, kc)), sq[:size]
-        for p in range(dim):
+        dist, x = dist_buf[:size], sq[:size]
+        np.subtract(ref[0, lo - 1:hi], rev[0, m - s + lo:m - s + hi + 1], out=dist)
+        dist *= dist                               # 0.0 + x*x is x*x: the sum's order holds
+        for p in range(1, dim):
             np.subtract(ref[p, lo - 1:hi], rev[p, m - s + lo:m - s + hi + 1], out=x)
             x *= x
             dist += x
@@ -193,7 +198,7 @@ def _dtw_chunk(a: np.ndarray, bs: list) -> list:
         diag, up, left = prev2[lo - 1:hi], prev1[lo - 1:hi], prev1[lo:hi + 1]
         best = np.minimum(diag, up)
         step = steps[row:row + size]
-        np.less(up, diag, out=step.view(bool))
+        np.less(up, diag, out=up_steps[row:row + size])
         np.copyto(step, 2, where=left < best)
         np.minimum(best, left, out=best)
         prev2[0] = np.inf                         # only diagonal 0 holds acc[0, 0] = 0

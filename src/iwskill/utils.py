@@ -53,12 +53,19 @@ def read_json(path: str):
 def csv_text(header: list, values, labels: list | None = None) -> str:
     """CSV text: the header line, then one line per row of the (rows, cols)
     float table `values`, each written as repr(float), which round-trips.
-    `labels`, one string per row, are written before the row's values."""
+    `labels`, one string per row, are written before the row's values. The
+    whole table is one `%` over the row template repeated `rows` times."""
     values = np.asarray(values, dtype=float)
-    rows, line = values.tolist(), ",".join(["%r"] * values.shape[1]) + "\n"
-    if labels is not None:
-        line, rows = "%s," + line, [(label, *row) for label, row in zip(labels, rows)]
-    return ",".join(header) + "\n" + "".join([line % tuple(row) for row in rows])
+    rows, cols = values.shape
+    line, cells = ",".join(["%r"] * cols) + "\n", values.ravel().tolist()
+    if labels is not None:  # interleave: every (cols + 1)-th cell is a label
+        line, width = "%s," + line, cols + 1
+        table = [None] * (rows * width)
+        table[::width] = labels
+        for c in range(cols):
+            table[c + 1::width] = cells[c::cols]
+        cells = table
+    return ",".join(header) + "\n" + (line * rows) % tuple(cells)
 
 
 def checked_number(value, key: str, kind: type = float, positive: bool = False):

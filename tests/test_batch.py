@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 from collections import namedtuple
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import iwskill.batch
 from iwskill.batch import (DegenerateWeightsWarning, SingularSystemError, SkillModel,
                            fit_intervals, learn_batch_weighted, load_model, model_from_dict,
-                           model_to_dict, save_model)
+                           save_model)
 from iwskill.demos import DemoSet, StateTrajectory
 from iwskill.environment import Environment, WeightParams, weight_trajectory
 from iwskill.prior import initial_state_distribution
@@ -307,6 +308,19 @@ class TestIntervalStack:
             fit_intervals(inputs, targets, weights)
 
 
+def model_to_dict(model):
+    """The dict whose `json.dumps` is model.json, line for line: the oracle of
+    `save_model`'s bytes."""
+    return {
+        "dt": model.dt,
+        "D": model.dim,
+        "init_mean": model.init_mean.tolist(),
+        "init_cov": model.init_cov.tolist(),
+        "steps": [{"Phi_tilde": p, "Q": q}
+                  for p, q in zip(model.Phi_tilde.tolist(), model.Q.tolist())],
+    }
+
+
 def small_model():
     rng = np.random.default_rng(14)
     phis, qs = [], []
@@ -338,6 +352,84 @@ def test_model_round_trip(tmp_path):
     assert np.array_equal(again.Q, model.Q)
     assert again.dt == model.dt
     assert np.array_equal(again.init_cov, model.init_cov)
+
+
+# Entries whose text is easy to get wrong: signed zero, the smallest
+# subnormal, tiny and huge magnitudes, and whole floats.
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 3.0, -2.0, 1e16, 0.1]
+
+
+def special_array(rng, shape):
+    """Random floats across magnitudes with special entries planted."""
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    planted = rng.uniform(size=shape) < 0.3
+    a[planted] = rng.choice(SPECIAL_FLOATS, size=planted.sum())
+    return a
+
+
+def symmetric_part(a):
+    """`a` (N, D, D) with its lower triangle taken from its upper, exactly."""
+    return np.where(np.triu(np.ones(a.shape[1:], dtype=bool)), a, a.transpose(0, 2, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       dt=st.sampled_from([0.05, 5e-324, 1e-300, 2.0, 1]))
+def test_model_file_is_the_json_of_its_dict(tmp_path_factory, n, d, seed, dt):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    model = SkillModel(Phi_tilde=special_array(rng, (n, d, d + 1)),
+                       Q=symmetric_part(special_array(rng, (n, d, d))), dt=dt,
+                       init_mean=special_array(rng, d), init_cov=a @ a.T)
+    path = str(tmp_path_factory.mktemp("model") / "model.json")
+    save_model(path, model)
+    with open(path, "rb") as fh:
+        assert fh.read() == (json.dumps(model_to_dict(model)) + "\n").encode()
+    again = load_model(path)
+    for key in ("Phi_tilde", "Q", "init_mean", "init_cov"):
+        assert getattr(again, key).tobytes() == getattr(model, key).tobytes()
+    assert again.dt == model.dt
+
+
+def test_q_within_the_tolerance_is_kept_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(31)
+    q = symmetric_part(rng.normal(size=(4, 3, 3)))
+    q[3, 0, 1] = q[3, 1, 0] = 0.0
+    q[2, 2, 0] += 5e-10  # below the diagonal, within allclose's tolerance
+    q[3, 1, 0] = -0.0  # equal to its mirror, but not bit for bit
+    model = SkillModel(Phi_tilde=np.zeros((4, 3, 4)), Q=q, dt=0.1, init_mean=np.zeros(3),
+                       init_cov=np.eye(3))
+    assert model.Q.tobytes() == q.tobytes()
+    path = str(tmp_path / "model.json")
+    save_model(path, model)
+    with open(path, "rb") as fh:
+        assert fh.read() == (json.dumps(model_to_dict(model)) + "\n").encode()
+    assert load_model(path).Q.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("key,entry,value,reason", [
+    ("Phi_tilde", (2, 1, 0), np.inf, "interval 2: Phi_tilde not finite (overflow)"),
+    ("Phi_tilde", (0, 0, 2), np.nan, "interval 0: Phi_tilde not finite (overflow)"),
+    ("Q", (1, 0, 1), -np.inf, "interval 1: Q not finite (overflow)"),
+    ("Q", (2, 1, 1), np.nan, "interval 2: Q not finite (overflow)"),
+], ids=["phi-inf", "phi-nan", "q-inf", "q-nan"])
+def test_non_finite_model_names_its_interval(key, entry, value, reason):
+    arrays = {"Phi_tilde": np.zeros((4, 2, 3)), "Q": np.tile(np.eye(2), (4, 1, 1))}
+    arrays[key][entry] = value
+    arrays["Q" if key == "Phi_tilde" else "Phi_tilde"][3, 0, 0] = np.inf  # a later interval
+    with pytest.raises(FloatingPointError, match=re.escape(reason)):
+        SkillModel(dt=0.1, init_mean=np.zeros(2), init_cov=np.eye(2), **arrays)
+
+
+def test_learned_q_that_overflows_names_its_interval():
+    # the last transition's targets reach 1e160: its system stays finite,
+    # but the squared residuals of its noise estimate overflow to inf
+    rng = np.random.default_rng(32)
+    states = rng.normal(size=(6, 5, 2))
+    states[:, -1] *= 1e160
+    demos = DemoSet(demos=[StateTrajectory(dt=0.1, states=s) for s in states])
+    with pytest.raises(FloatingPointError, match=r"^interval 3: Q not finite \(overflow\)$"):
+        learn_batch_weighted(demos, [np.ones(5)] * 6)
 
 
 @pytest.mark.parametrize("key,value,reason", [

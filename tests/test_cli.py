@@ -17,6 +17,7 @@ from iwskill.environment import (WeightParams, environment_to_dict, load_environ
 from iwskill.prior import GaussianTrajectoryPrior, initial_state_distribution, prior_band_csv
 from iwskill.synthetic import make_placing_scene, make_reaching_scene
 from iwskill.utils import read_json, write_json
+from test_batch import model_to_dict
 from test_incremental import rewrite_checkpoint
 
 
@@ -133,7 +134,6 @@ class TestLearn:
         assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
         path = os.path.join(out, "model.json")
         model = load_model(path)
-        from iwskill.batch import model_to_dict
         with open(path) as fh:
             assert json.load(fh) == model_to_dict(model)
 

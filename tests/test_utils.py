@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwskill.utils import (_atomic_write, atomic_write_text, checked_array, checked_number,
                            csv_text)
@@ -87,6 +89,16 @@ def test_other_arrays_are_refused_by_name(value, shape, message):
     assert str(info.value).startswith(message)
 
 
+def per_row_csv_text(header, values, labels=None):
+    """One `%` and one tuple per row: the former `csv_text`, the oracle of its
+    bytes."""
+    values = np.asarray(values, dtype=float)
+    rows, line = values.tolist(), ",".join(["%r"] * values.shape[1]) + "\n"
+    if labels is not None:
+        line, rows = "%s," + line, [(label, *row) for label, row in zip(labels, rows)]
+    return ",".join(header) + "\n" + "".join([line % tuple(row) for row in rows])
+
+
 @pytest.mark.parametrize("labelled", [False, True])
 def test_csv_rows_are_the_reprs_of_their_floats(labelled):
     rows = [[-0.0, 1e-300, 1e300], [3.0, -2.0, 0.1], [5e-324, 1.5e16, 123456789.0]]
@@ -97,6 +109,20 @@ def test_csv_rows_are_the_reprs_of_their_floats(labelled):
     assert csv_text(["a", "b", "c"], np.array(rows), labels) == \
         "a,b,c\n" + "".join(line + "\n" for line in lines)
     assert "-0.0,1e-300,1e+300" in csv_text(["a", "b", "c"], rows, labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 300), cols=st.integers(1, 9), labelled=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_csv_table_equals_the_per_row_oracle(rows, cols, labelled, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-320, 300, size=(rows, cols))
+    planted = rng.uniform(size=values.shape) < 0.3
+    values[planted] = rng.choice([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 7.0],
+                                 size=planted.sum())
+    header = [f"c{j}" for j in range(cols)]
+    labels = [f"{k},{rng.integers(100)}" for k in range(rows)] if labelled else None
+    assert csv_text(header, values, labels) == per_row_csv_text(header, values, labels)
 
 
 def test_failed_write_keeps_the_old_content_and_leaves_no_temp_file(tmp_path):
