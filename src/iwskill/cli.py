@@ -22,6 +22,7 @@ from .config import ConfigError, PipelineConfig, load_config
 from .environment import NO_OBSTACLE_DISTANCE, load_environment, weight_trajectory
 from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
                           save_checkpoint)
+from .linalg import lapack
 from .prior import GaussianTrajectoryPrior, prior_band_csv, sample_trajectories
 from .reproduction import (ObstacleFactor, ReproductionProblem, SingularNormalEquationsError,
                            StateAnchor, optimize_map, solution_csv, solution_summary)
@@ -52,8 +53,8 @@ def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
     if cfg.align == "dtw":
         raw = dm.dtw_align(raw)
         k, p = len(raw), raw[0].dim
-        try:  # aligned demos share the reference's timestamps: one fit of all columns, 0.5 ms
-            # for 8 demos of 200 samples on a 2-core Xeon VM, against 2.1 ms one at a time
+        try:  # aligned demos share the reference's timestamps: one fit of all columns, 0.7 ms
+            # for 8 demos of 200 samples on a 2-core Xeon VM, against 1.7 ms one at a time
             wide = dm.estimate_states(dm.RawDemo(raw[0].timestamps,
                                                  np.hstack([d.positions for d in raw])), cfg.grid_n)
         except ValueError:
@@ -196,7 +197,19 @@ def cmd_rollout(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
+@cache
+def _load_lapack() -> None:
+    """Load scipy's LAPACK routines, once per process, and freeze them with
+    the import-time objects: loaded after that freeze, they would be scanned
+    by every full collection in a process that calls `main` in a loop (the
+    benchmark's `reproduce_free` op tail read 12.6 ms so, 9.7 ms frozen, on
+    a 2-core Xeon VM)."""
+    lapack()
+    gc.freeze()
+
+
 def cmd_reproduce(cfg: PipelineConfig, args) -> int:
+    _load_lapack()
     prior = GaussianTrajectoryPrior(_read(load_model, "model", args.model))
     rc = cfg.reproduction
     env = _read(load_environment, "scene", rc.environment) if rc.environment else None

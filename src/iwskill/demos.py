@@ -5,7 +5,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .utils import checked_array, read_json, write_json
 
@@ -24,7 +23,7 @@ class RawDemo:
         t = checked_array(self.timestamps, "timestamps", p.shape[:1])
         if t.shape[0] < 4:
             raise ValueError(f"too few samples: need >= 4 for a cubic spline, got {t.shape[0]}")
-        if np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):  # no subtraction: it overflows past the float range
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "positions", p)
@@ -109,17 +108,72 @@ class DemoSet:
         return self.demos[0].dt
 
 
+def _spline_slopes(dx: list, b: np.ndarray) -> np.ndarray:
+    """The knot slopes (n, m) of the natural spline with steps dx (n-1
+    Python floats, each > 0) for the right-hand side b (n, m): LAPACK
+    dgtsv's solve of the tridiagonal system, operation for operation.
+
+    Partial pivoting interchanges rows i and i+1 when the sub-diagonal entry
+    beats the pivot, which fills in the second super-diagonal; elsewhere that
+    entry is 0.0, and the back solve still subtracts 0.0 times the unknown it
+    multiplies, which can turn a -0.0 into 0.0. Pivots and factors depend on
+    the steps alone, so they are computed once, on Python floats. The
+    sub-diagonal holds the steps, so no division is by zero and only the last
+    pivot can vanish: LAPACK's singular matrix."""
+    n = len(dx) + 1
+    dl, du = dx[1:] + dx[-1:], dx[:1] + dx[:-1]  # natural ends: zero curvature
+    d = [2 * dx[0]] + [2 * (a + c) for a, c in zip(dx, dx[1:])] + [2 * dx[-1]]
+    fill, steps = [0.0] * (n - 2), []
+    for i in range(n - 1):
+        swap = not abs(d[i]) >= dl[i]  # a NaN pivot interchanges too
+        if swap:
+            f = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - f * d[i + 1], d[i + 1]
+            if i < n - 2:
+                fill[i] = du[i + 1]
+                du[i + 1] = -f * fill[i]
+        else:
+            f = dl[i] / d[i]
+            d[i + 1] -= f * du[i]
+        steps.append((f, swap))
+    if d[-1] == 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    back = list(zip(du[-2::-1], fill[::-1], d[-3::-1]))  # rows n-3, ..., 0
+
+    def sweep(rhs):
+        """The solution for `rhs`, one column of n Python floats."""
+        carry, rows = rhs[0], []  # carry: row i of the eliminated system, not yet final
+        for (f, swap), nxt in zip(steps, rhs[1:]):
+            if swap:
+                rows.append(nxt)
+                carry = carry - f * nxt
+            else:
+                rows.append(carry)
+                carry = nxt - f * carry
+        x1 = carry / d[-1]
+        x0 = (rows[-1] - du[-1] * x1) / d[-2]
+        x = [x1, x0]
+        for (u, l, p), r in zip(back, rows[-2::-1]):
+            x0, x1 = (r - u * x0 - l * x1) / p, x0
+            x.append(x0)
+        return x[::-1]
+
+    return np.array([sweep(col) for col in b.T.tolist()]).T
+
+
 def estimate_states(demo: RawDemo, n_steps: int) -> StateTrajectory:
     """Sample the demo's natural cubic spline at n_steps+1 uniform times and
     stack positions with spline derivatives into full states; a ValueError
-    when the knot slopes or the states overflow.
+    when the knot slopes or the states overflow, and a LinAlgError (a
+    ValueError) when the spline's tridiagonal system is singular.
 
     The arithmetic is scipy's `CubicSpline(bc_type="natural")` and its
     `.derivative()`, operation for operation, so the states are bit-equal to
-    scipy's: the knot slopes s from the same LAPACK tridiagonal solve (gtsv),
-    the same Hermite coefficients, and PPoly's power sums, added left to
-    right from 0.0 (which turns a -0.0 into 0.0). Each column is fit on its
-    own, so demos sharing timestamps can be fit as one wide demo."""
+    scipy's: the knot slopes s from LAPACK's tridiagonal solve (dgtsv),
+    computed in numpy and Python floats, the same Hermite coefficients, and
+    PPoly's power sums, added left to right from 0.0 (which turns a -0.0
+    into 0.0). Each column is fit on its own, so demos sharing timestamps can
+    be fit as one wide demo."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     t, y = demo.timestamps, demo.positions
@@ -127,20 +181,13 @@ def estimate_states(demo: RawDemo, n_steps: int) -> StateTrajectory:
         dx = np.diff(t)
         dxr = dx[:, None]
         slope = np.diff(y, axis=0) / dxr
-        band = np.zeros((3, len(t)))
-        band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        band[0, 2:] = dx[:-1]
-        band[2, :-2] = dx[1:]
-        band[1, 0], band[0, 1] = 2 * dx[0], dx[0]      # natural ends: zero curvature
-        band[1, -1], band[2, -2] = 2 * dx[-1], dx[-1]
         b = np.empty_like(y)
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
         # scipy's end rows for a zero second derivative with its zero terms: the last
         # row's turns a -0.0 into 0.0, and either is NaN when dx² overflows
         b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
         b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-        s = solve_banded((1, 1), band, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        s = _spline_slopes(dx.tolist(), b)
         tau = (s[:-1] + s[1:] - 2 * slope) / dxr
         c0, c1, c2, c3 = tau / dxr, (slope - s[:-1]) / dxr - tau, s[:-1], y[:-1]
         tq = np.linspace(t[0], t[-1], n_steps + 1)

@@ -9,13 +9,21 @@ the solves) factors and solves it in O(n d^3) without materializing the
 full matrix.
 """
 
+from functools import cache
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import get_lapack_funcs
 
-# Called directly: scipy's cholesky_banded and cho_solve_banded wrappers add
-# their checks and batching around the same two routines.
-_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0),))
+
+@cache  # fetched once per process: LM factors about 11 times per reproduction
+def lapack() -> tuple:
+    """dpbtrf and dpbtrs, fetched on the first call, so that only code that
+    factorizes imports scipy. Called directly: scipy's cholesky_banded and
+    cho_solve_banded wrappers add their checks and batching around the same
+    two routines."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0),))
 
 
 class BlockTridiagCholesky:
@@ -39,7 +47,7 @@ class BlockTridiagCholesky:
         what = f"block-tridiagonal matrix ({n} blocks of size {d})"
         if not np.isfinite(band).all():
             raise np.linalg.LinAlgError(f"{what} has a NaN or infinite entry")
-        self.band, info = _PBTRF(band, lower=1, overwrite_ab=1)
+        self.band, info = lapack()[0](band, lower=1, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"{what} not positive definite: "
                                         f"{info}-th leading minor not positive definite")
@@ -48,7 +56,7 @@ class BlockTridiagCholesky:
         """Solve A x = b for b of shape (n*d,) or (n*d, m)."""
         if not np.isfinite(b).all():
             raise np.linalg.LinAlgError("right-hand side has a NaN or infinite entry")
-        return _PBTRS(self.band, b, lower=1)[0]
+        return lapack()[1](self.band, b, lower=1)[0]
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -1146,22 +1146,60 @@ def test_degenerate_weights_warning_is_one_line(tmp_path):
 
 
 def test_import_freezes_the_loaded_modules():
-    """Full collections in a process that calls `main` repeatedly skip numpy,
-    scipy and the iwskill modules, which live as long as the process."""
+    """Full collections in a process that calls `main` repeatedly skip numpy
+    and the iwskill modules, which live as long as the process; scipy's are
+    frozen when `reproduce` first loads them."""
     assert gc.get_freeze_count() > 10_000
 
 
 def test_import_leaves_out_the_heavy_scipy_packages():
-    """A fresh process that imports the CLI (each stage is one) loads only
-    scipy's LAPACK bindings, not the packages that made up most of the
-    import time."""
+    """A fresh process that imports the CLI (each stage is one) loads no
+    scipy module: only `reproduce` does."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = ("import sys, iwskill.cli, iwskill; print(sorted(m for m in sys.modules if m in "
-             "('scipy.interpolate', 'scipy.special', 'scipy.optimize', 'scipy.linalg')))")
+    probe = ("import sys, iwskill.cli, iwskill; print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'scipy'))")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert run.stdout == "['scipy.linalg']\n"
+    assert run.stdout == "[]\n"
+
+
+def test_only_reproduce_loads_scipy(scene_dir, tmp_path):
+    """Each stage in a fresh process: only `reproduce` loads scipy, for
+    LAPACK's banded Cholesky; every other stage ends with none loaded."""
+    root, _ = scene_dir
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = ("import sys, iwskill.cli; code = iwskill.cli.main(sys.argv[1:]); print(sorted(m for m "
+             "in sys.modules if m in ('scipy', 'scipy.linalg'))); sys.exit(code)")
+    model = str(tmp_path / "model.json")
+    loaded = {}
+    for stage in (["ingest"], ["weights"],
+                  ["assimilate", "--checkpoint", str(tmp_path / "ck.json"), "--demo",
+                   str(root / "demo_000.json")],
+                  ["learn"], ["rollout", "--model", model], ["reproduce", "--model", model]):
+        run = subprocess.run([sys.executable, "-c", probe, "--config", str(root / "config.json"),
+                              "--out", str(tmp_path)] + stage, capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), check=True)
+        loaded[stage[0]] = run.stdout.splitlines()[-1]
+    assert loaded == {"ingest": "[]", "weights": "[]", "assimilate": "[]", "learn": "[]",
+                      "rollout": "[]", "reproduce": "['scipy', 'scipy.linalg']"}
+
+
+def test_demo_spanning_past_the_float_range_is_one_line(tmp_path):
+    # the steps of its timestamps overflow: the spline fit refuses the demo, and
+    # the order check before it warns of nothing
+    demo = str(tmp_path / "demo.json")
+    save_raw_demo(demo, RawDemo(np.array([-1.7e308, -1e308, 1e308, 1.7e308]), np.zeros((4, 2))))
+    write_json(str(tmp_path / "cfg.json"), {"demos": [demo], "grid_n": 10})
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "iwskill.cli", "--config", str(tmp_path / "cfg.json"),
+                          "--out", str(tmp_path / "out"), "ingest"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 2
+    assert run.stderr == (f"config error: failed to read demo {demo}: the spline states are not "
+                          "finite (overflow)\n")
 
 
 def test_parser_is_built_once_and_no_flag_leaks_into_the_next_call(scene_dir, tmp_path,

@@ -166,6 +166,13 @@ class TestCubicSpline:
         with pytest.raises(ValueError, match="strictly increasing"):
             RawDemo(timestamps=np.array([0.0, 1.0, 1.0, 2.0]), positions=np.zeros((4, 1)))
 
+    def test_timestamps_spanning_past_the_float_range_fail_the_fit_alone(self):
+        # their steps overflow: the order check must not subtract, the spline fit refuses
+        demo = RawDemo(timestamps=np.array([-1.7e308, -1e308, 1e308, 1.7e308]),
+                       positions=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"^the spline states are not finite \(overflow\)$"):
+            estimate_states(demo, 3)
+
 
 class TestEstimateStates:
     def test_constant_demo_zero_velocity(self):
@@ -222,6 +229,12 @@ def shared_time_demos(draw):
     return [RawDemo(timestamps=t, positions=p) for p in positions], draw(st.integers(1, 400))
 
 
+def scipy_states(demo, n_steps):
+    spline = CubicSpline(demo.timestamps, demo.positions, bc_type="natural", axis=0)
+    t = np.linspace(demo.timestamps[0], demo.timestamps[-1], n_steps + 1)
+    return np.hstack([spline(t), spline.derivative()(t)])
+
+
 class TestSplineOracle:
     """`estimate_states` against scipy's natural `CubicSpline`, the code it replaced."""
 
@@ -230,10 +243,22 @@ class TestSplineOracle:
     def test_bit_equal_to_scipy(self, case):
         demos, n_steps = case
         for demo in demos[:2]:
-            spline = CubicSpline(demo.timestamps, demo.positions, bc_type="natural", axis=0)
-            t = np.linspace(demo.timestamps[0], demo.timestamps[-1], n_steps + 1)
-            want = np.hstack([spline(t), spline.derivative()(t)])
+            want = scipy_states(demo, n_steps)
             assert estimate_states(demo, n_steps).states.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("columns", [3, 24])
+    def test_bit_equal_to_scipy_with_row_interchanges(self, columns):
+        # 300 knots with steps from 1e-3 to 10 s: the second step is more than twice
+        # the first, so dgtsv interchanges rows 0 and 1, and more rows further on;
+        # one demo's width, and a DTW-aligned stack's
+        rng = np.random.default_rng(26)
+        steps = 10.0 ** rng.uniform(-3, 1, 299)
+        steps[:2] = 1e-3, 1.0
+        y = rng.normal(size=(300, columns)) * rng.integers(0, 2, size=(300, columns))
+        y[rng.random(y.shape) < 0.05] = -0.0
+        demo = RawDemo(timestamps=np.concatenate([[0.0], np.cumsum(steps)]), positions=y)
+        want = scipy_states(demo, 400)
+        assert estimate_states(demo, 400).states.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(shared_time_demos())
