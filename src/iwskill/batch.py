@@ -244,20 +244,30 @@ def model_from_dict(data: dict) -> SkillModel:
 
 
 def _matrix_template(rows: int, cols: int) -> str:
-    return "[" + ", ".join(["[" + ", ".join(["%r"] * cols) + "]"] * rows) + "]"
+    return "[" + ", ".join(["[" + ", ".join(["%s"] * cols) + "]"] * rows) + "]"
 
 
 def save_model(path: str, model: SkillModel) -> None:
     """Write `model` as the one-line JSON `json.dumps` gives its dict of dt, D,
     init_mean, init_cov and steps, each step {"Phi_tilde": [...], "Q": [...]}
     as nested lists. The steps are one `%` over a template of the model's
-    shape; each entry is its float's repr, as in `json.dumps`."""
+    shape; each entry is its float's repr, as in `json.dumps`. A Q entry below
+    the diagonal whose bits equal its mirror's takes the mirror's text, so
+    each such pair is formatted once."""
     n, d = model.n_steps, model.dim
     step = '{"Phi_tilde": ' + _matrix_template(d, d + 1) + ', "Q": ' + _matrix_template(d, d) + "}"
     values = np.concatenate([model.Phi_tilde.reshape(n, -1), model.Q.reshape(n, -1)], axis=1)
+    i, j = np.tril_indices(d, -1)
+    lower, upper = d * (d + 1) + i * d + j, d * (d + 1) + j * d + i
+    bits = values.view(np.int64)  # 0.0 and -0.0 differ here, so each keeps its text
+    shared = bits[:, lower] == bits[:, upper]
+    slot = np.arange(values.size).reshape(values.shape)
+    cells = values.ravel().tolist()
+    for a, b in zip(slot[:, upper][shared].tolist(), slot[:, lower][shared].tolist()):
+        cells[a] = cells[b] = repr(cells[a])
     header = json.dumps({"dt": model.dt, "D": d, "init_mean": model.init_mean.tolist(),
                          "init_cov": model.init_cov.tolist()})
-    steps = ", ".join([step] * n) % tuple(values.ravel().tolist())
+    steps = ", ".join([step] * n) % tuple(cells)
     atomic_write_text(path, header[:-1] + ', "steps": [' + steps + "]}\n")
 
 

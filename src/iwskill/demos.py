@@ -85,10 +85,11 @@ class DemoSet:
         n = self.demos[0].n_steps
         d = self.demos[0].dim
         dt = self.demos[0].dt
+        same_dt = np.isclose([traj.dt for traj in self.demos], dt, rtol=1e-9, atol=1e-12)
         for k, traj in enumerate(self.demos):
             if traj.n_steps != n or traj.dim != d:
                 raise ValueError(f"demo {k} grid mismatch: ({traj.n_steps}, {traj.dim}) vs ({n}, {d})")
-            if not np.isclose(traj.dt, dt, rtol=1e-9, atol=1e-12):
+            if not same_dt[k]:
                 raise ValueError(f"demo {k} dt mismatch: {traj.dt} vs {dt}")
 
     @property

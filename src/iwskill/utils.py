@@ -5,18 +5,20 @@ import json
 import math
 import os
 import reprlib
-import tempfile
 
 import numpy as np
 
 
 def _atomic_write(path: str, write) -> None:
-    """Fill a temp file next to `path` with `write(binary_file)`, then rename
-    it onto `path`, so readers never see a partially written file and failed
-    writes leave the old content intact."""
+    """Fill a new temp file next to `path` with `write(binary_file)`, then
+    rename it onto `path`, so readers never see a partially written file and
+    failed writes leave the old content intact. The file gets the mode a plain
+    `open(path, "w")` gives a new file: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp_{os.urandom(8).hex()}{os.path.basename(path)}")
+    # O_EXCL: a name another writer holds (a 2**-64 chance) raises, never shares its file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             write(fh)

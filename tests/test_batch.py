@@ -372,14 +372,45 @@ def symmetric_part(a):
     return np.where(np.triu(np.ones(a.shape[1:], dtype=bool)), a, a.transpose(0, 2, 1))
 
 
+# Magnitudes at the ends of the float range: subnormals and entries near the
+# largest finite float.
+EXTREME_FLOATS = [5e-324, -5e-324, 2.2e-308, -1.5e-315, 1e308, -1e308, 1.7976931348623157e308]
+
+
+def mirrored_q(rng, n, d, mirror):
+    """A Q stack (N, D, D) that SkillModel accepts, whose mirrored pairs are
+    bit-equal ("equal") or, on about half of them, differ only in the sign of
+    zero ("signed_zero"), within the symmetry tolerance ("tolerance"), or by
+    one ulp at the ends of the float range ("extreme")."""
+    if mirror == "extreme":
+        q = symmetric_part(rng.choice(EXTREME_FLOATS, size=(n, d, d)))
+    else:
+        q = symmetric_part(special_array(rng, (n, d, d)))
+    i, j = np.tril_indices(d, -1)
+    pick = rng.uniform(size=(n, i.size)) < 0.5
+    upper = q[:, j, i]
+    if mirror == "signed_zero":
+        sign = np.where(rng.uniform(size=upper.shape) < 0.5, 1.0, -1.0)
+        q[:, j, i] = np.where(pick, 0.0 * sign, upper)
+        q[:, i, j] = np.where(pick, -0.0 * sign, upper)
+    elif mirror == "tolerance":
+        moved = upper * (1 + rng.uniform(-1e-7, 1e-7, upper.shape)) \
+            + rng.uniform(-1e-10, 1e-10, upper.shape)
+        q[:, i, j] = np.where(pick, moved, upper)
+    elif mirror == "extreme":
+        q[:, i, j] = np.where(pick, np.nextafter(upper, 0.0), upper)
+    return q
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 30), d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
-       dt=st.sampled_from([0.05, 5e-324, 1e-300, 2.0, 1]))
-def test_model_file_is_the_json_of_its_dict(tmp_path_factory, n, d, seed, dt):
+       dt=st.sampled_from([0.05, 5e-324, 1e-300, 2.0, 1]),
+       mirror=st.sampled_from(["equal", "signed_zero", "tolerance", "extreme"]))
+def test_model_file_is_the_json_of_its_dict(tmp_path_factory, n, d, seed, dt, mirror):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d))
     model = SkillModel(Phi_tilde=special_array(rng, (n, d, d + 1)),
-                       Q=symmetric_part(special_array(rng, (n, d, d))), dt=dt,
+                       Q=mirrored_q(rng, n, d, mirror), dt=dt,
                        init_mean=special_array(rng, d), init_cov=a @ a.T)
     path = str(tmp_path_factory.mktemp("model") / "model.json")
     save_model(path, model)

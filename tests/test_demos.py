@@ -535,10 +535,19 @@ class TestDemoSet:
     def test_empty_set_and_dt_mismatch_rejected(self):
         with pytest.raises(ValueError, match="^a DemoSet needs at least one demonstration$"):
             DemoSet(demos=[])
-        a = StateTrajectory(dt=0.1, states=np.zeros((3, 2)))
-        b = StateTrajectory(dt=0.2, states=np.zeros((3, 2)))
+        def traj(dt, n=3):
+            return StateTrajectory(dt=dt, states=np.zeros((n, 2)))
+
         with pytest.raises(ValueError, match=r"^demo 1 dt mismatch: 0\.2 vs 0\.1$"):
-            DemoSet(demos=[a, b])
+            DemoSet(demos=[traj(0.1), traj(0.2)])
+        close = 0.1 * (1 + 5e-10)  # within rtol 1e-9 of 0.1
+        assert DemoSet(demos=[traj(0.1), traj(close), traj(0.1 + 5e-13)]).k == 3
+        with pytest.raises(ValueError, match=r"^demo 2 dt mismatch: 0\.1000001 vs 0\.1$"):
+            DemoSet(demos=[traj(0.1), traj(close), traj(0.1000001), traj(0.3)])
+        with pytest.raises(ValueError, match=r"^demo 1 grid mismatch"):  # the first demo off
+            DemoSet(demos=[traj(0.1), traj(0.1, n=4), traj(0.3)])
+        with pytest.raises(ValueError, match=r"^demo 1 dt mismatch"):
+            DemoSet(demos=[traj(0.1), traj(0.3), traj(0.1, n=4)])
 
     def test_ingest_produces_shared_grid(self):
         rng = np.random.default_rng(0)

@@ -1,13 +1,14 @@
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwskill.utils import (_atomic_write, atomic_write_text, checked_array, checked_number,
-                           csv_text)
+from iwskill.utils import (_atomic_write, atomic_write_npz, atomic_write_text, checked_array,
+                           checked_number, csv_text)
 
 
 @pytest.mark.parametrize("value, kind, positive, expected", [
@@ -138,3 +139,25 @@ def test_failed_write_keeps_the_old_content_and_leaves_no_temp_file(tmp_path):
     with open(path) as fh:
         assert fh.read() == "old\n"
     assert os.listdir(tmp_path) == ["out.txt"]  # no .tmp_* file is left behind
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+@pytest.mark.parametrize("writer", [lambda path: atomic_write_text(path, "text\n"),
+                                    lambda path: atomic_write_npz(path, {"a": np.zeros(2)})],
+                         ids=["text", "npz"])
+def test_written_file_has_the_mode_open_gives_under_the_umask(tmp_path, umask, mode, writer):
+    path = str(tmp_path / "out")
+    old = os.umask(umask)
+    try:
+        writer(path)
+        first = stat.S_IMODE(os.stat(path).st_mode)
+        os.chmod(path, 0o400)
+        writer(path)  # over an existing file: a new file again, not the old one's mode
+        again = stat.S_IMODE(os.stat(path).st_mode)
+        with open(str(tmp_path / "plain"), "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert first == again == stat.S_IMODE(os.stat(str(tmp_path / "plain")).st_mode) == mode
+    assert sorted(os.listdir(tmp_path)) == ["out", "plain"]
