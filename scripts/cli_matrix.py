@@ -14,6 +14,9 @@ compare equal. A RuntimeWarning is an error; a call that raises is recorded
 with exit code null and the exception as its stderr. Two versions of the
 program give the same results when `diff -r` finds no difference between
 their trees. The bytes depend on the BLAS build, so no hashes are kept.
+The last line counts the calls' exit codes, and the reproductions' `stop`
+reasons and how many of them are `feasible`, read from the
+`solution_*.json` files in the tree.
 
 `--quick` runs one seed, noise 0.01 and grid_n 20 (8 cases, as tier-1 does).
 
@@ -36,7 +39,7 @@ from iwskill.cli import main as cli_main
 from iwskill.demos import save_raw_demo
 from iwskill.environment import environment_to_dict
 from iwskill.synthetic import make_placing_scene, make_reaching_scene
-from iwskill.utils import write_json
+from iwskill.utils import read_json, write_json
 
 
 def _state(demo, at: int) -> list:
@@ -168,7 +171,13 @@ def main(argv=None) -> int:
         return 2
     calls = run_matrix(args.out, args.quick)
     codes = Counter(str(c["exit"]) for c in calls)
-    print(f"{len(calls)} calls, exit codes {dict(sorted(codes.items()))} -> {args.out}")
+    solutions = [read_json(os.path.join(directory, name))
+                 for directory, _, names in os.walk(args.out) for name in names
+                 if name.startswith("solution_") and name.endswith(".json")]
+    stops = Counter(s["stop"] for s in solutions)
+    print(f"{len(calls)} calls, exit codes {dict(sorted(codes.items()))}; reproductions: "
+          f"stop {dict(sorted(stops.items()))}, feasible "
+          f"{sum(s['feasible'] for s in solutions)}/{len(solutions)} -> {args.out}")
     return 0
 
 

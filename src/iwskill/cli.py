@@ -19,9 +19,9 @@ import numpy as np
 from . import demos as dm
 from .batch import (SingularSystemError, learn_batch_weighted, load_model, save_model)
 from .config import ConfigError, PipelineConfig, load_config
-from .environment import NO_OBSTACLE_DISTANCE, load_environment, weight_trajectory
-from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
-                          save_checkpoint)
+from .environment import load_environment, weight_trajectory
+from .incremental import (IncrementalLearner, assimilate_demo, check_grid, extract_map,
+                          load_checkpoint, save_checkpoint)
 from .linalg import lapack
 from .prior import GaussianTrajectoryPrior, prior_band_csv, sample_trajectories
 from .reproduction import (ObstacleFactor, ReproductionProblem, SingularNormalEquationsError,
@@ -138,11 +138,16 @@ def cmd_assimilate(cfg: PipelineConfig, args) -> int:
     traj = _read(lambda p: dm.estimate_states(dm.load_raw_demo(p), cfg.grid_n), "demo",
                  args.demo)
 
-    if os.path.exists(args.checkpoint):  # assimilate_demo refuses a demo off its grid
+    if os.path.exists(args.checkpoint):
         learner = _read(load_checkpoint, "checkpoint", args.checkpoint)
         if (learner.alpha, learner.beta) != (cfg.alpha, cfg.beta):
             raise ConfigError(f"checkpoint {args.checkpoint} holds (alpha, beta) = "
                               f"{learner.alpha, learner.beta}, the config {cfg.alpha, cfg.beta}")
+        try:
+            check_grid(learner, traj)
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {args.checkpoint} does not take demo {args.demo}: "
+                              f"{exc}") from None
     else:
         learner = IncrementalLearner(traj.n_steps, traj.dim, cfg.alpha, cfg.beta, dt=traj.dt)
 
@@ -229,13 +234,14 @@ def cmd_reproduce(cfg: PipelineConfig, args) -> int:
         all_converged &= solution.converged
         stem = os.path.join(cfg.out_dir, f"solution_{si:03d}")
         atomic_write_text(stem + ".csv", solution_csv(solution))
-        write_json(stem + ".json", solution_summary(solution))
+        summary = solution_summary(solution)
+        write_json(stem + ".json", summary)
         scene = _band_scene(prior, env)
         scene.polyline(_plane(prior, prior.means), color="#1f77b4", width=1.5, dashed=True)
         scene.polyline(_plane(prior, solution.trajectory.states), color="#2ca02c", width=2.5)
         atomic_write_text(stem + ".svg", scene.render())
-        clear = solution.min_clearance
-        clear_txt = "n/a" if clear >= NO_OBSTACLE_DISTANCE else f"{clear:.4f}"
+        clear = summary["min_clearance"]
+        clear_txt = "n/a" if clear is None else f"{clear:.4f}"
         print(f"start {si}: objective {solution.objective:.6g}, {solution.iterations} "
               f"iterations, converged={solution.converged} (stop: {solution.stop}), "
               f"feasible={solution.feasible}, min clearance {clear_txt}")
@@ -284,7 +290,9 @@ def main(argv=None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
+        if args.seed is not None:  # the config reader checks the config's own seed
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out

@@ -5,6 +5,7 @@ config plus its data directory is relocatable.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -102,6 +103,10 @@ def _parse(raw, path: str) -> PipelineConfig:
         return os.path.normpath(os.path.join(base, _typed(p, str, where + key, "a path")))
 
     cfg = PipelineConfig(**_scalars(PipelineConfig, raw, where))
+    for key, value in (("alpha", cfg.alpha), ("beta", cfg.beta)):  # the learner starts at I/value
+        if not (value > 0 and 1.0 / value < math.inf):
+            raise ConfigError(f"{where}{key} must be positive with a finite reciprocal, "
+                              f"got {value!r}")
     cfg.demos = [resolve(p, "demos")
                  for p in _typed(raw.get("demos", []), list, where + "demos", "a list of paths")]
     cfg.environment = resolve(raw.get("environment"), "environment", optional=True)
@@ -125,8 +130,10 @@ def _parse(raw, path: str) -> PipelineConfig:
         raise ConfigError(f"{path}: unknown reproduction keys {sorted(unknown)}")
     repro = where + "reproduction."
     rc = ReproductionConfig(**_scalars(ReproductionConfig, repro_raw, repro))
-    if rc.eps_repro < 0:
-        raise ConfigError(f"{repro}eps_repro must be >= 0, got {rc.eps_repro!r}")
+    for key, value in (("seed", cfg.seed), ("rollout_samples", cfg.rollout_samples),
+                       ("reproduction.eps_repro", rc.eps_repro)):
+        if value < 0:
+            raise ConfigError(f"{where}{key} must be >= 0, got {value!r}")
     rc.environment = resolve(repro_raw.get("environment"), "reproduction.environment",
                              optional=True)
     rc.starts = [checked_array(start, f"{repro}starts[{i}]", (None,)) for i, start in enumerate(

@@ -16,9 +16,6 @@ import numpy as np
 
 from .utils import checked_array, checked_number, read_json
 
-# Signed distance reported when a scene has no obstacles (>= 1e6 by contract).
-NO_OBSTACLE_DISTANCE = 1.0e9
-
 
 def _norms(d: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of d (n, dim). The stacked vector-vector
@@ -127,14 +124,14 @@ def nearest_obstacle(env: Environment, points) -> tuple[np.ndarray, np.ndarray]:
     """Signed distance (n,) from each point row (n, dim) to its nearest
     obstacle, and that obstacle's gradient (n, dim) at the row. The one place
     that chooses an obstacle: a row equidistant from several takes the first
-    of them in scene order. Obstacle-free scenes return the sentinel distance
-    and zero gradients."""
+    of them in scene order, and the first NaN distance sticks. A row with no
+    obstacle nearer than +inf (every row, without obstacles) reads +inf and 0."""
     rows = _point_rows(points, env.dimension)
-    if not env.obstacles:
-        return np.full(rows.shape[0], NO_OBSTACLE_DISTANCE), np.zeros_like(rows)
-    dist, grads = map(np.array, zip(*(obs.distance(rows) for obs in env.obstacles)))
-    nearest, every = np.argmin(dist, axis=0), np.arange(rows.shape[0])  # the first minimum
-    return dist[nearest, every], grads[nearest, every]
+    dist, grad = np.full(rows.shape[0], np.inf), np.zeros_like(rows)
+    for d, g in (obs.distance(rows) for obs in env.obstacles):
+        closer = ~(d >= dist) & ~np.isnan(dist)  # strictly nearer, or a first NaN
+        dist, grad = np.where(closer, d, dist), np.where(closer[:, None], g, grad)
+    return dist, grad
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,16 @@ class IncrementalLearner:
         self.nu = np.full(n_steps, 1.0 / beta)
 
 
+def check_grid(learner: IncrementalLearner, demo: StateTrajectory) -> None:
+    """A ValueError unless `demo` lies on the learner's (N, D) grid and dt."""
+    if demo.n_steps != learner.n_steps or demo.dim != learner.dim:
+        raise ValueError(f"demo grid ({demo.n_steps}, {demo.dim}) does not match "
+                         f"learner grid ({learner.n_steps}, {learner.dim})")
+    # the test np.isclose makes at rtol 1e-9, atol 1e-12, without its array overhead
+    if learner.dt is not None and not abs(demo.dt - learner.dt) <= 1e-12 + 1e-9 * abs(learner.dt):
+        raise ValueError(f"demo dt {demo.dt} does not match learner dt {learner.dt}")
+
+
 def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
                     weights: np.ndarray) -> IncrementalLearner:
     """Fold one demonstration into every interval's belief; interval i sees
@@ -54,13 +64,9 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
     the weighted residual around the new M plus a symmetrized drift term for
     the mean change, so it stays exactly symmetric; nu gains one.
     """
-    if demo.n_steps != learner.n_steps or demo.dim != learner.dim:
-        raise ValueError(f"demo grid ({demo.n_steps}, {demo.dim}) does not match "
-                         f"learner grid ({learner.n_steps}, {learner.dim})")
+    check_grid(learner, demo)
     if learner.dt is None:
         learner.dt = demo.dt
-    elif not np.isclose(demo.dt, learner.dt, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"demo dt {demo.dt} does not match learner dt {learner.dt}")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (demo.n_steps + 1,):
         raise ValueError("need one weight per trajectory node")

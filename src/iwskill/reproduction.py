@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demos import StateTrajectory
-from .environment import NO_OBSTACLE_DISTANCE, Environment, nearest_obstacle
+from .environment import Environment, nearest_obstacle
 from .linalg import BlockTridiagCholesky
 from .prior import GaussianTrajectoryPrior
 from .utils import csv_text
@@ -156,11 +156,10 @@ def _finite(evaluation: tuple) -> tuple:
 
 def _solution(problem, x, objective, iterations, stop, history) -> Solution:
     states = x.reshape(-1, problem.prior.dim)
-    min_clear, feasible, obstacle = NO_OBSTACLE_DISTANCE, True, problem.obstacle
+    min_clear, feasible, obstacle = np.inf, True, problem.obstacle
     if obstacle is not None:
         dist = nearest_obstacle(obstacle.env, states[:, :obstacle.env.dimension])[0]
-        # capped at the sentinel: a distance that overflows to inf reads as no obstacle
-        min_clear = min(min_clear, float(dist.min()))
+        min_clear = float(dist.min())
         feasible = bool(np.all(dist >= obstacle.eps_repro - CLEARANCE_SLACK))
     return Solution(trajectory=StateTrajectory(dt=problem.prior.dt, states=states),
                     objective=objective, iterations=iterations, stop=stop,
@@ -234,7 +233,7 @@ def solution_summary(solution: Solution) -> dict:
         "converged": solution.converged,
         "stop": solution.stop,
         "feasible": solution.feasible,
-        # null when nothing was checked for clearance (no obstacles)
-        "min_clearance": (None if solution.min_clearance >= NO_OBSTACLE_DISTANCE
-                          else solution.min_clearance),
+        # null when no obstacle is in reach (none in the scene, or every distance overflows)
+        "min_clearance": (solution.min_clearance if np.isfinite(solution.min_clearance)
+                          else None),
     }

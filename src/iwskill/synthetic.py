@@ -46,6 +46,18 @@ def _pace(s: np.ndarray, c: float) -> np.ndarray:
     return s + c * np.sin(np.pi * s) / np.pi
 
 
+def _demo(rng, s: np.ndarray, start: np.ndarray, goal: np.ndarray, c: float, noise: float,
+          bump: tuple | None = None) -> RawDemo:
+    """The line from start to goal at pacing c, its height first raised over
+    the dome `bump` (center, peak, width) if given, plus band noise drawn
+    axis by axis."""
+    pos = start[None, :] + _pace(s, c)[:, None] * (goal - start)[None, :]
+    if bump is not None:
+        pos[:, 1] = np.maximum(pos[:, 1], _dome(pos[:, 0], *bump))
+    noise_rows = np.stack([_band_noise(rng, s, noise) for _ in range(pos.shape[1])], axis=1)
+    return RawDemo(timestamps=s.copy(), positions=pos + noise_rows)
+
+
 @dataclass(frozen=True)
 class ReachingScene:
     raw_demos: list
@@ -75,26 +87,17 @@ def make_reaching_scene(n_raw: int = 60, noise: float = 0.0, seed: int = 0) -> R
     clean_starts = [np.array([0.0, y]) for y in (-1.6, -1.3, 1.5, 1.7)]
 
     s = np.linspace(0.0, 1.0, n_raw)
-    demos = []
     # detour apex above the disc; the dome footprint stays inside the region
     # where the weights have already decayed to ~0, so the visible detour
     # never contaminates full-weight samples
-    peak = disc.center[1] + disc.radius + 0.15
+    bump = (disc.center[0], disc.center[1] + disc.radius + 0.15, 0.44)
     # small spread: enough signal to pin the motion-direction response of the
     # per-step fits, small enough that family curvature stays negligible
     pacings = [0.0075, -0.0175, 0.0175, -0.0075, 0.0125, -0.02, 0.02, -0.0125]
-    for start, c in zip(influenced_starts, pacings[:4]):
-        gamma = _pace(s, c)
-        line = start[None, :] + gamma[:, None] * (goal - start)[None, :]
-        y = np.maximum(line[:, 1], _dome(line[:, 0], disc.center[0], peak, width=0.44))
-        pos = np.stack([line[:, 0] + _band_noise(rng, s, noise),
-                        y + _band_noise(rng, s, noise)], axis=1)
-        demos.append(RawDemo(timestamps=s.copy(), positions=pos))
-    for start, c in zip(clean_starts, pacings[4:]):
-        line = start[None, :] + _pace(s, c)[:, None] * (goal - start)[None, :]
-        pos = line + np.stack([_band_noise(rng, s, noise),
-                               _band_noise(rng, s, noise)], axis=1)
-        demos.append(RawDemo(timestamps=s.copy(), positions=pos))
+    demos = ([_demo(rng, s, start, goal, c, noise, bump)
+              for start, c in zip(influenced_starts, pacings[:4])]
+             + [_demo(rng, s, start, goal, c, noise)
+                for start, c in zip(clean_starts, pacings[4:])])
     return ReachingScene(raw_demos=demos, env=env, goal=goal,
                          starts=np.stack(influenced_starts + clean_starts),
                          n_influenced=len(influenced_starts),
@@ -123,22 +126,11 @@ def make_placing_scene(n_raw: int = 60, noise: float = 0.0, seed: int = 1) -> Pl
     clean = Environment(dimension=2, obstacles=[])
 
     s = np.linspace(0.0, 1.0, n_raw)
-    influenced, clean_demos = [], []
     pacings = [0.015, -0.0175, 0.00375, -0.0125, 0.0175, -0.005]
-    box_mid = (box.lo[0] + box.hi[0]) / 2.0
-    peak = box.hi[1] + 0.12  # arc apex above the box top
-    for goal, c in zip(targets, pacings[:3]):
-        gamma = _pace(s, c)
-        line = start[None, :] + gamma[:, None] * (goal - start)[None, :]
-        y = np.maximum(line[:, 1], _dome(line[:, 0], box_mid, peak, width=0.30))
-        pos = np.stack([line[:, 0] + _band_noise(rng, s, noise),
-                        y + _band_noise(rng, s, noise)], axis=1)
-        influenced.append(RawDemo(timestamps=s.copy(), positions=pos))
-    for goal, c in zip(targets, pacings[3:]):
-        line = start[None, :] + _pace(s, c)[:, None] * (goal - start)[None, :]
-        pos = line + np.stack([_band_noise(rng, s, noise),
-                               _band_noise(rng, s, noise)], axis=1)
-        clean_demos.append(RawDemo(timestamps=s.copy(), positions=pos))
+    bump = ((box.lo[0] + box.hi[0]) / 2.0, box.hi[1] + 0.12, 0.30)  # arc apex above the box top
+    influenced = [_demo(rng, s, start, goal, c, noise, bump)
+                  for goal, c in zip(targets, pacings[:3])]
+    clean_demos = [_demo(rng, s, start, goal, c, noise) for goal, c in zip(targets, pacings[3:])]
     return PlacingScene(influenced_raw=influenced, clean_raw=clean_demos,
                         cluttered_env=cluttered, clean_env=clean,
                         start=start, targets=targets,

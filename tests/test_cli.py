@@ -315,12 +315,23 @@ class TestAssimilate:
         write_json(other, cfg)
         before = read_all_outputs(out)
         capsys.readouterr()
+        demo = str(root / "demo_001.json")
         code = cli_main(["--config", other, "--out", out, "assimilate",
-                         "--checkpoint", checkpoint,
-                         "--demo", str(root / "demo_001.json")])
+                         "--checkpoint", checkpoint, "--demo", demo])
         assert code == 2
-        assert capsys.readouterr().err == ("config error: demo grid (17, 4) does not match "
-                                           "learner grid (30, 4)\n")
+        assert capsys.readouterr().err == (f"config error: checkpoint {checkpoint} does not take "
+                                           f"demo {demo}: demo grid (17, 4) does not match "
+                                           f"learner grid (30, 4)\n")
+        assert read_all_outputs(out) == before
+        # the grid of the checkpoint, at twice its dt
+        slow = load_raw_demo(demo)
+        demo = str(tmp_path / "slow.json")
+        save_raw_demo(demo, RawDemo(2.0 * slow.timestamps, slow.positions))
+        code = cli_main(["--config", str(root / "config.json"), "--out", out, "assimilate",
+                         "--checkpoint", checkpoint, "--demo", demo])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: checkpoint {checkpoint} does not take demo {demo}: demo dt ")
         assert read_all_outputs(out) == before
 
     @pytest.mark.parametrize("alpha, beta", [(1e10, 1e10), (1.0, 1.0), (1e10, 1.0)])
@@ -898,18 +909,25 @@ class TestExitCodes:
 
     def test_overflowing_clearance_is_null(self, scene_dir, tmp_path, capsys):
         # the only obstacle is centred at 1e308: every distance overflows to
-        # inf, which reads as no obstacle, not as an infinite clearance
+        # inf, which reads as no obstacle, not as an infinite clearance; one
+        # at 1e12 m is in reach, however far, and reports its clearance
         assert _reproduce_in_displaced_scene(scene_dir, tmp_path, {}) == 0
-        write_json(str(tmp_path / "env_displaced.json"), {"dimension": 2, "obstacles": [
-            {"type": "sphere", "center": [1e308, 0.0], "radius": 0.2}]})
-        capsys.readouterr()
-        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
-                         str(tmp_path / "far"), "reproduce",
-                         "--model", str(tmp_path / "out" / "model.json")]) == 0
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1 and out.endswith("feasible=True, min clearance n/a\n")
-        with open(tmp_path / "far" / "solution_000.json") as fh:
-            assert '"min_clearance": null' in fh.read()
+        for x in (1e308, 1e12):
+            write_json(str(tmp_path / "env_displaced.json"), {"dimension": 2, "obstacles": [
+                {"type": "sphere", "center": [x, 0.0], "radius": 0.2}]})
+            capsys.readouterr()
+            assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out",
+                             str(tmp_path / "far"), "reproduce",
+                             "--model", str(tmp_path / "out" / "model.json")]) == 0
+            sol = np.loadtxt(tmp_path / "far" / "solution_000.csv", delimiter=",", skiprows=1)
+            clearance = nearest_obstacle(load_environment(str(tmp_path / "env_displaced.json")),
+                                         sol[:, 1:3])[0].min()
+            assert (clearance == np.inf) == (x == 1e308)
+            shown = "n/a" if x == 1e308 else f"{clearance:.4f}"
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1 and out.endswith(f"feasible=True, min clearance {shown}\n")
+            assert read_json(tmp_path / "far" / "solution_000.json")["min_clearance"] == (
+                None if x == 1e308 else clearance)
 
     def test_demo_without_position_column(self, tmp_path, capsys):
         (tmp_path / "demo.csv").write_text(
@@ -1015,9 +1033,13 @@ class TestExitCodes:
         ("learn", ("weights", "sigma_obs"), 1e-320,
          "weights.sigma_obs must be a positive number whose square is positive and finite, "
          "got 1e-320"),
+        ("rollout", ("seed",), -5, "seed must be >= 0, got -5"),
+        ("rollout", ("rollout_samples",), -3, "rollout_samples must be >= 0, got -3"),
+        ("assimilate", ("alpha",), -1, "alpha must be positive with a finite reciprocal, got -1.0"),
     ], ids=["starts-nan", "anchor-state-nan", "eps_repro-nan", "epsilon-nan",
             "alpha-inf", "grid_n-string", "grid_n-fraction",
-            "alpha-string", "max_iters-bool", "sigma_obs-underflow"])
+            "alpha-string", "max_iters-bool", "sigma_obs-underflow",
+            "seed-negative", "rollout_samples-negative", "alpha-negative"])
     def test_non_number_config_value_names_the_file_and_key(self, scene_dir, tmp_path, capsys,
                                                              stage, path, value, message):
         root, _ = scene_dir
@@ -1036,11 +1058,22 @@ class TestExitCodes:
         argv = ["--config", cfg_path, "--out", out, stage]
         if stage == "assimilate":
             argv += ["--checkpoint", str(tmp_path / "ck.npz"), "--demo", cfg["demos"][0]]
-        elif stage == "reproduce":
+        elif stage in ("rollout", "reproduce"):
             argv += ["--model", os.path.join(out, "model.json")]
         capsys.readouterr()
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"config error: {cfg_path}: {message}\n"
+
+    def test_negative_seed_flag_is_refused(self, scene_dir, tmp_path, capsys):
+        # --seed overrides the config after the config reader checked it
+        root, _ = scene_dir
+        out = str(tmp_path / "out")
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "learn"]) == 0
+        capsys.readouterr()
+        assert cli_main(["--config", str(root / "config.json"), "--out", out, "--seed", "-5",
+                         "rollout", "--model", os.path.join(out, "model.json")]) == 2
+        assert capsys.readouterr() == ("", "config error: --seed must be >= 0, got -5\n")
+        assert not os.path.exists(os.path.join(out, "prior.csv"))
 
     def test_model_with_a_string_entry_names_the_file(self, scene_dir, tmp_path, capsys):
         root, _ = scene_dir

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
@@ -39,3 +40,11 @@ def test_quick_matrix_writes_the_same_tree_twice(tmp_path):
     # one assimilation per demo (8 reaching, 6 placing), then three calls on that model
     assert len(manifest["calls"]) == 4 * (5 + 8 + 3) + 4 * (5 + 6 + 3)
     assert all(call["exit"] is not None for call in manifest["calls"])
+    # the last line counts the reproductions' stop reasons and feasible ones:
+    # three solutions (one free start, two past the obstacle) per model, two models per case
+    solutions = [json.loads(data) for name, data in first.items()
+                 if os.path.basename(name).startswith("solution_") and name.endswith(".json")]
+    stops = Counter(s["stop"] for s in solutions)
+    assert len(solutions) == 8 * 2 * 3
+    assert out.endswith(f"; reproductions: stop {dict(sorted(stops.items()))}, feasible "
+                        f"{sum(s['feasible'] for s in solutions)}/48 -> {tmp_path / 'second'}\n")

@@ -154,6 +154,12 @@ MALFORMED_VALUES = [
      "reproduction.starts[0] must be a number array, got True at index [0]"),
     ("raw49", {"reproduction": {"anchors": [{"index": 3, "state": [0, False, 1, 1]}]}},
      "reproduction.anchors[0].state must be a number array, got False at index [1]"),
+    ("seed", {"seed": -5}, "seed must be >= 0, got -5"),
+    ("rollout_samples", {"rollout_samples": -3}, "rollout_samples must be >= 0, got -3"),
+    ("alpha", {"alpha": -1}, "alpha must be positive with a finite reciprocal, got -1.0"),
+    ("beta", {"beta": 0}, "beta must be positive with a finite reciprocal, got 0.0"),
+    ("subnormal alpha", {"alpha": 5e-324},
+     "alpha must be positive with a finite reciprocal, got 5e-324"),
 ]
 
 

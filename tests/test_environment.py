@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -54,7 +56,7 @@ class TestSignedDistance:
 
     def test_no_obstacles_sentinel(self):
         env = Environment(dimension=2, obstacles=[])
-        assert nearest_obstacle(env, np.zeros((1, 2)))[0][0] >= 1e6
+        assert nearest_obstacle(env, np.zeros((1, 2)))[0][0] == np.inf
 
     def test_dimension_mismatch(self):
         env = Environment(dimension=2, obstacles=[])
@@ -152,19 +154,22 @@ def per_point_gradient(env, p):
 
 
 @st.composite
+def obstacles(draw, dim):
+    """A random sphere or box inside [-1, 1]^dim."""
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    size = st.floats(0.05, 0.8, allow_nan=False)
+    lo = np.array([draw(coord) for _ in range(dim)])
+    if draw(st.booleans()):
+        return Sphere(center=lo, radius=draw(size))
+    return Box(lo=lo, hi=lo + np.array([draw(size) for _ in range(dim)]))
+
+
+@st.composite
 def scenes(draw):
     """1-4 random spheres and boxes in 2-D or 3-D inside [-1, 1]^dim."""
     dim = draw(st.sampled_from([2, 3]))
-    coord = st.floats(-1.0, 1.0, allow_nan=False)
-    size = st.floats(0.05, 0.8, allow_nan=False)
-    obstacles = []
-    for _ in range(draw(st.integers(1, 4))):
-        lo = np.array([draw(coord) for _ in range(dim)])
-        if draw(st.booleans()):
-            obstacles.append(Sphere(center=lo, radius=draw(size)))
-        else:
-            obstacles.append(Box(lo=lo, hi=lo + np.array([draw(size) for _ in range(dim)])))
-    return Environment(dimension=dim, obstacles=obstacles)
+    return Environment(dimension=dim, obstacles=[draw(obstacles(dim))
+                                                 for _ in range(draw(st.integers(1, 4)))])
 
 
 def mirrored(obs):
@@ -190,6 +195,75 @@ def special_rows(obs):
     face[-1] = obs.hi[-1]
     plane[-1] += 3.0
     return np.stack([centre, face, plane, obs.lo])
+
+
+def argmin_gather(env, rows):
+    """Reference: every obstacle's distance and gradient stacked, and each
+    row's first minimum gathered (argmin takes a NaN as the minimum); +inf
+    with zero gradients for an obstacle-free scene."""
+    if not env.obstacles:
+        return np.full(len(rows), np.inf), np.zeros_like(rows)
+    dist, grads = map(np.array, zip(*(obs.distance(rows) for obs in env.obstacles)))
+    nearest, every = np.argmin(dist, axis=0), np.arange(len(rows))
+    return dist[nearest, every], grads[nearest, every]
+
+
+@st.composite
+def tied_scenes(draw):
+    """0-3 spheres and boxes in 2-D or 3-D inside [-1, 1]^dim; each one after
+    the first may repeat or mirror an earlier one, which ties rows between
+    the two exactly (every row, or the rows on the plane x_0 = 0)."""
+    dim = draw(st.sampled_from([2, 3]))
+    scene = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["new", "twin", "mirror"] if scene else ["new"]))
+        if kind == "new":
+            scene.append(draw(obstacles(dim)))
+        else:
+            earlier = draw(st.sampled_from(scene))
+            scene.append(earlier if kind == "twin" else mirrored(earlier))
+    return Environment(dimension=dim, obstacles=scene)
+
+
+class TestOnePassChoice:
+    @settings(max_examples=300, deadline=None)
+    @given(env=tied_scenes(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_argmin_gather(self, env, seed):
+        dim = env.dimension
+        rows = np.random.default_rng(seed).uniform(-1.2, 2.0, (30, dim))
+        rows[:5, 0] = 0.0  # on the mirror plane
+        special = np.zeros((6, dim))
+        special[0, 0], special[1, 0], special[2, :] = np.nan, np.inf, -np.inf
+        special[3, -1], special[4, :], special[5, 0] = np.nan, 1e308, -1e12
+        rows = np.concatenate([rows, special] + [special_rows(obs) for obs in env.obstacles])
+        with np.errstate(over="ignore", invalid="ignore"):  # rows at or past the float range
+            dist, grad = nearest_obstacle(env, rows)
+            want_dist, want_grad = argmin_gather(env, rows)
+        assert dist.tobytes() == want_dist.tobytes()
+        finite = np.isfinite(dist)
+        assert grad[finite].tobytes() == want_grad[finite].tobytes()
+        np.testing.assert_array_equal(grad[dist == np.inf], 0.0)
+        if env.obstacles:  # NaN, +inf, -inf, NaN, overflowing and far rows
+            assert np.isnan(dist[30:36]).tolist() == [True, False, False, True, False, False]
+            assert dist[31] == dist[32] == dist[34] == np.inf and np.isfinite(dist[35])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_obstacles=st.integers(0, 3), n=st.integers(1, 12))
+    def test_picks_as_argmin_on_any_distances(self, data, n_obstacles, n):
+        # Spheres and boxes give a row NaN from every obstacle or from none;
+        # obstacles that report any distances meet ties, NaN and +-inf in
+        # every order. Obstacle k's gradient is k, so it names the pick.
+        values = st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, 1.0]),
+                          min_size=n, max_size=n)
+        stubs = [SimpleNamespace(distance=lambda rows, d=np.array(data.draw(values)), k=k:
+                                 (d, np.full(rows.shape, float(k))))
+                 for k in range(n_obstacles)]
+        env, rows = SimpleNamespace(dimension=2, obstacles=stubs), np.zeros((n, 2))
+        (dist, grad), (want_dist, want_grad) = nearest_obstacle(env, rows), argmin_gather(env, rows)
+        assert dist.tobytes() == want_dist.tobytes()
+        picked = dist != np.inf  # NaN rows too: the first NaN sticks
+        np.testing.assert_array_equal(grad[picked], want_grad[picked])
+        np.testing.assert_array_equal(grad[~picked], 0.0)
 
 
 class TestBatchedField:
@@ -233,7 +307,7 @@ class TestBatchedField:
 
     def test_obstacle_free_scene(self):
         values, grads = nearest_obstacle(Environment(dimension=3), np.ones((2, 3)))
-        assert np.all(values >= 1e6)
+        np.testing.assert_array_equal(values, np.inf)
         np.testing.assert_array_equal(grads, np.zeros((2, 3)))
 
 

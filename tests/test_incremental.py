@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from iwskill.batch import SingularSystemError, start_moments
 from iwskill.demos import StateTrajectory
 from iwskill.incremental import (CHECKPOINT_KEYS, IncrementalLearner, assimilate_demo,
-                                 extract_map, load_checkpoint, save_checkpoint)
+                                 check_grid, extract_map, load_checkpoint, save_checkpoint)
 from test_batch import Interval, fit_one, intervals
 
 MNIW = namedtuple("MNIW", "M R V nu")
@@ -143,6 +143,19 @@ class TestUpdateLaws:
         other_dt = StateTrajectory(dt=0.2, states=demo.states)
         with pytest.raises(ValueError, match="dt"):
             assimilate_demo(learner, other_dt, np.ones(4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dt=st.floats(1e-6, 1e3), rel=st.floats(-3e-9, 3e-9), off=st.floats(-3e-12, 3e-12))
+    def test_dt_tolerance_is_np_isclose(self, dt, rel, off):
+        # the reference: np.isclose at rtol 1e-9 and atol 1e-12, which
+        # DemoSet applies across the demos of one learn
+        demo = StateTrajectory(dt=dt * (1.0 + rel) + off, states=np.zeros((3, 1)))
+        try:
+            check_grid(IncrementalLearner(2, 1, 1.0, 1.0, dt=dt), demo)
+            taken = True
+        except ValueError:
+            taken = False
+        assert taken == bool(np.isclose(demo.dt, dt, rtol=1e-9, atol=1e-12))
 
 
 class TestBatchEquivalence:

@@ -524,7 +524,7 @@ def test_solution_exports():
     summary = solution_summary(sol)
     assert summary == {"objective": 1.25, "iterations": 3, "converged": True, "stop": "step",
                        "feasible": True, "min_clearance": 0.42}
-    sol.min_clearance = 1e9  # no obstacle factor: nothing was checked
+    sol.min_clearance = np.inf  # no obstacle factor: nothing was checked
     assert solution_summary(sol)["min_clearance"] is None
     for stop in ("gradient", "damping", "max_iters"):
         sol.stop = stop
