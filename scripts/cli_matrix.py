@@ -2,10 +2,12 @@
 
 Cases: the reaching and placing scenes x seeds 0 and 3 x band noise 0 and
 0.01 m x `align` none and dtw x weighted and `--no-weighting`, at grid_n 40.
-Each case runs `weights`, `learn`, `rollout` with samples, and `reproduce`
+The reaching demos are JSON files and the placing demos CSV files. Each case
+runs `ingest`, `weights`, `learn`, `rollout` with samples, and `reproduce`
 twice: free, with a start and a goal anchor, and past the scene's obstacle
 from two starts at sigma_repro 0.005. Then it assimilates every demo into a
-checkpoint, and runs `rollout` and both reproductions of that model.
+checkpoint, and runs `rollout` and both reproductions of that model: 512
+calls and 1,509 files.
 
 Every input and artifact is written under --out, together with
 `manifest.json`: each call's argv, exit code, stdout and stderr, with the
@@ -18,7 +20,8 @@ The last line counts the calls' exit codes, and the reproductions' `stop`
 reasons and how many of them are `feasible`, read from the
 `solution_*.json` files in the tree.
 
-`--quick` runs one seed, noise 0.01 and grid_n 20 (8 cases, as tier-1 does).
+`--quick` runs one seed, noise 0.01 and grid_n 20 (8 cases and 128 calls, as
+tier-1 does).
 
 Usage: PYTHONPATH=src python scripts/cli_matrix.py --out DIR [--quick]
 """
@@ -39,7 +42,7 @@ from iwskill.cli import main as cli_main
 from iwskill.demos import save_raw_demo
 from iwskill.environment import environment_to_dict
 from iwskill.synthetic import make_placing_scene, make_reaching_scene
-from iwskill.utils import read_json, write_json
+from iwskill.utils import atomic_write_text, csv_text, read_json, write_json
 
 
 def _state(demo, at: int) -> list:
@@ -51,10 +54,11 @@ def _state(demo, at: int) -> list:
 
 
 def write_inputs(root: str, scene_name: str, seed: int, noise: float) -> dict:
-    """The demos of one synthetic scene under `root`, with `env.json`, the
-    scene its obstacle is in, and for placing `env_clean.json`, the scene
-    without it. Returns the demo file names, the scene each demo was recorded
-    in, and the reproductions' start, goal and starts past the obstacle."""
+    """The demos of one synthetic scene under `root`, reaching's as JSON and
+    placing's as CSV files, with `env.json`, the scene its obstacle is in,
+    and for placing `env_clean.json`, the scene without it. Returns the demo
+    file names, the scene each demo was recorded in, and the reproductions'
+    start, goal and starts past the obstacle."""
     os.makedirs(root, exist_ok=True)
     if scene_name == "reaching":
         scene = make_reaching_scene(noise=noise, seed=seed)
@@ -69,8 +73,14 @@ def write_inputs(root: str, scene_name: str, seed: int, noise: float) -> dict:
     write_json(os.path.join(root, "env.json"), environment_to_dict(cluttered))
     names = []
     for k, demo in enumerate(demos):
-        names.append(f"demo_{k:03d}.json")
-        save_raw_demo(os.path.join(root, names[-1]), demo)
+        if scene_name == "reaching":
+            names.append(f"demo_{k:03d}.json")
+            save_raw_demo(os.path.join(root, names[-1]), demo)
+        else:
+            names.append(f"demo_{k:03d}.csv")
+            header = ["t"] + [f"x_{j + 1}" for j in range(demo.dim)]
+            atomic_write_text(os.path.join(root, names[-1]), csv_text(
+                header, np.column_stack([demo.timestamps, demo.positions])))
     return {"demos": names, "recorded_in": recorded_in,
             "start": np.mean([_state(d, 0) for d in demos], axis=0).tolist(),
             "goal": np.mean([_state(d, -1) for d in demos], axis=0).tolist(),
@@ -136,7 +146,8 @@ def run_case(case: dict, root: str, inputs: dict, input_dir: str) -> list:
                 cli(prefix + "reproduce_obstacle", "reproduce", "--model", model,
                     config="obstacle")]
 
-    calls = [cli("weights", "weights"), cli("learn", "learn")] + use("learn", "")
+    calls = [cli("ingest", "ingest"), cli("weights", "weights"),
+             cli("learn", "learn")] + use("learn", "")
     checkpoint = os.path.join(case_dir, "checkpoint.npz")
     for k, (demo, env) in enumerate(zip(inputs["demos"], inputs["recorded_in"])):
         calls.append(cli(f"assimilate_{k:03d}", "assimilate", "--checkpoint", checkpoint,

@@ -20,8 +20,8 @@ from . import demos as dm
 from .batch import (SingularSystemError, learn_batch_weighted, load_model, save_model)
 from .config import ConfigError, PipelineConfig, load_config
 from .environment import load_environment, weight_trajectory
-from .incremental import (IncrementalLearner, assimilate_demo, check_grid, extract_map,
-                          load_checkpoint, save_checkpoint)
+from .incremental import (IncrementalLearner, assimilate_demo, extract_map, load_checkpoint,
+                          save_checkpoint)
 from .linalg import lapack
 from .prior import GaussianTrajectoryPrior, prior_band_csv, sample_trajectories
 from .reproduction import (ObstacleFactor, ReproductionProblem, SingularNormalEquationsError,
@@ -43,7 +43,8 @@ def _read(load, what: str, path: str):
     try:
         return load(path)
     except (ValueError, KeyError, TypeError, OSError) as exc:
-        raise ConfigError(f"failed to read {what} {path}: {exc}") from exc
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"failed to read {what} {path}: {reason}") from exc
 
 
 def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
@@ -144,7 +145,7 @@ def cmd_assimilate(cfg: PipelineConfig, args) -> int:
             raise ConfigError(f"checkpoint {args.checkpoint} holds (alpha, beta) = "
                               f"{learner.alpha, learner.beta}, the config {cfg.alpha, cfg.beta}")
         try:
-            check_grid(learner, traj)
+            dm.check_grid(traj, learner.n_steps, learner.dim, learner.dt)
         except ValueError as exc:
             raise ConfigError(f"checkpoint {args.checkpoint} does not take demo {args.demo}: "
                               f"{exc}") from None

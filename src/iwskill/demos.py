@@ -52,8 +52,8 @@ class StateTrajectory:
         s = np.asarray(self.states, dtype=float)
         if s.ndim != 2 or s.shape[0] < 2:
             raise ValueError("states must be a (N+1, D) array with N >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         object.__setattr__(self, "states", s)
 
     @property
@@ -73,24 +73,30 @@ class StateTrajectory:
         return self.dt * np.arange(self.states.shape[0])
 
 
+def check_grid(traj: StateTrajectory, n_steps: int, dim: int, dt: float) -> None:
+    """A ValueError unless `traj` has `n_steps` intervals and dimension `dim`
+    (checked first), and its step is `dt` by numpy's `isclose` at rtol 1e-9,
+    atol 1e-12, in float arithmetic (a scalar `isclose` costs ≈16 µs)."""
+    if traj.n_steps != n_steps or traj.dim != dim:
+        raise ValueError(f"grid (N, D) = ({traj.n_steps}, {traj.dim}), not ({n_steps}, {dim})")
+    if not abs(traj.dt - dt) <= 1e-12 + 1e-9 * abs(dt):
+        raise ValueError(f"dt = {traj.dt}, not {dt}")
+
+
 @dataclass(frozen=True)
 class DemoSet:
-    """K state trajectories sharing one (N, dt) grid."""
+    """K state trajectories sharing one (N, dt) grid: demo 0's."""
 
     demos: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.demos) < 1:
             raise ValueError("a DemoSet needs at least one demonstration")
-        n = self.demos[0].n_steps
-        d = self.demos[0].dim
-        dt = self.demos[0].dt
-        same_dt = np.isclose([traj.dt for traj in self.demos], dt, rtol=1e-9, atol=1e-12)
         for k, traj in enumerate(self.demos):
-            if traj.n_steps != n or traj.dim != d:
-                raise ValueError(f"demo {k} grid mismatch: ({traj.n_steps}, {traj.dim}) vs ({n}, {d})")
-            if not same_dt[k]:
-                raise ValueError(f"demo {k} dt mismatch: {traj.dt} vs {dt}")
+            try:
+                check_grid(traj, self.n_steps, self.dim, self.dt)
+            except ValueError as exc:
+                raise ValueError(f"demo {k} is off demo 0's grid: {exc}") from None
 
     @property
     def k(self) -> int:

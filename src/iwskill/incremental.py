@@ -13,25 +13,26 @@ import zipfile
 import numpy as np
 
 from .batch import SingularSystemError, SkillModel, solve_intervals, start_moments
-from .demos import StateTrajectory
+from .demos import StateTrajectory, check_grid
 from .utils import atomic_write_npz, checked_array, checked_number
 
 
 class IncrementalLearner:
     """MNIW statistics stacked over the N intervals, M (N, D, D+1),
     R (N, D+1, D+1), V (N, D, D) and nu (N,), the start state of every
-    assimilated demo, starts (k, D), plus the grid metadata. A fresh
+    assimilated demo, starts (k, D), plus the grid (N, D, dt). A fresh
     learner holds a zero-mean ridge-style map prior (R = I/alpha) and an
     uninformative noise prior (V = I/beta, nu = 1/beta)."""
 
-    def __init__(self, n_steps: int, dim: int, alpha: float, beta: float,
-                 dt: float | None = None):
+    def __init__(self, n_steps: int, dim: int, alpha: float, beta: float, dt: float):
         # R starts at I/alpha and V at I/beta: both reciprocals must be finite
         if not all(x > 0 and 1.0 / float(x) < np.inf for x in (alpha, beta)):
             raise ValueError(f"alpha and beta must be positive with finite reciprocals, "
                              f"got {alpha!r} and {beta!r}")
         if n_steps < 1 or dim < 1:
             raise ValueError("need n_steps >= 1 and dim >= 1")
+        if not 0 < dt < np.inf:  # as StateTrajectory's: the grid test compares finite steps
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         self.n_steps, self.dim, self.alpha, self.beta = n_steps, dim, float(alpha), float(beta)
         self.dt = dt
         self.starts = np.empty((0, dim))
@@ -39,16 +40,6 @@ class IncrementalLearner:
         self.R = np.tile(np.eye(dim + 1) / alpha, (n_steps, 1, 1))
         self.V = np.tile(np.eye(dim) / beta, (n_steps, 1, 1))
         self.nu = np.full(n_steps, 1.0 / beta)
-
-
-def check_grid(learner: IncrementalLearner, demo: StateTrajectory) -> None:
-    """A ValueError unless `demo` lies on the learner's (N, D) grid and dt."""
-    if demo.n_steps != learner.n_steps or demo.dim != learner.dim:
-        raise ValueError(f"demo grid ({demo.n_steps}, {demo.dim}) does not match "
-                         f"learner grid ({learner.n_steps}, {learner.dim})")
-    # the test np.isclose makes at rtol 1e-9, atol 1e-12, without its array overhead
-    if learner.dt is not None and not abs(demo.dt - learner.dt) <= 1e-12 + 1e-9 * abs(learner.dt):
-        raise ValueError(f"demo dt {demo.dt} does not match learner dt {learner.dt}")
 
 
 def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
@@ -64,9 +55,7 @@ def assimilate_demo(learner: IncrementalLearner, demo: StateTrajectory,
     the weighted residual around the new M plus a symmetrized drift term for
     the mean change, so it stays exactly symmetric; nu gains one.
     """
-    check_grid(learner, demo)
-    if learner.dt is None:
-        learner.dt = demo.dt
+    check_grid(demo, learner.n_steps, learner.dim, learner.dt)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (demo.n_steps + 1,):
         raise ValueError("need one weight per trajectory node")

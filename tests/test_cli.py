@@ -320,8 +320,7 @@ class TestAssimilate:
                          "--checkpoint", checkpoint, "--demo", demo])
         assert code == 2
         assert capsys.readouterr().err == (f"config error: checkpoint {checkpoint} does not take "
-                                           f"demo {demo}: demo grid (17, 4) does not match "
-                                           f"learner grid (30, 4)\n")
+                                           f"demo {demo}: grid (N, D) = (17, 4), not (30, 4)\n")
         assert read_all_outputs(out) == before
         # the grid of the checkpoint, at twice its dt
         slow = load_raw_demo(demo)
@@ -331,7 +330,7 @@ class TestAssimilate:
                          "--checkpoint", checkpoint, "--demo", demo])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            f"config error: checkpoint {checkpoint} does not take demo {demo}: demo dt ")
+            f"config error: checkpoint {checkpoint} does not take demo {demo}: dt = ")
         assert read_all_outputs(out) == before
 
     @pytest.mark.parametrize("alpha, beta", [(1e10, 1e10), (1.0, 1.0), (1e10, 1.0)])
@@ -986,6 +985,30 @@ class TestExitCodes:
         write_json(str(tmp_path / "cfg.json"), {"demos": ["missing.json"]})
         assert cli_main(["--config", str(tmp_path / "cfg.json"), "learn"]) == 2
         assert f"failed to read demo {tmp_path / 'missing.json'}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what, key", [("demo", "positions"), ("model", "steps"),
+                                           ("checkpoint", "nu")])
+    def test_file_without_a_key_names_the_key(self, scene_dir, tmp_path, capsys, what, key):
+        # every file the CLI reads reports a key it lacks in the same words
+        root, _ = scene_dir
+        cfg = str(tmp_path / "cfg.json")
+        write_json(cfg, {"demos": [str(tmp_path / "demo.json")], "align": "none"})
+        path = str(tmp_path / f"{what}.{'npz' if what == 'checkpoint' else 'json'}")
+        if what == "demo":
+            write_json(path, {"timestamps": [0.0, 0.1, 0.2, 0.3]})
+            argv = ["learn"]
+        elif what == "model":
+            write_scalar_model(path, steps=None)
+            argv = ["rollout", "--model", path]
+        else:
+            cfg = str(root / "config.json")
+            argv = ["assimilate", "--checkpoint", path, "--demo", str(root / "demo_000.json")]
+            assert cli_main(["--config", cfg, "--out", str(tmp_path / "first")] + argv) == 0
+            rewrite_checkpoint(path, nu=None)
+        capsys.readouterr()
+        assert cli_main(["--config", cfg, "--out", str(tmp_path / "out")] + argv) == 2
+        assert capsys.readouterr() == ("", f"config error: failed to read {what} {path}: "
+                                           f"missing key '{key}'\n")
 
     def test_reproduce_ignores_missing_learning_scene(self, scene_dir, tmp_path):
         # only `reproduction.environment` is read by reproduce

@@ -36,9 +36,10 @@ def test_quick_matrix_writes_the_same_tree_twice(tmp_path):
     assert [name for name in first if first[name] != second[name]] == []
     manifest = json.loads(first["manifest.json"])
     assert len(manifest["cases"]) == 8 and str(tmp_path) not in first["manifest.json"].decode()
-    # each case: weights, learn, rollout and two reproductions of the batch model,
-    # one assimilation per demo (8 reaching, 6 placing), then three calls on that model
-    assert len(manifest["calls"]) == 4 * (5 + 8 + 3) + 4 * (5 + 6 + 3)
+    # each case: ingest, weights, learn, rollout and two reproductions of the batch
+    # model, one assimilation per demo (8 reaching, 6 placing), then three calls on
+    # that model
+    assert len(manifest["calls"]) == 4 * (6 + 8 + 3) + 4 * (6 + 6 + 3)
     assert all(call["exit"] is not None for call in manifest["calls"])
     # the last line counts the reproductions' stop reasons and feasible ones:
     # three solutions (one free start, two past the obstacle) per model, two models per case

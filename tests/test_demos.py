@@ -529,7 +529,8 @@ class TestDemoSet:
     def test_grid_mismatch_rejected(self):
         a = estimate_states(line_demo(), 10)
         b = estimate_states(line_demo(), 12)
-        with pytest.raises(ValueError, match="grid mismatch"):
+        with pytest.raises(ValueError, match=r"^demo 1 is off demo 0's grid: grid \(N, D\) = "
+                                             r"\(12, 2\), not \(10, 2\)$"):
             DemoSet(demos=[a, b])
 
     def test_empty_set_and_dt_mismatch_rejected(self):
@@ -538,15 +539,17 @@ class TestDemoSet:
         def traj(dt, n=3):
             return StateTrajectory(dt=dt, states=np.zeros((n, 2)))
 
-        with pytest.raises(ValueError, match=r"^demo 1 dt mismatch: 0\.2 vs 0\.1$"):
+        with pytest.raises(ValueError, match=r"^demo 1 is off demo 0's grid: dt = 0\.2, not 0\.1$"):
             DemoSet(demos=[traj(0.1), traj(0.2)])
         close = 0.1 * (1 + 5e-10)  # within rtol 1e-9 of 0.1
         assert DemoSet(demos=[traj(0.1), traj(close), traj(0.1 + 5e-13)]).k == 3
-        with pytest.raises(ValueError, match=r"^demo 2 dt mismatch: 0\.1000001 vs 0\.1$"):
+        with pytest.raises(ValueError, match=r"^demo 2 is off demo 0's grid: dt = 0\.1000001, "
+                                             r"not 0\.1$"):
             DemoSet(demos=[traj(0.1), traj(close), traj(0.1000001), traj(0.3)])
-        with pytest.raises(ValueError, match=r"^demo 1 grid mismatch"):  # the first demo off
+        # the first demo off the grid is named
+        with pytest.raises(ValueError, match=r"^demo 1 is off demo 0's grid: grid "):
             DemoSet(demos=[traj(0.1), traj(0.1, n=4), traj(0.3)])
-        with pytest.raises(ValueError, match=r"^demo 1 dt mismatch"):
+        with pytest.raises(ValueError, match=r"^demo 1 is off demo 0's grid: dt "):
             DemoSet(demos=[traj(0.1), traj(0.3), traj(0.1, n=4)])
 
     def test_ingest_produces_shared_grid(self):
@@ -561,5 +564,10 @@ class TestDemoSet:
     def test_state_trajectory_invariants(self):
         with pytest.raises(ValueError):
             StateTrajectory(dt=0.0, states=np.zeros((3, 2)))
+        # the grid test then compares finite steps only: two demos at dt inf
+        # once made a DemoSet that the incremental learner refused
+        for dt in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+                StateTrajectory(dt=dt, states=np.zeros((3, 2)))
         with pytest.raises(ValueError):
             StateTrajectory(dt=0.1, states=np.zeros((1, 2)))

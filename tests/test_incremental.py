@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwskill.batch import SingularSystemError, start_moments
-from iwskill.demos import StateTrajectory
+from iwskill.demos import DemoSet, StateTrajectory
 from iwskill.incremental import (CHECKPOINT_KEYS, IncrementalLearner, assimilate_demo,
-                                 check_grid, extract_map, load_checkpoint, save_checkpoint)
+                                 extract_map, load_checkpoint, save_checkpoint)
 from test_batch import Interval, fit_one, intervals
 
 MNIW = namedtuple("MNIW", "M R V nu")
@@ -36,7 +36,7 @@ def assimilate_all(learner, demos, weights):
 
 class TestInit:
     def test_reference_hyperparameters(self):
-        learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10)
+        learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10, dt=0.1)
         for step in beliefs(learner):
             np.testing.assert_allclose(step.R, 1e-10 * np.eye(5))
             np.testing.assert_allclose(step.V, 1e-10 * np.eye(4))
@@ -45,31 +45,42 @@ class TestInit:
 
     def test_map_before_any_demo(self):
         # a model needs the moments of at least one start state
-        learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10)
+        learner = IncrementalLearner(2, 4, alpha=1e10, beta=1e10, dt=0.1)
         with pytest.raises(ValueError, match="no demonstration assimilated yet"):
             extract_map(learner)
 
     def test_model_starts_from_the_assimilated_demos(self):
         rng = np.random.default_rng(3)
         demos, weights = random_demos(rng, k=4)
-        model = extract_map(assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10), demos, weights))
+        learner = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10, dt=0.1), demos, weights)
+        model = extract_map(learner)
         mean, cov = start_moments(np.stack([d.states[0] for d in demos]))
         np.testing.assert_array_equal(model.init_mean, mean)
         np.testing.assert_array_equal(model.init_cov, cov)
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError):
-            IncrementalLearner(2, 4, alpha=0.0, beta=1e10)
+            IncrementalLearner(2, 4, alpha=0.0, beta=1e10, dt=0.1)
         with pytest.raises(ValueError):
-            IncrementalLearner(2, 4, alpha=1e10, beta=-1.0)
+            IncrementalLearner(2, 4, alpha=1e10, beta=-1.0, dt=0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.inf, np.nan])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="^dt must be positive and finite, got "):
+            IncrementalLearner(2, 4, alpha=1e10, beta=1e10, dt=dt)
+
+    def test_dt_has_no_default(self):
+        # a learner is made on its grid: no first demo chooses its dt
+        with pytest.raises(TypeError):
+            IncrementalLearner(2, 4, alpha=1e10, beta=1e10)
 
     @pytest.mark.parametrize("n_steps, dim", [(0, 4), (2, 0)])
     def test_empty_grid_is_refused(self, n_steps, dim):
         with pytest.raises(ValueError, match="^need n_steps >= 1 and dim >= 1$"):
-            IncrementalLearner(n_steps, dim, alpha=1e10, beta=1e10)
+            IncrementalLearner(n_steps, dim, alpha=1e10, beta=1e10, dt=0.1)
 
     def test_weight_of_the_wrong_shape_is_refused(self):
-        learner = IncrementalLearner(2, 1, alpha=1e10, beta=1e10)
+        learner = IncrementalLearner(2, 1, alpha=1e10, beta=1e10, dt=1.0)
         demo = StateTrajectory(dt=1.0, states=[[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="^need one weight per trajectory node$"):
             assimilate_demo(learner, demo, np.ones(2))
@@ -78,7 +89,7 @@ class TestInit:
 class TestUpdateLaws:
     def test_scalar_hand_evaluation(self):
         # D=1 transition x=1 -> 2 with unit weight against the written-out laws
-        learner = IncrementalLearner(1, 1, alpha=1e10, beta=1e10)
+        learner = IncrementalLearner(1, 1, alpha=1e10, beta=1e10, dt=1.0)
         assimilate_demo(learner, StateTrajectory(dt=1.0, states=[[1.0], [2.0]]), np.ones(2))
         [state] = beliefs(learner)
         x_tilde = np.array([1.0, 1.0])
@@ -96,7 +107,7 @@ class TestUpdateLaws:
         # stays at machine precision, far below the 1e-12 budget
         rng = np.random.default_rng(0)
         demos, weights = random_demos(rng, k=1)
-        learner = IncrementalLearner(3, 4, alpha=1.0, beta=1.0)
+        learner = IncrementalLearner(3, 4, alpha=1.0, beta=1.0, dt=0.1)
         assimilate_demo(learner, demos[0], np.ones(4))
         before = [(s.M.copy(), s.R.copy(), s.V.copy(), s.nu) for s in beliefs(learner)]
         ghost = StateTrajectory(dt=0.1, states=rng.normal(size=(4, 4)))
@@ -111,7 +122,7 @@ class TestUpdateLaws:
         rng = np.random.default_rng(1)
         demos, _ = random_demos(rng, k=1)
         w = np.full(4, 0.6)
-        learner = IncrementalLearner(3, 4, alpha=1e6, beta=1e6)
+        learner = IncrementalLearner(3, 4, alpha=1e6, beta=1e6, dt=0.1)
         assimilate_demo(learner, demos[0], w)
         assimilate_demo(learner, demos[0], w)
         for i, s in enumerate(beliefs(learner)):
@@ -124,7 +135,7 @@ class TestUpdateLaws:
         # interval i weighs x_i -> x_{i+1} by w(x_i), as batch learning does,
         # so node N's weight may be 0
         demo = StateTrajectory(dt=0.1, states=np.random.default_rng(3).normal(size=(4, 4)))
-        learners = [IncrementalLearner(3, 4, alpha=1e4, beta=1e4) for _ in range(2)]
+        learners = [IncrementalLearner(3, 4, alpha=1e4, beta=1e4, dt=0.1) for _ in range(2)]
         assimilate_demo(learners[0], demo, np.ones(4))
         assimilate_demo(learners[1], demo, np.array([1.0, 1.0, 1.0, 0.0]))
         for a, b in zip(beliefs(learners[0]), beliefs(learners[1])):
@@ -132,7 +143,7 @@ class TestUpdateLaws:
             np.testing.assert_array_equal(a.V, b.V)
 
     def test_grid_mismatch_and_bad_weights(self):
-        learner = IncrementalLearner(3, 4, alpha=1e4, beta=1e4)
+        learner = IncrementalLearner(3, 4, alpha=1e4, beta=1e4, dt=0.1)
         wrong = StateTrajectory(dt=0.1, states=np.zeros((3, 4)))
         with pytest.raises(ValueError, match="grid"):
             assimilate_demo(learner, wrong, np.ones(3))
@@ -147,15 +158,20 @@ class TestUpdateLaws:
     @settings(max_examples=300, deadline=None)
     @given(dt=st.floats(1e-6, 1e3), rel=st.floats(-3e-9, 3e-9), off=st.floats(-3e-12, 3e-12))
     def test_dt_tolerance_is_np_isclose(self, dt, rel, off):
-        # the reference: np.isclose at rtol 1e-9 and atol 1e-12, which
-        # DemoSet applies across the demos of one learn
-        demo = StateTrajectory(dt=dt * (1.0 + rel) + off, states=np.zeros((3, 1)))
-        try:
-            check_grid(IncrementalLearner(2, 1, 1.0, 1.0, dt=dt), demo)
-            taken = True
-        except ValueError:
-            taken = False
-        assert taken == bool(np.isclose(demo.dt, dt, rtol=1e-9, atol=1e-12))
+        # the one grid rule, through both of its users: a DemoSet takes demo b
+        # after demo a, and a learner made with a's dt assimilates b, exactly
+        # when np.isclose at rtol 1e-9 and atol 1e-12 says the steps agree
+        a, b = (StateTrajectory(dt=x, states=np.zeros((3, 1)))
+                for x in (dt, dt * (1.0 + rel) + off))
+        learner = IncrementalLearner(2, 1, 1.0, 1.0, dt=a.dt)
+        taken = []
+        for accept in (lambda: DemoSet([a, b]), lambda: assimilate_demo(learner, b, np.ones(3))):
+            try:
+                accept()
+                taken.append(True)
+            except ValueError:
+                taken.append(False)
+        assert taken == [bool(np.isclose(b.dt, a.dt, rtol=1e-9, atol=1e-12))] * 2
 
 
 class TestBatchEquivalence:
@@ -163,7 +179,8 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(3)
         demos, weights = random_demos(rng, k=12, n_steps=4, dim=4)
         alpha = 1e10
-        learner = assimilate_all(IncrementalLearner(4, 4, alpha=alpha, beta=1e10), demos, weights)
+        learner = assimilate_all(IncrementalLearner(4, 4, alpha=alpha, beta=1e10, dt=0.1),
+                                 demos, weights)
         model = extract_map(learner)
         for i in range(4):
             inputs = np.vstack([np.ones((1, 12)),
@@ -179,7 +196,8 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(4)
         demos, weights = random_demos(rng, k=8, n_steps=3, dim=4)
         alpha = 1e6
-        learner = assimilate_all(IncrementalLearner(3, 4, alpha=alpha, beta=1e6), demos, weights)
+        learner = assimilate_all(IncrementalLearner(3, 4, alpha=alpha, beta=1e6, dt=0.1),
+                                 demos, weights)
         for i, s in enumerate(beliefs(learner)):
             inputs = np.vstack([np.ones((1, 8)),
                                 np.stack([d.states[i] for d in demos], axis=1)])
@@ -190,9 +208,9 @@ class TestBatchEquivalence:
     def test_m_and_r_permutation_invariant(self):
         rng = np.random.default_rng(5)
         demos, weights = random_demos(rng, k=7)
-        a = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10), demos, weights)
+        a = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10, dt=0.1), demos, weights)
         perm = [4, 2, 6, 0, 5, 1, 3]
-        b = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10),
+        b = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10, dt=0.1),
                            [demos[p] for p in perm], [weights[p] for p in perm])
         for sa, sb in zip(beliefs(a), beliefs(b)):
             assert np.max(np.abs(sa.R - sb.R)) / np.max(np.abs(sa.R)) <= 1e-8
@@ -202,14 +220,14 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(6)
         demos, weights = random_demos(rng, k=9)
         beta = 1e10
-        learner = assimilate_all(IncrementalLearner(3, 4, 1e10, beta), demos, weights)
+        learner = assimilate_all(IncrementalLearner(3, 4, 1e10, beta, dt=0.1), demos, weights)
         for s in beliefs(learner):
             assert s.nu == 1.0 / beta + 9
 
     def test_spd_after_every_update(self):
         rng = np.random.default_rng(7)
         demos, weights = random_demos(rng, k=6)
-        learner = IncrementalLearner(3, 4, 1e10, 1e10)
+        learner = IncrementalLearner(3, 4, 1e10, 1e10, dt=0.1)
         for demo, w in zip(demos, weights):
             assimilate_demo(learner, demo, w)
             for s in beliefs(learner):
@@ -219,7 +237,7 @@ class TestBatchEquivalence:
     def test_v_stays_exactly_symmetric(self):
         rng = np.random.default_rng(11)
         demos, weights = random_demos(rng, k=8, n_steps=5, dim=3)
-        learner = IncrementalLearner(5, 3, 1e10, 1e10)
+        learner = IncrementalLearner(5, 3, 1e10, 1e10, dt=0.1)
         for demo, w in zip(demos, weights):
             assimilate_demo(learner, demo, w)
             np.testing.assert_array_equal(learner.V, learner.V.transpose(0, 2, 1))
@@ -233,7 +251,8 @@ class TestBatchEquivalence:
         demos = [StateTrajectory(dt=0.1, states=rng.normal(size=(n_steps + 1, dim)))
                  for _ in range(k)]
         weights = [np.ones(n_steps + 1)] * k
-        learner = assimilate_all(IncrementalLearner(n_steps, dim, 1e10, 1e10), demos, weights)
+        learner = assimilate_all(IncrementalLearner(n_steps, dim, 1e10, 1e10, dt=0.1),
+                                 demos, weights)
         model = extract_map(learner)
         for i in range(n_steps):
             inputs = np.vstack([np.ones((1, k)),
@@ -264,7 +283,8 @@ def saved_learner(tmp_path, name="ck.npz"):
     rng = np.random.default_rng(10)
     demos, weights = random_demos(rng, k=2)
     path = str(tmp_path / name)
-    save_checkpoint(path, assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10), demos, weights))
+    learner = assimilate_all(IncrementalLearner(3, 4, 1e10, 1e10, dt=0.1), demos, weights)
+    save_checkpoint(path, learner)
     return path
 
 
@@ -287,6 +307,14 @@ class TestCheckpoint:
         model_b = extract_map(again)
         for a, b in zip(intervals(model_a), intervals(model_b)):
             np.testing.assert_array_equal(a.Phi_tilde, b.Phi_tilde)
+
+    def test_learner_saved_before_its_first_demo(self, tmp_path):
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, IncrementalLearner(3, 4, 1e10, 1e10, dt=0.25))
+        again = load_checkpoint(path)
+        assert again.dt == 0.25 and again.starts.shape == (0, 4)
+        with pytest.raises(ValueError, match="^no demonstration assimilated yet"):
+            extract_map(again)
 
     def test_bytes_are_pinned(self, tmp_path):
         # a binary file in out_dir keeps repeated CLI runs byte-identical only
@@ -394,7 +422,7 @@ class TestStackedUpdateEqualsPerIntervalLoop:
            beta=st.sampled_from([1.0, 1e10]))
     def test_bit_identical(self, n, d, k, seed, alpha, beta):
         rng = np.random.default_rng(seed)
-        learner = IncrementalLearner(n, d, alpha, beta)
+        learner = IncrementalLearner(n, d, alpha, beta, dt=0.1)
         stats = beliefs(learner)
         for _ in range(k):
             demo = StateTrajectory(dt=0.1, states=rng.normal(size=(n + 1, d)))
@@ -413,7 +441,7 @@ class TestIntervalStack:
     @pytest.mark.parametrize("n", [1, 200])
     def test_statistics_stay_c_contiguous(self, n):
         rng = np.random.default_rng(12)
-        learner = IncrementalLearner(n, 2, 1e6, 1e6)
+        learner = IncrementalLearner(n, 2, 1e6, 1e6, dt=0.1)
         for _ in range(2):
             assimilate_demo(learner, StateTrajectory(dt=0.1, states=rng.normal(size=(n + 1, 2))),
                             rng.uniform(0.1, 1.0, size=n + 1))
@@ -424,7 +452,7 @@ class TestIntervalStack:
         # one bad interval deep in a 200-interval stack: the stacked factor
         # fails, and the per-interval pass names the interval
         rng = np.random.default_rng(13)
-        learner = IncrementalLearner(200, 2, 1.0, 1.0)
+        learner = IncrementalLearner(200, 2, 1.0, 1.0, dt=0.1)
         learner.R[137] = -np.eye(3)
         demo = StateTrajectory(dt=0.1, states=rng.normal(size=(201, 2)))
         with pytest.raises(SingularSystemError, match="^interval 137: MNIW column statistics R "
