@@ -23,7 +23,16 @@ reasons and how many of them are `feasible`, read from the
 `--quick` runs one seed, noise 0.01 and grid_n 20 (8 cases and 128 calls, as
 tier-1 does).
 
+`--compare BASE_DIR` runs nothing: it prints one line on how the tree at
+--out differs from the tree at BASE_DIR, both written by this script. It
+counts the differing files per artifact kind (the file name with its
+numbers as `*`), gives the largest absolute and relative difference over the
+numeric cells of the differing CSV files, the calls whose exit code changed,
+and the reproductions whose `stop`, `feasible` or `iterations` changed in
+`solution_*.json`. A relative difference is |a - b| / max(|a|, |b|).
+
 Usage: PYTHONPATH=src python scripts/cli_matrix.py --out DIR [--quick]
+       PYTHONPATH=src python scripts/cli_matrix.py --out DIR --compare BASE_DIR
 """
 
 import argparse
@@ -32,6 +41,7 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 import warnings
 from collections import Counter
@@ -172,11 +182,87 @@ def run_matrix(out: str, quick: bool) -> list:
     return calls
 
 
+def _files(root: str) -> set:
+    return {os.path.relpath(os.path.join(directory, name), root)
+            for directory, _, names in os.walk(root) for name in names}
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _cell_differences(a: bytes, b: bytes) -> tuple | None:
+    """(largest absolute, largest relative) difference over the cells of two
+    CSV files that read as numbers in both and differ; None for tables of
+    different shapes."""
+    rows_a, rows_b = ([line.split(",") for line in text.decode().splitlines()] for text in (a, b))
+    if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
+        return None
+    largest = (0.0, 0.0)
+    for cell_a, cell_b in zip(itertools.chain(*rows_a), itertools.chain(*rows_b)):
+        try:
+            x, y = float(cell_a), float(cell_b)
+        except ValueError:
+            continue
+        diff = abs(x - y)
+        if diff > 0:  # not -0.0 against 0.0, nor one number written two ways
+            largest = (max(largest[0], diff), max(largest[1], diff / max(abs(x), abs(y))))
+    return largest
+
+
+def _exit_codes(root: str) -> dict:
+    """Each call's exit code, by its output directory, which names the call."""
+    return {call["argv"][call["argv"].index("--out") + 1]: call["exit"]
+            for call in read_json(os.path.join(root, "manifest.json"))["calls"]}
+
+
+def compare(base: str, tree: str) -> str:
+    """One line on how the matrix tree at `tree` differs from the one at `base`."""
+    base_files, tree_files = _files(base), _files(tree)
+    kinds, shapes, largest = Counter(), 0, (0.0, 0.0)
+    solutions, flips, steps = 0, Counter(), []
+    for name in sorted(base_files & tree_files):
+        a, b = _read_bytes(os.path.join(base, name)), _read_bytes(os.path.join(tree, name))
+        kind = re.sub(r"\d+", "*", os.path.basename(name))
+        if kind == "solution_*.json":
+            old, new = json.loads(a), json.loads(b)
+            solutions += 1
+            flips.update(key for key in ("stop", "feasible") if old[key] != new[key])
+            if old["iterations"] != new["iterations"]:
+                steps.append(new["iterations"] - old["iterations"])
+        if a != b:
+            kinds[kind] += 1
+            cells = _cell_differences(a, b) if kind.endswith(".csv") else (0.0, 0.0)
+            if cells is None:
+                shapes += 1
+            else:
+                largest = tuple(map(max, largest, cells))
+    old_exit, new_exit = _exit_codes(base), _exit_codes(tree)
+    exits = [f"{call} {old_exit.get(call, 'absent')} -> {new_exit.get(call, 'absent')}"
+             for call in sorted(old_exit.keys() | new_exit.keys())
+             if old_exit.get(call, "absent") != new_exit.get(call, "absent")]
+    return (f"{sum(kinds.values())} of {len(tree_files)} files differ ("
+            + (", ".join(f"{kind} {n}" for kind, n in sorted(kinds.items())) or "none")
+            + f"), {len(base_files ^ tree_files)} in one tree only; numeric CSV cells differ by "
+            f"up to {largest[0]:.3g} absolute and {largest[1]:.3g} relative"
+            + (f", {shapes} CSV files change shape" if shapes else "")
+            + f"; exit codes changed: {len(exits)}" + "".join(f", {e}" for e in exits[:5])
+            + f"; of {solutions} solutions, stop changed in {flips['stop']}, feasible in "
+            f"{flips['feasible']}, iterations in {len(steps)}"
+            + (f" ({min(steps):+d} to {max(steps):+d})" if steps else ""))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="directory for the tree")
     parser.add_argument("--quick", action="store_true", help="the small tier-1 matrix")
+    parser.add_argument("--compare", metavar="BASE_DIR",
+                        help="run nothing; print how the tree at --out differs from this one")
     args = parser.parse_args(argv)
+    if args.compare:
+        print(compare(args.compare, args.out))
+        return 0
     if os.path.exists(args.out) and os.listdir(args.out):
         print(f"{args.out} is not empty: a tree from two runs would not compare", file=sys.stderr)
         return 2

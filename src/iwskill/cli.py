@@ -64,8 +64,14 @@ def _load_demo_set(cfg: PipelineConfig) -> dm.DemoSet:
             states = wide.states.reshape(-1, 2, k, p).transpose(2, 0, 1, 3).reshape(k, -1, 2 * p)
             return dm.DemoSet(demos=[dm.StateTrajectory(dt=wide.dt, states=s) for s in states])
     # an overflowing demo fails its spline fit: name its file (demo k is aligned demo k)
-    return dm.DemoSet(demos=[_read(lambda _: dm.estimate_states(d, cfg.grid_n), "demo", p)
-                             for d, p in zip(raw, cfg.demos)])
+    trajs = [_read(lambda _: dm.estimate_states(d, cfg.grid_n), "demo", p)
+             for d, p in zip(raw, cfg.demos)]
+    for traj, path in zip(trajs, cfg.demos):  # and name both files of a demo off demo 0's grid
+        try:
+            dm.check_grid(traj, trajs[0].n_steps, trajs[0].dim, trajs[0].dt)
+        except ValueError as exc:
+            raise ConfigError(f"demo {path} is off demo {cfg.demos[0]}'s grid: {exc}") from None
+    return dm.DemoSet(demos=trajs)
 
 
 def _demo_weights(cfg: PipelineConfig, trajs: list, env_path: str | None,

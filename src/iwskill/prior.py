@@ -38,25 +38,13 @@ class GaussianTrajectoryPrior:
         if mean.shape != (self.dim,) or cov.shape != (self.dim, self.dim):
             raise ValueError(f"start state of shapes {mean.shape} and {cov.shape} does not fit "
                              f"the model dimension {self.dim}")
-        # mu' = Phi mu + u and P' = Phi P Phi^T + Q, interval by interval, into
-        # preallocated buffers: row i of `aug` is [1; mu_i], `left` holds Phi P
-        # and `pred` Phi P Phi^T + Q, symmetrized into the next covariance
-        aug = np.ones((self.n_steps + 1, self.dim + 1))
-        self.covs = np.empty((self.n_steps + 1, self.dim, self.dim))
-        aug[0, 1:], self.covs[0] = mean, cov
+        # P_0 and each Q_i: the start and interval covariances of the chain and of `info`
+        noise = np.concatenate([cov[None], model.Q])
+        self.means, self.covs = np.concatenate([mean[None], model.bias]), noise.copy()
         phi = np.ascontiguousarray(model.transition)
-        left, pred = np.empty((self.dim, self.dim)), np.empty((self.dim, self.dim))
-        steps = zip(model.Phi_tilde, phi, phi.transpose(0, 2, 1), model.Q,
-                    aug[:-1], aug[1:, 1:], self.covs[:-1], self.covs[1:])
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the node
-            for phi_tilde, phi_i, phi_i_t, q, mu, mu_next, p, p_next in steps:
-                np.matmul(phi_tilde, mu, out=mu_next)
-                np.matmul(phi_i, p, out=left)
-                np.matmul(left, phi_i_t, out=pred)
-                pred += q
-                np.add(pred, pred.T, out=p_next)
-                p_next /= 2.0
-        self.means = np.ascontiguousarray(aug[:, 1:])
+            _scan_chain(phi, self.means[:, None], self.covs)
+            self.covs[1:] = (self.covs[1:] + self.covs[1:].transpose(0, 2, 1)) / 2.0
         finite = np.isfinite(self.means).all(axis=1) & np.isfinite(self.covs).all(axis=(1, 2))
         if not finite.all():
             raise FloatingPointError(f"prior moments overflow at node {np.argmin(finite)} of "
@@ -65,10 +53,8 @@ class GaussianTrajectoryPrior:
         # Information form of the Markov chain: `info` stacks P_0^-1 and each Q_i^-1.
         # Interval i adds Phi_i^T Q_i^-1 Phi_i to block (i, i), Q_i^-1 to block (i+1, i+1)
         # and -Q_i^-1 Phi_i to block (i+1, i); the start adds P_0^-1 to block 0.
-        covs = np.concatenate([self.covs[:1], model.Q])
-        self.info = np.linalg.inv(covs + _JITTER * np.eye(self.dim))
-        q_inv = self.info[1:]
-        self.prec_diag = self.info.copy()
+        self.info = np.linalg.inv(noise + _JITTER * np.eye(self.dim))
+        q_inv, self.prec_diag = self.info[1:], self.info.copy()
         self.prec_diag[:-1] += phi.transpose(0, 2, 1) @ q_inv @ phi
         self.prec_off = -q_inv @ phi
 
@@ -107,21 +93,36 @@ class GaussianTrajectoryPrior:
         return dense.reshape(n * d, n * d)
 
 
+def _scan_chain(phi: np.ndarray, x: np.ndarray, cov: np.ndarray | None = None) -> None:
+    """The chain x_{i+1} = Phi_i x_i + x[i+1] from x_0 = x[0] over x (N+1, m, D),
+    m points a node, and given cov (N+1, D, D), P_{i+1} = Phi_i P_i Phi_i^T +
+    cov[i+1] from P_0 = cov[0], written in place by a Hillis-Steele inclusive
+    scan of the affine maps (A, b, C): row 0 maps to (x[0], cov[0]), row i+1 is
+    (Phi_i, x[i+1], cov[i+1]), and (A1, b1, C1) then (A2, b2, C2) is (A2 A1,
+    A2 b1 + b2, A2 C1 A2^T + C2). After offset k, row j holds rows j-2k+1..j
+    composed: ceil(log2(N+1)) batched steps. Points are rows, so each A is kept
+    transposed, and dropped once its row's maps reach row 0."""
+    a_t, k = phi.transpose(0, 2, 1).copy(), 1  # a_t[j - 1] is row j's A^T
+    while k < len(x):
+        if cov is not None:  # (C A^T)^T A^T, which is A C A^T for a symmetric C
+            cov[k:] += (cov[:-k] @ a_t[k - 1:]).transpose(0, 2, 1) @ a_t[k - 1:]
+        x[k:] += x[:-k] @ a_t[k - 1:]
+        a_t[2 * k - 1:] = a_t[k - 1:-k] @ a_t[2 * k - 1:]
+        k *= 2
+
+
 def sample_trajectories(prior: GaussianTrajectoryPrior, n: int, seed: int) -> np.ndarray:
-    """Draw n trajectories (n, N+1, D) by forward-simulating the stochastic
-    dynamics. Deterministic for a fixed seed."""
+    """Draw n trajectories (n, N+1, D) of the stochastic dynamics: one scan of
+    the chain whose offsets carry each draw's noise. Deterministic for a fixed
+    seed; the draws are those of a node-by-node simulation, start first."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    rng = np.random.default_rng(seed)
-    d, model = prior.dim, prior.model
-    state = prior.means[0] + rng.standard_normal((n, d)) @ psd_sqrt(prior.covs[0]).T
-    nodes = [state]
-    sqrt_q = psd_sqrt(model.Q)
-    for i in range(model.n_steps):
-        noise = rng.standard_normal((n, d)) @ sqrt_q[i].T
-        state = state @ model.transition[i].T + model.bias[i] + noise
-        nodes.append(state)
-    return np.stack(nodes, axis=1)
+    model = prior.model
+    draws = np.random.default_rng(seed).standard_normal((model.n_steps + 1, n, prior.dim))
+    x = draws @ psd_sqrt(np.concatenate([prior.covs[:1], model.Q])).transpose(0, 2, 1)
+    x += np.concatenate([prior.means[:1], model.bias])[:, None]
+    _scan_chain(model.transition, x)
+    return x.transpose(1, 0, 2)
 
 
 def prior_band_csv(prior: GaussianTrajectoryPrior) -> str:

@@ -1010,6 +1010,19 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"config error: failed to read {what} {path}: "
                                            f"missing key '{key}'\n")
 
+    @pytest.mark.parametrize("stage", ["ingest", "weights", "learn"])
+    def test_demo_off_the_first_demos_grid_names_both_files(self, tmp_path, capsys, stage):
+        # 3 s and 4 s on 10 intervals: steps of 0.3 and 0.4 s
+        paths = [str(tmp_path / f"demo_{k}.json") for k in range(2)]
+        for path, seconds in zip(paths, (3.0, 4.0)):
+            t = np.linspace(0.0, seconds, 7)
+            save_raw_demo(path, RawDemo(timestamps=t, positions=np.column_stack([t, t ** 2])))
+        write_json(str(tmp_path / "cfg.json"), {"demos": paths, "align": "none", "grid_n": 10})
+        assert cli_main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+                         stage]) == 2
+        assert capsys.readouterr() == ("", f"config error: demo {paths[1]} is off demo "
+                                           f"{paths[0]}'s grid: dt = 0.4, not 0.3\n")
+
     def test_reproduce_ignores_missing_learning_scene(self, scene_dir, tmp_path):
         # only `reproduction.environment` is read by reproduce
         root, _ = scene_dir

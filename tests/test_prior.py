@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iwskill.batch import SkillModel
-from iwskill.demos import DemoSet, StateTrajectory
+from iwskill.batch import SkillModel, learn_batch_weighted
+from iwskill.demos import DemoSet, StateTrajectory, dtw_align, estimate_states
 from iwskill.linalg import psd_sqrt
 from iwskill.prior import (GaussianTrajectoryPrior, initial_state_distribution, prior_band_csv,
                            sample_trajectories)
+from iwskill.synthetic import make_reaching_scene
 
 
 def random_model(rng, dim=2, n_steps=5, noise=0.05, contraction=0.9):
@@ -65,6 +68,42 @@ def reference_moments_and_precision(model, init, jitter=1e-10):
         diag[i + 1] += q_inv
         off[i] = -q_inv @ phi
     return np.stack(means), np.stack(covs), diag, off
+
+
+def term_scales(model, init):
+    """Per node, the largest entry of the mean's and the covariance's terms
+    in absolute value: |mu_0| and |P_0| rolled forward by |Phi_i| m + |u_i|
+    and |Phi_i| C |Phi_i|^T + |Q_i|. They bound the roundoff of any order of
+    summing the terms; a node whose terms cancel (a mean near zero, or a huge
+    covariance that the dynamics shrink) has no relative precision of its own."""
+    m, c = np.abs(init[0]), np.abs(init[1])
+    scales = [(m.max(), c.max())]
+    for phi, u, q in zip(np.abs(model.transition), np.abs(model.bias), np.abs(model.Q)):
+        m, c = phi @ m + u, phi @ c @ phi.T + q
+        scales.append((m.max(), c.max()))
+    return np.array(scales).T
+
+
+def assert_nodes_close(got, want, rtol, scales=None):
+    """Each node's entries within rtol of the oracle's, relative to `scales`
+    (default: the largest entry of that node of the oracle)."""
+    axes = tuple(range(1, want.ndim))
+    err = np.max(np.abs(got - want), axis=axes)
+    scales = np.max(np.abs(want), axis=axes) if scales is None else scales
+    assert np.all(err <= rtol * scales), f"node error up to {np.max(err / scales):.3g} relative"
+
+
+def assert_matches_loops(model, init, rtol, scales=(None, None)):
+    """Moments within rtol of the per-interval loops, relative to `scales`
+    (means, covariances; default each node's largest entry), and the
+    precision blocks, which do not depend on the chain, bit for bit."""
+    prior = GaussianTrajectoryPrior(model, init)
+    means, covs, diag, off = reference_moments_and_precision(model, init)
+    assert_nodes_close(prior.means, means, rtol, scales[0])
+    assert_nodes_close(prior.covs, covs, rtol, scales[1])
+    np.testing.assert_array_equal(prior.covs, prior.covs.transpose(0, 2, 1))
+    np.testing.assert_array_equal(prior.prec_diag, diag)
+    np.testing.assert_array_equal(prior.prec_off, off)
 
 
 def random_init(rng, dim=2):
@@ -222,20 +261,37 @@ class TestJointPrior:
         np.testing.assert_array_equal(other.means[0], np.zeros(2))
         np.testing.assert_array_equal(other.covs[0], np.eye(2))
 
+    # The scan sums each node's terms in another order than the loop, so
+    # "equal" means equal to roundoff: measured up to 4.4e-16 (means) and
+    # 8.8e-16 (covariances) of their term scales over 1,000 random models of
+    # N 1-260 and D 1-6. The precision blocks are equal bit for bit.
     @pytest.mark.parametrize("dim,n_steps", [(1, 1), (2, 5), (4, 60), (6, 200)])
     def test_arrays_equal_per_interval_loops(self, dim, n_steps):
         rng = np.random.default_rng(dim * 1000 + n_steps)
         model = random_model(rng, dim=dim, n_steps=n_steps)
         init = random_init(rng, dim=dim)
-        prior = GaussianTrajectoryPrior(model, init)
-        means, covs, diag, off = reference_moments_and_precision(model, init)
-        np.testing.assert_array_equal(prior.means, means)
-        np.testing.assert_array_equal(prior.covs, covs)
-        np.testing.assert_array_equal(prior.prec_diag, diag)
-        np.testing.assert_array_equal(prior.prec_off, off)
-        for (mean, cov), m, c in zip(node_marginals(model, init), means, covs):
-            np.testing.assert_array_equal(mean, m)
-            np.testing.assert_array_equal(cov, c)
+        assert_matches_loops(model, init, 1e-12, term_scales(model, init))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_steps=st.integers(1, 260), dim=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_steps=2, dim=1, seed=0)
+    @example(n_steps=255, dim=3, seed=1)  # N+1 = 256 rows: the scan's last step fills them
+    @example(n_steps=256, dim=2, seed=2)  # one row past a power of two
+    def test_moments_match_per_interval_loops(self, n_steps, dim, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, dim=dim, n_steps=n_steps)
+        init = random_init(rng, dim=dim)
+        assert_matches_loops(model, init, 1e-12, term_scales(model, init))
+
+    @pytest.mark.parametrize("align,grid_n", [("dtw", 200), ("none", 60)])
+    def test_learned_loose_prior_matches_per_interval_loops(self, align, grid_n):
+        # unweighted noisy reaching models: velocity stds reach 14.5 at dtw, 200.
+        # Measured 1.0e-12 (means) and 8.0e-13 (covariances) of a node's largest entry.
+        raw = make_reaching_scene(n_raw=200, noise=0.01, seed=1).raw_demos
+        demos = DemoSet(demos=[estimate_states(d, grid_n)
+                               for d in (dtw_align(raw) if align == "dtw" else raw)])
+        model = learn_batch_weighted(demos, [np.ones(grid_n + 1)] * demos.k)
+        assert_matches_loops(model, (model.init_mean, model.init_cov), 1e-10)
 
     def test_overflowing_dynamics_raise(self):
         rng = np.random.default_rng(15)
@@ -245,6 +301,27 @@ class TestJointPrior:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="overflow at node 4 of 6"):
             GaussianTrajectoryPrior(replace(model, Phi_tilde=phi_tilde), random_init(rng, dim=2))
+
+    @pytest.mark.parametrize("interval", [0, 10, 59])
+    def test_one_huge_interval_overflows_where_the_loop_does(self, interval):
+        # a product of maps over a span holds the huge interval at most once, so
+        # the scan overflows at the same scales and nodes as the loop
+        rng = np.random.default_rng(17)
+        model = random_model(rng, dim=4, n_steps=60)
+        init = random_init(rng, dim=4)
+        huge = []
+        for scale in (1e140, 1e160):
+            phi_tilde = model.Phi_tilde.copy()
+            phi_tilde[interval] *= scale
+            huge.append(replace(model, Phi_tilde=phi_tilde))
+        assert_matches_loops(huge[0], init, 1e-12, term_scales(huge[0], init))
+        assert np.max(np.abs(GaussianTrajectoryPrior(huge[0], init).means)) > 1e139
+        with np.errstate(over="ignore", invalid="ignore"):
+            means, covs = reference_moments_and_precision(huge[1], init)[:2]
+        finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+        assert np.argmin(finite) == interval + 1
+        with pytest.raises(FloatingPointError, match=f"overflow at node {interval + 1} of 60"):
+            GaussianTrajectoryPrior(huge[1], init)
 
 
 class TestSampling:
@@ -281,6 +358,8 @@ class TestSampling:
             se = np.sqrt((np.outer(np.diag(p), np.diag(p)) + p ** 2) / n)
             assert np.all(np.abs(emp - p) <= 4 * se)
 
+    # the draws are the loop's and the sums of each node in another order, so
+    # "equal" means equal to roundoff (measured: up to 2e-16 of the term scale)
     @pytest.mark.parametrize("dim,n_steps", [(1, 1), (2, 5), (4, 60)])
     def test_samples_equal_per_interval_loop(self, dim, n_steps):
         rng = np.random.default_rng(dim * 100 + n_steps)
@@ -289,14 +368,28 @@ class TestSampling:
         prior = GaussianTrajectoryPrior(model, (mean, cov))
         draws = np.random.default_rng(5)
         state = mean + draws.standard_normal((3, dim)) @ psd_sqrt(cov).T
-        nodes = [state]
+        nodes, scales = [state], [np.abs(state)]
         for i in range(n_steps):
             noise = draws.standard_normal((3, dim)) @ psd_sqrt(prior.model.Q[i]).T
-            state = state @ prior.model.Phi_tilde[i][:, 1:].T + prior.model.Phi_tilde[i][:, 0] \
-                + noise
+            phi, u = prior.model.Phi_tilde[i][:, 1:], prior.model.Phi_tilde[i][:, 0]
+            state = state @ phi.T + u + noise
             nodes.append(state)
-        np.testing.assert_array_equal(sample_trajectories(prior, 3, seed=5),
-                                      np.stack(nodes, axis=1))
+            scales.append(scales[-1] @ np.abs(phi).T + np.abs(u) + np.abs(noise))
+        # node by node, relative to the size of the terms it sums, as for the means
+        assert_nodes_close(sample_trajectories(prior, 3, seed=5).transpose(1, 0, 2),
+                           np.stack(nodes), 1e-12, np.max(scales, axis=(1, 2)))
+
+    def test_one_draw_is_the_per_node_draws(self):
+        # no dynamics and unit noise: each node is its own block of the stream,
+        # as a node-by-node simulation draws them, start first
+        n_steps, dim, n = 7, 3, 4
+        model = SkillModel(Phi_tilde=np.zeros((n_steps, dim, dim + 1)),
+                           Q=np.broadcast_to(np.eye(dim), (n_steps, dim, dim)), dt=0.1,
+                           init_mean=np.zeros(dim), init_cov=np.eye(dim))
+        samples = sample_trajectories(GaussianTrajectoryPrior(model), n, seed=9)
+        draws = np.random.default_rng(9)
+        for i in range(n_steps + 1):
+            np.testing.assert_array_equal(samples[:, i], draws.standard_normal((n, dim)))
 
     def test_bad_count(self):
         rng = np.random.default_rng(13)
